@@ -288,32 +288,52 @@ class _PLTable:
     """Piecewise-linear interpolant of the samples plus its antiderivative.
 
     Piece p covers [p, p+1] / 2**m; F is the exact integral of the
-    interpolant from 0, so window means of f are quotients of F values."""
+    interpolant from 0, so window means of f are quotients of F values.
+    half_slopes and inv_size are exact rescalings (powers of two), so the
+    lookups below round exactly as the textbook expressions in their
+    docstrings do."""
 
-    __slots__ = ("m", "size", "values", "slopes", "cum")
+    __slots__ = ("m", "size", "inv_size", "values", "slopes", "half_slopes", "cum")
 
     def __init__(self, f: SampledFunction):
         self.m = f.m
         self.size = 1 << f.m
+        self.inv_size = 2.0**-f.m
         v = np.asarray(f.values, dtype=float)
         nxt = np.roll(v, -1)
         self.values = v
         self.slopes = (nxt - v) * self.size
+        self.half_slopes = 0.5 * self.slopes
         self.cum = np.concatenate([[0.0], np.cumsum((v + nxt) * (0.5 / self.size))])
 
     def piece(self, u):
-        return np.clip((np.asarray(u) * self.size).astype(np.int64), 0, self.size - 1)
+        p = (np.asarray(u) * self.size).astype(np.int64)
+        return np.clip(p, 0, self.size - 1, out=p)
+
+    def _offset(self, u, p):
+        du = p * self.inv_size
+        return np.subtract(u, du, out=du)
 
     def f_at(self, u, p=None):
+        """values[p] + slopes[p] * (u - p / size)."""
         if p is None:
             p = self.piece(u)
-        return self.values[p] + self.slopes[p] * (u - p / self.size)
+        out = self._offset(u, p)
+        out *= self.slopes.take(p)
+        out += self.values.take(p)
+        return out
 
     def F_at(self, u, p=None):
+        """cum[p] + (values[p] + 0.5 * slopes[p] * du) * du, du = u - p / size."""
         if p is None:
             p = self.piece(u)
-        du = u - p / self.size
-        return self.cum[p] + (self.values[p] + 0.5 * self.slopes[p] * du) * du
+        du = self._offset(u, p)
+        out = self.half_slopes.take(p)
+        out *= du
+        out += self.values.take(p)
+        out *= du
+        out += self.cum.take(p)
+        return out
 
     def mean_F(self, ulo, uhi):
         """Mean of f over [ulo, uhi]; pointwise value when the window is
@@ -322,7 +342,9 @@ class _PLTable:
         uhi = np.asarray(uhi, dtype=float)
         w = uhi - ulo
         tiny = w <= 1e-13
-        out = (self.F_at(uhi) - self.F_at(ulo)) / np.where(tiny, 1.0, w)
+        out = self.F_at(uhi)
+        out -= self.F_at(ulo)
+        out /= np.where(tiny, 1.0, w)
         if np.any(tiny):
             out = np.where(tiny, self.f_at(0.5 * (ulo + uhi)), out)
         return out
@@ -343,6 +365,16 @@ def _rank_table(m: int) -> np.ndarray:
         step = 1 << (m - rank)
         out[step :: 2 * step] = rank
     return out
+
+
+# Work size, in array elements, of the blocks that the window engine, the
+# frozen tail of the value engine and the Monte-Carlo paths stream through:
+# small enough that a block's temporaries stay in cache. It cannot change a
+# result. Every operation inside a block is elementwise; a point's panels
+# never straddle two window blocks (its sum is one bincount over them, in
+# order); np.add.at accumulates the frozen-tail blocks in input order; and
+# the sampler draws and sums whole batches, building only the paths in blocks.
+_BLOCK = 1 << 14
 
 
 # --- closed-form window engine -----------------------------------------------
@@ -425,9 +457,9 @@ def _integrate_block(table, origin, c_hi, c_lo, z1, z2):
     return np.bincount(pt, weights=panel, minlength=T) / (c_hi - c_lo)
 
 
-def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2, max_edges=1_500_000):
+def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2, max_edges=_BLOCK):
     """Per-point integral over [z1, z2] of the window mean of f along the
-    line pair (origin, c_hi), (origin, c_lo), chunked to bound memory."""
+    line pair (origin, c_hi), (origin, c_lo), in blocks of whole points."""
     T = origin.size
     out = np.zeros(T)
     if T == 0:
@@ -544,15 +576,9 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
     return vals, row_ids, ident
 
 
-def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | None = None) -> SignMatrix:
-    """Rows are (degree, sample point) functionals, columns the live
-    midpoints; entry = the response gained by conditioning the midpoint
-    into its upper window half rather than the lower one. Rows whose best
-    entry is below row_tol are dropped."""
-    cfg = config if config is not None else DerandConfig()
-    if state.phase != "active":
-        raise ValueError("no live windows to compare in a final state")
-    degrees = _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
+def _assemble_kept(state: DerandState, degrees, cfg: DerandConfig):
+    """_assemble, then the averaging-identity alarm and the row_tol filter:
+    the kept rows, their ids and the residual."""
     vals, row_ids, ident = _assemble(state, degrees, cfg)
     if ident > cfg.identity_tol:
         raise NumericalAlarm(
@@ -563,8 +589,20 @@ def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | N
             tol=cfg.identity_tol,
         )
     keep = np.max(np.abs(vals), axis=1) >= cfg.row_tol
-    kept_ids = tuple(rid for rid, flag in zip(row_ids, keep) if flag)
-    return SignMatrix(vals[keep], kept_ids, dist="circular")
+    return vals[keep], tuple(rid for rid, flag in zip(row_ids, keep) if flag), ident
+
+
+def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | None = None) -> SignMatrix:
+    """Rows are (degree, sample point) functionals, columns the live
+    midpoints; entry = the response gained by conditioning the midpoint
+    into its upper window half rather than the lower one. Rows whose best
+    entry is below row_tol are dropped."""
+    cfg = config if config is not None else DerandConfig()
+    if state.phase != "active":
+        raise ValueError("no live windows to compare in a final state")
+    degrees = _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
+    kept, kept_ids, _ = _assemble_kept(state, degrees, cfg)
+    return SignMatrix(kept, kept_ids, dist="circular")
 
 
 # --- quadrature value engine ---------------------------------------------------
@@ -606,9 +644,6 @@ def _composite_gl(y1, y2, panels, k):
     ys = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
     ws = np.tile(wts * 0.5, panels) / panels
     return ys, ws
-
-
-_FREEZE_CHUNK = 2_000_000
 
 
 _PATH_CHUNK = 600_000
@@ -677,15 +712,21 @@ def _cell_subtree(E, table, qtab, state, i, level_nodes, ys, ws):
     lowbit = deltas & -deltas
     frac = deltas / seg
     sc = lowbit / seg
-    rows = max(1, _FREEZE_CHUNK // seg)
+    rows = max(1, _BLOCK // seg)
     for start in range(0, lo.size, rows):
         sl = slice(start, min(start + rows, lo.size))
         span = (hi[sl] - lo[sl])[:, None]
-        g = xl[sl][:, None] + deltas[None, :]
-        pos = lo[sl][:, None] + span * frac[None, :]
-        hw = qtab[g] * span * sc[None, :]
-        vals = table.mean_F(pos - hw, pos + hw)
-        np.add.at(E, g.ravel(), (w[sl][:, None] * vals).ravel())
+        g = xl[sl][:, None] + deltas
+        pos = span * frac
+        pos += lo[sl][:, None]
+        hw = qtab.take(g)
+        hw *= span
+        hw *= sc
+        ulo = pos - hw
+        pos += hw
+        vals = table.mean_F(ulo, pos)
+        vals *= w[sl][:, None]
+        np.add.at(E, g.ravel(), vals.ravel())
 
 
 def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
@@ -741,26 +782,48 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int, batch: int = 512)
     gen = tagged_generator(seed, 0xEC, n)
     coarse = np.arange(state.fixed_y.size) << (m - n + 1)
     d_idx = coarse[:-1] + (1 << (m - n))
+    j_span = state.j_hi - state.j_lo
+    # per deeper rank: midpoints step::2*step between neighbours 2*step apart,
+    # placed at lo + (hi - lo) * (0.5 * (1 - q) + q * u); basic slices are views
+    deeper = []
+    for rank in range(n + 1, m + 1):
+        step = 1 << (m - rank)
+        qv = qtab[step : size : 2 * step]
+        deeper.append((step, qv, 0.5 * (1.0 - qv)))
+    rows = max(1, _BLOCK // size)
     acc = np.zeros(size)
     acc2 = np.zeros(size)
     done = 0
     while done < n_samples:
         bsz = min(batch, n_samples - done)
-        Y = np.empty((bsz, size + 1))
-        Y[:, coarse] = state.fixed_y[None, :]
-        u = gen.random((bsz, d_idx.size))
-        Y[:, d_idx] = state.j_lo[None, :] + (state.j_hi - state.j_lo)[None, :] * u
-        for rank in range(n + 1, m + 1):
-            step = 1 << (m - rank)
-            mids = np.arange(step, size, 2 * step)
-            qv = qtab[mids][None, :]
-            lo = Y[:, mids - step]
-            hi = Y[:, mids + step]
-            u = gen.random((bsz, mids.size))
-            Y[:, mids] = lo + (hi - lo) * (0.5 * (1.0 - qv) + qv * u)
-        vals = table.f_at(Y[:, :size].ravel()).reshape(bsz, size)
+        # the whole batch's draws in stream order, then paths built and
+        # evaluated a few rows at a time; the column sums see the same rows
+        # in the same order either way
+        u_live = gen.random((bsz, d_idx.size))
+        u_live *= j_span
+        u_live += state.j_lo
+        u_deep = []
+        for step, qv, base in deeper:
+            u = gen.random((bsz, qv.size))
+            u *= qv
+            u += base
+            u_deep.append(u)
+        vals = np.empty((bsz, size))
+        for r0 in range(0, bsz, rows):
+            r1 = min(r0 + rows, bsz)
+            Y = np.empty((r1 - r0, size + 1))
+            Y[:, coarse] = state.fixed_y
+            Y[:, d_idx] = u_live[r0:r1]
+            for (step, _, _), u in zip(deeper, u_deep):
+                lo = Y[:, 0:size:2 * step]
+                mid = Y[:, 2 * step : size + 1 : 2 * step] - lo
+                mid *= u[r0:r1]
+                mid += lo
+                Y[:, step : size : 2 * step] = mid
+            vals[r0:r1] = table.f_at(Y[:, :size])
         acc += vals.sum(axis=0)
-        acc2 += (vals * vals).sum(axis=0)
+        vals *= vals
+        acc2 += vals.sum(axis=0)
         done += bsz
     mean = acc / n_samples
     var = np.maximum(acc2 / n_samples - mean * mean, 0.0)
@@ -780,8 +843,12 @@ def mc_cross_check(
     offending points rather than the worst one. A genuine indexing or
     window bug shifts whole cells and trips both immediately."""
     cfg = config if config is not None else DerandConfig()
-    quad = _value_profile(state, cfg)
-    mean, se = _mc_profile(state, cfg.mc_samples, cfg.mc_seed if seed is None else seed)
+    return _mc_report(state, cfg, cfg.mc_seed if seed is None else seed, _value_profile(state, cfg))
+
+
+def _mc_report(state: DerandState, cfg: DerandConfig, seed: int, quad: np.ndarray) -> dict:
+    """mc_cross_check against quad, the state's quadrature profile."""
+    mean, se = _mc_profile(state, cfg.mc_samples, seed)
     diff = np.abs(quad - mean)
     floor = cfg.mc_floor * max(state.f.sup_norm(), 1e-30)
     mean_gap = float(np.mean(diff))
@@ -806,25 +873,15 @@ def mc_cross_check(
 
 
 def _choose_step(state, cfg, degrees, prof_old):
-    vals, row_ids, ident = _assemble(state, degrees, cfg)
-    if ident > cfg.identity_tol:
-        raise NumericalAlarm(
-            "averaging identity residual too large",
-            n=state.n_active,
-            ell=state.ell,
-            residual=ident,
-            tol=cfg.identity_tol,
-        )
-    cells = vals.shape[1]
-    keep = np.max(np.abs(vals), axis=1) >= cfg.row_tol
-    kept = vals[keep]
+    kept, kept_ids, ident = _assemble_kept(state, degrees, cfg)
+    cells = kept.shape[1]
     if kept.shape[0]:
         null_cols = np.max(np.abs(kept), axis=0) < cfg.null_tol
     else:
         null_cols = np.ones(cells, dtype=bool)
     eps = np.ones(cells, dtype=np.int8)
     if kept.shape[0] and not null_cols.all():
-        matrix = SignMatrix(kept, tuple(rid for rid, fl in zip(row_ids, keep) if fl))
+        matrix = SignMatrix(kept, kept_ids)
         eps = solve_hierarchical(
             matrix,
             block=cfg.solver_block,
@@ -899,9 +956,13 @@ def advance(
     if state.phase != "active":
         raise ValueError("cannot advance a final state")
     degrees = _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
+    return _advance(state, cfg, degrees, _value_profile(state, cfg))
+
+
+def _advance(state: DerandState, cfg: DerandConfig, degrees, prof: np.ndarray):
+    """advance from a state whose quadrature profile is prof."""
     records: list[DeviationRecord] = []
     ident_max = 0.0
-    prof = _value_profile(state, cfg)
     while state.ell < cfg.ell_max and not _windows_converged(state, cfg):
         state, prof, recs, ident = _choose_step(state, cfg, degrees, prof)
         records.extend(recs)
@@ -940,9 +1001,12 @@ def run(
     ident_max = 0.0
     mc_reports = []
     for rank in range(1, n_max + 1):
+        # one quadrature profile of the opening state serves the MC guard
+        # and the first halving
+        prof = _value_profile(state, cfg)
         if cfg.mc_check:
-            mc_reports.append(mc_cross_check(state, cfg, seed=cfg.mc_seed + 7919 * rank))
-        state, recs, ident = advance(state, cfg, degrees)
+            mc_reports.append(_mc_report(state, cfg, cfg.mc_seed + 7919 * rank, prof))
+        state, recs, ident = _advance(state, cfg, degrees, prof)
         records.extend(recs)
         ident_max = max(ident_max, ident)
     final = dataclasses.replace(state, phase="final", j_lo=np.empty(0), j_hi=np.empty(0))

@@ -125,7 +125,9 @@ def coeffs_naive(f: SampledFunction) -> FourierCoeffs:
 
 
 def _check_degree(f_m: int, n: int):
-    if n >= (1 << (f_m - 1)):
+    # a 2**m grid resolves degrees below 2**(m-1); the one-point grid
+    # (m = 0) resolves none, not even degree 0
+    if n >= (1 << f_m) >> 1:
         raise ResolutionError(
             f"partial sum of degree {n} needs a grid finer than 2**{f_m}"
         )

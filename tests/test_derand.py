@@ -26,7 +26,9 @@ from circlewarp import (
     verify_mass_ratios,
     write_deviation_table,
 )
+from circlewarp import derand
 from circlewarp.corpus import tapered_oscillation
+from circlewarp.rng import tagged_generator
 
 DEGREES = (1, 2, 4, 8, 16)
 
@@ -335,3 +337,184 @@ def test_shape_check_skips_noise_groups():
     quiet = [DeviationRecord(2, 0, 4, 1e-15), DeviationRecord(2, 0, 1, 5e-14)]
     rep = record_shape_check(quiet)
     assert rep == {"pairs": 0, "nonincreasing": 0, "fraction": 1.0, "passed": True}
+
+
+# --- block invariance, profile reuse, window-engine oracle ---------------------
+
+
+@pytest.fixture(scope="module")
+def rank_states():
+    """Opening states of ranks 1 .. 3 of the m=8 taper run, cheaply halved."""
+    cfg = DerandConfig(mc_check=False, ell_max=2, degrees=DEGREES)
+    states = {1: taper_state()}
+    for rank in (2, 3):
+        states[rank], _, _ = advance(states[rank - 1], cfg, DEGREES)
+    return states
+
+
+def window_lines(state):
+    """(side, origin, c_hi, c_lo, z1, z2) of every half window, built the
+    way the window engine frames each cell: live midpoint at origin + z,
+    every deeper point frozen at its conditional center."""
+    m, n = state.f.m, state.n_active
+    qtab = derand._q_table(state.q, m)
+    ranktab = derand._rank_table(m)
+    for i in range(state.j_lo.size):
+        gl = i << (m - n + 1)
+        gr = gl + (1 << (m - n + 1))
+        gd = (gl + gr) >> 1
+        a, b = state.fixed_y[i], state.fixed_y[i + 1]
+        y1, y2 = state.j_lo[i], state.j_hi[i]
+        left = np.arange(gl + 1, gd)
+        s = (left - gl) / (gd - gl)
+        width = qtab[left] * np.exp2(n - ranktab[left])
+        ones = np.ones(left.size)
+        yield "left", a * ones, s + width, s - width, (y1 - a) * ones, (y2 - a) * ones
+        right = np.arange(gd + 1, gr)
+        s = (gr - right) / (gr - gd)
+        width = qtab[right] * np.exp2(n - ranktab[right])
+        ones = np.ones(right.size)
+        yield "right", b * ones, width - s, -(s + width), (b - y2) * ones, (b - y1) * ones
+
+
+def mc_profile_reference(state, n_samples, seed, batch=512):
+    """The sampler as first written: fancy-index gathers of whole batches
+    and the interpolant in its textbook form."""
+    f = state.f
+    m = f.m
+    size = 1 << m
+    n = state.n_active
+    v = np.asarray(f.values, dtype=float)
+    slopes = (np.roll(v, -1) - v) * size
+    qtab = derand._q_table(state.q, m)
+    gen = tagged_generator(seed, 0xEC, n)
+    coarse = np.arange(state.fixed_y.size) << (m - n + 1)
+    d_idx = coarse[:-1] + (1 << (m - n))
+    acc = np.zeros(size)
+    acc2 = np.zeros(size)
+    done = 0
+    while done < n_samples:
+        bsz = min(batch, n_samples - done)
+        Y = np.empty((bsz, size + 1))
+        Y[:, coarse] = state.fixed_y[None, :]
+        u = gen.random((bsz, d_idx.size))
+        Y[:, d_idx] = state.j_lo[None, :] + (state.j_hi - state.j_lo)[None, :] * u
+        for rank in range(n + 1, m + 1):
+            step = 1 << (m - rank)
+            mids = np.arange(step, size, 2 * step)
+            qv = qtab[mids][None, :]
+            lo = Y[:, mids - step]
+            hi = Y[:, mids + step]
+            u = gen.random((bsz, mids.size))
+            Y[:, mids] = lo + (hi - lo) * (0.5 * (1.0 - qv) + qv * u)
+        y = Y[:, :size].ravel()
+        p = np.clip((y * size).astype(np.int64), 0, size - 1)
+        vals = (v[p] + slopes[p] * (y - p / size)).reshape(bsz, size)
+        acc += vals.sum(axis=0)
+        acc2 += (vals * vals).sum(axis=0)
+        done += bsz
+    mean = acc / n_samples
+    var = np.maximum(acc2 / n_samples - mean * mean, 0.0)
+    se = np.sqrt(var / max(n_samples - 1, 1))
+    return mean, se
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_engines_are_block_invariant(rank_states, rank, monkeypatch):
+    state = rank_states[rank]
+    cfg = DerandConfig()
+    table = derand._PLTable(state.f)
+    sides = set()
+    for side, *lines in window_lines(state):
+        sides.add(side)
+        whole = derand._half_window_integrals(table, *lines)
+        split = derand._half_window_integrals(table, *lines, max_edges=64)
+        assert np.array_equal(split, whole)
+    assert sides == {"left", "right"}
+
+    prof = derand._value_profile(state, cfg)
+    mc = derand._mc_profile(state, 1100, 5)
+    ref = mc_profile_reference(state, 1100, 5)
+    monkeypatch.setattr(derand, "_BLOCK", 64)
+    assert np.array_equal(derand._value_profile(state, cfg), prof)
+    mc_small = derand._mc_profile(state, 1100, 5)
+    for got in (mc, mc_small):
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_run_profiles_each_state_once(monkeypatch):
+    cfg = DerandConfig(ell_max=2, degrees=DEGREES, mc_samples=2000)
+    profiled = []
+    inner = derand._value_profile
+
+    def recorder(state, config):
+        profiled.append(state)
+        return inner(state, config)
+
+    monkeypatch.setattr(derand, "_value_profile", recorder)
+    res = run(tapered_oscillation(4, m=8), 4, cfg)
+    keys = [
+        (s.n_active, s.ell, s.fixed_y.tobytes(), s.j_lo.tobytes(), s.j_hi.tobytes()) for s in profiled
+    ]
+    assert len(set(keys)) == len(keys)
+    # one opening profile per rank plus one per halving
+    assert len(keys) == 4 + len(res.records) // len(DEGREES)
+    monkeypatch.setattr(derand, "_value_profile", inner)
+    openings = [s for s in profiled if s.ell == 0]
+    assert [s.n_active for s in openings] == [1, 2, 3, 4]
+    expected = [mc_cross_check(s, cfg, seed=cfg.mc_seed + 7919 * s.n_active) for s in openings]
+    assert res.manifest["mc_reports"] == expected
+
+
+def pl_antiderivative(values):
+    """Integral from 0 of the periodic piecewise-linear interpolant of the
+    samples; outside [0, 1] the end pieces extend linearly."""
+    size = values.size
+    nxt = np.roll(values, -1)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (values + nxt) / size)])
+
+    def F(u):
+        k = min(max(int(np.floor(u * size)), 0), size - 1)
+        du = u - k / size
+        f_u = values[k] + (nxt[k] - values[k]) * size * du
+        return cum[k] + 0.5 * (values[k] + f_u) * du
+
+    return F
+
+
+def crossings(size, origin, c, z1, z2):
+    """z in (z1, z2) where origin + c z lands on an f node."""
+    if c == 0.0:
+        return []
+    ua, ub = sorted((origin + c * z1, origin + c * z2))
+    nodes = np.arange(np.floor(ua * size) + 1, np.ceil(ub * size))
+    zs = (nodes / size - origin) / c
+    return [z for z in zs if z1 < z < z2]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_window_engine_matches_adaptive_quadrature(rank_states, rank):
+    quad = pytest.importorskip("scipy.integrate").quad
+    state = rank_states[rank]
+    table = derand._PLTable(state.f)
+    F = pl_antiderivative(np.asarray(state.f.values, dtype=float))
+    size = table.size
+    checked = 0
+    for side, origin, c_hi, c_lo, z1, z2 in window_lines(state):
+        got = derand._half_window_integrals(table, origin, c_hi, c_lo, z1, z2)
+        for t in range(0, origin.size, 4):
+            O, ch, cl, a, b = origin[t], c_hi[t], c_lo[t], z1[t], z2[t]
+
+            def mean_along(z):
+                return (F(O + ch * z) - F(O + cl * z)) / ((ch - cl) * z)
+
+            kinks = sorted(set(crossings(size, O, ch, a, b) + crossings(size, O, cl, a, b)))
+            want, err = quad(
+                mean_along, a, b, points=kinks or None, limit=4 * len(kinks) + 100,
+                epsabs=1e-13, epsrel=1e-13,
+            )
+            assert err < 1e-11
+            # compare window means: the integrals shrink with the window
+            assert abs(got[t] - want) / (b - a) <= 1e-10, (side, t)
+            checked += 1
+    assert checked >= 16

@@ -108,6 +108,16 @@ def test_partial_sum_rejects_degrees_beyond_grid():
         partial_sum(f, 32)
 
 
+def test_one_point_grid_refuses_every_degree():
+    # 2**0 samples resolve no degree; the cap used to be a negative shift
+    f = SampledFunction(0, [1.0])
+    with pytest.raises(ResolutionError, match="finer than 2\\*\\*0"):
+        sup_partial_sums(f, [1])
+    with pytest.raises(ResolutionError):
+        partial_sum(f, 0)
+    assert sup_partial_sums(SampledFunction(1, [1.0, 0.0]), [0]) == [(0, 0.5)]
+
+
 def test_partial_sum_idempotent():
     f = oscillation(16, 0.5, m=12)
     s1 = partial_sum(f, 40)
