@@ -10,10 +10,9 @@ so every generator is reachable through one registry.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -224,16 +223,3 @@ class CorpusSpec:
             return f"{self.kind}_m{self.m}"
         inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
         return f"{self.kind}({inner})_m{self.m}"
-
-
-def spec_to_json(spec: CorpusSpec) -> str:
-    payload = {"kind": spec.kind, "params": spec.params, "m": spec.m}
-    return json.dumps(payload, sort_keys=True)
-
-
-def spec_from_json(text: str) -> CorpusSpec:
-    payload = json.loads(text)
-    params = payload.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("corpus params must deserialize to a mapping")
-    return CorpusSpec(kind=payload["kind"], params=params, m=int(payload.get("m", 14)))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import partial_sum_values
+from .fourier import sup_partial_sums
 from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly
 from .haar import ConfinementMap, confinement_map, normalize_sup
 from .rng import tagged_generator
@@ -50,7 +50,6 @@ __all__ = [
     "choose_halves",
     "advance",
     "run",
-    "write_deviation_table",
     "record_shape_check",
 ]
 
@@ -73,17 +72,6 @@ class DeviationRecord:
     ell: int
     r: int
     sup_dev: float
-
-
-def write_deviation_table(records, path) -> str:
-    """CSV emission at 12 significant digits, stable byte-for-byte."""
-    lines = ["n,ell,r,sup_dev"]
-    for rec in records:
-        lines.append(f"{rec.n},{rec.ell},{rec.r},{rec.sup_dev:.12g}")
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    return text
 
 
 def record_shape_check(records) -> dict:
@@ -367,6 +355,13 @@ def _rank_table(m: int) -> np.ndarray:
     return out
 
 
+def _cell_grid(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices, on the 2**m grid at active rank n, of the 2**(n-1) + 1
+    pinned cell edges and of the 2**(n-1) live midpoints between them."""
+    edges = np.arange((1 << (n - 1)) + 1) << (m - n + 1)
+    return edges, edges[:-1] + (1 << (m - n))
+
+
 # Work size, in array elements, of the blocks that the window engine, the
 # frozen tail of the value engine and the Monte-Carlo paths stream through:
 # small enough that a block's temporaries stay in cache. It cannot change a
@@ -405,11 +400,11 @@ def _crossing_counts(size, origin, c, z1, z2):
     return cnt, first
 
 
-def _integrate_block(table, origin, c_hi, c_lo, z1, z2):
+def _integrate_block(table, origin, c_hi, c_lo, z1, z2, cnt1, first1, cnt2, first2):
+    """_half_window_integrals on one block, given the node crossings
+    (_crossing_counts) of its two lines."""
     size = table.size
     T = origin.size
-    cnt1, first1 = _crossing_counts(size, origin, c_hi, z1, z2)
-    cnt2, first2 = _crossing_counts(size, origin, c_lo, z1, z2)
     counts = 2 + cnt1 + cnt2
     cum = np.concatenate([[0], np.cumsum(counts)])
     z_flat = np.empty(int(cum[-1]))
@@ -464,15 +459,18 @@ def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2, max_edges=_BLOCK):
     out = np.zeros(T)
     if T == 0:
         return out
-    cnt1, _ = _crossing_counts(table.size, origin, c_hi, z1, z2)
-    cnt2, _ = _crossing_counts(table.size, origin, c_lo, z1, z2)
+    cnt1, first1 = _crossing_counts(table.size, origin, c_hi, z1, z2)
+    cnt2, first2 = _crossing_counts(table.size, origin, c_lo, z1, z2)
     cum = np.concatenate([[0], np.cumsum(2 + cnt1 + cnt2)])
     start = 0
     while start < T:
         stop = int(np.searchsorted(cum, cum[start] + max_edges, side="right")) - 1
         stop = min(max(stop, start + 1), T)
         sl = slice(start, stop)
-        out[sl] = _integrate_block(table, origin[sl], c_hi[sl], c_lo[sl], z1[sl], z2[sl])
+        out[sl] = _integrate_block(
+            table, origin[sl], c_hi[sl], c_lo[sl], z1[sl], z2[sl],
+            cnt1[sl], first1[sl], cnt2[sl], first2[sl],
+        )
         start = stop
     return out
 
@@ -549,16 +547,14 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
     table = _PLTable(f)
     qtab = _q_table(state.q, m)
     ranktab = _rank_table(m)
-    M = 1 << m
     pts = 1 << n
-    cells = 1 << (n - 1)
+    edges, mids = _cell_grid(m, n)
+    cells = mids.size
     vals = np.empty((len(degrees) * pts, cells))
     ident = 0.0
-    buf = np.zeros(M)
+    buf = np.zeros(1 << m)
     for i in range(cells):
-        gl = i << (m - n + 1)
-        gr = gl + (1 << (m - n + 1))
-        gd = (gl + gr) >> 1
+        gl, gd, gr = edges[i], mids[i], edges[i + 1]
         a = float(state.fixed_y[i])
         b = float(state.fixed_y[i + 1])
         y1 = float(state.j_lo[i])
@@ -649,13 +645,8 @@ def _composite_gl(y1, y2, panels, k):
 _PATH_CHUNK = 600_000
 
 
-def _cell_expectation(E, table, qtab, state, i, plan):
-    m = table.m
-    n = state.n_active
+def _cell_expectation(E, table, qtab, state, i, gl, gd, plan):
     y_panels, y_nodes, level_nodes = plan
-    gl = i << (m - n + 1)
-    gr = gl + (1 << (m - n + 1))
-    gd = (gl + gr) >> 1
     E[gd] = table.mean_F(np.array([state.j_lo[i]]), np.array([state.j_hi[i]]))[0]
 
     ys, ws = _composite_gl(float(state.j_lo[i]), float(state.j_hi[i]), y_panels, y_nodes)
@@ -665,20 +656,18 @@ def _cell_expectation(E, table, qtab, state, i, plan):
     for k in level_nodes:
         growth *= 2 * _composite_unit(k)[0].size
     step = max(1, _PATH_CHUNK // max(growth, 1))
+    a = float(state.fixed_y[i])
+    b = float(state.fixed_y[i + 1])
     for start in range(0, ys.size, step):
         _cell_subtree(
-            E, table, qtab, state, i, level_nodes, ys[start : start + step], ws[start : start + step]
+            E, table, qtab, state, gl, gd, a, b, level_nodes,
+            ys[start : start + step], ws[start : start + step],
         )
 
 
-def _cell_subtree(E, table, qtab, state, i, level_nodes, ys, ws):
+def _cell_subtree(E, table, qtab, state, gl, gd, a, b, level_nodes, ys, ws):
     m = table.m
     n = state.n_active
-    a = float(state.fixed_y[i])
-    b = float(state.fixed_y[i + 1])
-    gl = i << (m - n + 1)
-    gr = gl + (1 << (m - n + 1))
-    gd = (gl + gr) >> 1
     lo = np.concatenate([np.full(ys.size, a), ys])
     hi = np.concatenate([ys, np.full(ys.size, b)])
     w = np.concatenate([ws, ws])
@@ -736,11 +725,11 @@ def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     table = _PLTable(f)
     qtab = _q_table(state.q, m)
     E = np.zeros(1 << m)
-    coarse = np.arange(state.fixed_y.size - 1) << (m - n + 1)
-    E[coarse] = table.f_at(state.fixed_y[:-1])
+    edges, mids = _cell_grid(m, n)
+    E[edges[:-1]] = table.f_at(state.fixed_y[:-1])
     plan = cfg.value_plan(n)
-    for i in range(state.fixed_y.size - 1):
-        _cell_expectation(E, table, qtab, state, i, plan)
+    for i in range(mids.size):
+        _cell_expectation(E, table, qtab, state, i, edges[i], mids[i], plan)
     return E
 
 
@@ -780,8 +769,7 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int, batch: int = 512)
     table = _PLTable(f)
     qtab = _q_table(state.q, m)
     gen = tagged_generator(seed, 0xEC, n)
-    coarse = np.arange(state.fixed_y.size) << (m - n + 1)
-    d_idx = coarse[:-1] + (1 << (m - n))
+    coarse, d_idx = _cell_grid(m, n)
     j_span = state.j_hi - state.j_lo
     # per deeper rank: midpoints step::2*step between neighbours 2*step apart,
     # placed at lo + (hi - lo) * (0.5 * (1 - q) + q * u); basic slices are views
@@ -899,12 +887,10 @@ def _choose_step(state, cfg, degrees, prof_old):
     new_hi = np.where(null_cols, mid + quarter, np.where(eps > 0, hi, mid))
     new_state = dataclasses.replace(state, ell=state.ell + 1, j_lo=new_lo, j_hi=new_hi)
     prof_new = _value_profile(new_state, cfg)
-    spec = np.fft.fft(prof_new - prof_old)
+    change = SampledFunction(state.f.m, prof_new - prof_old)
     records = [
-        DeviationRecord(
-            state.n_active, state.ell, r, float(np.max(np.abs(partial_sum_values(spec, r))))
-        )
-        for r in degrees
+        DeviationRecord(state.n_active, state.ell, r, sup)
+        for r, sup in sup_partial_sums(change, degrees)
     ]
     return new_state, prof_new, records, ident
 

@@ -22,13 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from .corpus import CorpusSpec
-from .derand import (
-    DerandConfig,
-    record_shape_check,
-    run as derand_run,
-    write_deviation_table,
-)
-from .fourier import a_norm, circ_dist, kernel_block_matrix, partial_sum_values
+from .derand import DerandConfig, record_shape_check, run as derand_run
+from .fourier import a_norm, circ_dist, kernel_block_matrix, sup_partial_sums
 from .grid import compose, homeo_to_json, identity_homeo
 from .haar import confinement_map
 from .randhomeo import (
@@ -121,7 +116,12 @@ def load_config(path) -> ExperimentConfig:
     kwargs = dict(raw)
     if kwargs.get("corpus") is not None:
         c = kwargs["corpus"]
-        kwargs["corpus"] = CorpusSpec(c["kind"], c.get("params", {}), c.get("m", 14))
+        if not isinstance(c, dict) or "kind" not in c:
+            raise ValueError("corpus must be a JSON object with a 'kind' key")
+        params = c.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError("corpus params must deserialize to a mapping")
+        kwargs["corpus"] = CorpusSpec(c["kind"], params, c.get("m", 14))
     if kwargs.get("derand") is not None:
         kwargs["derand"] = DerandConfig(**kwargs["derand"])
     return ExperimentConfig(**kwargs)
@@ -389,13 +389,6 @@ def _exp_anorm_growth(cfg, out):
     return checks, outputs, "anorm_growth.csv", "line"
 
 
-def _sup_over_degrees(values: np.ndarray, r_max: int) -> float:
-    spec = np.fft.fft(values)
-    return max(
-        float(np.max(np.abs(partial_sum_values(spec, r)))) for r in range(1, r_max + 1)
-    )
-
-
 def _exp_derand_full(cfg, out):
     spec = cfg.corpus or CorpusSpec(
         "perturbed_square", {"rank": 5, "jitter": 0.5, "seed": 1}, 12
@@ -410,8 +403,10 @@ def _exp_derand_full(cfg, out):
     h = res.homeo
     q = confinement_map(f, depth=f.m).with_floor(dcfg.q_floor_exponent)
     cert = verify_mass_ratios(h, DFParams(depth=n_max, q=q, orientation="direct"))
-    sup_warp = _sup_over_degrees(compose(f, h, compose_m).values, r_max)
-    sup_base = _sup_over_degrees(compose(f, identity_homeo(), compose_m).values, r_max)
+    degrees = range(1, r_max + 1)
+    sup_warp = max(s for _, s in sup_partial_sums(compose(f, h, compose_m), degrees))
+    base = compose(f, identity_homeo(), compose_m)
+    sup_base = max(s for _, s in sup_partial_sums(base, degrees))
     sup_f = f.sup_norm()
 
     outputs = []
@@ -431,9 +426,13 @@ def _exp_derand_full(cfg, out):
             _atomic_write(os.path.join(out, "homeo.json"), homeo_to_json(h) + "\n")
         )
     if "csv" in cfg.formats:
-        path = os.path.join(out, "deviations.csv")
-        write_deviation_table(res.records, path)
-        outputs.append(path)
+        outputs.append(
+            _write_csv(
+                os.path.join(out, "deviations.csv"),
+                ("n", "ell", "r", "sup_dev"),
+                [(rec.n, rec.ell, rec.r, rec.sup_dev) for rec in res.records],
+            )
+        )
     checks = [
         ("identity_max", res.identity_max, dcfg.identity_tol,
          res.identity_max <= dcfg.identity_tol),

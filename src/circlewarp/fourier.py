@@ -29,13 +29,11 @@ __all__ = [
     "coeffs",
     "coeffs_naive",
     "partial_sum",
-    "partial_sum_values",
     "sup_partial_sums",
     "a_norm",
     "kernel_block_integral",
     "kernel_block_matrix",
     "circ_dist",
-    "write_sup_table",
 ]
 
 
@@ -81,7 +79,8 @@ class FourierCoeffs:
 
     @property
     def half(self) -> int:
-        return 1 << (self.m - 1)
+        # 0 on the one-point grid (m = 0), whose only frequency is 0
+        return (1 << self.m) >> 1
 
     def coeff(self, k: int) -> complex:
         if abs(k) > self.half:
@@ -133,44 +132,32 @@ def _check_degree(f_m: int, n: int):
         )
 
 
+def _synthesis(spec: np.ndarray, n: int) -> np.ndarray:
+    """S_n on the grid from the raw (unshifted) FFT of the samples: keep the
+    frequencies |k| <= n and transform back."""
+    keep = np.zeros_like(spec)
+    keep[: n + 1] = spec[: n + 1]
+    if n > 0:
+        keep[-n:] = spec[-n:]
+    return np.fft.ifft(keep).real
+
+
 def partial_sum(f: SampledFunction, n: int) -> SampledFunction:
     """The degree-n Fourier partial sum S_n f, sampled on f's own grid."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     _check_degree(f.m, n)
-    spec = np.fft.fft(f.values)
-    keep = np.zeros(f.size, dtype=bool)
-    keep[: n + 1] = True
-    if n > 0:
-        keep[-n:] = True
-    spec[~keep] = 0.0
-    return SampledFunction(f.m, np.fft.ifft(spec).real)
-
-
-def partial_sum_values(spec_full: np.ndarray, n: int) -> np.ndarray:
-    """S_n synthesis on the grid from a raw (unshifted) FFT of the samples."""
-    size = spec_full.shape[0]
-    if n >= size // 2:
-        raise ResolutionError("degree too large for this grid")
-    spec = np.zeros_like(spec_full)
-    spec[: n + 1] = spec_full[: n + 1]
-    if n > 0:
-        spec[-n:] = spec_full[-n:]
-    return np.fft.ifft(spec).real
+    return SampledFunction(f.m, _synthesis(np.fft.fft(f.values), n))
 
 
 def sup_partial_sums(f: SampledFunction, degrees) -> list[tuple[int, float]]:
-    """Sup norms of S_n f over the grid, for each requested degree."""
+    """Sup norms of S_n f over the grid, for each requested degree, in
+    ascending order of degree."""
     spec = np.fft.fft(f.values)
     out = []
     for n in sorted(set(int(d) for d in degrees)):
         _check_degree(f.m, n)
-        keep = np.zeros(f.size, dtype=complex)
-        keep[: n + 1] = spec[: n + 1]
-        if n > 0:
-            keep[-n:] = spec[-n:]
-        vals = np.fft.ifft(keep).real
-        out.append((n, float(np.max(np.abs(vals)))))
+        out.append((n, float(np.max(np.abs(_synthesis(spec, n))))))
     return out
 
 
@@ -226,14 +213,3 @@ def circ_dist(k, j, n: int):
     """Circular index distance min(|k-j|, n - |k-j|)."""
     d = np.abs(np.asarray(k) - np.asarray(j))
     return np.minimum(d, n - d)
-
-
-def write_sup_table(path, rows, header=("n", "sup_norm")):
-    """CSV emission at 12 significant digits, stable byte-for-byte."""
-    lines = [",".join(header)]
-    for n, s in rows:
-        lines.append(f"{int(n)},{s:.12g}")
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    return text

@@ -10,7 +10,7 @@ onto itself fixing both endpoints, so they extend to circle maps fixing 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,8 @@ __all__ = [
     "SampledFunction",
     "DyadicPoint",
     "PLHomeo",
-    "eval_pl",
-    "invert",
     "compose",
     "identity_homeo",
-    "function_to_json",
-    "function_from_json",
     "homeo_to_json",
     "homeo_from_json",
 ]
@@ -183,14 +179,6 @@ class PLHomeo:
         return PLHomeo(self.y, self.x)
 
 
-def eval_pl(h: PLHomeo, t):
-    return h.eval(t)
-
-
-def invert(h: PLHomeo) -> PLHomeo:
-    return h.inverse()
-
-
 def identity_homeo() -> PLHomeo:
     return PLHomeo(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
@@ -207,19 +195,10 @@ def compose(f: SampledFunction, h: PLHomeo, m_out: int | None = None) -> Sampled
     return SampledFunction(m_out, f.eval(h.eval(t)))
 
 
-# --- JSON wire formats ------------------------------------------------------
+# --- JSON wire format -------------------------------------------------------
 #
 # Floats go through Python's shortest round-trip repr, so loading returns
 # bitwise-identical values.
-
-
-def function_to_json(f: SampledFunction) -> str:
-    return json.dumps({"m": f.m, "values": [float(v) for v in f.values]})
-
-
-def function_from_json(text: str) -> SampledFunction:
-    obj = json.loads(text)
-    return SampledFunction(int(obj["m"]), np.asarray(obj["values"], dtype=float))
 
 
 def homeo_to_json(h: PLHomeo) -> str:

@@ -20,7 +20,6 @@ applied where a strictly positive budget is required.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,29 +149,6 @@ class ConfinementMap:
 
     def with_floor(self, floor_exponent: float = 0.25) -> "ConfinementMap":
         return ConfinementMap(self.levels, floor_exponent)
-
-    def to_json(self) -> str:
-        entries = []
-        for n in range(1, self.depth + 1):
-            vals = self.rank_values(n)
-            for i, q in enumerate(vals):
-                entries.append({"k": 2 * i + 1, "n": n, "q": float(q)})
-        return json.dumps(entries)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConfinementMap":
-        entries = json.loads(text)
-        by_rank: dict[int, dict[int, float]] = {}
-        for e in entries:
-            by_rank.setdefault(int(e["n"]), {})[int(e["k"])] = float(e["q"])
-        depth = max(by_rank) if by_rank else 0
-        levels = []
-        for n in range(1, depth + 1):
-            vals = np.zeros(1 << (n - 1))
-            for k, q in by_rank.get(n, {}).items():
-                vals[(k - 1) // 2] = q
-            levels.append(vals)
-        return cls(tuple(levels))
 
     @classmethod
     def constant(cls, q: float, depth: int) -> "ConfinementMap":

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import DyadicPoint, PLHomeo, ResolutionError, invert
+from .grid import DyadicPoint, PLHomeo, ResolutionError
 from .haar import ConfinementMap
 from .rng import DyadicStream
 
@@ -127,7 +127,7 @@ def sample_psi_q(params: DFParams, seed: int) -> PLHomeo:
     size = 1 << params.depth
     y = _midpoint_fill(params.depth, seed, params.rank_budgets)
     h = PLHomeo(np.arange(size + 1) / size, y)
-    return invert(h) if params.orientation == "inverse" else h
+    return h.inverse() if params.orientation == "inverse" else h
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def verify_mass_ratios(h: PLHomeo, params: DFParams, tol: float = 1e-12) -> Mass
     indicates the homeomorphism was not produced at these parameters.
     Under inverse orientation the certificate applies to the inverse map.
     """
-    g = invert(h) if params.orientation == "inverse" else h
+    g = h.inverse() if params.orientation == "inverse" else h
     depth = params.depth
     size = 1 << depth
     y = g.eval(np.arange(size + 1) / size)

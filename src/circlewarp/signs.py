@@ -13,19 +13,16 @@ merge level at a time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import circ_dist, dirichlet_kernel
-from .grid import SampledFunction
+from .fourier import circ_dist
 from .rng import tagged_generator
 
 __all__ = [
     "SignMatrix",
     "SignVector",
-    "build_kernel_matrix",
     "build_synthetic_matrix",
     "solve_iid",
     "solve_hierarchical",
@@ -87,27 +84,6 @@ class SignMatrix:
             cert = max(cert, float(np.max(np.abs(self.values[r]) * (d + 1))))
         return cert
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "row_ids": [list(r) if isinstance(r, tuple) else r for r in self.row_ids],
-                "values": [[float(v) for v in row] for row in self.values],
-                "dist": self.dist,
-                "decay_cert": self.decay_cert,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SignMatrix":
-        obj = json.loads(text)
-        ids = tuple(tuple(r) if isinstance(r, list) else r for r in obj["row_ids"])
-        return cls(
-            np.asarray(obj["values"], dtype=float),
-            ids,
-            obj.get("dist", "circular"),
-            obj.get("decay_cert"),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SignVector:
@@ -119,42 +95,6 @@ class SignVector:
             raise ValueError("signs must be a 1-d array of +-1")
         arr.setflags(write=False)
         object.__setattr__(self, "eps", arr)
-
-    def to_json(self) -> str:
-        return json.dumps({"eps": [int(e) for e in self.eps]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SignVector":
-        return cls(np.asarray(json.loads(text)["eps"], dtype=np.int8))
-
-
-def build_kernel_matrix(f: SampledFunction, n: int, quad_nodes: int = 8) -> SignMatrix:
-    """v[k, j] = integral over [k/n, (k+1)/n] of f(t) * D_n(j/n - t) dt.
-
-    n must be a power of two with n <= 2**(f.m - 2), so block edges land on
-    grid nodes. Composite Gauss-Legendre per grid cell: the kernel completes
-    at most a quarter oscillation per cell, which puts the quadrature error
-    far below the 1e-9 contract.
-    """
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError("n must be a positive power of two")
-    if n > (1 << (f.m - 2)):
-        raise ValueError(f"n <= 2**{f.m - 2} required for grid-aligned blocks")
-    size = f.size
-    xg, wg = np.polynomial.legendre.leggauss(quad_nodes)
-    h = 1.0 / size
-    starts = np.arange(size) * h
-    nodes = (starts[:, None] + (xg[None, :] * 0.5 + 0.5) * h).ravel()
-    weights = np.tile(wg * 0.5 * h, size)
-    fvals = f.eval(nodes)
-    cells_per_block = size // n
-    rows = np.empty((n, n))
-    for j in range(n):
-        kv = dirichlet_kernel(n, j / n - nodes)
-        contrib = (fvals * kv * weights).reshape(n, cells_per_block * quad_nodes)
-        rows[j] = contrib.sum(axis=1)
-    mat = SignMatrix(rows, tuple(range(n)), "circular", None)
-    return SignMatrix(rows, tuple(range(n)), "circular", mat.verify_decay())
 
 
 def build_synthetic_matrix(

@@ -16,8 +16,6 @@ from circlewarp.corpus import (
     fejer_blocks,
     oscillation,
     resonant_packets,
-    spec_from_json,
-    spec_to_json,
     tapered_oscillation,
 )
 
@@ -239,10 +237,3 @@ def test_spec_rejects_unknown_kind():
 def test_spec_rejects_bad_params():
     with pytest.raises(ValueError, match="bad parameters"):
         CorpusSpec("oscillation", {"bogus": 3}, 10).build()
-
-
-def test_spec_json_round_trip():
-    spec = CorpusSpec("oscillation", {"n_cycles": 8, "gamma": 0.25}, 12)
-    assert spec_from_json(spec_to_json(spec)) == spec
-    with pytest.raises(ValueError):
-        spec_from_json('{"kind": "oscillation", "params": [1, 2]}')

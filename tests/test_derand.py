@@ -24,10 +24,10 @@ from circlewarp import (
     run,
     solve_bruteforce,
     verify_mass_ratios,
-    write_deviation_table,
 )
 from circlewarp import derand
 from circlewarp.corpus import tapered_oscillation
+from circlewarp.experiments import _write_csv
 from circlewarp.rng import tagged_generator
 
 DEGREES = (1, 2, 4, 8, 16)
@@ -308,11 +308,14 @@ def test_run_depth_guard():
 
 
 def test_deviation_table_format(tmp_path):
+    # the rows derand-full writes to deviations.csv
     records = [DeviationRecord(2, 1, 8, 0.125), DeviationRecord(3, 0, 16, 1.0 / 3.0)]
+    rows = [(rec.n, rec.ell, rec.r, rec.sup_dev) for rec in records]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    text = write_deviation_table(records, p1)
-    write_deviation_table(records, p2)
+    _write_csv(str(p1), ("n", "ell", "r", "sup_dev"), rows)
+    _write_csv(str(p2), ("n", "ell", "r", "sup_dev"), rows)
+    text = p1.read_text()
     assert text.splitlines()[0] == "n,ell,r,sup_dev"
     assert text.splitlines()[1] == "2,1,8,0.125"
     assert text.splitlines()[2] == "3,0,16,0.333333333333"

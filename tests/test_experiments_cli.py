@@ -96,6 +96,21 @@ def test_load_config_builds_corpus_and_defaults(tmp_path):
     assert cfg.formats == ("csv", "json", "svg")  # full defaulting
 
 
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ({"kind": "oscillation", "params": [1, 2]}, "params must deserialize to a mapping"),
+        ({"params": {"n_cycles": 4}}, "with a 'kind' key"),
+        ("oscillation", "with a 'kind' key"),
+    ],
+    ids=["params-list", "no-kind", "not-object"],
+)
+def test_load_config_checks_corpus_shape(tmp_path, corpus, message):
+    p = _write_config(tmp_path / "c.json", {"experiment": "ac-diagnostics", "corpus": corpus})
+    with pytest.raises(ValueError, match=message):
+        load_config(p)
+
+
 # --- run_experiment ---------------------------------------------------------------
 
 
@@ -416,6 +431,16 @@ def _assert_cli_process(cmd, tmp_path):
     proc = _run_cli(cmd, "run", str(tmp_path / "absent.json"))
     assert proc.returncode == 2
     assert "config error:" in proc.stderr
+
+
+def test_cli_process_reports_bad_corpus_params(tmp_path):
+    cfg = _write_config(
+        tmp_path / "c.json",
+        {"experiment": "ac-diagnostics", "corpus": {"kind": "oscillation", "params": [1, 2]}},
+    )
+    proc = _run_cli([sys.executable, "-m", "circlewarp.cli"], "run", cfg)
+    assert proc.returncode == 2
+    assert "config error: corpus params must deserialize to a mapping" in proc.stderr
 
 
 def test_console_script_installed(tmp_path):

@@ -19,8 +19,6 @@ from circlewarp.fourier import (
     coeffs_naive,
     kernel_block_integral,
     kernel_block_matrix,
-    partial_sum_values,
-    write_sup_table,
 )
 
 
@@ -118,6 +116,13 @@ def test_one_point_grid_refuses_every_degree():
     assert sup_partial_sums(SampledFunction(1, [1.0, 0.0]), [0]) == [(0, 0.5)]
 
 
+def test_one_point_grid_coefficients():
+    # the only frequency of 2**0 samples is 0
+    c = coeffs(SampledFunction(0, [1.0]))
+    assert c.coeff(0) == 1.0
+    assert c.conjugate_symmetry_gap() == 0.0
+
+
 def test_partial_sum_idempotent():
     f = oscillation(16, 0.5, m=12)
     s1 = partial_sum(f, 40)
@@ -125,11 +130,13 @@ def test_partial_sum_idempotent():
     assert np.max(np.abs(s2.values - s1.values)) < 1e-12
 
 
-def test_partial_sum_values_matches_partial_sum():
+def test_sup_partial_sums_is_sup_of_partial_sum():
+    # both calls share one synthesis, so the sups agree exactly, in
+    # ascending degree order whatever the order asked for
     f = oscillation(8, 0.5, m=10)
-    spec_full = np.fft.fft(f.values)
-    got = partial_sum_values(spec_full, 17)
-    assert np.max(np.abs(got - partial_sum(f, 17).values)) < 1e-12
+    degs = [17, 1, 0, 255, 64, 17, 3]
+    want = [(r, float(np.max(np.abs(partial_sum(f, r).values)))) for r in sorted(set(degs))]
+    assert sup_partial_sums(f, degs) == want
 
 
 def test_abrupt_cutoff_overshoots_its_sup():
@@ -189,11 +196,3 @@ def test_circ_dist_wraps():
     assert circ_dist(0, 7, 8) == 1
     assert circ_dist(2, 6, 8) == 4
     assert circ_dist(5, 5, 8) == 0
-
-
-def test_sup_table_csv_format(tmp_path):
-    path = tmp_path / "sup.csv"
-    write_sup_table(path, [(1, 0.5), (2, 0.25)])
-    text = path.read_text()
-    assert text.splitlines()[0] == "n,sup_norm"
-    assert text.splitlines()[1] == "1,0.5"

@@ -11,13 +11,9 @@ from circlewarp import (
     PLHomeo,
     SampledFunction,
     compose,
-    eval_pl,
-    function_from_json,
-    function_to_json,
     homeo_from_json,
     homeo_to_json,
     identity_homeo,
-    invert,
     sample_psi_q,
 )
 
@@ -25,51 +21,51 @@ BENT = PLHomeo.from_breakpoints([(0, 0), (0.5, 0.25), (1, 1)])
 
 
 def test_eval_identity_is_identity():
-    assert eval_pl(identity_homeo(), 0.3) == 0.3
+    assert identity_homeo().eval(0.3) == 0.3
 
 
 def test_eval_linear_pieces():
-    assert eval_pl(BENT, 0.25) == pytest.approx(0.125, abs=1e-15)
-    assert eval_pl(BENT, 0.75) == pytest.approx(0.625, abs=1e-15)
+    assert BENT.eval(0.25) == pytest.approx(0.125, abs=1e-15)
+    assert BENT.eval(0.75) == pytest.approx(0.625, abs=1e-15)
 
 
 def test_eval_fixes_endpoints():
-    assert eval_pl(BENT, 0.0) == 0.0
-    assert eval_pl(BENT, 1.0) == 1.0
+    assert BENT.eval(0.0) == 0.0
+    assert BENT.eval(1.0) == 1.0
 
 
 def test_eval_reduces_argument_mod_one():
-    assert eval_pl(BENT, 1.25) == eval_pl(BENT, 0.25)
-    assert eval_pl(BENT, -0.75) == eval_pl(BENT, 0.25)
+    assert BENT.eval(1.25) == BENT.eval(0.25)
+    assert BENT.eval(-0.75) == BENT.eval(0.25)
 
 
 def test_eval_rejects_nan():
     with pytest.raises(ValueError):
-        eval_pl(BENT, float("nan"))
+        BENT.eval(float("nan"))
 
 
 def test_invert_identity():
     ident = identity_homeo()
-    inv = invert(ident)
+    inv = ident.inverse()
     assert np.array_equal(inv.x, ident.x) and np.array_equal(inv.y, ident.y)
 
 
 def test_invert_swaps_coordinates():
-    inv = invert(BENT)
+    inv = BENT.inverse()
     assert np.array_equal(inv.x, [0.0, 0.25, 1.0])
     assert np.array_equal(inv.y, [0.0, 0.5, 1.0])
 
 
 def test_double_invert_is_exact():
-    back = invert(invert(BENT))
+    back = BENT.inverse().inverse()
     assert np.array_equal(back.x, BENT.x) and np.array_equal(back.y, BENT.y)
 
 
 def test_invert_round_trip_on_confined_sample():
     h = sample_psi_q(DFParams(depth=8, q=0.5), seed=11)
-    hi = invert(h)
+    hi = h.inverse()
     # exact at breakpoints, interpolation-free elsewhere up to float rounding
-    assert max(abs(eval_pl(hi, eval_pl(h, t)) - t) for t in h.x) == 0.0
+    assert max(abs(hi.eval(h.eval(t)) - t) for t in h.x) == 0.0
     dense = np.linspace(0.0, 1.0, 1017)
     err = np.max(np.abs(hi(h(dense)) - dense))
     assert err < 1e-12
@@ -99,7 +95,7 @@ def test_monotone_on_random_maps(interior, data):
     t2 = data.draw(st.floats(0.0, 1.0))
     lo, hi = min(t, t2), max(t, t2)
     if lo < hi:
-        assert eval_pl(h, lo) < eval_pl(h, hi)
+        assert h.eval(lo) < h.eval(hi)
 
 
 def test_compose_with_identity_is_bitwise():
@@ -156,13 +152,6 @@ def test_dyadic_point_validation_and_value():
 def test_dyadic_point_from_index_reduces():
     d = DyadicPoint.from_index(4, 4)
     assert (d.k, d.n) == (1, 2)
-
-
-def test_function_json_round_trip_is_bitwise():
-    f = SampledFunction.from_callable(7, lambda t: np.cos(2 * np.pi * t) / 3.0)
-    g = function_from_json(function_to_json(f))
-    assert g.m == f.m
-    assert np.array_equal(g.values, f.values)
 
 
 def test_homeo_json_round_trip_is_bitwise():

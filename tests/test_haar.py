@@ -1,7 +1,5 @@
 """Haar pyramid, confinement budgets, square-wave generators."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,16 +166,6 @@ def test_jittered_budgets_track_square_wave():
             live = (va > 0) & (vb > 0)
             ratio = np.maximum(va[live] / vb[live], vb[live] / va[live])
             assert np.max(ratio) < 4.0
-
-
-def test_budget_serialization_round_trip_and_order():
-    q = confinement_map(rademacher(2, m=6), depth=3)
-    entries = json.loads(q.to_json())
-    keys = [(e["n"], e["k"]) for e in entries]
-    assert keys == sorted(keys)
-    back = ConfinementMap.from_json(q.to_json())
-    for n in (1, 2, 3):
-        assert np.allclose(back.rank_values(n), q.rank_values(n), atol=1e-15)
 
 
 def test_constant_budget_constructor_validates():

@@ -16,7 +16,6 @@ from circlewarp import (
     ResolutionError,
     ac_diagnostics,
     confinement_map,
-    invert,
     ks_uniform_statistic,
     sample_df,
     sample_psi_q,
@@ -131,7 +130,7 @@ def test_inverse_orientation_structure():
     # the recursion builds the inverse map, so inverting the sample
     # recovers dyadic breakpoints on the x axis bitwise
     h = sample_psi_q(DFParams(6, q=0.5, orientation="inverse"), 3)
-    g = invert(h)
+    g = h.inverse()
     assert np.array_equal(g.x, np.arange(65) / 64)
 
 

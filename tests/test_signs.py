@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlewarp import (
-    SampledFunction,
     SignMatrix,
     SignVector,
-    build_kernel_matrix,
     build_synthetic_matrix,
     row_discrepancy,
     solve_bruteforce,
@@ -18,25 +16,6 @@ from circlewarp import (
 )
 
 V2 = SignMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), row_ids=(0, 1))
-
-
-def test_kernel_matrix_of_zero_function():
-    f = SampledFunction(10, np.zeros(1024))
-    v = build_kernel_matrix(f, 8)
-    assert np.max(np.abs(v.values)) == 0.0
-
-
-def test_kernel_matrix_rows_sum_to_one_for_unit_function():
-    f = SampledFunction(10, np.ones(1024))
-    v = build_kernel_matrix(f, 16)
-    assert np.max(np.abs(v.values.sum(axis=1) - 1.0)) < 1e-8
-
-
-def test_kernel_matrix_decay_certificate():
-    f = SampledFunction.from_callable(12, lambda t: np.sin(2 * np.pi * t))
-    v = build_kernel_matrix(f, 64)
-    assert v.decay_cert is not None and v.decay_cert <= 4.0
-    assert v.verify_decay() == pytest.approx(v.decay_cert)
 
 
 def test_synthetic_exact_decay_small_cases():
@@ -149,13 +128,3 @@ def test_scale_equivariance():
 def test_sign_vector_validation():
     with pytest.raises(ValueError):
         SignVector(np.array([1, 0, -1], dtype=np.int8))
-
-
-def test_matrix_json_round_trip():
-    v = build_synthetic_matrix(6, "random_signs_decay", seed=13)
-    back = SignMatrix.from_json(v.to_json())
-    assert back.row_ids == v.row_ids
-    assert np.array_equal(back.values, v.values)
-    eps = solve_iid(v, seed=1)
-    eps_back = SignVector.from_json(eps.to_json())
-    assert np.array_equal(eps.eps, eps_back.eps)
