@@ -4,8 +4,9 @@ Each experiment produces deterministic tables (CSV), a JSON report with
 explicit pass/fail thresholds, and optionally a plot. Every output
 directory additionally receives an echo of the resolved configuration and
 a tool version stamp, so a result file can always be traced back to the
-exact invocation that produced it. All file writes go through a
-temp-file-plus-rename so readers never observe partial output.
+exact invocation that produced it. run_experiment is the one writer of
+experiment files, and every write goes through a temp-file-plus-rename so
+readers never observe partial output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import CorpusSpec
+from .corpus import CorpusSpec, oscillation, tapered_oscillation
 from .derand import DerandConfig, record_shape_check, run as derand_run
 from .fourier import a_norm, circ_dist, kernel_block_matrix, sup_partial_sums
 from .grid import compose, homeo_to_json, identity_homeo
@@ -84,6 +85,13 @@ class ExperimentConfig:
         for key in self.solver:
             if key not in ("block", "retries", "seed", "lam"):
                 raise ValueError(f"unknown solver option {key!r}")
+        known = _PARAMS[self.experiment]
+        unknown = [key for key in self.params if key not in known]
+        if unknown:
+            raise ValueError(
+                f"unknown params for {self.experiment}: {', '.join(map(str, unknown))}; "
+                f"valid: {', '.join(known)}"
+            )
 
     def to_json(self) -> str:
         payload = {
@@ -121,7 +129,8 @@ def load_config(path) -> ExperimentConfig:
         params = c.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("corpus params must deserialize to a mapping")
-        kwargs["corpus"] = CorpusSpec(c["kind"], params, c.get("m", 14))
+        m = {"m": c["m"]} if "m" in c else {}
+        kwargs["corpus"] = CorpusSpec(c["kind"], params, **m)
     if kwargs.get("derand") is not None:
         kwargs["derand"] = DerandConfig(**kwargs["derand"])
     return ExperimentConfig(**kwargs)
@@ -185,11 +194,16 @@ def _solver_args(cfg: ExperimentConfig) -> tuple:
 
 
 # --- the experiments -------------------------------------------------------------
+#
+# Each experiment returns (checks, files, plot_src, plot_kind). `files` maps an
+# output file name to (header, rows) for a .csv table or to the text of a .json
+# file, in writing order; run_experiment writes the entries whose suffix the
+# config's formats select.
 
 
-def _exp_kernel_decay(cfg, out):
-    n_list = tuple(cfg.params.get("n_list", (8, 16, 64, 256)))
-    outputs = []
+def _exp_kernel_decay(cfg):
+    n_list = tuple(_params(cfg)["n_list"])
+    files = {}
     summary = []
     worst_c = 0.0
     worst_gap = 0.0
@@ -202,37 +216,22 @@ def _exp_kernel_decay(cfg, out):
         worst_c = max(worst_c, c)
         worst_gap = max(worst_gap, gap)
         summary.append((n, c, gap))
-        if "csv" in cfg.formats:
-            rows = [
-                (int(k), int(j), mat[k, j], weighted[k, j])
-                for k in range(n)
-                for j in range(n)
-            ]
-            outputs.append(
-                _write_csv(
-                    os.path.join(out, f"kernel_decay_n{n}.csv"),
-                    ("k", "j", "integral", "weighted"),
-                    rows,
-                )
-            )
-    if "csv" in cfg.formats:
-        outputs.append(
-            _write_csv(
-                os.path.join(out, "kernel_decay_summary.csv"),
-                ("n", "decay_constant", "row_sum_gap"),
-                summary,
-            )
+        files[f"kernel_decay_n{n}.csv"] = (
+            ("k", "j", "integral", "weighted"),
+            [(int(k), int(j), mat[k, j], weighted[k, j]) for k in range(n) for j in range(n)],
         )
+    files["kernel_decay_summary.csv"] = (("n", "decay_constant", "row_sum_gap"), summary)
     checks = (
         ("decay_constant_max", worst_c, 4.0, worst_c <= 4.0),
         ("row_sum_gap_max", worst_gap, 1e-8, worst_gap <= 1e-8),
     )
-    return checks, outputs, "kernel_decay_summary.csv", "line"
+    return checks, files, "kernel_decay_summary.csv", "line"
 
 
-def _exp_signs_trend(cfg, out):
-    n_list = tuple(cfg.params.get("n_list", (64, 128, 256, 512, 1024, 2048, 4096)))
-    blocks = tuple(cfg.params.get("blocks", (8,)))
+def _exp_signs_trend(cfg):
+    p = _params(cfg)
+    n_list = tuple(p["n_list"])
+    blocks = tuple(p["blocks"])
     seeds = cfg.seeds or tuple(range(5))
     block0, retries, _, lam = _solver_args(cfg)
     rows = []
@@ -245,15 +244,6 @@ def _exp_signs_trend(cfg, out):
                 rows.append((int(n), "hierarchical", int(K), int(seed), d))
                 key = (n, K)
                 best[key] = min(best.get(key, math.inf), d)
-    outputs = []
-    if "csv" in cfg.formats:
-        outputs.append(
-            _write_csv(
-                os.path.join(out, "signs_trend.csv"),
-                ("n", "solver", "K", "seed", "discrepancy"),
-                rows,
-            )
-        )
     k_ref = block0 if block0 in blocks else blocks[0]
     lo, hi = min(n_list), max(n_list)
     ratio = best[(hi, k_ref)] / best[(lo, k_ref)]
@@ -262,11 +252,12 @@ def _exp_signs_trend(cfg, out):
         ("largest_vs_smallest_ratio", ratio, 1.5, ratio <= 1.5),
         ("all_sizes_ratio", ratio_all, 1.5, ratio_all <= 1.5),
     )
-    return checks, outputs, "signs_trend.csv", "line"
+    files = {"signs_trend.csv": (("n", "solver", "K", "seed", "discrepancy"), rows)}
+    return checks, files, "signs_trend.csv", "line"
 
 
-def _exp_iid_vs_hierarchical(cfg, out):
-    n_list = tuple(cfg.params.get("n_list", (64, 512, 4096)))
+def _exp_iid_vs_hierarchical(cfg):
+    n_list = tuple(_params(cfg)["n_list"])
     seeds = cfg.seeds or tuple(range(200))
     block, retries, hseed, lam = _solver_args(cfg)
     rows = []
@@ -280,24 +271,17 @@ def _exp_iid_vs_hierarchical(cfg, out):
         medians.append(float(np.median(disc)))
         dh = row_discrepancy(V, solve_hierarchical(V, block, retries, hseed, lam))
         rows.append((int(n), "hierarchical", int(block), int(hseed), dh))
-    outputs = []
-    if "csv" in cfg.formats:
-        outputs.append(
-            _write_csv(
-                os.path.join(out, "iid_vs_hierarchical.csv"),
-                ("n", "solver", "K", "seed", "discrepancy"),
-                rows,
-            )
-        )
     increasing = all(a < b for a, b in zip(medians, medians[1:]))
     checks = (
         ("iid_median_strictly_increasing", float(increasing), 1.0, increasing),
         ("iid_median_span", medians[-1] - medians[0], 0.0, medians[-1] > medians[0]),
     )
-    return checks, outputs, "iid_vs_hierarchical.csv", "line"
+    files = {"iid_vs_hierarchical.csv": (("n", "solver", "K", "seed", "discrepancy"), rows)}
+    return checks, files, "iid_vs_hierarchical.csv", "line"
 
 
-def _exp_df_stats(cfg, out):
+def _exp_df_stats(cfg):
+    p = _params(cfg)
     seeds = cfg.seeds or tuple(range(10000))
     phi = np.array([sample_df(1, s).y[1] for s in seeds])
     ks = ks_uniform_statistic(phi)
@@ -305,31 +289,29 @@ def _exp_df_stats(cfg, out):
     # q -> 1 collapses the confinement to the whole parent interval, so the
     # psi sampler must reproduce plain midpoint placement on the same seeds
     couple_gap = 0.0
-    depth = int(cfg.params.get("coupling_depth", 6))
-    for s in seeds[: int(cfg.params.get("coupling_seeds", 32))]:
+    depth = int(p["coupling_depth"])
+    for s in seeds[: int(p["coupling_seeds"])]:
         a = sample_psi_q(DFParams(depth, 1.0), s)
         b = sample_df(depth, s)
         couple_gap = max(couple_gap, float(np.max(np.abs(a.y - b.y))))
-    outputs = []
-    if "csv" in cfg.formats:
-        outputs.append(
-            _write_csv(
-                os.path.join(out, "df_stats.csv"),
-                ("seed", "phi_half"),
-                [(int(s), float(v)) for s, v in zip(seeds, phi)],
-            )
-        )
     checks = (
         ("ks_uniform", ks, 0.02, ks <= 0.02),
         ("mean_gap", mean_gap, 0.01, mean_gap <= 0.01),
         ("coupling_gap", couple_gap, 0.0, couple_gap == 0.0),
     )
-    return checks, outputs, None, None
+    files = {
+        "df_stats.csv": (
+            ("seed", "phi_half"),
+            [(int(s), float(v)) for s, v in zip(seeds, phi)],
+        )
+    }
+    return checks, files, None, None
 
 
-def _exp_psi_q_certificates(cfg, out):
-    q_list = tuple(cfg.params.get("q_list", (0.25, 0.5, 0.75, 0.9)))
-    depth = int(cfg.params.get("depth", 10))
+def _exp_psi_q_certificates(cfg):
+    p = _params(cfg)
+    q_list = tuple(p["q_list"])
+    depth = int(p["depth"])
     seeds = cfg.seeds or tuple(range(1000))
     rows = []
     all_ok = True
@@ -341,27 +323,19 @@ def _exp_psi_q_certificates(cfg, out):
             all_ok = all_ok and rep.passed
             slack_min = min(slack_min, rep.worst_slack)
             rows.append((float(q), int(s), rep.worst_slack, int(rep.passed)))
-    outputs = []
-    if "csv" in cfg.formats:
-        outputs.append(
-            _write_csv(
-                os.path.join(out, "psi_q_certificates.csv"),
-                ("q", "seed", "worst_slack", "passed"),
-                rows,
-            )
-        )
+    # a certificate passes down to verify_mass_ratios' default tolerance
     checks = (
         ("all_certified", float(all_ok), 1.0, all_ok),
-        ("worst_slack_min", slack_min, 0.0, slack_min >= -1e-12),
+        ("worst_slack_min", slack_min, -1e-12, slack_min >= -1e-12),
     )
-    return checks, outputs, "psi_q_certificates.csv", "line"
+    files = {"psi_q_certificates.csv": (("q", "seed", "worst_slack", "passed"), rows)}
+    return checks, files, "psi_q_certificates.csv", "line"
 
 
-def _exp_anorm_growth(cfg, out):
-    from .corpus import oscillation, tapered_oscillation
-
-    n_list = tuple(cfg.params.get("N_list", (16, 32, 64, 128, 256, 512)))
-    m = int(cfg.params.get("m", 14))
+def _exp_anorm_growth(cfg):
+    p = _params(cfg)
+    n_list = tuple(p["N_list"])
+    m = int(p["m"])
     rows = []
     abrupt = []
     tapered = []
@@ -371,32 +345,25 @@ def _exp_anorm_growth(cfg, out):
         abrupt.append(a)
         tapered.append(t)
         rows.append((int(N), a, t))
-    outputs = []
-    if "csv" in cfg.formats:
-        outputs.append(
-            _write_csv(
-                os.path.join(out, "anorm_growth.csv"),
-                ("N", "abrupt_anorm", "tapered_anorm"),
-                rows,
-            )
-        )
     increasing = all(x < y for x, y in zip(abrupt, abrupt[1:]))
     t_ratio = max(tapered) / tapered[0]
     checks = (
         ("abrupt_strictly_increasing", float(increasing), 1.0, increasing),
         ("tapered_max_over_first", t_ratio, 2.0, t_ratio <= 2.0),
     )
-    return checks, outputs, "anorm_growth.csv", "line"
+    files = {"anorm_growth.csv": (("N", "abrupt_anorm", "tapered_anorm"), rows)}
+    return checks, files, "anorm_growth.csv", "line"
 
 
-def _exp_derand_full(cfg, out):
+def _exp_derand_full(cfg):
     spec = cfg.corpus or CorpusSpec(
         "perturbed_square", {"rank": 5, "jitter": 0.5, "seed": 1}, 12
     )
     f = spec.build()
-    n_max = int(cfg.params.get("n_max", 7))
-    compose_m = int(cfg.params.get("compose_m", 16))
-    r_max = int(cfg.params.get("r_max", 512))
+    p = _params(cfg)
+    n_max = int(p["n_max"])
+    compose_m = int(p["compose_m"])
+    r_max = int(p["r_max"])
     dcfg = cfg.derand or DerandConfig()
     res = derand_run(f, n_max, dcfg, label=spec.label())
     shape = record_shape_check(res.records)
@@ -409,30 +376,19 @@ def _exp_derand_full(cfg, out):
     sup_base = max(s for _, s in sup_partial_sums(base, degrees))
     sup_f = f.sup_norm()
 
-    outputs = []
     manifest = dict(res.manifest)
     manifest["shape_check"] = shape
     manifest["certificate"] = json.loads(cert.to_json())
     manifest["sup_warped"] = sup_warp
     manifest["sup_baseline"] = sup_base
-    if "json" in cfg.formats:
-        outputs.append(
-            _atomic_write(
-                os.path.join(out, "manifest.json"),
-                json.dumps(manifest, sort_keys=True, indent=2, default=float) + "\n",
-            )
-        )
-        outputs.append(
-            _atomic_write(os.path.join(out, "homeo.json"), homeo_to_json(h) + "\n")
-        )
-    if "csv" in cfg.formats:
-        outputs.append(
-            _write_csv(
-                os.path.join(out, "deviations.csv"),
-                ("n", "ell", "r", "sup_dev"),
-                [(rec.n, rec.ell, rec.r, rec.sup_dev) for rec in res.records],
-            )
-        )
+    files = {
+        "manifest.json": json.dumps(manifest, sort_keys=True, indent=2, default=float) + "\n",
+        "homeo.json": homeo_to_json(h) + "\n",
+        "deviations.csv": (
+            ("n", "ell", "r", "sup_dev"),
+            [(rec.n, rec.ell, rec.r, rec.sup_dev) for rec in res.records],
+        ),
+    }
     checks = [
         ("identity_max", res.identity_max, dcfg.identity_tol,
          res.identity_max <= dcfg.identity_tol),
@@ -444,14 +400,15 @@ def _exp_derand_full(cfg, out):
         checks.append(
             ("sup_vs_baseline", sup_warp, sup_base, sup_warp <= sup_base)
         )
-    return tuple(checks), outputs, "deviations.csv", "heatmap"
+    return tuple(checks), files, "deviations.csv", "heatmap"
 
 
-def _exp_ac_diagnostics(cfg, out):
+def _exp_ac_diagnostics(cfg):
     spec = cfg.corpus or CorpusSpec("tapered_oscillation", {"n_cycles": 8}, 14)
     f = spec.build()
-    depth = int(cfg.params.get("depth", 12))
-    p_list = tuple(cfg.params.get("p_list", (1.0, 2.0, 4.0)))
+    p = _params(cfg)
+    depth = int(p["depth"])
+    p_list = tuple(p["p_list"])
     seeds = cfg.seeds or tuple(range(8))
     q = confinement_map(f, depth=depth).with_floor()
     params = DFParams(depth, q)
@@ -463,23 +420,15 @@ def _exp_ac_diagnostics(cfg, out):
         rep = ac_diagnostics(h, p_list)
         all_ok = all_ok and rep.consistent
         worst = max(worst, rep.worst_ratio)
-        for i, p in enumerate(rep.p_values):
+        for i, pv in enumerate(rep.p_values):
             for j, lev in enumerate(rep.levels):
-                rows.append((int(s), float(p), int(lev), rep.norms[i][j]))
-    outputs = []
-    if "csv" in cfg.formats:
-        outputs.append(
-            _write_csv(
-                os.path.join(out, "ac_diagnostics.csv"),
-                ("seed", "p", "level", "norm"),
-                rows,
-            )
-        )
+                rows.append((int(s), float(pv), int(lev), rep.norms[i][j]))
     checks = (
         ("all_consistent", float(all_ok), 1.0, all_ok),
-        ("worst_growth_ratio", worst, 1.1, worst <= 1.1 + 1e-12),
+        ("worst_growth_ratio", worst, 1.1, worst <= 1.1),
     )
-    return checks, outputs, None, None
+    files = {"ac_diagnostics.csv": (("seed", "p", "level", "norm"), rows)}
+    return checks, files, None, None
 
 
 EXPERIMENTS = {
@@ -493,18 +442,45 @@ EXPERIMENTS = {
     "ac-diagnostics": _exp_ac_diagnostics,
 }
 
+# every experiment's `params` keys with their defaults; ExperimentConfig
+# rejects any other key
+_PARAMS = {
+    "kernel-decay": {"n_list": (8, 16, 64, 256)},
+    "signs-trend": {"n_list": (64, 128, 256, 512, 1024, 2048, 4096), "blocks": (8,)},
+    "iid-vs-hierarchical": {"n_list": (64, 512, 4096)},
+    "df-stats": {"coupling_depth": 6, "coupling_seeds": 32},
+    "psi-q-certificates": {"q_list": (0.25, 0.5, 0.75, 0.9), "depth": 10},
+    "anorm-growth": {"N_list": (16, 32, 64, 128, 256, 512), "m": 14},
+    "derand-full": {"n_max": 7, "compose_m": 16, "r_max": 512},
+    "ac-diagnostics": {"depth": 12, "p_list": (1.0, 2.0, 4.0)},
+}
+
+
+def _params(cfg: ExperimentConfig) -> dict:
+    return {**_PARAMS[cfg.experiment], **cfg.params}
+
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Dispatch to the named experiment and write its outputs.
 
-    The output directory always receives config_echo.json and version.txt;
-    tables, the JSON report, and the plot follow the formats selection.
+    The experiment's tables (.csv) and JSON files (.json) are written when
+    their format is selected, in the order the experiment lists them. The
+    output directory always receives config_echo.json and version.txt; the
+    plot and the JSON report follow the formats selection.
     """
     out = cfg.output_dir or os.environ.get("CIRCLEWARP_OUT", "") or "."
     os.makedirs(out, exist_ok=True)
-    t0 = time.time()
-    checks, outputs, plot_src, plot_kind = EXPERIMENTS[cfg.experiment](cfg, out)
-    outputs = list(outputs)
+    t0 = time.perf_counter()
+    checks, files, plot_src, plot_kind = EXPERIMENTS[cfg.experiment](cfg)
+    outputs = []
+    for name, content in files.items():
+        if os.path.splitext(name)[1][1:] not in cfg.formats:
+            continue
+        path = os.path.join(out, name)
+        if isinstance(content, str):
+            outputs.append(_atomic_write(path, content))
+        else:
+            outputs.append(_write_csv(path, *content))
     outputs.append(_atomic_write(os.path.join(out, "config_echo.json"), cfg.to_json()))
     outputs.append(
         _atomic_write(os.path.join(out, "version.txt"), f"circlewarp {_tool_version()}\n")
@@ -519,7 +495,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         passed=all(ok for (_, _, _, ok) in checks),
         checks=tuple(checks),
         outputs=tuple(outputs),
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
     )
     if "json" in cfg.formats:
         _atomic_write(os.path.join(out, "report.json"), report.to_json())

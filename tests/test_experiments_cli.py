@@ -1,5 +1,6 @@
 """Experiment runner, plotting, and command-line entry point."""
 
+import dataclasses
 import importlib.metadata
 import json
 import os
@@ -7,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import circlewarp
+from circlewarp import CorpusSpec, DerandConfig, experiments
 from circlewarp.cli import main
 from circlewarp.experiments import (
     EXPERIMENTS,
@@ -73,6 +76,13 @@ def test_solver_options_restricted():
     assert cfg.solver["block"] == 4
     with pytest.raises(ValueError, match="unknown solver option 'blok'"):
         ExperimentConfig("signs-trend", solver={"blok": 4})
+
+
+def test_unknown_params_rejected_with_valid_names():
+    with pytest.raises(ValueError, match="unknown params for kernel-decay: nlist; valid: n_list"):
+        ExperimentConfig("kernel-decay", params={"nlist": [4]})
+    with pytest.raises(ValueError, match="valid: n_max, compose_m, r_max"):
+        ExperimentConfig("derand-full", params={"n_max": 2, "rmax": 32})
 
 
 def test_seeds_coerced_to_int_tuple():
@@ -227,17 +237,44 @@ def test_ac_diagnostics_pass_and_threshold_failure(tmp_path):
     assert not _checks_by_name(bad)["worst_growth_ratio"][2]
 
 
-def test_df_stats_defaults_pass(tmp_path):
+def test_growth_ratio_check_fails_just_above_its_bound(tmp_path, monkeypatch):
+    real = experiments.ac_diagnostics
+
+    def nudged(h, p_list):
+        rep = real(h, p_list)
+        return dataclasses.replace(rep, worst_ratio=float(np.nextafter(1.1, 2.0)))
+
+    monkeypatch.setattr(experiments, "ac_diagnostics", nudged)
     rep = run_experiment(
-        ExperimentConfig("df-stats", output_dir=str(tmp_path), formats=("csv",))
+        ExperimentConfig("ac-diagnostics", seeds=(0,), output_dir=str(tmp_path))
     )
-    assert rep.passed
-    checks = _checks_by_name(rep)
-    assert checks["ks_uniform"][0] <= 0.02
-    assert checks["coupling_gap"][0] == 0.0
-    lines = (tmp_path / "df_stats.csv").read_text().splitlines()
-    assert lines[0] == "seed,phi_half"
-    assert len(lines) == 1 + 10_000
+    value, bound, ok = _checks_by_name(rep)["worst_growth_ratio"]
+    assert value > bound == 1.1
+    assert not ok and not rep.passed
+
+
+@pytest.mark.parametrize(
+    "formats, written, absent",
+    [
+        (("csv",), ["deviations.csv"], ["manifest.json", "homeo.json"]),
+        (("json",), ["manifest.json", "homeo.json"], ["deviations.csv"]),
+    ],
+    ids=["csv", "json"],
+)
+def test_derand_full_honours_formats(tmp_path, formats, written, absent):
+    rep = run_experiment(
+        ExperimentConfig(
+            "derand-full",
+            corpus=CorpusSpec("oscillation", {"n_cycles": 2}, 8),
+            derand=DerandConfig(mc_check=False, ell_max=2),
+            params={"n_max": 2, "compose_m": 9, "r_max": 32},
+            output_dir=str(tmp_path),
+            formats=formats,
+        )
+    )
+    assert [os.path.basename(p) for p in rep.outputs[: len(written)]] == written
+    for name in absent:
+        assert not (tmp_path / name).exists()
 
 
 # --- plotting ---------------------------------------------------------------------
@@ -339,6 +376,20 @@ def test_cli_run_config_error_exit_two(tmp_path, capsys):
     cfg = _write_config(tmp_path / "bad.json", {"experiment": "no-such-thing"})
     assert main(["run", cfg]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_run_unknown_params_exit_two(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "typo.json",
+        {
+            "experiment": "kernel-decay",
+            "output_dir": str(tmp_path / "out"),
+            "params": {"nlist": [4]},
+        },
+    )
+    assert main(["run", cfg]) == 2
+    assert "config error: unknown params for kernel-decay: nlist" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_missing_config_exit_two(tmp_path, capsys):
