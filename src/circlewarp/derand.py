@@ -538,9 +538,15 @@ def _fold_degrees(profile: np.ndarray, degrees, pts: int) -> np.ndarray:
     return out
 
 
-def _assemble(state: DerandState, degrees, cfg: DerandConfig):
+def _assemble(state: DerandState, degrees, cfg: DerandConfig, kept_halves=None):
     """Functional matrix of one halving step plus the averaging-identity
-    residual, measured on the same folded entries the matrix is made of."""
+    residual, measured on the same folded entries the matrix is made of,
+    and each cell's (upper, lower) half-window profiles.
+
+    kept_halves, when given, holds per cell the half-window profile that
+    the previous halving kept, or None: that profile is bit for bit this
+    step's full-window profile (same call, same floats, since the new edge
+    is the old 0.5 * (lo + hi)), so it is not recomputed."""
     f = state.f
     m = f.m
     n = state.n_active
@@ -553,6 +559,7 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
     vals = np.empty((len(degrees) * pts, cells))
     ident = 0.0
     buf = np.zeros(1 << m)
+    halves = []
     for i in range(cells):
         gl, gd, gr = edges[i], mids[i], edges[i + 1]
         a = float(state.fixed_y[i])
@@ -560,22 +567,25 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
         y1 = float(state.j_lo[i])
         y2 = float(state.j_hi[i])
         ym = 0.5 * (y1 + y2)
-        g_full = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2)
+        g_full = None if kept_halves is None else kept_halves[i]
+        if g_full is None:
+            g_full = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2)
         g_up = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, ym, y2)
         g_dn = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, ym)
+        halves.append((g_up, g_dn))
         buf[gl + 1 : gr] = 0.5 * (g_up - g_dn)
         vals[:, i] = _fold_degrees(buf, degrees, pts).ravel()
         buf[gl + 1 : gr] = 0.5 * (g_up + g_dn) - g_full
         ident = max(ident, float(np.max(np.abs(_fold_degrees(buf, degrees, pts)))))
         buf[gl + 1 : gr] = 0.0
     row_ids = tuple((r, j) for r in degrees for j in range(pts))
-    return vals, row_ids, ident
+    return vals, row_ids, ident, halves
 
 
-def _assemble_kept(state: DerandState, degrees, cfg: DerandConfig):
+def _assemble_kept(state: DerandState, degrees, cfg: DerandConfig, kept_halves=None):
     """_assemble, then the averaging-identity alarm and the row_tol filter:
-    the kept rows, their ids and the residual."""
-    vals, row_ids, ident = _assemble(state, degrees, cfg)
+    the kept rows, their ids, the residual and the half-window profiles."""
+    vals, row_ids, ident, halves = _assemble(state, degrees, cfg, kept_halves)
     if ident > cfg.identity_tol:
         raise NumericalAlarm(
             "averaging identity residual too large",
@@ -585,7 +595,7 @@ def _assemble_kept(state: DerandState, degrees, cfg: DerandConfig):
             tol=cfg.identity_tol,
         )
     keep = np.max(np.abs(vals), axis=1) >= cfg.row_tol
-    return vals[keep], tuple(rid for rid, flag in zip(row_ids, keep) if flag), ident
+    return vals[keep], tuple(rid for rid, flag in zip(row_ids, keep) if flag), ident, halves
 
 
 def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | None = None) -> SignMatrix:
@@ -597,7 +607,7 @@ def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | N
     if state.phase != "active":
         raise ValueError("no live windows to compare in a final state")
     degrees = _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
-    kept, kept_ids, _ = _assemble_kept(state, degrees, cfg)
+    kept, kept_ids, _, _ = _assemble_kept(state, degrees, cfg)
     return SignMatrix(kept, kept_ids, dist="circular")
 
 
@@ -718,6 +728,19 @@ def _cell_subtree(E, table, qtab, state, gl, gd, a, b, level_nodes, ys, ws):
         np.add.at(E, g.ravel(), vals.ravel())
 
 
+def _constant_cells(state: DerandState) -> np.ndarray:
+    """Per live cell, whether the samples of f at indices floor(a 2**m) ..
+    ceil(b 2**m) (index 2**m wrapping to 0) are all equal, [a, b] being the
+    cell's pinned image: then the interpolant is constant on [a, b], and so
+    is f(warp(t)) for every t in the cell whatever the warp does there."""
+    v = np.asarray(state.f.values, dtype=float)
+    size = v.size
+    steps = np.concatenate([[0], np.cumsum(v != np.roll(v, -1))])
+    lo = np.floor(state.fixed_y[:-1] * size).astype(np.int64)
+    hi = np.ceil(state.fixed_y[1:] * size).astype(np.int64)
+    return steps[hi] == steps[lo]
+
+
 def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     f = state.f
     m = f.m
@@ -728,8 +751,13 @@ def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     edges, mids = _cell_grid(m, n)
     E[edges[:-1]] = table.f_at(state.fixed_y[:-1])
     plan = cfg.value_plan(n)
+    constant = _constant_cells(state)
     for i in range(mids.size):
-        _cell_expectation(E, table, qtab, state, i, edges[i], mids[i], plan)
+        if constant[i]:
+            # f is flat on the cell's image: its left edge value is exact
+            E[edges[i] + 1 : edges[i + 1]] = E[edges[i]]
+        else:
+            _cell_expectation(E, table, qtab, state, i, edges[i], mids[i], plan)
     return E
 
 
@@ -860,8 +888,12 @@ def _mc_report(state: DerandState, cfg: DerandConfig, seed: int, quad: np.ndarra
 # --- the halving loop ----------------------------------------------------------
 
 
-def _choose_step(state, cfg, degrees, prof_old):
-    kept, kept_ids, ident = _assemble_kept(state, degrees, cfg)
+def _choose_step(state, cfg, degrees, prof_old, kept_halves=None):
+    """One halving from a state whose quadrature profile is prof_old. Also
+    returns the half-window profile each cell kept (None where it shrank
+    concentrically), to be reused as the next step's full-window profile,
+    and this step's silent-cell counts (see _silent_counts)."""
+    kept, kept_ids, ident, halves = _assemble_kept(state, degrees, cfg, kept_halves)
     cells = kept.shape[1]
     if kept.shape[0]:
         null_cols = np.max(np.abs(kept), axis=0) < cfg.null_tol
@@ -886,13 +918,27 @@ def _choose_step(state, cfg, degrees, prof_old):
     new_lo = np.where(null_cols, mid - quarter, np.where(eps > 0, mid, lo))
     new_hi = np.where(null_cols, mid + quarter, np.where(eps > 0, hi, mid))
     new_state = dataclasses.replace(state, ell=state.ell + 1, j_lo=new_lo, j_hi=new_hi)
+    kept_next = [
+        None if null else up if e > 0 else dn
+        for (up, dn), e, null in zip(halves, eps, null_cols)
+    ]
     prof_new = _value_profile(new_state, cfg)
     change = SampledFunction(state.f.m, prof_new - prof_old)
     records = [
         DeviationRecord(state.n_active, state.ell, r, sup)
         for r, sup in sup_partial_sums(change, degrees)
     ]
-    return new_state, prof_new, records, ident
+    return new_state, prof_new, kept_next, records, ident, _silent_counts(state, null_cols)
+
+
+def _silent_counts(state, null_cols) -> np.ndarray:
+    """Constant cells, constant cells whose column is still above null_tol
+    (signed on rounding noise), and null columns over non-constant cells."""
+    constant = _constant_cells(state)
+    return np.array(
+        [constant.sum(), (constant & ~null_cols).sum(), (null_cols & ~constant).sum()],
+        dtype=np.int64,
+    )
 
 
 def choose_halves(
@@ -906,7 +952,7 @@ def choose_halves(
         raise ValueError("no live windows to halve in a final state")
     degrees = _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
     prof_old = _value_profile(state, cfg)
-    new_state, _, records, ident = _choose_step(state, cfg, degrees, prof_old)
+    new_state, _, _, records, ident, _ = _choose_step(state, cfg, degrees, prof_old)
     return new_state, records, ident
 
 
@@ -942,18 +988,23 @@ def advance(
     if state.phase != "active":
         raise ValueError("cannot advance a final state")
     degrees = _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
-    return _advance(state, cfg, degrees, _value_profile(state, cfg))
+    state, records, ident_max, _ = _advance(state, cfg, degrees, _value_profile(state, cfg))
+    return state, records, ident_max
 
 
 def _advance(state: DerandState, cfg: DerandConfig, degrees, prof: np.ndarray):
-    """advance from a state whose quadrature profile is prof."""
+    """advance from a state whose quadrature profile is prof; also returns
+    the rank's silent-cell counts summed over its halvings."""
     records: list[DeviationRecord] = []
     ident_max = 0.0
+    kept = None
+    silent = np.zeros(3, dtype=np.int64)
     while state.ell < cfg.ell_max and not _windows_converged(state, cfg):
-        state, prof, recs, ident = _choose_step(state, cfg, degrees, prof)
+        state, prof, kept, recs, ident, counts = _choose_step(state, cfg, degrees, prof, kept)
         records.extend(recs)
         ident_max = max(ident_max, ident)
-    return _fix_and_promote(state), records, ident_max
+        silent += counts
+    return _fix_and_promote(state), records, ident_max, silent
 
 
 @dataclass(frozen=True)
@@ -986,15 +1037,20 @@ def run(
     records: list[DeviationRecord] = []
     ident_max = 0.0
     mc_reports = []
+    silent_cells = []
     for rank in range(1, n_max + 1):
         # one quadrature profile of the opening state serves the MC guard
         # and the first halving
         prof = _value_profile(state, cfg)
         if cfg.mc_check:
             mc_reports.append(_mc_report(state, cfg, cfg.mc_seed + 7919 * rank, prof))
-        state, recs, ident = _advance(state, cfg, degrees, prof)
+        state, recs, ident, silent = _advance(state, cfg, degrees, prof)
         records.extend(recs)
         ident_max = max(ident_max, ident)
+        constant, noise, null = (int(c) for c in silent)
+        silent_cells.append(
+            {"n": rank, "constant": constant, "constant_not_null": noise, "null_not_constant": null}
+        )
     final = dataclasses.replace(state, phase="final", j_lo=np.empty(0), j_hi=np.empty(0))
     h = final.homeo()
     manifest = {
@@ -1007,6 +1063,7 @@ def run(
         "degrees": list(degrees),
         "config": dataclasses.asdict(cfg),
         "mc_reports": mc_reports,
+        "silent_cells": silent_cells,
         "breakpoints": int(h.x.size),
     }
     return RunResult(h, tuple(records), ident_max, manifest)

@@ -126,6 +126,11 @@ def load_config(path) -> ExperimentConfig:
         c = kwargs["corpus"]
         if not isinstance(c, dict) or "kind" not in c:
             raise ValueError("corpus must be a JSON object with a 'kind' key")
+        unknown = [key for key in c if key not in ("kind", "params", "m")]
+        if unknown:
+            raise ValueError(
+                f"unknown corpus keys: {', '.join(map(str, unknown))}; valid: kind, params, m"
+            )
         params = c.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("corpus params must deserialize to a mapping")

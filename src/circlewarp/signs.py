@@ -74,14 +74,20 @@ class SignMatrix:
         matrices; the certificate stored at build time comes from this scan."""
         n = self.n_cols
         ks = np.arange(n)
+        js = np.array(
+            [rid[-1] if isinstance(rid, tuple) else rid for rid in self.row_ids], dtype=np.int64
+        )
         cert = 0.0
-        for r, rid in enumerate(self.row_ids):
-            j = rid[-1] if isinstance(rid, tuple) else rid
+        # rows in blocks of about 2**16 entries: the temporaries stay in
+        # cache, and no n x n temporary is built
+        rows = max(1, (1 << 16) // max(n, 1))
+        for start in range(0, js.size, rows):
+            j = js[start : start + rows, None]
             if self.dist == "circular":
                 d = circ_dist(ks, j, n)
             else:
                 d = np.abs(ks - j)
-            cert = max(cert, float(np.max(np.abs(self.values[r]) * (d + 1))))
+            cert = max(cert, float(np.max(np.abs(self.values[start : start + rows]) * (d + 1))))
         return cert
 
 

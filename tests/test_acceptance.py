@@ -13,6 +13,7 @@ silently weakened.
 """
 
 import csv
+import hashlib
 import json
 import math
 
@@ -60,8 +61,10 @@ def _table(path):
 
 @pytest.fixture(scope="session")
 def derand_outputs(tmp_path_factory):
-    """The two full pipeline runs shared by AC-3 and AC-4 (about 2.5 minutes):
-    each corpus's `derand-full` report and its manifest.json."""
+    """The two full pipeline runs shared by AC-3 and AC-4 (about 2 minutes):
+    each corpus's `derand-full` report, its manifest.json, and the sha256 of
+    its homeomorphism (homeo.json without the final newline, the digest of
+    `homeo_to_json`) and of deviations.csv."""
     out = {}
     for key, spec in (
         (
@@ -72,8 +75,16 @@ def derand_outputs(tmp_path_factory):
     ):
         d = tmp_path_factory.mktemp(key)
         report = _run(d, "derand-full", corpus=spec)
-        out[key] = (report, json.loads((d / "manifest.json").read_text()))
+        digests = {
+            "homeo": _sha256((d / "homeo.json").read_text().removesuffix("\n").encode()),
+            "deviations": _sha256((d / "deviations.csv").read_bytes()),
+        }
+        out[key] = (report, json.loads((d / "manifest.json").read_text()), digests)
     return out
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_ac1_hierarchical_discrepancy_stays_bounded(tmp_path):
@@ -114,7 +125,7 @@ def test_ac2_iid_medians_strictly_increase(tmp_path):
 
 
 def test_ac3a_averaging_identity_tight(derand_outputs):
-    worsts = {k: _check(rep, "identity_max", 1e-6) for k, (rep, _) in derand_outputs.items()}
+    worsts = {k: _check(rep, "identity_max", 1e-6) for k, (rep, _, _) in derand_outputs.items()}
     ok = all(passed for _, passed in worsts.values())
     assert _verdict(
         "AC-3a",
@@ -126,7 +137,7 @@ def test_ac3a_averaging_identity_tight(derand_outputs):
 
 
 def test_ac3b_deviation_records_shape(derand_outputs):
-    shapes = {k: _check(rep, "shape_fraction", 0.9) for k, (rep, _) in derand_outputs.items()}
+    shapes = {k: _check(rep, "shape_fraction", 0.9) for k, (rep, _, _) in derand_outputs.items()}
     ok = all(passed for _, passed in shapes.values())
     _verdict(
         "AC-3b",
@@ -146,7 +157,7 @@ def test_ac3b_deviation_records_shape(derand_outputs):
 
 def test_ac3c_warped_partial_sums_bounded(derand_outputs):
     sup = {}
-    for key, (report, manifest) in derand_outputs.items():
+    for key, (report, manifest, _) in derand_outputs.items():
         warped, bounded = _check(report, "sup_vs_3norm", 3.0 * manifest["sup_before"])
         sup[key] = (warped, manifest["sup_baseline"], bounded)
 
@@ -156,6 +167,15 @@ def test_ac3c_warped_partial_sums_bounded(derand_outputs):
     assert b_psq == pytest.approx(1.7979887146916371, rel=1e-6)
     assert w_kk == pytest.approx(1.0447336975689463, rel=1e-6)
     assert b_kk == pytest.approx(1.0607454994018302, rel=1e-6)
+    # the warped sups pin the outputs to 1e-6; these digests pin them bitwise
+    assert derand_outputs["perturbed_square"][2] == {
+        "homeo": "912f4778998a0735f96ee87eb0e7dbc368889de6f6c39db2a0be745c60598c2a",
+        "deviations": "5ec9a5c2c942d526f6f296b908ae130f20b391480a4ca0350baddd29a056dcaf",
+    }
+    assert derand_outputs["kk_example"][2] == {
+        "homeo": "c8e4ceaa1a8004bb1e0c79498d3505536941449fb06839c6301e5e6c9abdcb0a",
+        "deviations": "0ce22bced52d923713f42aedbd54e372a3b961574b49984b22f04a52a611d416",
+    }
 
     # the resonant member must not get worse
     _, resonant_ok = _check(derand_outputs["kk_example"][0], "sup_vs_baseline", b_kk)
@@ -176,7 +196,7 @@ def test_ac4_regularity_certificates(derand_outputs, tmp_path):
     assert len(rows) == 1000
     passes = sum(int(row["passed"]) for row in rows)
     _, certified = _check(sampled, "all_certified", 1.0)
-    pipeline_ok = all(_check(rep, "certificate", 1.0)[1] for rep, _ in derand_outputs.values())
+    pipeline_ok = all(_check(rep, "certificate", 1.0)[1] for rep, _, _ in derand_outputs.values())
 
     diagnostics = _run(tmp_path / "diagnostics", "ac-diagnostics")
     _, consistent = _check(diagnostics, "all_consistent", 1.0)

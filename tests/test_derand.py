@@ -26,7 +26,7 @@ from circlewarp import (
     verify_mass_ratios,
 )
 from circlewarp import derand
-from circlewarp.corpus import tapered_oscillation
+from circlewarp.corpus import CorpusSpec, tapered_oscillation
 from circlewarp.experiments import _write_csv
 from circlewarp.rng import tagged_generator
 
@@ -521,3 +521,107 @@ def test_window_engine_matches_adaptive_quadrature(rank_states, rank):
             assert abs(got[t] - want) / (b - a) <= 1e-10, (side, t)
             checked += 1
     assert checked >= 16
+
+
+# --- constant image cells and the kept half-window ------------------------------
+
+
+@pytest.fixture(scope="module")
+def kk_states():
+    """Opening states of ranks 1 .. 4 of the m=8 kk_example, each rank below
+    halved in full by advance."""
+    f = CorpusSpec("kk_example", {"k_max": 4}, 8).build()
+    cfg = DerandConfig(mc_check=False)
+    states = {1: DerandState.initial(f, confinement_map(f, depth=8).with_floor())}
+    for rank in (2, 3, 4):
+        states[rank], _, _ = advance(states[rank - 1], cfg, DEGREES)
+    return states
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_constant_cells_leave_the_value_profile_bitwise(kk_states, rank, monkeypatch):
+    state = kk_states[rank]
+    constant = derand._constant_cells(state)
+    assert constant.any() and not constant.all()
+    prof = derand._value_profile(state, DerandConfig())
+    monkeypatch.setattr(derand, "_constant_cells", lambda s: np.zeros(s.j_lo.size, dtype=bool))
+    assert np.array_equal(derand._value_profile(state, DerandConfig()), prof)
+
+
+def flat_state(values, fixed_y):
+    """A rank-(len(fixed_y)-1) state on the given samples, each window the
+    middle half of its cell."""
+    f = SampledFunction(int(np.log2(len(values))), np.asarray(values, dtype=float))
+    q = confinement_map(f, depth=f.m).with_floor()
+    y = np.asarray(fixed_y, dtype=float)
+    width = np.diff(y)
+    n = int(np.log2(y.size - 1)) + 1
+    return DerandState(f, q, n, 0, y, y[:-1] + 0.25 * width, y[1:] - 0.25 * width)
+
+
+def test_constant_cell_profile_is_exactly_the_constant(monkeypatch):
+    c = 0.3
+    size = 256
+    x = np.arange(size) / size
+    values = np.where(x <= 0.5, c, np.sin(6.0 * np.pi * x) * 0.4 + c)
+    state = flat_state(values, [0.0, 0.5, 1.0])
+    assert derand._constant_cells(state).tolist() == [True, False]
+    cell = slice(1, size // 2)  # grid points gl+1 .. gr-1 of cell 0
+    prof = derand._value_profile(state, DerandConfig())
+    assert np.all(prof[cell] == c)
+    monkeypatch.setattr(derand, "_constant_cells", lambda s: np.zeros(s.j_lo.size, dtype=bool))
+    full = derand._value_profile(state, DerandConfig())
+    assert np.max(np.abs(full[cell] - c)) <= 1e-12
+    assert np.array_equal(full[size // 2 :], prof[size // 2 :])
+
+
+@pytest.mark.parametrize(
+    "odd, expected",
+    [
+        (None, [True, True]),
+        (20, [False, False]),  # at ceil(b 2**m) of cell 0; inside cell 1
+        (21, [True, False]),
+        (19, [False, False]),  # at floor(a 2**m) of cell 1; inside cell 0
+        (0, [False, False]),  # index 2**m of cell 1 wraps to 0
+        (63, [True, False]),
+    ],
+)
+def test_constant_cell_mask_edges(odd, expected):
+    # m=6: cell 0 is [0, 0.3] -> samples 0 .. 20, cell 1 is [0.3, 1] -> 19 .. 64
+    values = np.full(64, 0.25)
+    if odd is not None:
+        values[odd] = -0.25
+    state = flat_state(values, [0.0, 0.3, 1.0])
+    assert derand._constant_cells(state).tolist() == expected
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_advance_equals_repeated_choose_halves(kk_states, rank):
+    # advance hands each kept half-window profile to the next halving;
+    # choose_halves recomputes every full window from scratch
+    cfg = DerandConfig(mc_check=False)
+    state = kk_states[rank]
+    promoted, records, ident_max = advance(state, cfg, DEGREES)
+    ref_records = []
+    ref_ident = 0.0
+    s = state
+    while s.ell < cfg.ell_max and not derand._windows_converged(s, cfg):
+        s, recs, ident = choose_halves(s, cfg, DEGREES)
+        ref_records.extend(recs)
+        ref_ident = max(ref_ident, ident)
+    ref = derand._fix_and_promote(s)
+    assert s.ell == cfg.ell_max
+    for name in ("fixed_y", "j_lo", "j_hi"):
+        assert np.array_equal(getattr(promoted, name), getattr(ref, name))
+    assert records == ref_records
+    assert ident_max == ref_ident
+
+
+def test_kk_null_columns_are_its_constant_cells():
+    res = run(CorpusSpec("kk_example", {"k_max": 4}, 8).build(), 6, DerandConfig(mc_check=False))
+    silent = res.manifest["silent_cells"]
+    assert [entry["n"] for entry in silent] == [1, 2, 3, 4, 5, 6]
+    # six halvings per rank; at rank n all but one of the 2**(n-1) cells are flat
+    assert [entry["constant"] for entry in silent] == [0, 6, 18, 42, 90, 186]
+    assert all(entry["constant_not_null"] == 0 for entry in silent)
+    assert all(entry["null_not_constant"] == 0 for entry in silent)

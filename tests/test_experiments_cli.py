@@ -121,6 +121,18 @@ def test_load_config_checks_corpus_shape(tmp_path, corpus, message):
         load_config(p)
 
 
+def test_load_config_rejects_unknown_corpus_keys(tmp_path):
+    p = _write_config(
+        tmp_path / "c.json",
+        {
+            "experiment": "ac-diagnostics",
+            "corpus": {"kind": "oscillation", "prams": {"n_cycles": 4}, "mm": 10},
+        },
+    )
+    with pytest.raises(ValueError, match="unknown corpus keys: prams, mm; valid: kind, params, m"):
+        load_config(p)
+
+
 # --- run_experiment ---------------------------------------------------------------
 
 
@@ -389,6 +401,20 @@ def test_cli_run_unknown_params_exit_two(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 2
     assert "config error: unknown params for kernel-decay: nlist" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_unknown_corpus_keys_exit_two(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "typo.json",
+        {
+            "experiment": "ac-diagnostics",
+            "output_dir": str(tmp_path / "out"),
+            "corpus": {"kind": "oscillation", "mm": 10},
+        },
+    )
+    assert main(["run", cfg]) == 2
+    assert "config error: unknown corpus keys: mm" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

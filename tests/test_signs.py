@@ -31,6 +31,32 @@ def test_synthetic_matrices_certify_unit_decay():
         assert v.decay_cert == pytest.approx(1.0)
 
 
+def verify_decay_by_rows(v):
+    """The certificate scan one row at a time."""
+    n = v.n_cols
+    ks = np.arange(n)
+    cert = 0.0
+    for r, rid in enumerate(v.row_ids):
+        j = rid[-1] if isinstance(rid, tuple) else rid
+        d = np.minimum(np.abs(ks - j), n - np.abs(ks - j)) if v.dist == "circular" else np.abs(ks - j)
+        cert = max(cert, float(np.max(np.abs(v.values[r]) * (d + 1))))
+    return cert
+
+
+@pytest.mark.parametrize("dist", ["circular", "linear"])
+def test_verify_decay_matches_row_scan(dist):
+    # 200 rows of 1024 columns: three row blocks of 2**16 entries and a partial one
+    rng = np.random.default_rng(3)
+    n = 1024
+    rows = 200
+    js = rng.integers(0, n, size=rows)
+    ids = tuple((int(r % 7) + 1, int(j)) if r % 2 else int(j) for r, j in enumerate(js))
+    v = SignMatrix(rng.standard_normal((rows, n)) / (1.0 + rng.integers(0, n, size=(rows, n))), ids, dist)
+    assert v.verify_decay() == verify_decay_by_rows(v)
+    square = build_synthetic_matrix(96, "random_signs_decay", seed=2, dist=dist)
+    assert square.decay_cert == verify_decay_by_rows(square) == pytest.approx(1.0)
+
+
 def test_iid_reproducible_and_valid():
     v = build_synthetic_matrix(16, "exact_decay")
     a = solve_iid(v, seed=5)
