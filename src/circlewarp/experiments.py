@@ -35,7 +35,13 @@ from .randhomeo import (
     sample_psi_q,
     verify_mass_ratios,
 )
-from .signs import build_synthetic_matrix, row_discrepancy, solve_hierarchical, solve_iid
+from .signs import (
+    _EXHAUSTIVE_LIMIT,
+    build_synthetic_matrix,
+    row_discrepancy,
+    solve_hierarchical,
+    solve_iid,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -150,6 +156,7 @@ class ExperimentReport:
     checks: tuple  # of (name, value, bound, ok)
     outputs: tuple  # file paths written
     runtime_s: float
+    notes: tuple = ()  # lines of text about how the values were obtained
 
     def to_json(self) -> str:
         payload = {
@@ -161,6 +168,7 @@ class ExperimentReport:
             ],
             "outputs": list(self.outputs),
             "runtime_s": self.runtime_s,
+            "notes": list(self.notes),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -200,10 +208,10 @@ def _solver_args(cfg: ExperimentConfig) -> tuple:
 
 # --- the experiments -------------------------------------------------------------
 #
-# Each experiment returns (checks, files, plot_src, plot_kind). `files` maps an
-# output file name to (header, rows) for a .csv table or to the text of a .json
-# file, in writing order; run_experiment writes the entries whose suffix the
-# config's formats select.
+# Each experiment returns (checks, files, plot_src, plot_kind, notes). `files`
+# maps an output file name to (header, rows) for a .csv table or to the text of
+# a .json file, in writing order; run_experiment writes the entries whose suffix
+# the config's formats select. `notes` are lines of text for the report.
 
 
 def _exp_kernel_decay(cfg):
@@ -230,7 +238,7 @@ def _exp_kernel_decay(cfg):
         ("decay_constant_max", worst_c, 4.0, worst_c <= 4.0),
         ("row_sum_gap_max", worst_gap, 1e-8, worst_gap <= 1e-8),
     )
-    return checks, files, "kernel_decay_summary.csv", "line"
+    return checks, files, "kernel_decay_summary.csv", "line", ()
 
 
 def _exp_signs_trend(cfg):
@@ -241,11 +249,16 @@ def _exp_signs_trend(cfg):
     block0, retries, _, lam = _solver_args(cfg)
     rows = []
     best = {}
+    # with every block search exhaustive the solver draws no random
+    # candidate, so one solve serves every seed
+    inert = [K for K in blocks if K <= _EXHAUSTIVE_LIMIT]
     for n in n_list:
         V = build_synthetic_matrix(n, "exact_decay")
         for K in blocks:
+            d = None
             for seed in seeds:
-                d = row_discrepancy(V, solve_hierarchical(V, K, retries, seed, lam))
+                if d is None or K not in inert:
+                    d = row_discrepancy(V, solve_hierarchical(V, K, retries, seed, lam))
                 rows.append((int(n), "hierarchical", int(K), int(seed), d))
                 key = (n, K)
                 best[key] = min(best.get(key, math.inf), d)
@@ -258,7 +271,12 @@ def _exp_signs_trend(cfg):
         ("all_sizes_ratio", ratio_all, 1.5, ratio_all <= 1.5),
     )
     files = {"signs_trend.csv": (("n", "solver", "K", "seed", "discrepancy"), rows)}
-    return checks, files, "signs_trend.csv", "line"
+    notes = tuple(
+        f"K={K}: every block search is exhaustive, so the seeds are inert; "
+        "one solve per n serves every seed row"
+        for K in dict.fromkeys(inert)
+    )
+    return checks, files, "signs_trend.csv", "line", notes
 
 
 def _exp_iid_vs_hierarchical(cfg):
@@ -282,7 +300,7 @@ def _exp_iid_vs_hierarchical(cfg):
         ("iid_median_span", medians[-1] - medians[0], 0.0, medians[-1] > medians[0]),
     )
     files = {"iid_vs_hierarchical.csv": (("n", "solver", "K", "seed", "discrepancy"), rows)}
-    return checks, files, "iid_vs_hierarchical.csv", "line"
+    return checks, files, "iid_vs_hierarchical.csv", "line", ()
 
 
 def _exp_df_stats(cfg):
@@ -310,7 +328,7 @@ def _exp_df_stats(cfg):
             [(int(s), float(v)) for s, v in zip(seeds, phi)],
         )
     }
-    return checks, files, None, None
+    return checks, files, None, None, ()
 
 
 def _exp_psi_q_certificates(cfg):
@@ -334,7 +352,7 @@ def _exp_psi_q_certificates(cfg):
         ("worst_slack_min", slack_min, -1e-12, slack_min >= -1e-12),
     )
     files = {"psi_q_certificates.csv": (("q", "seed", "worst_slack", "passed"), rows)}
-    return checks, files, "psi_q_certificates.csv", "line"
+    return checks, files, "psi_q_certificates.csv", "line", ()
 
 
 def _exp_anorm_growth(cfg):
@@ -357,7 +375,7 @@ def _exp_anorm_growth(cfg):
         ("tapered_max_over_first", t_ratio, 2.0, t_ratio <= 2.0),
     )
     files = {"anorm_growth.csv": (("N", "abrupt_anorm", "tapered_anorm"), rows)}
-    return checks, files, "anorm_growth.csv", "line"
+    return checks, files, "anorm_growth.csv", "line", ()
 
 
 def _exp_derand_full(cfg):
@@ -405,7 +423,7 @@ def _exp_derand_full(cfg):
         checks.append(
             ("sup_vs_baseline", sup_warp, sup_base, sup_warp <= sup_base)
         )
-    return tuple(checks), files, "deviations.csv", "heatmap"
+    return tuple(checks), files, "deviations.csv", "heatmap", ()
 
 
 def _exp_ac_diagnostics(cfg):
@@ -433,7 +451,7 @@ def _exp_ac_diagnostics(cfg):
         ("worst_growth_ratio", worst, 1.1, worst <= 1.1),
     )
     files = {"ac_diagnostics.csv": (("seed", "p", "level", "norm"), rows)}
-    return checks, files, None, None
+    return checks, files, None, None, ()
 
 
 EXPERIMENTS = {
@@ -476,7 +494,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     out = cfg.output_dir or os.environ.get("CIRCLEWARP_OUT", "") or "."
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
-    checks, files, plot_src, plot_kind = EXPERIMENTS[cfg.experiment](cfg)
+    checks, files, plot_src, plot_kind, notes = EXPERIMENTS[cfg.experiment](cfg)
     outputs = []
     for name, content in files.items():
         if os.path.splitext(name)[1][1:] not in cfg.formats:
@@ -501,6 +519,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         checks=tuple(checks),
         outputs=tuple(outputs),
         runtime_s=time.perf_counter() - t0,
+        notes=tuple(notes),
     )
     if "json" in cfg.formats:
         _atomic_write(os.path.join(out, "report.json"), report.to_json())

@@ -71,24 +71,27 @@ class SignMatrix:
 
     def verify_decay(self) -> float:
         """Measured constant max |v| * (dist + 1) for square integer-labeled
-        matrices; the certificate stored at build time comes from this scan."""
-        n = self.n_cols
-        ks = np.arange(n)
+        matrices; the certificate stored at build time comes from the same
+        scan (_dist_blocks)."""
         js = np.array(
             [rid[-1] if isinstance(rid, tuple) else rid for rid in self.row_ids], dtype=np.int64
         )
         cert = 0.0
-        # rows in blocks of about 2**16 entries: the temporaries stay in
-        # cache, and no n x n temporary is built
-        rows = max(1, (1 << 16) // max(n, 1))
-        for start in range(0, js.size, rows):
-            j = js[start : start + rows, None]
-            if self.dist == "circular":
-                d = circ_dist(ks, j, n)
-            else:
-                d = np.abs(ks - j)
-            cert = max(cert, float(np.max(np.abs(self.values[start : start + rows]) * (d + 1))))
+        for block, d in _dist_blocks(js, self.n_cols, self.dist):
+            cert = max(cert, float(np.max(np.abs(self.values[block]) * (d + 1))))
         return cert
+
+
+def _dist_blocks(js: np.ndarray, n: int, dist: str):
+    """Row blocks of about 2**16 entries, with dist(k, j) for row labels j and
+    columns k < n: the temporaries stay in cache, and no n x n temporary is
+    built."""
+    ks = np.arange(n)
+    rows = max(1, (1 << 16) // max(n, 1))
+    for start in range(0, js.size, rows):
+        j = js[start : start + rows, None]
+        d = circ_dist(ks, j, n) if dist == "circular" else np.abs(ks - j)
+        yield slice(start, start + rows), d
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,26 +111,21 @@ def build_synthetic_matrix(
 ) -> SignMatrix:
     """Square test matrices: magnitudes 1 / (dist(k, j) + 1), optionally with
     seeded random signs ('random_signs_decay')."""
-    ks, js = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    if dist == "circular":
-        d = circ_dist(ks, js, n)
-    elif dist == "linear":
-        d = np.abs(ks - js)
-    else:
+    if dist not in ("circular", "linear"):
         raise ValueError("dist must be 'circular' or 'linear'")
-    mags = 1.0 / (d + 1.0)
-    if profile == "exact_decay":
-        vals = mags
-    elif profile == "random_signs_decay":
-        gen = tagged_generator(seed, 0x51, n)
-        signs = gen.integers(0, 2, size=(n, n)) * 2 - 1
-        vals = mags * signs
-    else:
+    if profile == "random_signs_decay":
+        signs = tagged_generator(seed, 0x51, n).integers(0, 2, size=(n, n))
+    elif profile != "exact_decay":
         raise ValueError(f"unknown profile {profile!r}")
+    # vals[k, j] = v[k, j]; one scan fills it and measures its certificate
+    vals = np.empty((n, n))
+    cert = 0.0
+    for block, d in _dist_blocks(np.arange(n), n, dist):
+        mags = 1.0 / (d + 1.0)
+        vals[block] = mags if profile == "exact_decay" else mags * (signs[block] * 2 - 1)
+        cert = max(cert, float(np.max(np.abs(vals[block]) * (d + 1))))
     # rows are indexed by j: row j holds v[k, j] over k
-    rows = vals.T
-    mat = SignMatrix(rows, tuple(range(n)), dist, None)
-    return SignMatrix(rows, tuple(range(n)), dist, mat.verify_decay())
+    return SignMatrix(vals.T, tuple(range(n)), dist, cert)
 
 
 def row_discrepancy(v: SignMatrix, eps: SignVector) -> float:
@@ -155,12 +153,82 @@ def solve_iid(v: SignMatrix, seed: int = 0) -> SignVector:
 # whole matrix. Dividing by sigma makes the ranking scale-free, so scaling
 # the matrix scales the achieved discrepancy exactly. The cosh term spreads
 # pressure over all rows instead of only the current worst one.
+#
+# An exhaustive search screens its 2^b candidates before scoring them. With
+# x = s / sigma, base b and block columns c_i, e^{x_j} factors as
+# e^{b_j/sigma} * prod_i e^{eps_i c_ij/sigma}. Splitting the block into a
+# high and a low half gives every candidate's sum_j cosh(x_j) from two small
+# matmuls, (P_hi o e^{+-b/sigma}) @ P_lo^T, in `_exhaustive_signs` order,
+# instead of cosh over the (2^b x n_rows) matrix of row sums. The max term
+# is read from the product itself, on the rows that can hold the maximum
+# (|b_j|/sigma + r_j >= max(|b_k|/sigma - r_k), r_j = sum_i |c_ij| / sigma);
+# a max over a subset of the exact values never exceeds the exact max. The
+# screened value then differs from the exact score by rounding only, within
+# `margin` (see _screen). Confirming keeps every candidate whose screened
+# value, less its margin, is at most the exact score of the screen's
+# argmin, and scores those exactly. Each dropped candidate scores strictly
+# above the minimum, so the first exact argmin is the one an exact score of
+# all candidates picks.
+#
+# The candidate product stays one BLAS call with the shapes and layouts it
+# always had: BLAS output bits depend on the call, so a re-blocked product, a
+# row subset of it or a contiguous copy of an operand can round differently
+# and flip a near-tie. The exact scores are taken from rows of that one
+# product. Screening falls back to exact scores of every candidate for
+# random candidates, for b < 2, and when some |x_j| may exceed _EXP_SAFE,
+# where the exponentials leave a safe range.
+
+_EXP_SAFE = 300.0
+# entries per candidate block in the exact scores
+_SCORE_BLOCK = 1 << 15
 
 
 def _score(sums: np.ndarray, sigma: float, lam: float) -> np.ndarray:
     z = np.abs(sums) / sigma
     z = np.minimum(z, 700.0)  # overflow guard; ranking beyond is driven by max
     return z.max(axis=-1) + lam * (np.cosh(z) - 1.0).sum(axis=-1)
+
+
+def _exact_scores(prod, base, sigma, lam, idx) -> np.ndarray:
+    """_score(prod[idx] + base) in cache-sized candidate blocks. Each row is
+    reduced on its own, so the values equal the one-shot scores bit for bit."""
+    out = np.empty(idx.size)
+    step = max(1, _SCORE_BLOCK // prod.shape[1])
+    for s in range(0, idx.size, step):
+        out[s : s + step] = _score(prod[idx[s : s + step]] + base, sigma, lam)
+    return out
+
+
+def _screen(prod, cols, base, sigma, lam, zb, reach):
+    """Screened potential of all 2^b exhaustive candidates, with its error
+    bound against _score."""
+    n_cand, n_rows = prod.shape
+    b = cols.shape[1]
+    h = b // 2
+    hi = np.exp(_exhaustive_signs(h) @ cols[:, :h].T / sigma)
+    lo = np.exp(_exhaustive_signs(b - h) @ cols[:, h:].T / sigma)
+    eb = np.exp(base / sigma)
+    # negating a candidate reverses its index within each half
+    cosh_sum = 0.5 * ((hi * eb) @ lo.T + (hi[::-1] / eb) @ lo[::-1].T).ravel()
+    rows = np.flatnonzero(zb + reach >= np.max(zb - reach))
+    step = max(1, _SCORE_BLOCK // rows.size)
+    if 8 * rows.size > n_rows:  # a gather costs more than scanning every row
+        rows = slice(None)
+        step = max(1, _SCORE_BLOCK // n_rows)
+    mx = np.empty(n_cand)
+    for s in range(0, n_cand, step):
+        z = np.abs(prod[s : s + step, rows] + base[rows]) / sigma
+        mx[s : s + step] = z.max(axis=1)
+    # Every exponent |x_j| <= |b_j|/sigma + r_j <= _EXP_SAFE carries an
+    # absolute error of at most (b + 2) * eps * _EXP_SAFE through its matmul,
+    # its scaling and the addition of base, on both paths; the exponentials
+    # and cosh add a few ulp; and summing n_rows positive terms, by pairwise
+    # summation or inside a matmul, adds at most n_rows * eps, all relative
+    # to sum_j cosh(x_j). The factor 8 covers both paths and the final
+    # additions, which round relative to max + |lam| * sum cosh.
+    rel = 8.0 * (n_rows + (b + 2) * _EXP_SAFE + 8) * np.finfo(float).eps
+    value = mx + lam * (cosh_sum - n_rows)
+    return value, rel * (mx + abs(lam) * cosh_sum)
 
 
 def _exhaustive_signs(b: int) -> np.ndarray:
@@ -184,9 +252,17 @@ def _best_candidate(
     potential of base + cols @ eps."""
     b = cols.shape[1]
     cands = _block_candidates(b, retries, gen)
-    sums = cands.astype(float) @ cols.T + base[None, :]  # (n_cand, n_rows)
-    scores = _score(sums, sigma, lam)
-    return cands[int(np.argmin(scores))]
+    prod = cands.astype(float) @ cols.T  # (n_cand, n_rows), one BLAS call
+    every = np.arange(cands.shape[0])
+    zb = np.abs(base) / sigma
+    reach = np.abs(cols).sum(axis=1) / sigma
+    if b < 2 or b > _EXHAUSTIVE_LIMIT or not np.max(zb + reach) <= _EXP_SAFE:
+        return cands[int(np.argmin(_exact_scores(prod, base, sigma, lam, every)))]
+    value, margin = _screen(prod, cols, base, sigma, lam, zb, reach)
+    target = _exact_scores(prod, base, sigma, lam, every[[int(np.argmin(value))]])[0]
+    # a NaN keeps its candidate, as an exact score of all would see it
+    alive = every[~(value - margin > target)]
+    return cands[alive[int(np.argmin(_exact_scores(prod, base, sigma, lam, alive)))]]
 
 
 def solve_hierarchical(

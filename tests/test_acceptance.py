@@ -5,11 +5,11 @@ AC-1 to AC-6 and AC-9 run the command line's experiments through
 `run_experiment` (README "Tests" names the experiment behind each one), so
 the gate and the CLI cannot drift apart: each bar is read from a reported
 check, each pin from a check value or a written file. AC-7 and AC-8 have no
-experiment and compute directly. The whole gate takes about five minutes;
-the two full derandomization runs are shared through a session fixture. One
-criterion (AC-3b, the binned deviation shape) does not hold at this scale:
-its test prints the measured FAIL line and is marked xfail rather than
-silently weakened.
+experiment and compute directly. The whole gate takes about two minutes,
+nearly all of it in the two full derandomization runs, which are shared
+through a session fixture. One criterion (AC-3b, the binned deviation
+shape) does not hold at this scale: its test prints the measured FAIL line
+and is marked xfail rather than silently weakened.
 """
 
 import csv

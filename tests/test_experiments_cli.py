@@ -249,6 +249,39 @@ def test_ac_diagnostics_pass_and_threshold_failure(tmp_path):
     assert not _checks_by_name(bad)["worst_growth_ratio"][2]
 
 
+def test_signs_trend_solves_once_per_size_when_seeds_are_inert(tmp_path, monkeypatch):
+    # K=4 searches every block exhaustively, so its seeds are inert; K=13
+    # draws random candidates, so each seed gets its own solve
+    solver = {"retries": 8, "lam": 0.5}
+    calls = []
+    real = experiments.solve_hierarchical
+    monkeypatch.setattr(
+        experiments, "solve_hierarchical", lambda *a: calls.append(a[1:4]) or real(*a)
+    )
+    cfg = ExperimentConfig(
+        "signs-trend",
+        solver=solver,
+        seeds=(0, 1, 2),
+        output_dir=str(tmp_path),
+        params={"n_list": [16, 32], "blocks": [4, 13]},
+    )
+    rep = run_experiment(cfg)
+    assert sorted(calls) == sorted(
+        [(4, 8, 0)] * 2 + [(13, 8, s) for s in (0, 1, 2) for _ in range(2)]
+    )
+    lines = ["n,solver,K,seed,discrepancy"]
+    for n in (16, 32):
+        v = experiments.build_synthetic_matrix(n, "exact_decay")
+        for K in (4, 13):
+            for s in (0, 1, 2):
+                d = experiments.row_discrepancy(v, real(v, K, 8, s, 0.5))
+                lines.append(f"{n},hierarchical,{K},{s},{d:.12g}")
+    assert (tmp_path / "signs_trend.csv").read_text() == "\n".join(lines) + "\n"
+    assert len(rep.notes) == 1 and rep.notes[0].startswith("K=4:")
+    assert "seeds are inert" in rep.notes[0]
+    assert json.loads((tmp_path / "report.json").read_text())["notes"] == list(rep.notes)
+
+
 def test_growth_ratio_check_fails_just_above_its_bound(tmp_path, monkeypatch):
     real = experiments.ac_diagnostics
 

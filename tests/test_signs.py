@@ -1,5 +1,7 @@
 """Decay matrices and the three sign solvers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from circlewarp import (
     solve_hierarchical,
     solve_iid,
 )
+from circlewarp import signs
 
 V2 = SignMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), row_ids=(0, 1))
 
@@ -154,3 +157,117 @@ def test_scale_equivariance():
 def test_sign_vector_validation():
     with pytest.raises(ValueError):
         SignVector(np.array([1, 0, -1], dtype=np.int8))
+
+
+# --- the screened block search ------------------------------------------------
+
+
+def best_candidate_reference(cols, base, sigma, lam, retries, gen):
+    """The block search before screening: every candidate scored at once."""
+    b = cols.shape[1]
+    if b <= 12:
+        masks = np.arange(1 << b, dtype=np.uint32)
+        bits = (masks[:, None] >> np.arange(b - 1, -1, -1, dtype=np.uint32)[None, :]) & 1
+        cands = 1 - 2 * bits.astype(np.int8)
+    else:
+        cands = (gen.integers(0, 2, size=(retries, b)) * 2 - 1).astype(np.int8)
+    sums = cands.astype(float) @ cols.T + base[None, :]
+    z = np.minimum(np.abs(sums) / sigma, 700.0)
+    scores = z.max(axis=-1) + lam * (np.cosh(z) - 1.0).sum(axis=-1)
+    return cands[int(np.argmin(scores))]
+
+
+def screen_cases():
+    """A frozen draw of 1200 block searches: b = 1..12 crossed with five column
+    kinds and four base kinds, five times over, plus one random-candidate
+    search (b = 14)."""
+    rng = np.random.default_rng(20261018)
+    for case in range(1200):
+        b = case % 12 + 1
+        col_kind = case // 12 % 5
+        base_kind = case // 60 % 4
+        n_rows = int(rng.integers(1, 121))
+        if col_kind == 3:  # dyadic entries: exact row sums, exact score ties
+            cols = rng.integers(-4, 5, size=(n_rows, b)) / 8.0
+        else:
+            cols = rng.standard_normal((n_rows, b)) * float(rng.choice([1e-3, 0.3, 1.0]))
+        sigma = max(float(np.max(np.abs(cols))), 0.125) * float(rng.choice([1.0, 2.0, 4.0]))
+        if col_kind == 1:  # a null column
+            cols[:, rng.integers(0, b)] = 0.0
+        elif col_kind == 2 and b > 1:  # duplicated columns, one negated
+            cols[:, 1] = cols[:, 0]
+            if b > 3:
+                cols[:, 3] = -cols[:, 2]
+        elif col_kind == 4:  # a column at rounding level
+            cols[:, rng.integers(0, b)] = 1e-13 * sigma * rng.standard_normal(n_rows)
+        if base_kind == 0:
+            base = np.zeros(n_rows)
+        elif base_kind == 1:
+            base = rng.standard_normal(n_rows) * sigma * float(rng.choice([0.5, 3.0, 20.0]))
+        elif base_kind == 2:
+            base = rng.integers(-16, 17, size=n_rows) / 8.0 * sigma
+        else:  # beyond the exponentials' safe range
+            base = rng.standard_normal(n_rows) * sigma
+            base[rng.integers(0, n_rows)] = 400.0 * sigma
+        lam = float(rng.choice([0.5, 0.5, 0.25, 2.0]))
+        yield cols, base, sigma, lam, 0
+    cols = rng.standard_normal((50, 14))
+    yield cols, rng.standard_normal(50), float(np.max(np.abs(cols))), 0.5, 5
+
+
+def test_screened_search_equals_scoring_every_candidate(monkeypatch):
+    screened = []
+    screen = signs._screen
+    monkeypatch.setattr(signs, "_screen", lambda *a: screened.append(1) or screen(*a))
+    for i, (cols, base, sigma, lam, seed) in enumerate(screen_cases()):
+        want = best_candidate_reference(cols, base, sigma, lam, 64, np.random.default_rng(seed))
+        got = signs._best_candidate(cols, base, sigma, lam, 64, np.random.default_rng(seed))
+        assert np.array_equal(got, want), f"case {i}"
+    # the screen itself ran, not only the fallback
+    assert len(screened) > 500
+
+
+def test_screen_keeps_few_candidates(monkeypatch):
+    # a loose bound keeps the answer right but leaves the screen idle: the max
+    # term read from four fixed rows keeps up to 21 candidates of 256 here
+    kept = []
+    exact = signs._exact_scores
+    monkeypatch.setattr(
+        signs, "_exact_scores", lambda p, b, s, l, idx: kept.append(idx.size) or exact(p, b, s, l, idx)
+    )
+    solve_hierarchical(build_synthetic_matrix(512, "random_signs_decay"))
+    assert len(kept) == 2 * 73  # each search: the screen's argmin, then its survivors
+    assert max(kept) <= 4
+
+
+@pytest.mark.parametrize("n_rows", [1, 3, 255, 4097])
+def test_blocked_exact_scores_are_bitwise_one_shot(n_rows):
+    rng = np.random.default_rng(n_rows)
+    n_cand = 257
+    prod = rng.standard_normal((n_cand, n_rows)) * 3.0
+    prod[0, 0] = 1e4  # past the overflow guard
+    base = rng.standard_normal(n_rows)
+    want = signs._score(prod + base, 1.5, 0.5)
+    every = np.arange(n_cand)
+    assert np.array_equal(signs._exact_scores(prod, base, 1.5, 0.5, every), want)
+    odd = every[1::2]
+    assert np.array_equal(signs._exact_scores(prod, base, 1.5, 0.5, odd), want[odd])
+
+
+# sha256 of the int8 sign vectors of solve_hierarchical with its defaults,
+# recorded before the block search was screened
+SIGN_PINS = {
+    (64, "exact_decay", "circular"): "e4ab2d30633c6bde4e1b5eddbbd378990c0ff673d095136e14a896d63ee8910a",
+    (64, "exact_decay", "linear"): "aefd6168b636ab121e9fdd8e449d248ccbc36a7f2d75d4bcc8a42ca74a8d4ca7",
+    (64, "random_signs_decay", "circular"): "96054c5b66efc292570cfa9495d4a62cc36956163f20aadde1afbef49874e970",
+    (512, "exact_decay", "circular"): "6d801beebaf927e0c5a3cbb993bfd60507d29cc1cfc734c9d51ff63451fa553f",
+    (512, "exact_decay", "linear"): "6d801beebaf927e0c5a3cbb993bfd60507d29cc1cfc734c9d51ff63451fa553f",
+    (512, "random_signs_decay", "circular"): "4100a484095f64f9ba87e0fb64a41682e5d788b785d834ec781389ea506a2644",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SIGN_PINS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
+def test_hierarchical_sign_vectors_pinned(key):
+    n, profile, dist = key
+    eps = solve_hierarchical(build_synthetic_matrix(n, profile, seed=0, dist=dist)).eps
+    assert hashlib.sha256(eps.tobytes()).hexdigest() == SIGN_PINS[key]
