@@ -139,11 +139,13 @@ class DerandConfig:
     halvings or once every window is below j_tol times its image cell.
     degrees=None tracks the default ladder. Rows of the functional matrix
     whose largest entry is below row_tol are dropped before the sign
-    search; columns whose largest kept entry is below null_tol carry no
-    signal and shrink to their concentric middle half instead of obeying a
-    sign. The value-engine tuples give Gauss-Legendre node counts for the
-    live window (panels x nodes) and for each untouched rank below the
-    active one; ranks past the tuple are frozen at conditional centers."""
+    search. Columns over constant cells (f flat on the cell's pinned image)
+    are exact zeros and always shrink to their concentric middle half;
+    null_tol applies to the other columns, which carry no signal and shrink
+    the same way when their largest kept entry is below it. The
+    value-engine tuples give Gauss-Legendre node counts for the live window
+    (panels x nodes) and for each untouched rank below the active one;
+    ranks past the tuple are frozen at conditional centers."""
 
     ell_max: int = 6
     j_tol: float = 2.0**-20
@@ -362,6 +364,19 @@ def _cell_grid(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return edges, edges[:-1] + (1 << (m - n))
 
 
+def _constant_cells(state: DerandState) -> np.ndarray:
+    """Per live cell, whether the samples of f at indices floor(a 2**m) ..
+    ceil(b 2**m) (index 2**m wrapping to 0) are all equal, [a, b] being the
+    cell's pinned image: then the interpolant is constant on [a, b], and so
+    is f(warp(t)) for every t in the cell whatever the warp does there."""
+    v = np.asarray(state.f.values, dtype=float)
+    size = v.size
+    steps = np.concatenate([[0], np.cumsum(v != np.roll(v, -1))])
+    lo = np.floor(state.fixed_y[:-1] * size).astype(np.int64)
+    hi = np.ceil(state.fixed_y[1:] * size).astype(np.int64)
+    return steps[hi] == steps[lo]
+
+
 # Work size, in array elements, of the blocks that the window engine, the
 # frozen tail of the value engine and the Monte-Carlo paths stream through:
 # small enough that a block's temporaries stay in cache. It cannot change a
@@ -516,37 +531,48 @@ def _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2):
     return out
 
 
-def _fold_degrees(profile: np.ndarray, degrees, pts: int) -> np.ndarray:
-    """Discrete partial sums of a full-grid profile at the pts evenly spaced
-    sample points, one row per degree. Degrees must be sorted ascending; the
-    spectrum folds incrementally so the sweep costs one pass."""
-    M = profile.size
-    c = np.fft.fft(profile) / M
+def _fold_plan(M: int, degrees, pts: int):
+    """What the _fold_degrees calls of one assembly share: the M frequencies
+    k ordered by |k| (stable), the bin k mod pts of each in that order, per
+    degree r the number of frequencies with |k| <= r, and pts. Degrees must
+    be sorted ascending."""
     ks = (np.arange(M) + M // 2) % M - M // 2
     order = np.argsort(np.abs(ks), kind="stable")
-    sorted_abs = np.abs(ks)[order]
+    bounds = np.searchsorted(np.abs(ks)[order], degrees, side="right")
+    return order, ks[order] % pts, bounds, pts
+
+
+def _fold_degrees(profile: np.ndarray, plan) -> np.ndarray:
+    """Discrete partial sums of a full-grid profile at the pts evenly spaced
+    sample points, one row per degree of the plan (_fold_plan). The spectrum
+    folds incrementally so the sweep costs one pass, and one batched inverse
+    transform serves every row."""
+    order, bins, bounds, pts = plan
+    c = np.fft.fft(profile) / profile.size
     folded = np.zeros(pts, dtype=complex)
-    out = np.empty((len(degrees), pts))
+    rows = np.empty((bounds.size, pts), dtype=complex)
     prev = 0
-    for row, r in enumerate(degrees):
-        hi = int(np.searchsorted(sorted_abs, r, side="right"))
+    for row, hi in enumerate(bounds):
         if hi > prev:
-            sel = order[prev:hi]
-            np.add.at(folded, ks[sel] % pts, c[sel])
+            np.add.at(folded, bins[prev:hi], c[order[prev:hi]])
             prev = hi
-        out[row] = (np.fft.ifft(folded) * pts).real
-    return out
+        rows[row] = folded
+    return (np.fft.ifft(rows, axis=1) * pts).real
 
 
-def _assemble(state: DerandState, degrees, cfg: DerandConfig, kept_halves=None):
+def _assemble(state: DerandState, degrees, cfg: DerandConfig, constant, kept_halves=None):
     """Functional matrix of one halving step plus the averaging-identity
     residual, measured on the same folded entries the matrix is made of,
     and each cell's (upper, lower) half-window profiles.
 
-    kept_halves, when given, holds per cell the half-window profile that
-    the previous halving kept, or None: that profile is bit for bit this
-    step's full-window profile (same call, same floats, since the new edge
-    is the old 0.5 * (lo + hi)), so it is not recomputed."""
+    Cells flagged in constant (_constant_cells) have f flat on their image,
+    so every window gives the same profile: their column is exactly zero,
+    they add nothing to the residual, and their halves are None, with no
+    window profile or fold computed. kept_halves, when given, holds per cell
+    the half-window profile that the previous halving kept, or None: that
+    profile is bit for bit this step's full-window profile (same call, same
+    floats, since the new edge is the old 0.5 * (lo + hi)), so it is not
+    recomputed."""
     f = state.f
     m = f.m
     n = state.n_active
@@ -554,13 +580,17 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig, kept_halves=None):
     qtab = _q_table(state.q, m)
     ranktab = _rank_table(m)
     pts = 1 << n
+    plan = _fold_plan(1 << m, degrees, pts)
     edges, mids = _cell_grid(m, n)
     cells = mids.size
-    vals = np.empty((len(degrees) * pts, cells))
+    vals = np.zeros((len(degrees) * pts, cells))
     ident = 0.0
     buf = np.zeros(1 << m)
     halves = []
     for i in range(cells):
+        if constant[i]:
+            halves.append(None)
+            continue
         gl, gd, gr = edges[i], mids[i], edges[i + 1]
         a = float(state.fixed_y[i])
         b = float(state.fixed_y[i + 1])
@@ -574,18 +604,18 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig, kept_halves=None):
         g_dn = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, ym)
         halves.append((g_up, g_dn))
         buf[gl + 1 : gr] = 0.5 * (g_up - g_dn)
-        vals[:, i] = _fold_degrees(buf, degrees, pts).ravel()
+        vals[:, i] = _fold_degrees(buf, plan).ravel()
         buf[gl + 1 : gr] = 0.5 * (g_up + g_dn) - g_full
-        ident = max(ident, float(np.max(np.abs(_fold_degrees(buf, degrees, pts)))))
+        ident = max(ident, float(np.max(np.abs(_fold_degrees(buf, plan)))))
         buf[gl + 1 : gr] = 0.0
     row_ids = tuple((r, j) for r in degrees for j in range(pts))
     return vals, row_ids, ident, halves
 
 
-def _assemble_kept(state: DerandState, degrees, cfg: DerandConfig, kept_halves=None):
+def _assemble_kept(state: DerandState, degrees, cfg: DerandConfig, constant, kept_halves=None):
     """_assemble, then the averaging-identity alarm and the row_tol filter:
     the kept rows, their ids, the residual and the half-window profiles."""
-    vals, row_ids, ident, halves = _assemble(state, degrees, cfg, kept_halves)
+    vals, row_ids, ident, halves = _assemble(state, degrees, cfg, constant, kept_halves)
     if ident > cfg.identity_tol:
         raise NumericalAlarm(
             "averaging identity residual too large",
@@ -607,7 +637,7 @@ def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | N
     if state.phase != "active":
         raise ValueError("no live windows to compare in a final state")
     degrees = _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
-    kept, kept_ids, _, _ = _assemble_kept(state, degrees, cfg)
+    kept, kept_ids, _, _ = _assemble_kept(state, degrees, cfg, _constant_cells(state))
     return SignMatrix(kept, kept_ids, dist="circular")
 
 
@@ -728,20 +758,9 @@ def _cell_subtree(E, table, qtab, state, gl, gd, a, b, level_nodes, ys, ws):
         np.add.at(E, g.ravel(), vals.ravel())
 
 
-def _constant_cells(state: DerandState) -> np.ndarray:
-    """Per live cell, whether the samples of f at indices floor(a 2**m) ..
-    ceil(b 2**m) (index 2**m wrapping to 0) are all equal, [a, b] being the
-    cell's pinned image: then the interpolant is constant on [a, b], and so
-    is f(warp(t)) for every t in the cell whatever the warp does there."""
-    v = np.asarray(state.f.values, dtype=float)
-    size = v.size
-    steps = np.concatenate([[0], np.cumsum(v != np.roll(v, -1))])
-    lo = np.floor(state.fixed_y[:-1] * size).astype(np.int64)
-    hi = np.ceil(state.fixed_y[1:] * size).astype(np.int64)
-    return steps[hi] == steps[lo]
-
-
-def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
+def _value_profile(state: DerandState, cfg: DerandConfig, constant=None) -> np.ndarray:
+    """Quadrature profile of the state; constant, when given, is the
+    state's _constant_cells mask."""
     f = state.f
     m = f.m
     n = state.n_active
@@ -751,7 +770,8 @@ def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     edges, mids = _cell_grid(m, n)
     E[edges[:-1]] = table.f_at(state.fixed_y[:-1])
     plan = cfg.value_plan(n)
-    constant = _constant_cells(state)
+    if constant is None:
+        constant = _constant_cells(state)
     for i in range(mids.size):
         if constant[i]:
             # f is flat on the cell's image: its left edge value is exact
@@ -892,11 +912,15 @@ def _choose_step(state, cfg, degrees, prof_old, kept_halves=None):
     """One halving from a state whose quadrature profile is prof_old. Also
     returns the half-window profile each cell kept (None where it shrank
     concentrically), to be reused as the next step's full-window profile,
-    and this step's silent-cell counts (see _silent_counts)."""
-    kept, kept_ids, ident, halves = _assemble_kept(state, degrees, cfg, kept_halves)
+    and this step's silent-cell counts: constant cells, and null columns
+    over non-constant cells."""
+    # the mask depends only on f and the pinned images, so it also serves
+    # the halved state's value profile
+    constant = _constant_cells(state)
+    kept, kept_ids, ident, halves = _assemble_kept(state, degrees, cfg, constant, kept_halves)
     cells = kept.shape[1]
     if kept.shape[0]:
-        null_cols = np.max(np.abs(kept), axis=0) < cfg.null_tol
+        null_cols = constant | (np.max(np.abs(kept), axis=0) < cfg.null_tol)
     else:
         null_cols = np.ones(cells, dtype=bool)
     eps = np.ones(cells, dtype=np.int8)
@@ -914,31 +938,24 @@ def _choose_step(state, cfg, degrees, prof_old, kept_halves=None):
     mid = 0.5 * (lo + hi)
     quarter = 0.25 * (hi - lo)
     # +1 conditions into the upper half; columns without signal shrink
-    # concentrically so that silence never biases the midpoint
+    # concentrically so that silence never biases the midpoint. Constant
+    # cells are silent by construction, so no null_tol, not even 0, can
+    # sign their exact zero columns
     new_lo = np.where(null_cols, mid - quarter, np.where(eps > 0, mid, lo))
     new_hi = np.where(null_cols, mid + quarter, np.where(eps > 0, hi, mid))
     new_state = dataclasses.replace(state, ell=state.ell + 1, j_lo=new_lo, j_hi=new_hi)
     kept_next = [
-        None if null else up if e > 0 else dn
-        for (up, dn), e, null in zip(halves, eps, null_cols)
+        None if null else pair[0] if e > 0 else pair[1]
+        for pair, e, null in zip(halves, eps, null_cols)
     ]
-    prof_new = _value_profile(new_state, cfg)
+    prof_new = _value_profile(new_state, cfg, constant)
     change = SampledFunction(state.f.m, prof_new - prof_old)
     records = [
         DeviationRecord(state.n_active, state.ell, r, sup)
         for r, sup in sup_partial_sums(change, degrees)
     ]
-    return new_state, prof_new, kept_next, records, ident, _silent_counts(state, null_cols)
-
-
-def _silent_counts(state, null_cols) -> np.ndarray:
-    """Constant cells, constant cells whose column is still above null_tol
-    (signed on rounding noise), and null columns over non-constant cells."""
-    constant = _constant_cells(state)
-    return np.array(
-        [constant.sum(), (constant & ~null_cols).sum(), (null_cols & ~constant).sum()],
-        dtype=np.int64,
-    )
+    silent = np.array([constant.sum(), (null_cols & ~constant).sum()], dtype=np.int64)
+    return new_state, prof_new, kept_next, records, ident, silent
 
 
 def choose_halves(
@@ -998,7 +1015,7 @@ def _advance(state: DerandState, cfg: DerandConfig, degrees, prof: np.ndarray):
     records: list[DeviationRecord] = []
     ident_max = 0.0
     kept = None
-    silent = np.zeros(3, dtype=np.int64)
+    silent = np.zeros(2, dtype=np.int64)
     while state.ell < cfg.ell_max and not _windows_converged(state, cfg):
         state, prof, kept, recs, ident, counts = _choose_step(state, cfg, degrees, prof, kept)
         records.extend(recs)
@@ -1047,10 +1064,8 @@ def run(
         state, recs, ident, silent = _advance(state, cfg, degrees, prof)
         records.extend(recs)
         ident_max = max(ident_max, ident)
-        constant, noise, null = (int(c) for c in silent)
-        silent_cells.append(
-            {"n": rank, "constant": constant, "constant_not_null": noise, "null_not_constant": null}
-        )
+        constant, null = (int(c) for c in silent)
+        silent_cells.append({"n": rank, "constant": constant, "null_not_constant": null})
     final = dataclasses.replace(state, phase="final", j_lo=np.empty(0), j_hi=np.empty(0))
     h = final.homeo()
     manifest = {

@@ -163,14 +163,14 @@ def test_ac3c_warped_partial_sums_bounded(derand_outputs):
 
     w_psq, b_psq, bounded_psq = sup["perturbed_square"]
     w_kk, b_kk, bounded_kk = sup["kk_example"]
-    assert w_psq == pytest.approx(1.643028511500607, rel=1e-6)
+    assert w_psq == pytest.approx(1.649017069045672, rel=1e-6)
     assert b_psq == pytest.approx(1.7979887146916371, rel=1e-6)
     assert w_kk == pytest.approx(1.0447336975689463, rel=1e-6)
     assert b_kk == pytest.approx(1.0607454994018302, rel=1e-6)
     # the warped sups pin the outputs to 1e-6; these digests pin them bitwise
     assert derand_outputs["perturbed_square"][2] == {
-        "homeo": "912f4778998a0735f96ee87eb0e7dbc368889de6f6c39db2a0be745c60598c2a",
-        "deviations": "5ec9a5c2c942d526f6f296b908ae130f20b391480a4ca0350baddd29a056dcaf",
+        "homeo": "4c5707714391fae8e5388befc163dc81578b721a2ce1749c1d6f6340b306a844",
+        "deviations": "0780e21622336c4f00648d0d572f6acabc852e26a788b52715b59922c2a494a6",
     }
     assert derand_outputs["kk_example"][2] == {
         "homeo": "c8e4ceaa1a8004bb1e0c79498d3505536941449fb06839c6301e5e6c9abdcb0a",

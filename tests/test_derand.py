@@ -197,10 +197,10 @@ def test_constant_function_halving_is_silent():
     q = confinement_map(c, depth=8).with_floor()
     s0 = DerandState.initial(c, q)
     s1, records, ident = choose_halves(s0, DerandConfig(mc_check=False), DEGREES)
-    assert ident < 1e-10
+    assert ident == 0.0
     assert all(rec.sup_dev < 1e-10 for rec in records)
     # no signal: the window shrinks concentrically instead of taking a side
-    assert 0.5 * (s1.j_lo[0] + s1.j_hi[0]) == pytest.approx(0.5 * (s0.j_lo[0] + s0.j_hi[0]), abs=1e-15)
+    assert 0.5 * (s1.j_lo[0] + s1.j_hi[0]) == 0.5 * (s0.j_lo[0] + s0.j_hi[0])
 
 
 def test_single_point_choice_matches_bruteforce():
@@ -450,9 +450,9 @@ def test_run_profiles_each_state_once(monkeypatch):
     profiled = []
     inner = derand._value_profile
 
-    def recorder(state, config):
+    def recorder(state, config, *mask):
         profiled.append(state)
-        return inner(state, config)
+        return inner(state, config, *mask)
 
     monkeypatch.setattr(derand, "_value_profile", recorder)
     res = run(tapered_oscillation(4, m=8), 4, cfg)
@@ -623,5 +623,138 @@ def test_kk_null_columns_are_its_constant_cells():
     assert [entry["n"] for entry in silent] == [1, 2, 3, 4, 5, 6]
     # six halvings per rank; at rank n all but one of the 2**(n-1) cells are flat
     assert [entry["constant"] for entry in silent] == [0, 6, 18, 42, 90, 186]
-    assert all(entry["constant_not_null"] == 0 for entry in silent)
+    assert all(set(entry) == {"n", "constant", "null_not_constant"} for entry in silent)
     assert all(entry["null_not_constant"] == 0 for entry in silent)
+
+
+def count_window_profiles(monkeypatch):
+    """Patch the window engine to log the pinned image (a, b) of every cell
+    it profiles; returns the log."""
+    calls = []
+    inner = derand._window_profile
+
+    def recorder(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2):
+        calls.append((a, b))
+        return inner(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2)
+
+    monkeypatch.setattr(derand, "_window_profile", recorder)
+    return calls
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_window_engine_skips_constant_cells(kk_states, rank, monkeypatch):
+    state = kk_states[rank]
+    constant = derand._constant_cells(state)
+    calls = count_window_profiles(monkeypatch)
+    assemble_v_matrix(state, DEGREES, DerandConfig())
+    images = list(zip(state.fixed_y[:-1], state.fixed_y[1:]))
+    flat = {images[i] for i in np.flatnonzero(constant)}
+    assert not flat & set(calls)
+    # full, upper and lower window for every other cell
+    assert len(calls) == 3 * int((~constant).sum())
+
+
+def test_constant_cell_columns_are_exact_zeros(kk_states):
+    state = kk_states[3]
+    constant = derand._constant_cells(state)
+    assert constant.any() and not constant.all()
+    v = assemble_v_matrix(state, DEGREES, DerandConfig(row_tol=0.0))
+    assert v.n_rows == len(DEGREES) << state.n_active
+    assert np.all(v.values[:, constant] == 0.0)
+    assert np.all(np.max(np.abs(v.values[:, ~constant]), axis=0) > 1e-6)
+
+
+def test_constant_cells_shrink_concentrically_at_zero_null_tol(kk_states):
+    # null_tol = 0 signs every column with any signal, yet cannot sign an
+    # exact zero column over a constant cell
+    state = kk_states[3]
+    constant = derand._constant_cells(state)
+    s1, _, _ = choose_halves(state, DerandConfig(mc_check=False, null_tol=0.0), DEGREES)
+    mid = 0.5 * (state.j_lo + state.j_hi)
+    quarter = 0.25 * (state.j_hi - state.j_lo)
+    assert np.array_equal(s1.j_lo[constant], (mid - quarter)[constant])
+    assert np.array_equal(s1.j_hi[constant], (mid + quarter)[constant])
+    concentric = (s1.j_lo == mid - quarter) & (s1.j_hi == mid + quarter)
+    assert not concentric[~constant].any()
+
+
+def test_run_constant_function_skips_the_window_engine(monkeypatch):
+    calls = count_window_profiles(monkeypatch)
+    res = run(SampledFunction(8, np.full(256, 0.7)), 5)
+    assert calls == []
+    grid = np.arange(33) / 32
+    assert np.array_equal(res.homeo.x, grid) and np.array_equal(res.homeo.y, grid)
+    assert res.identity_max == 0.0
+    assert [entry["constant"] for entry in res.manifest["silent_cells"]] == [6, 12, 24, 48, 96]
+
+
+def test_constant_cells_move_only_their_own_windows(monkeypatch):
+    # today's halving against the one that ran the window engine on
+    # constant cells too (the mask forced all-False; the value engine is
+    # bitwise either way): the two agree bit for bit until a column over a
+    # constant cell would have been signed on rounding noise, and there
+    # only such cells differ, each shrunk to its concentric middle half.
+    # Each step is choose_halves with the state's profile carried over.
+    f = CorpusSpec("perturbed_square", {"rank": 5, "jitter": 0.5, "seed": 1}, 8).build()
+    cfg = DerandConfig(mc_check=False)
+    degrees = default_degrees(6, 8)
+    state = DerandState.initial(f, confinement_map(f, depth=8).with_floor(cfg.q_floor_exponent))
+    mask = derand._constant_cells
+    prof = derand._value_profile(state, cfg)
+    while True:
+        if state.ell == cfg.ell_max or derand._windows_converged(state, cfg):
+            assert state.n_active < 6, "no divergence through rank 6"
+            state = derand._fix_and_promote(state)
+            prof = derand._value_profile(state, cfg)
+            continue
+        new, new_prof, _, new_records, _, _ = derand._choose_step(state, cfg, degrees, prof)
+        with monkeypatch.context() as mp:
+            mp.setattr(derand, "_constant_cells", lambda s: np.zeros(s.j_lo.size, dtype=bool))
+            old, old_prof, _, old_records, _, _ = derand._choose_step(state, cfg, degrees, prof)
+        differs = (new.j_lo != old.j_lo) | (new.j_hi != old.j_hi)
+        if not differs.any():
+            assert np.array_equal(new_prof, old_prof)
+            assert new_records == old_records
+            state, prof = new, new_prof
+            continue
+        assert (state.n_active, state.ell) == (6, 2)
+        constant = mask(state)
+        assert np.all(constant[differs])
+        mid = 0.5 * (state.j_lo + state.j_hi)
+        quarter = 0.25 * (state.j_hi - state.j_lo)
+        assert np.array_equal(new.j_lo[differs], (mid - quarter)[differs])
+        assert np.array_equal(new.j_hi[differs], (mid + quarter)[differs])
+        break
+
+
+def fold_degrees_reference(profile, degrees, pts):
+    """The fold as first written: frequency order rebuilt on every call and
+    one inverse transform per degree."""
+    M = profile.size
+    c = np.fft.fft(profile) / M
+    ks = (np.arange(M) + M // 2) % M - M // 2
+    order = np.argsort(np.abs(ks), kind="stable")
+    sorted_abs = np.abs(ks)[order]
+    folded = np.zeros(pts, dtype=complex)
+    out = np.empty((len(degrees), pts))
+    prev = 0
+    for row, r in enumerate(degrees):
+        hi = int(np.searchsorted(sorted_abs, r, side="right"))
+        if hi > prev:
+            sel = order[prev:hi]
+            np.add.at(folded, ks[sel] % pts, c[sel])
+            prev = hi
+        out[row] = (np.fft.ifft(folded) * pts).real
+    return out
+
+
+@pytest.mark.parametrize("m", [8, 10, 12])
+def test_fold_plan_is_bitwise_the_per_degree_loop(m):
+    rng = np.random.default_rng(m)
+    degrees = default_degrees(7, m)
+    for n in range(1, m):
+        pts = 1 << n
+        plan = derand._fold_plan(1 << m, degrees, pts)
+        for profile in (rng.standard_normal(1 << m), np.repeat(rng.standard_normal(pts), 1 << (m - n))):
+            got = derand._fold_degrees(profile, plan)
+            assert np.array_equal(got, fold_degrees_reference(profile, degrees, pts)), (m, n)
