@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -123,6 +124,8 @@ def default_degrees(n_max: int, m: int) -> tuple[int, ...]:
 def _resolve_degrees(degrees, m: int, n_hint: int) -> tuple[int, ...]:
     if degrees is None:
         degrees = default_degrees(n_hint, m)
+        if not degrees:
+            raise ResolutionError(f"a 2**{m} grid resolves no degree to track")
     out = sorted(set(int(r) for r in degrees))
     if not out or out[0] < 1:
         raise ValueError("degrees must be positive integers")
@@ -133,19 +136,32 @@ def _resolve_degrees(degrees, m: int, n_hint: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DerandConfig:
-    """Knobs for the halving loop and both expectation engines.
+    """The halving loop's settings, and the construction's fixed constants.
 
-    ell_max and j_tol stop the halving loop: a rank is pinned after ell_max
-    halvings or once every window is below j_tol times its image cell.
-    degrees=None tracks the default ladder. Rows of the functional matrix
-    whose largest entry is below row_tol are dropped before the sign
-    search. Columns over constant cells (f flat on the cell's pinned image)
-    are exact zeros and always shrink to their concentric middle half;
-    null_tol applies to the other columns, which carry no signal and shrink
-    the same way when their largest kept entry is below it. The
-    value-engine tuples give Gauss-Legendre node counts for the live window
-    (panels x nodes) and for each untouched rank below the active one;
-    ranks past the tuple are frozen at conditional centers."""
+    Settings (the fields; the only names a config may set):
+
+    * ell_max and j_tol stop the halving loop: a rank is pinned after
+      ell_max halvings or once every window is below j_tol times its image
+      cell. degrees=None tracks the default ladder.
+    * Rows of the functional matrix whose largest entry is below row_tol are
+      dropped before the sign search. Columns over constant cells (f flat on
+      the cell's pinned image) are exact zeros and always shrink to their
+      concentric middle half; null_tol applies to the other columns, which
+      carry no signal and shrink the same way when their largest kept entry
+      is below it. identity_tol bounds the averaging-identity residual.
+    * mc_check turns the Monte-Carlo guard on, with mc_samples paths per
+      rank.
+
+    Constants (read-only class attributes, the same for every instance):
+
+    * solver_*: block size, retries, seed and lambda of solve_hierarchical.
+    * q_floor_exponent: the budget map's floor 2**(-n * exponent).
+    * mc_seed, mc_floor, mc_exceed_frac: the guard's base seed, its floor
+      relative to sup |f|, and the share of points allowed past 6 SE.
+    * The value-engine plan (see value_plan): Gauss-Legendre node counts
+      for the live window (panels x nodes) and for each untouched rank
+      below the active one, shallow up to rank shallow_rank_max and deep
+      past it; ranks past the tuple are frozen at conditional centers."""
 
     ell_max: int = 6
     j_tol: float = 2.0**-20
@@ -153,41 +169,34 @@ class DerandConfig:
     row_tol: float = 1e-6
     null_tol: float = 1e-12
     identity_tol: float = 1e-6
-    solver_block: int = 8
-    solver_retries: int = 64
-    solver_seed: int = 0
-    solver_lam: float = 0.5
-    q_floor_exponent: float = 0.25
     mc_check: bool = True
     mc_samples: int = 10000
-    mc_seed: int = 2718
-    mc_floor: float = 1e-4
-    mc_exceed_frac: float = 0.10
-    shallow_rank_max: int = 3
-    y_panels_shallow: int = 16
-    y_panels_deep: int = 4
-    y_nodes: int = 4
-    level_nodes_shallow: tuple = (8, 4, 2, 2)
-    level_nodes_deep: tuple = (8, 2)
+
+    solver_block: ClassVar[int] = 8
+    solver_retries: ClassVar[int] = 64
+    solver_seed: ClassVar[int] = 0
+    solver_lam: ClassVar[float] = 0.5
+    q_floor_exponent: ClassVar[float] = 0.25
+    mc_seed: ClassVar[int] = 2718
+    mc_floor: ClassVar[float] = 1e-4
+    mc_exceed_frac: ClassVar[float] = 0.10
+    shallow_rank_max: ClassVar[int] = 3
+    y_panels_shallow: ClassVar[int] = 16
+    y_panels_deep: ClassVar[int] = 4
+    y_nodes: ClassVar[int] = 4
+    level_nodes_shallow: ClassVar[tuple] = (8, 4, 2, 2)
+    level_nodes_deep: ClassVar[tuple] = (8, 2)
 
     def __post_init__(self):
         if not (isinstance(self.ell_max, int) and self.ell_max >= 0):
             raise ValueError("ell_max must be a nonnegative integer")
         if not (0.0 < self.j_tol < 1.0):
             raise ValueError("j_tol must lie in (0, 1)")
-        for name in ("row_tol", "null_tol", "identity_tol", "mc_floor"):
+        for name in ("row_tol", "null_tol", "identity_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if not (0.0 <= self.mc_exceed_frac <= 1.0):
-            raise ValueError("mc_exceed_frac must lie in [0, 1]")
-        for name in ("y_panels_shallow", "y_panels_deep", "y_nodes", "mc_samples"):
-            if not (isinstance(getattr(self, name), int) and getattr(self, name) >= 1):
-                raise ValueError(f"{name} must be a positive integer")
-        for name in ("level_nodes_shallow", "level_nodes_deep"):
-            tup = tuple(getattr(self, name))
-            if any((not isinstance(k, int)) or k < 1 for k in tup):
-                raise ValueError(f"{name} must hold positive integers")
-            object.__setattr__(self, name, tup)
+        if not (isinstance(self.mc_samples, int) and self.mc_samples >= 1):
+            raise ValueError("mc_samples must be a positive integer")
         if self.degrees is not None:
             object.__setattr__(self, "degrees", tuple(int(r) for r in self.degrees))
 
@@ -632,7 +641,12 @@ def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | N
     """Rows are (degree, sample point) functionals, columns the live
     midpoints; entry = the response gained by conditioning the midpoint
     into its upper window half rather than the lower one. Rows whose best
-    entry is below row_tol are dropped."""
+    entry is below row_tol are dropped.
+
+    With degrees=None and config.degrees=None the default ladder is sized
+    to the state's active rank, default_degrees(state.n_active, m): 8
+    degrees at m=10 and rank 1, where run(f, 7) tracks 31. To step the way
+    run does, pass default_degrees(n_max, m)."""
     cfg = config if config is not None else DerandConfig()
     if state.phase != "active":
         raise ValueError("no live windows to compare in a final state")
@@ -963,7 +977,12 @@ def choose_halves(
 ) -> tuple[DerandState, list[DeviationRecord], float]:
     """One halving of every live window, signs picked jointly from the
     functional matrix. Returns the new state, one deviation record per
-    tracked degree, and the averaging-identity residual of the step."""
+    tracked degree, and the averaging-identity residual of the step.
+
+    With degrees=None and config.degrees=None the default ladder is sized
+    to the state's active rank, default_degrees(state.n_active, m): 8
+    degrees at m=10 and rank 1, where run(f, 7) tracks 31. To step the way
+    run does, pass default_degrees(n_max, m)."""
     cfg = config if config is not None else DerandConfig()
     if state.phase != "active":
         raise ValueError("no live windows to halve in a final state")
@@ -1000,7 +1019,12 @@ def advance(
     state: DerandState, config: DerandConfig | None = None, degrees=None
 ) -> tuple[DerandState, list[DeviationRecord], float]:
     """Halve until ell_max or until every window is negligibly short, pin
-    the live midpoints at their window centers, open the next rank."""
+    the live midpoints at their window centers, open the next rank.
+
+    With degrees=None and config.degrees=None the default ladder is sized
+    to the state's active rank, default_degrees(state.n_active, m): 8
+    degrees at m=10 and rank 1, where run(f, 7) tracks 31. To step the way
+    run does, pass default_degrees(n_max, m)."""
     cfg = config if config is not None else DerandConfig()
     if state.phase != "active":
         raise ValueError("cannot advance a final state")
@@ -1026,10 +1050,13 @@ def _advance(state: DerandState, cfg: DerandConfig, degrees, prof: np.ndarray):
 
 @dataclass(frozen=True)
 class RunResult:
+    """run's output; q is the budget map the run derived and pinned with."""
+
     homeo: PLHomeo
     records: tuple
     identity_max: float
     manifest: dict
+    q: ConfinementMap
 
 
 def run(
@@ -1081,4 +1108,4 @@ def run(
         "silent_cells": silent_cells,
         "breakpoints": int(h.x.size),
     }
-    return RunResult(h, tuple(records), ident_max, manifest)
+    return RunResult(h, tuple(records), ident_max, manifest, q)

@@ -143,7 +143,16 @@ def load_config(path) -> ExperimentConfig:
         m = {"m": c["m"]} if "m" in c else {}
         kwargs["corpus"] = CorpusSpec(c["kind"], params, **m)
     if kwargs.get("derand") is not None:
-        kwargs["derand"] = DerandConfig(**kwargs["derand"])
+        d = kwargs["derand"]
+        if not isinstance(d, dict):
+            raise ValueError("derand must be a JSON object")
+        valid = [f.name for f in dataclasses.fields(DerandConfig)]
+        unknown = [key for key in d if key not in valid]
+        if unknown:
+            raise ValueError(
+                f"unknown derand keys: {', '.join(map(str, unknown))}; valid: {', '.join(valid)}"
+            )
+        kwargs["derand"] = DerandConfig(**d)
     return ExperimentConfig(**kwargs)
 
 
@@ -391,8 +400,7 @@ def _exp_derand_full(cfg):
     res = derand_run(f, n_max, dcfg, label=spec.label())
     shape = record_shape_check(res.records)
     h = res.homeo
-    q = confinement_map(f, depth=f.m).with_floor(dcfg.q_floor_exponent)
-    cert = verify_mass_ratios(h, DFParams(depth=n_max, q=q, orientation="direct"))
+    cert = verify_mass_ratios(h, DFParams(depth=n_max, q=res.q, orientation="direct"))
     degrees = range(1, r_max + 1)
     sup_warp = max(s for _, s in sup_partial_sums(compose(f, h, compose_m), degrees))
     base = compose(f, identity_homeo(), compose_m)

@@ -58,3 +58,22 @@ def test_bench_imports_resolve():
             except ImportError:
                 missing.append((fname, module, name))
     assert not missing, f"bench/ imports that no longer resolve: {missing}"
+
+
+def test_bench_config_reads_resolve():
+    """bench/warp.py reads settings and constants off `cfg = DerandConfig()`;
+    each name it reads must still be an attribute of a default config."""
+    from circlewarp import DerandConfig
+
+    path = BENCH / "warp.py"
+    names = {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "cfg"
+    }
+    assert "q_floor_exponent" in names, "no cfg.<name> read found in bench/warp.py"
+    cfg = DerandConfig()
+    missing = sorted(name for name in names if not hasattr(cfg, name))
+    assert not missing, f"bench/warp.py reads DerandConfig names that do not resolve: {missing}"

@@ -1,5 +1,7 @@
 """Derandomization loop: expectation engines, halving choices, full runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from circlewarp import (
     default_degrees,
     expected_composition,
     mc_cross_check,
+    normalize_sup,
     record_shape_check,
     run,
     solve_bruteforce,
@@ -47,12 +50,40 @@ def test_config_rejects_bad_values():
         DerandConfig(ell_max=-1)
     with pytest.raises(ValueError):
         DerandConfig(j_tol=1.5)
-    with pytest.raises(ValueError):
-        DerandConfig(mc_exceed_frac=2.0)
-    with pytest.raises(ValueError):
-        DerandConfig(y_nodes=0)
-    with pytest.raises(ValueError):
-        DerandConfig(level_nodes_deep=(4, 0))
+
+
+SETTINGS = [
+    "ell_max", "j_tol", "degrees", "row_tol", "null_tol", "identity_tol", "mc_check", "mc_samples",
+]
+CONSTANTS = {
+    "solver_block": 8,
+    "solver_retries": 64,
+    "solver_seed": 0,
+    "solver_lam": 0.5,
+    "q_floor_exponent": 0.25,
+    "mc_seed": 2718,
+    "mc_floor": 1e-4,
+    "mc_exceed_frac": 0.10,
+    "shallow_rank_max": 3,
+    "y_panels_shallow": 16,
+    "y_panels_deep": 4,
+    "y_nodes": 4,
+    "level_nodes_shallow": (8, 4, 2, 2),
+    "level_nodes_deep": (8, 2),
+}
+
+
+def test_config_fields_are_the_settings():
+    assert [f.name for f in dataclasses.fields(DerandConfig)] == SETTINGS
+    assert list(dataclasses.asdict(DerandConfig())) == SETTINGS
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANTS))
+def test_config_constants_are_pinned_and_not_settable(name):
+    value = getattr(DerandConfig(), name)
+    assert type(value) is type(CONSTANTS[name]) and value == CONSTANTS[name]
+    with pytest.raises(TypeError):
+        DerandConfig(**{name: CONSTANTS[name]})
 
 
 def test_initial_state_window_concentric():
@@ -280,6 +311,22 @@ def test_run_output_carries_certificate():
     assert rep.passed
 
 
+def test_run_returns_the_budget_map_it_pinned_with():
+    f = tapered_oscillation(4, m=8)
+    res = run(f, 1, DerandConfig(mc_check=False, ell_max=2, degrees=DEGREES))
+    q = confinement_map(f, depth=8).with_floor(DerandConfig.q_floor_exponent)
+    assert res.q.floor_exponent == q.floor_exponent
+    assert len(res.q.levels) == len(q.levels)
+    assert all(np.array_equal(a, b) for a, b in zip(res.q.levels, q.levels))
+    # an oversized input is normalized first, and its budget map is the
+    # normalized input's
+    big = SampledFunction(8, 3.0 * f.values)
+    res = run(big, 1, DerandConfig(mc_check=False, ell_max=2, degrees=DEGREES))
+    q = confinement_map(normalize_sup(big), depth=8).with_floor(DerandConfig.q_floor_exponent)
+    assert res.manifest["normalized"] is True
+    assert all(np.array_equal(a, b) for a, b in zip(res.q.levels, q.levels))
+
+
 def test_run_manifest_and_alarm_guard():
     f = tapered_oscillation(4, m=8)
     res = run(f, 2, DerandConfig(ell_max=2, degrees=DEGREES, mc_samples=2000), label="smoke")
@@ -302,6 +349,16 @@ def test_run_depth_guard():
         run(tapered_oscillation(4, m=8), 7)
     with pytest.raises(ValueError):
         run(tapered_oscillation(4, m=8), 0)
+
+
+@pytest.mark.parametrize("step", [choose_halves, assemble_v_matrix, advance])
+def test_one_bit_grid_resolves_no_default_degree(step):
+    # a 2-sample grid has degree limit 2**0 = 1, so the default ladder is
+    # empty although the caller passed no degrees
+    f = SampledFunction(1, np.array([0.0, 0.5]))
+    state = DerandState.initial(f, confinement_map(f, depth=1).with_floor())
+    with pytest.raises(ResolutionError, match=r"2\*\*1 grid resolves no degree"):
+        step(state)
 
 
 # --- records and reports ----------------------------------------------------

@@ -133,6 +133,21 @@ def test_load_config_rejects_unknown_corpus_keys(tmp_path):
         load_config(p)
 
 
+def test_load_config_rejects_unknown_derand_keys(tmp_path):
+    p = _write_config(
+        tmp_path / "c.json", {"experiment": "derand-full", "derand": {"solver_block": 4}}
+    )
+    valid = "ell_max, j_tol, degrees, row_tol, null_tol, identity_tol, mc_check, mc_samples"
+    with pytest.raises(ValueError, match=f"unknown derand keys: solver_block; valid: {valid}$"):
+        load_config(p)
+
+
+def test_load_config_rejects_non_object_derand(tmp_path):
+    p = _write_config(tmp_path / "c.json", {"experiment": "derand-full", "derand": [2]})
+    with pytest.raises(ValueError, match="derand must be a JSON object"):
+        load_config(p)
+
+
 # --- run_experiment ---------------------------------------------------------------
 
 
@@ -448,6 +463,22 @@ def test_cli_run_unknown_corpus_keys_exit_two(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 2
     assert "config error: unknown corpus keys: mm" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_unknown_derand_keys_exit_two(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "typo.json",
+        {
+            "experiment": "derand-full",
+            "output_dir": str(tmp_path / "out"),
+            "derand": {"solver_block": 4},
+        },
+    )
+    assert main(["run", cfg]) == 2
+    assert "config error: unknown derand keys: solver_block; valid: ell_max" in (
+        capsys.readouterr().err
+    )
     assert not (tmp_path / "out").exists()
 
 
