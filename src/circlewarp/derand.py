@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -213,7 +213,13 @@ class DerandState:
     fixed_y holds the images of the rank-(n_active - 1) grid including both
     endpoints; j_lo/j_hi bound the live rank-n_active midpoints, one window
     per cell, nested inside the cell image. phase flips to "final" once
-    every tracked rank is pinned, after which homeo() is available."""
+    every tracked rank is pinned, after which homeo() is available.
+
+    Each state remembers what the halving steps learn about it: its
+    quadrature profile ("profile") and per cell the profile of its full
+    window ("windows"). Both are pure functions of the state, so a step
+    reads them here rather than recomputing them. The memo is no
+    constructor argument, and dataclasses.replace starts it empty."""
 
     f: SampledFunction
     q: ConfinementMap
@@ -223,6 +229,7 @@ class DerandState:
     j_lo: np.ndarray
     j_hi: np.ndarray
     phase: str = "active"
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.f, SampledFunction):
@@ -394,6 +401,11 @@ def _constant_cells(state: DerandState) -> np.ndarray:
 # order); np.add.at accumulates the frozen-tail blocks in input order; and
 # the sampler draws and sums whole batches, building only the paths in blocks.
 _BLOCK = 1 << 14
+
+# Monte-Carlo paths per batch of draws. The sampler draws a whole batch in
+# stream order, so this fixes which draw feeds which path: changing it
+# changes the guard's numbers, and it is no tuning knob.
+_MC_BATCH = 512
 
 
 # --- closed-form window engine -----------------------------------------------
@@ -569,19 +581,20 @@ def _fold_degrees(profile: np.ndarray, plan) -> np.ndarray:
     return (np.fft.ifft(rows, axis=1) * pts).real
 
 
-def _assemble(state: DerandState, degrees, cfg: DerandConfig, constant, kept_halves=None):
-    """Functional matrix of one halving step plus the averaging-identity
-    residual, measured on the same folded entries the matrix is made of,
-    and each cell's (upper, lower) half-window profiles.
+def _assemble(state: DerandState, degrees, cfg: DerandConfig):
+    """Functional matrix of one halving step: its rows of largest entry at
+    least row_tol, their ids, the averaging-identity residual, and each
+    cell's (upper, lower) half-window profiles. The residual is measured on
+    the same folded entries the matrix is made of, and past identity_tol it
+    raises NumericalAlarm.
 
-    Cells flagged in constant (_constant_cells) have f flat on their image,
-    so every window gives the same profile: their column is exactly zero,
-    they add nothing to the residual, and their halves are None, with no
-    window profile or fold computed. kept_halves, when given, holds per cell
-    the half-window profile that the previous halving kept, or None: that
-    profile is bit for bit this step's full-window profile (same call, same
-    floats, since the new edge is the old 0.5 * (lo + hi)), so it is not
-    recomputed."""
+    Cells flagged by _constant_cells have f flat on their image, so every
+    window gives the same profile: their column is exactly zero, they add
+    nothing to the residual, and their halves are None, with no window
+    profile or fold computed. Full-window profiles come from the state's
+    memo; the previous halving seeded it with the halves it kept, which are
+    bit for bit this step's full windows (same call, same floats, since the
+    new edge is the old 0.5 * (lo + hi))."""
     f = state.f
     m = f.m
     n = state.n_active
@@ -591,12 +604,13 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig, constant, kept_hal
     pts = 1 << n
     plan = _fold_plan(1 << m, degrees, pts)
     edges, mids = _cell_grid(m, n)
-    cells = mids.size
-    vals = np.zeros((len(degrees) * pts, cells))
+    constant = _constant_cells(state)
+    windows = state._memo.setdefault("windows", {})
+    vals = np.zeros((len(degrees) * pts, mids.size))
     ident = 0.0
     buf = np.zeros(1 << m)
     halves = []
-    for i in range(cells):
+    for i in range(mids.size):
         if constant[i]:
             halves.append(None)
             continue
@@ -606,35 +620,36 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig, constant, kept_hal
         y1 = float(state.j_lo[i])
         y2 = float(state.j_hi[i])
         ym = 0.5 * (y1 + y2)
-        g_full = None if kept_halves is None else kept_halves[i]
-        if g_full is None:
-            g_full = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2)
+        if i not in windows:
+            windows[i] = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2)
         g_up = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, ym, y2)
         g_dn = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, ym)
         halves.append((g_up, g_dn))
         buf[gl + 1 : gr] = 0.5 * (g_up - g_dn)
         vals[:, i] = _fold_degrees(buf, plan).ravel()
-        buf[gl + 1 : gr] = 0.5 * (g_up + g_dn) - g_full
+        buf[gl + 1 : gr] = 0.5 * (g_up + g_dn) - windows[i]
         ident = max(ident, float(np.max(np.abs(_fold_degrees(buf, plan)))))
         buf[gl + 1 : gr] = 0.0
-    row_ids = tuple((r, j) for r in degrees for j in range(pts))
-    return vals, row_ids, ident, halves
-
-
-def _assemble_kept(state: DerandState, degrees, cfg: DerandConfig, constant, kept_halves=None):
-    """_assemble, then the averaging-identity alarm and the row_tol filter:
-    the kept rows, their ids, the residual and the half-window profiles."""
-    vals, row_ids, ident, halves = _assemble(state, degrees, cfg, constant, kept_halves)
     if ident > cfg.identity_tol:
         raise NumericalAlarm(
             "averaging identity residual too large",
-            n=state.n_active,
+            n=n,
             ell=state.ell,
             residual=ident,
             tol=cfg.identity_tol,
         )
     keep = np.max(np.abs(vals), axis=1) >= cfg.row_tol
+    row_ids = tuple((r, j) for r in degrees for j in range(pts))
     return vals[keep], tuple(rid for rid, flag in zip(row_ids, keep) if flag), ident, halves
+
+
+def _step_args(state: DerandState, config: DerandConfig | None, degrees):
+    """The config and the degrees a public step on an active state runs
+    with (see assemble_v_matrix for the default degrees)."""
+    cfg = config if config is not None else DerandConfig()
+    if state.phase != "active":
+        raise ValueError("a final state has no live windows")
+    return cfg, _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
 
 
 def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | None = None) -> SignMatrix:
@@ -646,12 +661,10 @@ def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | N
     With degrees=None and config.degrees=None the default ladder is sized
     to the state's active rank, default_degrees(state.n_active, m): 8
     degrees at m=10 and rank 1, where run(f, 7) tracks 31. To step the way
-    run does, pass default_degrees(n_max, m)."""
-    cfg = config if config is not None else DerandConfig()
-    if state.phase != "active":
-        raise ValueError("no live windows to compare in a final state")
-    degrees = _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
-    kept, kept_ids, _, _ = _assemble_kept(state, degrees, cfg, _constant_cells(state))
+    run does, pass default_degrees(n_max, m). choose_halves and advance
+    take the same defaults."""
+    cfg, degrees = _step_args(state, config, degrees)
+    kept, kept_ids, _, _ = _assemble(state, degrees, cfg)
     return SignMatrix(kept, kept_ids, dist="circular")
 
 
@@ -772,9 +785,9 @@ def _cell_subtree(E, table, qtab, state, gl, gd, a, b, level_nodes, ys, ws):
         np.add.at(E, g.ravel(), vals.ravel())
 
 
-def _value_profile(state: DerandState, cfg: DerandConfig, constant=None) -> np.ndarray:
-    """Quadrature profile of the state; constant, when given, is the
-    state's _constant_cells mask."""
+def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
+    """Quadrature profile of the state, computed afresh (_profile reads it
+    from the state's memo)."""
     f = state.f
     m = f.m
     n = state.n_active
@@ -784,8 +797,7 @@ def _value_profile(state: DerandState, cfg: DerandConfig, constant=None) -> np.n
     edges, mids = _cell_grid(m, n)
     E[edges[:-1]] = table.f_at(state.fixed_y[:-1])
     plan = cfg.value_plan(n)
-    if constant is None:
-        constant = _constant_cells(state)
+    constant = _constant_cells(state)
     for i in range(mids.size):
         if constant[i]:
             # f is flat on the cell's image: its left edge value is exact
@@ -793,6 +805,16 @@ def _value_profile(state: DerandState, cfg: DerandConfig, constant=None) -> np.n
         else:
             _cell_expectation(E, table, qtab, state, i, edges[i], mids[i], plan)
     return E
+
+
+def _profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
+    """The state's quadrature profile, computed on first use. The value
+    plan is a set of class constants, so the profile depends on the state
+    alone."""
+    memo = state._memo
+    if "profile" not in memo:
+        memo["profile"] = _readonly(_value_profile(state, cfg))
+    return memo["profile"]
 
 
 def expected_composition(
@@ -821,7 +843,7 @@ def expected_composition(
 # --- Monte-Carlo guard ---------------------------------------------------------
 
 
-def _mc_profile(state: DerandState, n_samples: int, seed: int, batch: int = 512):
+def _mc_profile(state: DerandState, n_samples: int, seed: int):
     """Seeded sampler of the conditioned law; grid marginals are exact, so
     this is the reference the quadrature engine must match."""
     f = state.f
@@ -845,7 +867,7 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int, batch: int = 512)
     acc2 = np.zeros(size)
     done = 0
     while done < n_samples:
-        bsz = min(batch, n_samples - done)
+        bsz = min(_MC_BATCH, n_samples - done)
         # the whole batch's draws in stream order, then paths built and
         # evaluated a few rows at a time; the column sums see the same rows
         # in the same order either way
@@ -893,13 +915,8 @@ def mc_cross_check(
     offending points rather than the worst one. A genuine indexing or
     window bug shifts whole cells and trips both immediately."""
     cfg = config if config is not None else DerandConfig()
-    return _mc_report(state, cfg, cfg.mc_seed if seed is None else seed, _value_profile(state, cfg))
-
-
-def _mc_report(state: DerandState, cfg: DerandConfig, seed: int, quad: np.ndarray) -> dict:
-    """mc_cross_check against quad, the state's quadrature profile."""
-    mean, se = _mc_profile(state, cfg.mc_samples, seed)
-    diff = np.abs(quad - mean)
+    mean, se = _mc_profile(state, cfg.mc_samples, cfg.mc_seed if seed is None else seed)
+    diff = np.abs(_profile(state, cfg) - mean)
     floor = cfg.mc_floor * max(state.f.sup_norm(), 1e-30)
     mean_gap = float(np.mean(diff))
     mean_gate = 3.0 * float(np.mean(se)) + floor
@@ -922,16 +939,11 @@ def _mc_report(state: DerandState, cfg: DerandConfig, seed: int, quad: np.ndarra
 # --- the halving loop ----------------------------------------------------------
 
 
-def _choose_step(state, cfg, degrees, prof_old, kept_halves=None):
-    """One halving from a state whose quadrature profile is prof_old. Also
-    returns the half-window profile each cell kept (None where it shrank
-    concentrically), to be reused as the next step's full-window profile,
-    and this step's silent-cell counts: constant cells, and null columns
-    over non-constant cells."""
-    # the mask depends only on f and the pinned images, so it also serves
-    # the halved state's value profile
+def _halve(state: DerandState, cfg: DerandConfig, degrees):
+    """choose_halves, plus the step's silent-cell counts: constant cells,
+    and null columns over the other cells."""
     constant = _constant_cells(state)
-    kept, kept_ids, ident, halves = _assemble_kept(state, degrees, cfg, constant, kept_halves)
+    kept, kept_ids, ident, halves = _assemble(state, degrees, cfg)
     cells = kept.shape[1]
     if kept.shape[0]:
         null_cols = constant | (np.max(np.abs(kept), axis=0) < cfg.null_tol)
@@ -958,18 +970,19 @@ def _choose_step(state, cfg, degrees, prof_old, kept_halves=None):
     new_lo = np.where(null_cols, mid - quarter, np.where(eps > 0, mid, lo))
     new_hi = np.where(null_cols, mid + quarter, np.where(eps > 0, hi, mid))
     new_state = dataclasses.replace(state, ell=state.ell + 1, j_lo=new_lo, j_hi=new_hi)
-    kept_next = [
-        None if null else pair[0] if e > 0 else pair[1]
-        for pair, e, null in zip(halves, eps, null_cols)
-    ]
-    prof_new = _value_profile(new_state, cfg, constant)
-    change = SampledFunction(state.f.m, prof_new - prof_old)
+    # the half a cell kept is its new full window; concentric cells start over
+    new_state._memo["windows"] = {
+        i: pair[0] if e > 0 else pair[1]
+        for i, (pair, e, null) in enumerate(zip(halves, eps, null_cols))
+        if not null
+    }
+    change = SampledFunction(state.f.m, _profile(new_state, cfg) - _profile(state, cfg))
     records = [
         DeviationRecord(state.n_active, state.ell, r, sup)
         for r, sup in sup_partial_sums(change, degrees)
     ]
     silent = np.array([constant.sum(), (null_cols & ~constant).sum()], dtype=np.int64)
-    return new_state, prof_new, kept_next, records, ident, silent
+    return new_state, records, ident, silent
 
 
 def choose_halves(
@@ -977,19 +990,9 @@ def choose_halves(
 ) -> tuple[DerandState, list[DeviationRecord], float]:
     """One halving of every live window, signs picked jointly from the
     functional matrix. Returns the new state, one deviation record per
-    tracked degree, and the averaging-identity residual of the step.
-
-    With degrees=None and config.degrees=None the default ladder is sized
-    to the state's active rank, default_degrees(state.n_active, m): 8
-    degrees at m=10 and rank 1, where run(f, 7) tracks 31. To step the way
-    run does, pass default_degrees(n_max, m)."""
-    cfg = config if config is not None else DerandConfig()
-    if state.phase != "active":
-        raise ValueError("no live windows to halve in a final state")
-    degrees = _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
-    prof_old = _value_profile(state, cfg)
-    new_state, _, _, records, ident, _ = _choose_step(state, cfg, degrees, prof_old)
-    return new_state, records, ident
+    tracked degree, and the averaging-identity residual of the step."""
+    cfg, degrees = _step_args(state, config, degrees)
+    return _halve(state, cfg, degrees)[:3]
 
 
 def _windows_converged(state: DerandState, cfg: DerandConfig) -> bool:
@@ -1020,28 +1023,19 @@ def advance(
 ) -> tuple[DerandState, list[DeviationRecord], float]:
     """Halve until ell_max or until every window is negligibly short, pin
     the live midpoints at their window centers, open the next rank.
-
-    With degrees=None and config.degrees=None the default ladder is sized
-    to the state's active rank, default_degrees(state.n_active, m): 8
-    degrees at m=10 and rank 1, where run(f, 7) tracks 31. To step the way
-    run does, pass default_degrees(n_max, m)."""
-    cfg = config if config is not None else DerandConfig()
-    if state.phase != "active":
-        raise ValueError("cannot advance a final state")
-    degrees = _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
-    state, records, ident_max, _ = _advance(state, cfg, degrees, _value_profile(state, cfg))
-    return state, records, ident_max
+    Returns the new state, the deviation records of every halving, and the
+    largest averaging-identity residual among them."""
+    cfg, degrees = _step_args(state, config, degrees)
+    return _advance(state, cfg, degrees)[:3]
 
 
-def _advance(state: DerandState, cfg: DerandConfig, degrees, prof: np.ndarray):
-    """advance from a state whose quadrature profile is prof; also returns
-    the rank's silent-cell counts summed over its halvings."""
+def _advance(state: DerandState, cfg: DerandConfig, degrees):
+    """advance, plus the rank's silent-cell counts summed over its halvings."""
     records: list[DeviationRecord] = []
     ident_max = 0.0
-    kept = None
     silent = np.zeros(2, dtype=np.int64)
     while state.ell < cfg.ell_max and not _windows_converged(state, cfg):
-        state, prof, kept, recs, ident, counts = _choose_step(state, cfg, degrees, prof, kept)
+        state, recs, ident, counts = _halve(state, cfg, degrees)
         records.extend(recs)
         ident_max = max(ident_max, ident)
         silent += counts
@@ -1083,12 +1077,9 @@ def run(
     mc_reports = []
     silent_cells = []
     for rank in range(1, n_max + 1):
-        # one quadrature profile of the opening state serves the MC guard
-        # and the first halving
-        prof = _value_profile(state, cfg)
         if cfg.mc_check:
-            mc_reports.append(_mc_report(state, cfg, cfg.mc_seed + 7919 * rank, prof))
-        state, recs, ident, silent = _advance(state, cfg, degrees, prof)
+            mc_reports.append(mc_cross_check(state, cfg, cfg.mc_seed + 7919 * rank))
+        state, recs, ident, silent = _advance(state, cfg, degrees)
         records.extend(recs)
         ident_max = max(ident_max, ident)
         constant, null = (int(c) for c in silent)

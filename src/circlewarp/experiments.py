@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -27,6 +26,7 @@ from .derand import DerandConfig, record_shape_check, run as derand_run
 from .fourier import a_norm, circ_dist, kernel_block_matrix, sup_partial_sums
 from .grid import compose, homeo_to_json, identity_homeo
 from .haar import confinement_map
+from .plotting import _atomic_write, emit_plot
 from .randhomeo import (
     DFParams,
     ac_diagnostics,
@@ -91,6 +91,19 @@ class ExperimentConfig:
         for key in self.solver:
             if key not in ("block", "retries", "seed", "lam"):
                 raise ValueError(f"unknown solver option {key!r}")
+        reads = _SECTIONS[self.experiment]
+        present = {
+            "corpus": self.corpus is not None,
+            "solver": bool(self.solver),
+            "derand": self.derand is not None,
+            "seeds": bool(self.seeds),
+        }
+        unread = [name for name, here in present.items() if here and name not in reads]
+        if unread:
+            raise ValueError(
+                f"sections {self.experiment} does not read: {', '.join(unread)}; "
+                f"valid: {', '.join(reads) or 'none'}"
+            )
         known = _PARAMS[self.experiment]
         unknown = [key for key in self.params if key not in known]
         if unknown:
@@ -180,20 +193,6 @@ class ExperimentReport:
             "notes": list(self.notes),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _atomic_write(path: str, text: str) -> str:
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", text=True)
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
 
 
 def _write_csv(path: str, header, rows) -> str:
@@ -473,6 +472,19 @@ EXPERIMENTS = {
     "ac-diagnostics": _exp_ac_diagnostics,
 }
 
+# the config sections each experiment reads; ExperimentConfig rejects any
+# other section unless it is empty
+_SECTIONS = {
+    "kernel-decay": (),
+    "signs-trend": ("solver", "seeds"),
+    "iid-vs-hierarchical": ("solver", "seeds"),
+    "df-stats": ("seeds",),
+    "psi-q-certificates": ("seeds",),
+    "anorm-growth": (),
+    "derand-full": ("corpus", "derand"),
+    "ac-diagnostics": ("corpus", "seeds"),
+}
+
 # every experiment's `params` keys with their defaults; ExperimentConfig
 # rejects any other key
 _PARAMS = {
@@ -517,10 +529,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _atomic_write(os.path.join(out, "version.txt"), f"circlewarp {_tool_version()}\n")
     )
     if "svg" in cfg.formats and plot_src is not None and "csv" in cfg.formats:
-        from .plotting import emit_plot
-
-        src = os.path.join(out, plot_src)
-        outputs.append(emit_plot(src, plot_kind))
+        outputs.append(emit_plot(os.path.join(out, plot_src), plot_kind))
     report = ExperimentReport(
         experiment=cfg.experiment,
         passed=all(ok for (_, _, _, ok) in checks),

@@ -260,15 +260,20 @@ def emit_plot(table_path, kind: str) -> str:
         f'viewBox="0 0 {_W} {_H}">\n<rect width="{_W}" height="{_H}" fill="white"/>\n'
         f"{body}\n</svg>\n"
     )
-    out = os.path.splitext(str(table_path))[0] + ".svg"
-    d = os.path.dirname(out) or "."
+    return _atomic_write(os.path.splitext(str(table_path))[0] + ".svg", svg)
+
+
+def _atomic_write(path: str, text: str) -> str:
+    """Write text to path through a temp file and a rename, so readers never
+    see partial output; returns path. Experiment tables share it."""
+    d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(svg)
-        os.replace(tmp, out)
+            fh.write(text)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return out
+    return path

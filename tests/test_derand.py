@@ -507,9 +507,9 @@ def test_run_profiles_each_state_once(monkeypatch):
     profiled = []
     inner = derand._value_profile
 
-    def recorder(state, config, *mask):
+    def recorder(state, config):
         profiled.append(state)
-        return inner(state, config, *mask)
+        return inner(state, config)
 
     monkeypatch.setattr(derand, "_value_profile", recorder)
     res = run(tapered_oscillation(4, m=8), 4, cfg)
@@ -584,7 +584,7 @@ def test_window_engine_matches_adaptive_quadrature(rank_states, rank):
 
 
 @pytest.fixture(scope="module")
-def kk_states():
+def kk_openings():
     """Opening states of ranks 1 .. 4 of the m=8 kk_example, each rank below
     halved in full by advance."""
     f = CorpusSpec("kk_example", {"k_max": 4}, 8).build()
@@ -593,6 +593,13 @@ def kk_states():
     for rank in (2, 3, 4):
         states[rank], _, _ = advance(states[rank - 1], cfg, DEGREES)
     return states
+
+
+@pytest.fixture
+def kk_states(kk_openings):
+    """kk_openings, copied so that each test starts from states that
+    remember no profile."""
+    return {rank: dataclasses.replace(s) for rank, s in kk_openings.items()}
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -654,14 +661,14 @@ def test_constant_cell_mask_edges(odd, expected):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_advance_equals_repeated_choose_halves(kk_states, rank):
-    # advance hands each kept half-window profile to the next halving;
-    # choose_halves recomputes every full window from scratch
+    # each path starts from its own copy of the state, so neither reads a
+    # profile that the other one computed
     cfg = DerandConfig(mc_check=False)
     state = kk_states[rank]
     promoted, records, ident_max = advance(state, cfg, DEGREES)
     ref_records = []
     ref_ident = 0.0
-    s = state
+    s = dataclasses.replace(state)
     while s.ell < cfg.ell_max and not derand._windows_converged(s, cfg):
         s, recs, ident = choose_halves(s, cfg, DEGREES)
         ref_records.extend(recs)
@@ -751,28 +758,27 @@ def test_constant_cells_move_only_their_own_windows(monkeypatch):
     # bitwise either way): the two agree bit for bit until a column over a
     # constant cell would have been signed on rounding noise, and there
     # only such cells differ, each shrunk to its concentric middle half.
-    # Each step is choose_halves with the state's profile carried over.
+    # Each step is choose_halves; the profiles compared are the ones each
+    # new state remembers.
     f = CorpusSpec("perturbed_square", {"rank": 5, "jitter": 0.5, "seed": 1}, 8).build()
     cfg = DerandConfig(mc_check=False)
     degrees = default_degrees(6, 8)
     state = DerandState.initial(f, confinement_map(f, depth=8).with_floor(cfg.q_floor_exponent))
     mask = derand._constant_cells
-    prof = derand._value_profile(state, cfg)
     while True:
         if state.ell == cfg.ell_max or derand._windows_converged(state, cfg):
             assert state.n_active < 6, "no divergence through rank 6"
             state = derand._fix_and_promote(state)
-            prof = derand._value_profile(state, cfg)
             continue
-        new, new_prof, _, new_records, _, _ = derand._choose_step(state, cfg, degrees, prof)
+        new, new_records, _ = choose_halves(state, cfg, degrees)
         with monkeypatch.context() as mp:
             mp.setattr(derand, "_constant_cells", lambda s: np.zeros(s.j_lo.size, dtype=bool))
-            old, old_prof, _, old_records, _, _ = derand._choose_step(state, cfg, degrees, prof)
+            old, old_records, _ = choose_halves(state, cfg, degrees)
         differs = (new.j_lo != old.j_lo) | (new.j_hi != old.j_hi)
         if not differs.any():
-            assert np.array_equal(new_prof, old_prof)
+            assert np.array_equal(derand._profile(new, cfg), derand._profile(old, cfg))
             assert new_records == old_records
-            state, prof = new, new_prof
+            state = new
             continue
         assert (state.n_active, state.ell) == (6, 2)
         constant = mask(state)
@@ -782,6 +788,105 @@ def test_constant_cells_move_only_their_own_windows(monkeypatch):
         assert np.array_equal(new.j_lo[differs], (mid - quarter)[differs])
         assert np.array_equal(new.j_hi[differs], (mid + quarter)[differs])
         break
+
+
+# --- the public steps are the pipeline ---------------------------------------
+
+
+def square_m8():
+    return CorpusSpec("perturbed_square", {"rank": 5, "jitter": 0.5, "seed": 1}, 8).build()
+
+
+def count_engine_calls(mp):
+    """Patch both engines to count their calls; returns the live counts."""
+    counts = {"value": 0, "window": 0}
+    value, window = derand._value_profile, derand._window_profile
+
+    def value_counted(*args):
+        counts["value"] += 1
+        return value(*args)
+
+    def window_counted(*args):
+        counts["window"] += 1
+        return window(*args)
+
+    mp.setattr(derand, "_value_profile", value_counted)
+    mp.setattr(derand, "_window_profile", window_counted)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def square_run():
+    """run(f, 6) on the m=8 perturbed_square, and its _value_profile calls."""
+    with pytest.MonkeyPatch.context() as mp:
+        counts = count_engine_calls(mp)
+        res = run(square_m8(), 6)
+    return res, counts["value"]
+
+
+def test_public_steps_profile_each_state_once(square_run, monkeypatch):
+    f = square_m8()
+    cfg = DerandConfig()
+    degrees = default_degrees(6, f.m)
+    opening = DerandState.initial(f, confinement_map(f, depth=f.m).with_floor(cfg.q_floor_exponent))
+    counts = count_engine_calls(monkeypatch)
+    # the guard's profile of the opening state serves the halving too
+    mc_cross_check(opening, cfg)
+    choose_halves(opening, cfg, degrees)
+    assert counts["value"] == 2
+    rank3 = opening
+    for _ in range(2):
+        rank3, _, _ = advance(rank3, cfg, degrees)
+    counts.update(value=0, window=0)
+    advance(dataclasses.replace(rank3), cfg, degrees)
+    by_advance = dict(counts)
+    assert by_advance == {"value": 7, "window": 52}
+    counts.update(value=0, window=0)
+    state = dataclasses.replace(rank3)
+    while state.ell < cfg.ell_max and not derand._windows_converged(state, cfg):
+        state, _, _ = choose_halves(state, cfg, degrees)
+    assert counts == by_advance
+    # one profile per opening state and per halving: 6 ranks x (1 + 6)
+    assert square_run[1] == 42
+
+
+def test_public_steps_reproduce_run(square_run):
+    # the pipeline of run, driven one public step at a time
+    res = square_run[0]
+    f = square_m8()
+    cfg = DerandConfig()
+    degrees = default_degrees(6, f.m)
+    state = DerandState.initial(f, confinement_map(f, depth=f.m).with_floor(cfg.q_floor_exponent))
+    records = []
+    ident_max = 0.0
+    reports = []
+    for rank in range(1, 7):
+        reports.append(mc_cross_check(state, cfg, seed=cfg.mc_seed + 7919 * rank))
+        while state.ell < cfg.ell_max and not derand._windows_converged(state, cfg):
+            state, recs, ident = choose_halves(state, cfg, degrees)
+            records.extend(recs)
+            ident_max = max(ident_max, ident)
+        state, recs, _ = advance(state, cfg, degrees)
+        assert recs == []
+    assert np.array_equal(state.fixed_y, res.homeo.y)
+    assert tuple(records) == res.records
+    assert ident_max == res.identity_max
+    assert reports == res.manifest["mc_reports"]
+
+
+def test_state_memo_starts_empty():
+    state = taper_state()
+    built = DerandState(
+        state.f, state.q, 1, 0, state.fixed_y, state.j_lo, state.j_hi, "active"
+    )
+    assert built._memo == {}
+    choose_halves(built, DerandConfig(), DEGREES)
+    assert set(built._memo) == {"profile", "windows"}
+    assert dataclasses.replace(built)._memo == {}
+    assert dataclasses.replace(built, ell=1)._memo == {}
+    memo = next(fd for fd in dataclasses.fields(DerandState) if fd.name == "_memo")
+    assert not memo.init and not memo.repr and not memo.compare
+    assert "_memo" not in repr(built)
 
 
 def fold_degrees_reference(profile, degrees, pts):

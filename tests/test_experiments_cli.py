@@ -148,6 +148,33 @@ def test_load_config_rejects_non_object_derand(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize(
+    "experiment, section, value, valid",
+    [
+        ("derand-full", "solver", {"block": 4}, "corpus, derand"),
+        ("kernel-decay", "seeds", [1, 2], "none"),
+        ("anorm-growth", "derand", {"ell_max": 2}, "none"),
+        ("signs-trend", "corpus", {"kind": "oscillation"}, "solver, seeds"),
+        ("df-stats", "solver", {"lam": 0.25}, "seeds"),
+        ("ac-diagnostics", "derand", {"mc_check": False}, "corpus, seeds"),
+    ],
+)
+def test_load_config_rejects_sections_the_experiment_does_not_read(
+    tmp_path, experiment, section, value, valid
+):
+    p = _write_config(tmp_path / "c.json", {"experiment": experiment, section: value})
+    with pytest.raises(
+        ValueError, match=f"sections {experiment} does not read: {section}; valid: {valid}$"
+    ):
+        load_config(p)
+
+
+def test_empty_sections_are_valid_for_every_experiment():
+    for name in EXPERIMENTS:
+        cfg = ExperimentConfig(name, corpus=None, solver={}, derand=None, seeds=())
+        assert (cfg.solver, cfg.seeds) == ({}, ())
+
+
 # --- run_experiment ---------------------------------------------------------------
 
 
@@ -346,6 +373,22 @@ def _table(path, text):
     return str(path)
 
 
+@pytest.mark.parametrize("kind", ["table", "plot"])
+def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, kind):
+    src = _table(tmp_path / "t.csv", "a,b\n1,2\n3,4\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        if kind == "table":
+            experiments._write_csv(str(tmp_path / "u.csv"), ("a", "b"), [(1, 2.5)])
+        else:
+            emit_plot(src, "line")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
 def test_line_plot_labels_axes_from_headers(tmp_path):
     src = _table(tmp_path / "two.csv", "step,height\n1,0.5\n2,0.75\n3,0.875\n")
     out = emit_plot(src, "line")
@@ -477,6 +520,22 @@ def test_cli_run_unknown_derand_keys_exit_two(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 2
     assert "config error: unknown derand keys: solver_block; valid: ell_max" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_unread_section_exit_two(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "unread.json",
+        {
+            "experiment": "derand-full",
+            "output_dir": str(tmp_path / "out"),
+            "solver": {"block": 4},
+        },
+    )
+    assert main(["run", cfg]) == 2
+    assert "config error: sections derand-full does not read: solver" in (
         capsys.readouterr().err
     )
     assert not (tmp_path / "out").exists()
