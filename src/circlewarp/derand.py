@@ -810,7 +810,9 @@ def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
 def _profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     """The state's quadrature profile, computed on first use. The value
     plan is a set of class constants, so the profile depends on the state
-    alone."""
+    alone. The memo is valid only for that plan: a caller who varies it
+    (on DerandConfig or a subclass) must pass a dataclasses.replace copy,
+    which starts with an empty memo."""
     memo = state._memo
     if "profile" not in memo:
         memo["profile"] = _readonly(_value_profile(state, cfg))
@@ -913,7 +915,10 @@ def mc_cross_check(
     standard errors; inputs with kinks or jumps legitimately overrun that
     in thin bands around their images, so the gate bounds the fraction of
     offending points rather than the worst one. A genuine indexing or
-    window bug shifts whole cells and trips both immediately."""
+    window bug shifts whole cells and trips both immediately.
+
+    The quadrature side is the state's remembered profile (see _profile):
+    after varying the value plan, pass a dataclasses.replace copy."""
     cfg = config if config is not None else DerandConfig()
     mean, se = _mc_profile(state, cfg.mc_samples, cfg.mc_seed if seed is None else seed)
     diff = np.abs(_profile(state, cfg) - mean)

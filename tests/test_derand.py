@@ -522,7 +522,12 @@ def test_run_profiles_each_state_once(monkeypatch):
     monkeypatch.setattr(derand, "_value_profile", inner)
     openings = [s for s in profiled if s.ell == 0]
     assert [s.n_active for s in openings] == [1, 2, 3, 4]
-    expected = [mc_cross_check(s, cfg, seed=cfg.mc_seed + 7919 * s.n_active) for s in openings]
+    # fresh copies, so the expected reports profile each opening anew
+    # rather than read the profile run left on it
+    expected = [
+        mc_cross_check(dataclasses.replace(s), cfg, seed=cfg.mc_seed + 7919 * s.n_active)
+        for s in openings
+    ]
     assert res.manifest["mc_reports"] == expected
 
 
@@ -661,16 +666,18 @@ def test_constant_cell_mask_edges(odd, expected):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_advance_equals_repeated_choose_halves(kk_states, rank):
-    # each path starts from its own copy of the state, so neither reads a
-    # profile that the other one computed
+    # advance reuses the kept halves as the next full windows; the reference
+    # recomputes every full window and profile from scratch (each step gets
+    # a copy with an empty memo), so the two agree only if a kept half is
+    # bit for bit the next full window
     cfg = DerandConfig(mc_check=False)
     state = kk_states[rank]
     promoted, records, ident_max = advance(state, cfg, DEGREES)
     ref_records = []
     ref_ident = 0.0
-    s = dataclasses.replace(state)
+    s = state
     while s.ell < cfg.ell_max and not derand._windows_converged(s, cfg):
-        s, recs, ident = choose_halves(s, cfg, DEGREES)
+        s, recs, ident = choose_halves(dataclasses.replace(s), cfg, DEGREES)
         ref_records.extend(recs)
         ref_ident = max(ref_ident, ident)
     ref = derand._fix_and_promote(s)
@@ -758,8 +765,10 @@ def test_constant_cells_move_only_their_own_windows(monkeypatch):
     # bitwise either way): the two agree bit for bit until a column over a
     # constant cell would have been signed on rounding noise, and there
     # only such cells differ, each shrunk to its concentric middle half.
-    # Each step is choose_halves; the profiles compared are the ones each
-    # new state remembers.
+    # Each step is choose_halves; the unmasked one runs on a copy with an
+    # empty memo, so it recomputes every window instead of reading the
+    # masked step's, and the profiles compared are the ones each new state
+    # remembers.
     f = CorpusSpec("perturbed_square", {"rank": 5, "jitter": 0.5, "seed": 1}, 8).build()
     cfg = DerandConfig(mc_check=False)
     degrees = default_degrees(6, 8)
@@ -773,7 +782,7 @@ def test_constant_cells_move_only_their_own_windows(monkeypatch):
         new, new_records, _ = choose_halves(state, cfg, degrees)
         with monkeypatch.context() as mp:
             mp.setattr(derand, "_constant_cells", lambda s: np.zeros(s.j_lo.size, dtype=bool))
-            old, old_records, _ = choose_halves(state, cfg, degrees)
+            old, old_records, _ = choose_halves(dataclasses.replace(state), cfg, degrees)
         differs = (new.j_lo != old.j_lo) | (new.j_hi != old.j_hi)
         if not differs.any():
             assert np.array_equal(derand._profile(new, cfg), derand._profile(old, cfg))
