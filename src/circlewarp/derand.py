@@ -320,26 +320,44 @@ class _PLTable:
         du = p * self.inv_size
         return np.subtract(u, du, out=du)
 
+    @staticmethod
+    def _line(du, slope, value, out=None):
+        """value + slope * du."""
+        out = np.multiply(du, slope, out=out)
+        out += value
+        return out
+
+    @staticmethod
+    def _quad(du, half_slope, value, cum):
+        """cum + (value + half_slope * du) * du, accumulated in half_slope."""
+        half_slope *= du
+        half_slope += value
+        half_slope *= du
+        half_slope += cum
+        return half_slope
+
     def f_at(self, u, p=None):
         """values[p] + slopes[p] * (u - p / size)."""
         if p is None:
             p = self.piece(u)
-        out = self._offset(u, p)
-        out *= self.slopes.take(p)
-        out += self.values.take(p)
-        return out
+        du = self._offset(u, p)
+        return self._line(du, self.slopes.take(p), self.values.take(p), out=du)
 
     def F_at(self, u, p=None):
         """cum[p] + (values[p] + 0.5 * slopes[p] * du) * du, du = u - p / size."""
         if p is None:
             p = self.piece(u)
         du = self._offset(u, p)
-        out = self.half_slopes.take(p)
-        out *= du
-        out += self.values.take(p)
-        out *= du
-        out += self.cum.take(p)
-        return out
+        return self._quad(du, self.half_slopes.take(p), self.values.take(p), self.cum.take(p))
+
+    def lookup(self, u, p):
+        """F_at(u, p), f_at(u, p) and slopes[p], from one offset and one
+        gather of each table."""
+        du = self._offset(u, p)
+        slope = self.slopes.take(p)
+        value = self.values.take(p)
+        F = self._quad(du, 0.5 * slope, value, self.cum.take(p))
+        return F, self._line(du, slope, value, out=du), slope
 
     def mean_F(self, ulo, uhi):
         """Mean of f over [ulo, uhi]; pointwise value when the window is
@@ -350,10 +368,11 @@ class _PLTable:
         tiny = w <= 1e-13
         out = self.F_at(uhi)
         out -= self.F_at(ulo)
+        if not tiny.any():
+            out /= w
+            return out
         out /= np.where(tiny, 1.0, w)
-        if np.any(tiny):
-            out = np.where(tiny, self.f_at(0.5 * (ulo + uhi)), out)
-        return out
+        return np.where(tiny, self.f_at(0.5 * (ulo + uhi)), out)
 
 
 def _q_table(q: ConfinementMap, m: int) -> np.ndarray:
@@ -396,10 +415,13 @@ def _constant_cells(state: DerandState) -> np.ndarray:
 # Work size, in array elements, of the blocks that the window engine, the
 # frozen tail of the value engine and the Monte-Carlo paths stream through:
 # small enough that a block's temporaries stay in cache. It cannot change a
-# result. Every operation inside a block is elementwise; a point's panels
-# never straddle two window blocks (its sum is one bincount over them, in
-# order); np.add.at accumulates the frozen-tail blocks in input order; and
-# the sampler draws and sums whole batches, building only the paths in blocks.
+# result. Every operation inside a block is elementwise or acts within one
+# row; a point's breakpoints are one row of a window block, sorted on their
+# own, so its panels never straddle two blocks (its sum is one bincount
+# over them, in z order); np.add.at accumulates the frozen-tail blocks in
+# input order; and the sampler draws and sums whole batches, building only
+# the paths in blocks. A window block holds about _BLOCK breakpoints; the
+# pads that fill its rows to the longest one come on top.
 _BLOCK = 1 << 14
 
 # Monte-Carlo paths per batch of draws. The sampler draws a whole batch in
@@ -417,6 +439,13 @@ _MC_BATCH = 512
 # integral over a window in z splits into panels at the f-node crossings of
 # either line; on each panel the numerator is one quadratic, expanded at the
 # panel's left edge so nothing cancels, and the integral is elementary.
+#
+# The points of one half window share the origin and the window [z1, z2],
+# which are passed as floats. In a block, each point's breakpoints (z1, z2
+# and the crossings) fill one row, padded with z2 up to the longest row;
+# an in-place row sort orders them, and the panels are the positive gaps,
+# read in row-major order. A pad repeats the row's largest breakpoint, so it
+# only adds zero-width gaps, which are dropped as repeated crossings are.
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -439,59 +468,53 @@ def _crossing_counts(size, origin, c, z1, z2):
 def _integrate_block(table, origin, c_hi, c_lo, z1, z2, cnt1, first1, cnt2, first2):
     """_half_window_integrals on one block, given the node crossings
     (_crossing_counts) of its two lines."""
-    size = table.size
-    T = origin.size
-    counts = 2 + cnt1 + cnt2
-    cum = np.concatenate([[0], np.cumsum(counts)])
-    z_flat = np.empty(int(cum[-1]))
-    pos0 = cum[:-1]
-    z_flat[pos0] = z1
-    z_flat[pos0 + 1] = z2
-    for cnt, first, c, base in ((cnt1, first1, c_hi, 2), (cnt2, first2, c_lo, None)):
-        if base is None:
-            offs = pos0 + 2 + cnt1
-        else:
-            offs = pos0 + base
+    T = c_hi.size
+    rows = np.arange(T)
+    # row t: z1, then the crossings of point t, then z2 and its pads
+    L = 2 + int((cnt1 + cnt2).max())
+    zs = np.full((T, L), z2)
+    zs[:, 0] = z1
+    col = rows * L + 1  # flat index of the row's next free cell
+    for cnt, first, c in ((cnt1, first1, c_hi), (cnt2, first2, c_lo)):
         rr = _ranges(cnt)
-        nodes = np.repeat(first, cnt) + rr
-        zc = (nodes / size - np.repeat(origin, cnt)) / np.repeat(c, cnt)
-        zc = np.clip(zc, np.repeat(z1, cnt), np.repeat(z2, cnt))
-        z_flat[np.repeat(offs, cnt) + rr] = zc
-    t_id = np.repeat(np.arange(T), counts)
-    order = np.lexsort((z_flat, t_id))
-    zs = z_flat[order]
-    ts = t_id[order]
-    W = zs[1:] - zs[:-1]
-    keep = (ts[:-1] == ts[1:]) & (W > 0.0)
-    pt = ts[:-1][keep]
-    zA = zs[:-1][keep]
+        zc = ((np.repeat(first, cnt) + rr) / table.size - origin) / np.repeat(c, cnt)
+        zs.reshape(-1)[np.repeat(col, cnt) + rr] = np.clip(zc, z1, z2)
+        col += cnt
+    zs.sort(axis=1)
+    W = zs[:, 1:] - zs[:, :-1]
+    keep = W > 0.0
+    zA = zs[:, :-1][keep]
     W = W[keep]
+    per_row = np.count_nonzero(keep, axis=1)
 
-    O = origin[pt]
-    ch = c_hi[pt]
-    cl = c_lo[pt]
+    ch = np.repeat(c_hi, per_row)
+    cl = np.repeat(c_lo, per_row)
     zm = zA + 0.5 * W
-    p1 = table.piece(O + ch * zm)
-    p2 = table.piece(O + cl * zm)
-    u1 = O + ch * zA
-    u2 = O + cl * zA
-    n0 = table.F_at(u1, p1) - table.F_at(u2, p2)
-    n1 = table.f_at(u1, p1) * ch - table.f_at(u2, p2) * cl
-    n2 = 0.5 * (table.slopes[p1] * ch * ch - table.slopes[p2] * cl * cl)
+    p1 = table.piece(origin + ch * zm)
+    p2 = table.piece(origin + cl * zm)
+    F1, f1, s1 = table.lookup(origin + ch * zA, p1)
+    F2, f2, s2 = table.lookup(origin + cl * zA, p2)
+    n0 = F1 - F2
+    n1 = f1 * ch - f2 * cl
+    n2 = 0.5 * (s1 * ch * ch - s2 * cl * cl)
     panel = W * (n1 - n2 * zA + 0.5 * n2 * W)
-    inner = zA > 0.0
-    if np.any(inner):
-        # at zA == 0 both lines start at the origin, so the log coefficient
-        # n0 - n1 zA + n2 zA**2 vanishes identically and the term drops
+    # at zA == 0 both lines start at the origin, so the log coefficient
+    # n0 - n1 zA + n2 zA**2 vanishes identically and the term drops
+    if zA.min(initial=1.0) > 0.0:
+        panel += (n0 - zA * (n1 - zA * n2)) * np.log1p(W / zA)
+    else:
+        inner = zA > 0.0
         K = n0[inner] - zA[inner] * (n1[inner] - zA[inner] * n2[inner])
         panel[inner] += K * np.log1p(W[inner] / zA[inner])
-    return np.bincount(pt, weights=panel, minlength=T) / (c_hi - c_lo)
+    return np.bincount(np.repeat(rows, per_row), weights=panel, minlength=T) / (c_hi - c_lo)
 
 
 def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2, max_edges=_BLOCK):
     """Per-point integral over [z1, z2] of the window mean of f along the
-    line pair (origin, c_hi), (origin, c_lo), in blocks of whole points."""
-    T = origin.size
+    line pair (origin, c_hi), (origin, c_lo), in blocks of whole points.
+    The lines share one origin and one window: origin, z1 and z2 are
+    floats, one slope pair per point."""
+    T = c_hi.size
     out = np.zeros(T)
     if T == 0:
         return out
@@ -504,7 +527,7 @@ def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2, max_edges=_BLOCK):
         stop = min(max(stop, start + 1), T)
         sl = slice(start, stop)
         out[sl] = _integrate_block(
-            table, origin[sl], c_hi[sl], c_lo[sl], z1[sl], z2[sl],
+            table, origin, c_hi[sl], c_lo[sl], z1, z2,
             cnt1[sl], first1[sl], cnt2[sl], first2[sl],
         )
         start = stop
@@ -524,30 +547,14 @@ def _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2):
         s = (left - gl) / (gd - gl)
         width = qtab[left] * np.exp2(n - ranktab[left]).astype(float)
         out[:mid_pos] = (
-            _half_window_integrals(
-                table,
-                np.full(left.size, a),
-                s + width,
-                s - width,
-                np.full(left.size, y1 - a),
-                np.full(left.size, y2 - a),
-            )
-            / span
+            _half_window_integrals(table, a, s + width, s - width, y1 - a, y2 - a) / span
         )
     right = np.arange(gd + 1, gr)
     if right.size:
         s = (gr - right) / (gr - gd)
         width = qtab[right] * np.exp2(n - ranktab[right]).astype(float)
         out[mid_pos + 1 :] = (
-            _half_window_integrals(
-                table,
-                np.full(right.size, b),
-                width - s,
-                -(s + width),
-                np.full(right.size, b - y2),
-                np.full(right.size, b - y1),
-            )
-            / span
+            _half_window_integrals(table, b, width - s, -(s + width), b - y2, b - y1) / span
         )
     return out
 
@@ -712,7 +719,16 @@ def _composite_gl(y1, y2, panels, k):
 _PATH_CHUNK = 600_000
 
 
-def _cell_expectation(E, table, qtab, state, i, gl, gd, plan):
+def _tail_table(qtab: np.ndarray, seg: int) -> np.ndarray:
+    """qtab[g] * lowbit(g mod seg) / seg at every grid index g: the half
+    width, per unit of its segment's span, of a point that the frozen tail
+    of seg-wide segments places. The factor is a power of two, so
+    tail[g] * span rounds exactly as qtab[g] * span * factor does."""
+    d = np.arange(qtab.size) % seg
+    return qtab * ((d & -d) / seg)
+
+
+def _cell_expectation(E, table, qtab, tail, state, i, gl, gd, plan):
     y_panels, y_nodes, level_nodes = plan
     E[gd] = table.mean_F(np.array([state.j_lo[i]]), np.array([state.j_hi[i]]))[0]
 
@@ -727,12 +743,12 @@ def _cell_expectation(E, table, qtab, state, i, gl, gd, plan):
     b = float(state.fixed_y[i + 1])
     for start in range(0, ys.size, step):
         _cell_subtree(
-            E, table, qtab, state, gl, gd, a, b, level_nodes,
+            E, table, qtab, tail, state, gl, gd, a, b, level_nodes,
             ys[start : start + step], ws[start : start + step],
         )
 
 
-def _cell_subtree(E, table, qtab, state, gl, gd, a, b, level_nodes, ys, ws):
+def _cell_subtree(E, table, qtab, tail, state, gl, gd, a, b, level_nodes, ys, ws):
     m = table.m
     n = state.n_active
     lo = np.concatenate([np.full(ys.size, a), ys])
@@ -765,9 +781,7 @@ def _cell_subtree(E, table, qtab, state, gl, gd, a, b, level_nodes, ys, ws):
     # ranks past the quadrature tuple: ancestors frozen at conditional
     # centers, each point still integrated exactly over its own window
     deltas = np.arange(1, seg)
-    lowbit = deltas & -deltas
     frac = deltas / seg
-    sc = lowbit / seg
     rows = max(1, _BLOCK // seg)
     for start in range(0, lo.size, rows):
         sl = slice(start, min(start + rows, lo.size))
@@ -775,9 +789,8 @@ def _cell_subtree(E, table, qtab, state, gl, gd, a, b, level_nodes, ys, ws):
         g = xl[sl][:, None] + deltas
         pos = span * frac
         pos += lo[sl][:, None]
-        hw = qtab.take(g)
+        hw = tail.take(g)
         hw *= span
-        hw *= sc
         ulo = pos - hw
         pos += hw
         vals = table.mean_F(ulo, pos)
@@ -797,13 +810,15 @@ def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     edges, mids = _cell_grid(m, n)
     E[edges[:-1]] = table.f_at(state.fixed_y[:-1])
     plan = cfg.value_plan(n)
+    # _cell_subtree's segments are this wide once its quadrature levels end
+    tail = _tail_table(qtab, (1 << (m - n)) >> min(len(plan[2]), m - n))
     constant = _constant_cells(state)
     for i in range(mids.size):
         if constant[i]:
             # f is flat on the cell's image: its left edge value is exact
             E[edges[i] + 1 : edges[i + 1]] = E[edges[i]]
         else:
-            _cell_expectation(E, table, qtab, state, i, edges[i], mids[i], plan)
+            _cell_expectation(E, table, qtab, tail, state, i, edges[i], mids[i], plan)
     return E
 
 

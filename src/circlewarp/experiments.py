@@ -3,8 +3,9 @@
 Each experiment produces deterministic tables (CSV), a JSON report with
 explicit pass/fail thresholds, and optionally a plot. Every output
 directory additionally receives an echo of the resolved configuration and
-a tool version stamp, so a result file can always be traced back to the
-exact invocation that produced it. run_experiment is the one writer of
+a provenance stamp (package and NumPy versions, usable CPU count), so a
+result file can always be traced back to the exact invocation that
+produced it. run_experiment is the one writer of
 experiment files, and every write goes through a temp-file-plus-rename so
 readers never observe partial output.
 """
@@ -525,9 +526,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         else:
             outputs.append(_write_csv(path, *content))
     outputs.append(_atomic_write(os.path.join(out, "config_echo.json"), cfg.to_json()))
-    outputs.append(
-        _atomic_write(os.path.join(out, "version.txt"), f"circlewarp {_tool_version()}\n")
-    )
+    outputs.append(_atomic_write(os.path.join(out, "version.txt"), _provenance()))
     if "svg" in cfg.formats and plot_src is not None and "csv" in cfg.formats:
         outputs.append(emit_plot(os.path.join(out, plot_src), plot_kind))
     report = ExperimentReport(
@@ -543,10 +542,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _tool_version() -> str:
+def _provenance() -> str:
+    """version.txt: the package version, the NumPy version and the number
+    of CPUs this process may run on."""
     try:
         from importlib.metadata import version
 
-        return version("circlewarp")
+        tool = version("circlewarp")
     except Exception:
-        return "0.1.0+local"
+        tool = "0.1.0+local"
+    if hasattr(os, "sched_getaffinity"):
+        nproc = len(os.sched_getaffinity(0))
+    else:
+        nproc = os.cpu_count()
+    return f"circlewarp {tool}\nnumpy {np.__version__}\nnproc {nproc}\n"

@@ -415,7 +415,9 @@ def rank_states():
 def window_lines(state):
     """(side, origin, c_hi, c_lo, z1, z2) of every half window, built the
     way the window engine frames each cell: live midpoint at origin + z,
-    every deeper point frozen at its conditional center."""
+    every deeper point frozen at its conditional center. The points of a
+    half window share the float origin and bounds z1, z2; c_hi and c_lo
+    hold one slope per point."""
     m, n = state.f.m, state.n_active
     qtab = derand._q_table(state.q, m)
     ranktab = derand._rank_table(m)
@@ -423,18 +425,16 @@ def window_lines(state):
         gl = i << (m - n + 1)
         gr = gl + (1 << (m - n + 1))
         gd = (gl + gr) >> 1
-        a, b = state.fixed_y[i], state.fixed_y[i + 1]
-        y1, y2 = state.j_lo[i], state.j_hi[i]
+        a, b = float(state.fixed_y[i]), float(state.fixed_y[i + 1])
+        y1, y2 = float(state.j_lo[i]), float(state.j_hi[i])
         left = np.arange(gl + 1, gd)
         s = (left - gl) / (gd - gl)
         width = qtab[left] * np.exp2(n - ranktab[left])
-        ones = np.ones(left.size)
-        yield "left", a * ones, s + width, s - width, (y1 - a) * ones, (y2 - a) * ones
+        yield "left", a, s + width, s - width, y1 - a, y2 - a
         right = np.arange(gd + 1, gr)
         s = (gr - right) / (gr - gd)
         width = qtab[right] * np.exp2(n - ranktab[right])
-        ones = np.ones(right.size)
-        yield "right", b * ones, width - s, -(s + width), (b - y2) * ones, (b - y1) * ones
+        yield "right", b, width - s, -(s + width), b - y2, b - y1
 
 
 def mc_profile_reference(state, n_samples, seed, batch=512):
@@ -565,10 +565,10 @@ def test_window_engine_matches_adaptive_quadrature(rank_states, rank):
     F = pl_antiderivative(np.asarray(state.f.values, dtype=float))
     size = table.size
     checked = 0
-    for side, origin, c_hi, c_lo, z1, z2 in window_lines(state):
-        got = derand._half_window_integrals(table, origin, c_hi, c_lo, z1, z2)
-        for t in range(0, origin.size, 4):
-            O, ch, cl, a, b = origin[t], c_hi[t], c_lo[t], z1[t], z2[t]
+    for side, O, c_hi, c_lo, a, b in window_lines(state):
+        got = derand._half_window_integrals(table, O, c_hi, c_lo, a, b)
+        for t in range(0, c_hi.size, 4):
+            ch, cl = c_hi[t], c_lo[t]
 
             def mean_along(z):
                 return (F(O + ch * z) - F(O + cl * z)) / ((ch - cl) * z)
@@ -583,6 +583,120 @@ def test_window_engine_matches_adaptive_quadrature(rank_states, rank):
             assert abs(got[t] - want) / (b - a) <= 1e-10, (side, t)
             checked += 1
     assert checked >= 16
+
+
+# --- the window kernels against their first, lexsort form -----------------------
+
+
+def textbook_F(table, u, p):
+    du = u - p * table.inv_size
+    return (table.half_slopes[p] * du + table.values[p]) * du + table.cum[p]
+
+
+def textbook_f(table, u, p):
+    du = u - p * table.inv_size
+    return du * table.slopes[p] + table.values[p]
+
+
+def half_window_reference(table, origin, c_hi, c_lo, z1, z2):
+    """The window kernel as first written, on all points of a half window
+    at once: per-point arrays for origin and bounds, every point's
+    breakpoints in one flat array ordered by np.lexsort on (point, z), and
+    separate F and f lookups."""
+    size = table.size
+    T = c_hi.size
+    origin, z1, z2 = (np.full(T, x) for x in (origin, z1, z2))
+    cnt1, first1 = derand._crossing_counts(size, origin, c_hi, z1, z2)
+    cnt2, first2 = derand._crossing_counts(size, origin, c_lo, z1, z2)
+    counts = 2 + cnt1 + cnt2
+    cum = np.concatenate([[0], np.cumsum(counts)])
+    z_flat = np.empty(int(cum[-1]))
+    pos0 = cum[:-1]
+    z_flat[pos0] = z1
+    z_flat[pos0 + 1] = z2
+    for cnt, first, c, offs in ((cnt1, first1, c_hi, pos0 + 2), (cnt2, first2, c_lo, pos0 + 2 + cnt1)):
+        starts = np.concatenate([[0], np.cumsum(cnt)[:-1]])
+        rr = np.arange(int(cnt.sum())) - np.repeat(starts, cnt)
+        nodes = np.repeat(first, cnt) + rr
+        zc = (nodes / size - np.repeat(origin, cnt)) / np.repeat(c, cnt)
+        zc = np.clip(zc, np.repeat(z1, cnt), np.repeat(z2, cnt))
+        z_flat[np.repeat(offs, cnt) + rr] = zc
+    t_id = np.repeat(np.arange(T), counts)
+    order = np.lexsort((z_flat, t_id))
+    zs = z_flat[order]
+    ts = t_id[order]
+    W = zs[1:] - zs[:-1]
+    keep = (ts[:-1] == ts[1:]) & (W > 0.0)
+    pt = ts[:-1][keep]
+    zA = zs[:-1][keep]
+    W = W[keep]
+    O = origin[pt]
+    ch = c_hi[pt]
+    cl = c_lo[pt]
+    zm = zA + 0.5 * W
+    p1 = table.piece(O + ch * zm)
+    p2 = table.piece(O + cl * zm)
+    u1 = O + ch * zA
+    u2 = O + cl * zA
+    n0 = textbook_F(table, u1, p1) - textbook_F(table, u2, p2)
+    n1 = textbook_f(table, u1, p1) * ch - textbook_f(table, u2, p2) * cl
+    n2 = 0.5 * (table.slopes[p1] * ch * ch - table.slopes[p2] * cl * cl)
+    panel = W * (n1 - n2 * zA + 0.5 * n2 * W)
+    inner = zA > 0.0
+    if np.any(inner):
+        K = n0[inner] - zA[inner] * (n1[inner] - zA[inner] * n2[inner])
+        panel[inner] += K * np.log1p(W[inner] / zA[inner])
+    return np.bincount(pt, weights=panel, minlength=T) / (c_hi - c_lo)
+
+
+def edge_window_state(state):
+    """state with its first window opened down to its cell's left edge and
+    its last up to its cell's right edge: those half windows start at
+    z1 = 0, where some panels have zA == 0 and others not."""
+    lo = state.j_lo.copy()
+    hi = state.j_hi.copy()
+    lo[0] = state.fixed_y[0]
+    hi[-1] = state.fixed_y[-1]
+    return dataclasses.replace(state, j_lo=lo, j_hi=hi)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edge", [False, True], ids=["halved", "edge"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_window_kernel_is_bitwise_the_lexsort_form(rank_states, rank, edge):
+    state = edge_window_state(rank_states[rank]) if edge else rank_states[rank]
+    table = derand._PLTable(state.f)
+    sides = set()
+    at_origin = 0
+    for side, *lines in window_lines(state):
+        sides.add(side)
+        at_origin += lines[3] == 0.0
+        want = half_window_reference(table, *lines)
+        assert np.array_equal(derand._half_window_integrals(table, *lines), want)
+        assert np.array_equal(derand._half_window_integrals(table, *lines, max_edges=64), want)
+    assert sides == {"left", "right"}
+    # the first cell's left half and the last cell's right half
+    assert at_origin == (2 if edge else 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mean_F_is_bitwise_the_textbook_quotient():
+    f = tapered_oscillation(4, m=8)
+    table = derand._PLTable(f)
+    rng = np.random.default_rng(11)
+    ulo = rng.random(4000)
+    uhi = ulo + rng.random(4000) * 0.01
+    # every third window is tiny: zero width, or under the 1e-13 cutoff
+    uhi[::6] = ulo[::6]
+    uhi[3::6] = ulo[3::6] + 5e-14
+    for lo, hi in ((ulo, uhi), (ulo[1::3], uhi[1::3])):
+        w = hi - lo
+        tiny = w <= 1e-13
+        num = textbook_F(table, hi, table.piece(hi)) - textbook_F(table, lo, table.piece(lo))
+        mid = 0.5 * (lo + hi)
+        want = np.where(tiny, textbook_f(table, mid, table.piece(mid)), num / np.where(tiny, 1.0, w))
+        assert np.array_equal(table.mean_F(lo, hi), want)
+    assert np.any(uhi - ulo <= 1e-13) and not np.any(uhi[1::3] - ulo[1::3] <= 1e-13)
 
 
 # --- constant image cells and the kept half-window ------------------------------

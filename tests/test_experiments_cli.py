@@ -223,6 +223,19 @@ def test_provenance_files_always_written(tmp_path):
     assert version.startswith("circlewarp ")
 
 
+def test_version_txt_names_numpy_and_cpu_count(tmp_path, monkeypatch):
+    run_experiment(_kernel_cfg(tmp_path / "affinity", n_list=(4,)))
+    lines = (tmp_path / "affinity" / "version.txt").read_text().splitlines()
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert lines[0].startswith("circlewarp ")
+    assert lines[1:] == [f"numpy {np.__version__}", f"nproc {nproc}"]
+    # where the affinity mask cannot be read, the count is os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run_experiment(_kernel_cfg(tmp_path / "count", n_list=(4,)))
+    assert (tmp_path / "count" / "version.txt").read_text().splitlines()[2] == "nproc 3"
+
+
 def test_report_json_written_only_when_requested(tmp_path):
     a = tmp_path / "with_json"
     b = tmp_path / "without_json"
