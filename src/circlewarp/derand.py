@@ -150,7 +150,7 @@ class DerandConfig:
       carry no signal and shrink the same way when their largest kept entry
       is below it. identity_tol bounds the averaging-identity residual.
     * mc_check turns the Monte-Carlo guard on, with mc_samples paths per
-      rank.
+      rank (at least 2, for a standard error).
 
     Constants (read-only class attributes, the same for every instance):
 
@@ -195,8 +195,9 @@ class DerandConfig:
         for name in ("row_tol", "null_tol", "identity_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if not (isinstance(self.mc_samples, int) and self.mc_samples >= 1):
-            raise ValueError("mc_samples must be a positive integer")
+        if not (isinstance(self.mc_samples, int) and self.mc_samples >= 2):
+            # one path has a standard error of 0, so the guard could never pass
+            raise ValueError("mc_samples must be an integer of at least 2")
         if self.degrees is not None:
             object.__setattr__(self, "degrees", tuple(int(r) for r in self.degrees))
 
@@ -420,8 +421,10 @@ def _constant_cells(state: DerandState) -> np.ndarray:
 # own, so its panels never straddle two blocks (its sum is one bincount
 # over them, in z order); np.add.at accumulates the frozen-tail blocks in
 # input order; and the sampler draws and sums whole batches, building only
-# the paths in blocks. A window block holds about _BLOCK breakpoints; the
-# pads that fill its rows to the longest one come on top.
+# the paths in blocks, one row per path and live cell, so a sampler block
+# holds about _BLOCK grid points of the live cells whatever their number. A
+# window block holds about _BLOCK breakpoints; the pads that fill its rows
+# to the longest one come on top.
 _BLOCK = 1 << 14
 
 # Monte-Carlo paths per batch of draws. The sampler draws a whole batch in
@@ -592,8 +595,8 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
     """Functional matrix of one halving step: its rows of largest entry at
     least row_tol, their ids, the averaging-identity residual, and each
     cell's (upper, lower) half-window profiles. The residual is measured on
-    the same folded entries the matrix is made of, and past identity_tol it
-    raises NumericalAlarm.
+    the same folded entries the matrix is made of, and unless it is finite
+    and within identity_tol it raises NumericalAlarm.
 
     Cells flagged by _constant_cells have f flat on their image, so every
     window gives the same profile: their column is exactly zero, they add
@@ -635,9 +638,10 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
         buf[gl + 1 : gr] = 0.5 * (g_up - g_dn)
         vals[:, i] = _fold_degrees(buf, plan).ravel()
         buf[gl + 1 : gr] = 0.5 * (g_up + g_dn) - windows[i]
-        ident = max(ident, float(np.max(np.abs(_fold_degrees(buf, plan)))))
+        # np.maximum, unlike max, carries a NaN through to the gate
+        ident = float(np.maximum(ident, np.max(np.abs(_fold_degrees(buf, plan)))))
         buf[gl + 1 : gr] = 0.0
-    if ident > cfg.identity_tol:
+    if not (math.isfinite(ident) and ident <= cfg.identity_tol):
         raise NumericalAlarm(
             "averaging identity residual too large",
             n=n,
@@ -862,7 +866,14 @@ def expected_composition(
 
 def _mc_profile(state: DerandState, n_samples: int, seed: int):
     """Seeded sampler of the conditioned law; grid marginals are exact, so
-    this is the reference the quadrature engine must match."""
+    this is the reference the quadrature engine must match.
+
+    Paths are built cell by cell, on the cells _constant_cells leaves live:
+    a cell's grid points depend only on its own pinned edges and draws. On a
+    constant cell f(warp(t)) is f at the cell's left edge whatever the path
+    does, because the interpolant's slope there is 0.0 (or du is 0 at the
+    right edge), so those columns, like the pinned edges, take that value
+    in every row. The draws are those of the whole grid, in stream order."""
     f = state.f
     m = f.m
     size = 1 << m
@@ -870,46 +881,63 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
     table = _PLTable(f)
     qtab = _q_table(state.q, m)
     gen = tagged_generator(seed, 0xEC, n)
-    coarse, d_idx = _cell_grid(m, n)
-    j_span = state.j_hi - state.j_lo
-    # per deeper rank: midpoints step::2*step between neighbours 2*step apart,
-    # placed at lo + (hi - lo) * (0.5 * (1 - q) + q * u); basic slices are views
+    cells = state.j_lo.size
+    W = size // cells  # grid points per cell, W + 1 with the right edge
+    live = np.flatnonzero(~_constant_cells(state))
+    k = live.size
+    # a basic slice when every cell is live, so no draw is copied
+    take = slice(None) if k == cells else live
+    a = state.fixed_y[:-1][take]
+    b = state.fixed_y[1:][take]
+    j_lo = state.j_lo[take]
+    j_span = (state.j_hi - state.j_lo)[take]
+    # per deeper rank: midpoints step::2*step of a cell, between neighbours
+    # 2*step apart, placed at lo + (hi - lo) * (0.5 * (1 - q) + q * u)
     deeper = []
     for rank in range(n + 1, m + 1):
         step = 1 << (m - rank)
-        qv = qtab[step : size : 2 * step]
+        qv = qtab[step : size : 2 * step].reshape(cells, W // (2 * step))[take]
         deeper.append((step, qv, 0.5 * (1.0 - qv)))
-    rows = max(1, _BLOCK // size)
+    rows = max(1, _BLOCK // max(k * W, 1))
+    # f at each cell's left edge, across the cell: the value of the pinned
+    # edge and of every point of a constant cell
+    fill = np.repeat(table.f_at(state.fixed_y[:-1]), W)
     acc = np.zeros(size)
     acc2 = np.zeros(size)
     done = 0
     while done < n_samples:
         bsz = min(_MC_BATCH, n_samples - done)
-        # the whole batch's draws in stream order, then paths built and
-        # evaluated a few rows at a time; the column sums see the same rows
-        # in the same order either way
-        u_live = gen.random((bsz, d_idx.size))
+        # the whole batch's draws in stream order, then the live cells' paths
+        # built and evaluated a few rows at a time; the column sums see the
+        # same rows in the same order either way
+        u_live = gen.random((bsz, cells))[:, take]
         u_live *= j_span
-        u_live += state.j_lo
+        u_live += j_lo
         u_deep = []
         for step, qv, base in deeper:
-            u = gen.random((bsz, qv.size))
+            per = W // (2 * step)
+            u = gen.random((bsz, cells * per)).reshape(bsz, cells, per)[:, take]
             u *= qv
             u += base
-            u_deep.append(u)
+            u_deep.append(u.reshape(bsz * k, per))  # contiguous either way: a view
         vals = np.empty((bsz, size))
+        if k < cells:
+            vals[:] = fill
+        by_cell = vals.reshape(bsz, cells, W)
         for r0 in range(0, bsz, rows):
             r1 = min(r0 + rows, bsz)
-            Y = np.empty((r1 - r0, size + 1))
-            Y[:, coarse] = state.fixed_y
-            Y[:, d_idx] = u_live[r0:r1]
+            Y = np.empty((r1 - r0, k, W + 1))
+            Y[:, :, 0] = a
+            Y[:, :, W] = b
+            Y[:, :, W // 2] = u_live[r0:r1]
+            paths = Y.reshape(-1, W + 1)  # one row per (path, cell)
             for (step, _, _), u in zip(deeper, u_deep):
-                lo = Y[:, 0:size:2 * step]
-                mid = Y[:, 2 * step : size + 1 : 2 * step] - lo
-                mid *= u[r0:r1]
+                lo = paths[:, 0:W:2 * step]
+                mid = paths[:, 2 * step : W + 1 : 2 * step] - lo
+                mid *= u[r0 * k : r1 * k]
                 mid += lo
-                Y[:, step : size : 2 * step] = mid
-            vals[r0:r1] = table.f_at(Y[:, :size])
+                paths[:, step : W : 2 * step] = mid
+            by_cell[r0:r1, take] = table.f_at(paths[:, :W]).reshape(r1 - r0, k, W)
         acc += vals.sum(axis=0)
         vals *= vals
         acc2 += vals.sum(axis=0)
@@ -951,7 +979,8 @@ def mc_cross_check(
         "exceed_frac": exceed_frac,
         "floor": floor,
     }
-    if mean_gap > mean_gate or exceed_frac > cfg.mc_exceed_frac:
+    # a NaN fails every comparison, so it raises too
+    if not (math.isfinite(mean_gap) and mean_gap <= mean_gate and exceed_frac <= cfg.mc_exceed_frac):
         raise NumericalAlarm("quadrature and Monte-Carlo disagree", **report)
     return report
 

@@ -57,6 +57,9 @@ class SignMatrix:
             raise ValueError("one row id per row required")
         if self.dist not in ("circular", "linear"):
             raise ValueError("dist must be 'circular' or 'linear'")
+        # min and max carry any NaN or infinity, with no full-size temporary
+        if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
+            raise ValueError("values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "row_ids", tuple(self.row_ids))
@@ -251,6 +254,10 @@ def _best_candidate(
     committed by earlier choices. Returns the +-1 vector minimizing the
     potential of base + cols @ eps."""
     b = cols.shape[1]
+    if b <= _EXHAUSTIVE_LIMIT and not cols.any():
+        # every candidate scores the same, so the argmin is the first one,
+        # all +1; random candidates would still draw from gen
+        return np.ones(b, dtype=np.int8)
     cands = _block_candidates(b, retries, gen)
     prod = cands.astype(float) @ cols.T  # (n_cand, n_rows), one BLAS call
     every = np.arange(cands.shape[0])
@@ -282,7 +289,10 @@ def solve_hierarchical(
     their relative orientation, i.e. one global flip per run, again scored
     against everything outside the group, until a single run remains.
     Deterministic given (seed, matrix, knobs); with the default block size
-    every search is exhaustive and the seed is inert.
+    every search is exhaustive and the seed is inert. An exhaustive search
+    over columns that are all exactly zero is skipped: every candidate ties,
+    so it keeps the first, all +1. A matrix with no rows, or no nonzero
+    entry, gets all +1.
     """
     if block < 1:
         raise ValueError("block must be >= 1")
@@ -290,7 +300,7 @@ def solve_hierarchical(
     if n == 0:
         return SignVector(np.empty(0, dtype=np.int8))
     a = v.values
-    sigma = float(np.max(np.abs(a)))
+    sigma = float(np.max(np.abs(a), initial=0.0))
     if sigma == 0.0:
         return SignVector(np.ones(n, dtype=np.int8))
     gen = tagged_generator(seed, 0x31E7)

@@ -73,6 +73,13 @@ CONSTANTS = {
 }
 
 
+def test_config_needs_two_mc_samples():
+    # one path has a standard error of 0, so a guard on it could never pass
+    with pytest.raises(ValueError, match="mc_samples must be an integer of at least 2"):
+        DerandConfig(mc_samples=1)
+    assert DerandConfig(mc_samples=2).mc_samples == 2
+
+
 def test_config_fields_are_the_settings():
     assert [f.name for f in dataclasses.fields(DerandConfig)] == SETTINGS
     assert list(dataclasses.asdict(DerandConfig())) == SETTINGS
@@ -210,6 +217,40 @@ def test_averaging_identity_alarm_carries_context():
     with pytest.raises(NumericalAlarm) as exc:
         assemble_v_matrix(taper_state(), DEGREES, cfg)
     assert set(exc.value.context) == {"n", "ell", "residual", "tol"}
+
+
+@pytest.mark.parametrize("call", [0, 1], ids=["full-window", "upper-half"])
+def test_averaging_identity_alarm_catches_one_nan(call, monkeypatch):
+    # max(0.0, nan) is 0.0 and nan > tol is False: a gate built on them
+    # passes a NaN in one window profile as a residual of 0.0
+    inner = derand._window_profile
+    calls = []
+
+    def poisoned(*args):
+        out = inner(*args)
+        if len(calls) == call:
+            out[out.size // 2] = np.nan
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(derand, "_window_profile", poisoned)
+    with pytest.raises(NumericalAlarm, match="averaging identity") as exc:
+        assemble_v_matrix(taper_state(), DEGREES, DerandConfig(mc_check=False))
+    assert np.isnan(exc.value.context["residual"])
+
+
+def test_mc_guard_alarm_catches_one_nan(monkeypatch):
+    inner = derand._value_profile
+
+    def poisoned(state, cfg):
+        out = inner(state, cfg)
+        out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(derand, "_value_profile", poisoned)
+    with pytest.raises(NumericalAlarm, match="Monte-Carlo") as exc:
+        mc_cross_check(taper_state(), DerandConfig(mc_samples=200))
+    assert np.isnan(exc.value.context["mean_abs_diff"])
 
 
 def test_matrix_rejects_final_state():
@@ -824,6 +865,65 @@ def count_window_profiles(monkeypatch):
 
     monkeypatch.setattr(derand, "_window_profile", recorder)
     return calls
+
+
+def wrap_state():
+    """A rank-3 state on m=6 samples whose cells 1 and 3 are constant; cell
+    3 ends at y=1, so its samples run to index 2**m, which wraps to 0."""
+    values = np.full(64, 0.25)
+    values[1:12] += 0.5 * np.sin(np.arange(1, 12))
+    values[30:43] -= 0.5 * np.cos(np.arange(30, 43))
+    return flat_state(values, [0.0, 0.2, 0.45, 0.7, 1.0])
+
+
+def mc_state(name, kk_states):
+    """States with constant cells for the sampler: kk_states at ranks 2 .. 4
+    (some cells constant), a constant f (every cell) and wrap_state."""
+    if name == "constant":
+        c = SampledFunction(8, np.full(256, 0.7))
+        return DerandState.initial(c, confinement_map(c, depth=8).with_floor())
+    if name == "wrap":
+        return wrap_state()
+    return kk_states[int(name[-1])]
+
+
+@pytest.mark.parametrize("block", [derand._BLOCK, 64])
+@pytest.mark.parametrize("name", ["kk-r2", "kk-r3", "kk-r4", "constant", "wrap"])
+def test_mc_guard_on_constant_cells_is_bitwise_the_reference(name, block, kk_states, monkeypatch):
+    state = mc_state(name, kk_states)
+    constant = derand._constant_cells(state)
+    assert constant.any()
+    assert constant.all() == (name == "constant")
+    if name == "wrap":
+        assert constant.tolist() == [False, True, False, True]
+    monkeypatch.setattr(derand, "_BLOCK", block)
+    got = derand._mc_profile(state, 1100, 5)
+    ref = mc_profile_reference(state, 1100, 5)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("name", ["kk-r3", "wrap"])
+def test_mc_guard_builds_no_path_inside_constant_cells(name, kk_states, monkeypatch):
+    state = mc_state(name, kk_states)
+    points = []
+    inner = derand._PLTable.f_at
+
+    def recorder(self, u, p=None):
+        points.append(np.array(u, dtype=float).ravel())
+        return inner(self, u, p)
+
+    monkeypatch.setattr(derand._PLTable, "f_at", recorder)
+    derand._mc_profile(state, 600, 5)
+    u = np.concatenate(points)
+    y = state.fixed_y
+    constant = derand._constant_cells(state)
+    for i in range(constant.size):
+        inside = np.count_nonzero((u > y[i]) & (u < y[i + 1]))
+        if constant[i]:
+            assert inside == 0, i
+        else:
+            # every path visits each of the cell's W - 1 interior points
+            assert inside == 600 * (state.f.values.size // constant.size - 1)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

@@ -91,6 +91,19 @@ def test_hierarchical_within_factor_two_of_optimum():
         assert opt - 1e-12 <= got <= 2.0 * opt + 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sign_matrix_rejects_non_finite_values(bad):
+    values = np.ones((2, 3))
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SignMatrix(values, row_ids=(0, 1))
+
+
+def test_hierarchical_no_rows():
+    eps = solve_hierarchical(SignMatrix(np.zeros((0, 5)), row_ids=()))
+    assert np.array_equal(eps.eps, np.ones(5, dtype=np.int8))
+
+
 def test_bruteforce_single_column():
     v = SignMatrix(np.array([[0.3], [-0.7]]), row_ids=(0, 1))
     eps, opt = solve_bruteforce(v)
@@ -252,6 +265,37 @@ def test_blocked_exact_scores_are_bitwise_one_shot(n_rows):
     assert np.array_equal(signs._exact_scores(prod, base, 1.5, 0.5, every), want)
     odd = every[1::2]
     assert np.array_equal(signs._exact_scores(prod, base, 1.5, 0.5, odd), want[odd])
+
+
+def zero_block_matrix():
+    """200 columns of random decay with exact zeros: columns 0 .. 63 (eight
+    level-0 blocks at block 8, hence one whole merge chunk), 72 .. 79 (one
+    block), and 100, 130 and 131 (mixed blocks)."""
+    v = build_synthetic_matrix(200, "random_signs_decay", seed=4).values.copy()
+    for cols in (slice(0, 64), slice(72, 80), [100, 130, 131]):
+        v[:, cols] = 0.0
+    return SignMatrix(v, tuple(range(200)))
+
+
+@pytest.mark.parametrize("block, seed", [(8, 0), (4, 0), (16, 3)])
+def test_zero_blocks_skip_the_search_bitwise(block, seed, monkeypatch):
+    # the skip keeps what a full search picks; past 12 columns the search
+    # draws random candidates, so there it must not skip, or the generator
+    # would fall out of step
+    v = zero_block_matrix()
+    searches = []
+    cands = signs._block_candidates
+    monkeypatch.setattr(signs, "_block_candidates", lambda b, r, g: searches.append(b) or cands(b, r, g))
+    got = solve_hierarchical(v, block=block, seed=seed).eps
+    calls = []
+    monkeypatch.setattr(signs, "_best_candidate", lambda *a: calls.append(1) or best_candidate_reference(*a))
+    assert np.array_equal(got, solve_hierarchical(v, block=block, seed=seed).eps)
+    # block 8: 9 of 25 level-0 blocks are zero, then the first of 3 merge
+    # chunks; block 4: 18 of 50 blocks, then 4 of 13 chunks and 1 of 3
+    skipped = {4: 18 + 4 + 1, 8: 9 + 1, 16: 0}[block]
+    assert len(calls) - len(searches) == skipped
+    if block == 16:
+        assert len(calls) == 13 + 1
 
 
 # sha256 of the int8 sign vectors of solve_hierarchical with its defaults,
