@@ -287,7 +287,10 @@ def solve_hierarchical(
     against the row sums already committed by the runs to its left. Each
     merge level then groups `block` adjacent runs and re-randomizes only
     their relative orientation, i.e. one global flip per run, again scored
-    against everything outside the group, until a single run remains.
+    against everything outside the group, until a single run remains. At
+    the top merge, whose group holds every run, nothing lies outside: its
+    base is exactly zero, so a flip vector and its negation score bit for
+    bit the same and the first of them, whose first flip is +1, wins.
     Deterministic given (seed, matrix, knobs); with the default block size
     every search is exhaustive and the seed is inert. An exhaustive search
     over columns that are all exactly zero is skipped: every candidate ties,
@@ -325,7 +328,9 @@ def solve_hierarchical(
                 merged.append(chunk[0])
                 continue
             g = np.column_stack([vec for _, vec in chunk])
-            base = acc - g.sum(axis=1)
+            # the top merge holds every group, so nothing lies outside it;
+            # acc - g.sum(axis=1) would leave rounding residue there
+            base = np.zeros_like(acc) if len(chunk) == len(groups) else acc - g.sum(axis=1)
             flips = _best_candidate(g, base, sigma, lam, retries, gen)
             for (cols_idx, _), s in zip(chunk, flips):
                 if s < 0:

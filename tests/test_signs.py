@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlewarp import (
@@ -299,9 +299,12 @@ def test_zero_blocks_skip_the_search_bitwise(block, seed, monkeypatch):
 
 
 # sha256 of the int8 sign vectors of solve_hierarchical with its defaults,
-# recorded before the block search was screened
+# recorded before the block search was screened; the n=64 exact_decay
+# circular vector was recorded again once the top merge scored against an
+# exact zero base: it is the negation of the vector recorded before, and
+# equals the linear one
 SIGN_PINS = {
-    (64, "exact_decay", "circular"): "e4ab2d30633c6bde4e1b5eddbbd378990c0ff673d095136e14a896d63ee8910a",
+    (64, "exact_decay", "circular"): "aefd6168b636ab121e9fdd8e449d248ccbc36a7f2d75d4bcc8a42ca74a8d4ca7",
     (64, "exact_decay", "linear"): "aefd6168b636ab121e9fdd8e449d248ccbc36a7f2d75d4bcc8a42ca74a8d4ca7",
     (64, "random_signs_decay", "circular"): "96054c5b66efc292570cfa9495d4a62cc36956163f20aadde1afbef49874e970",
     (512, "exact_decay", "circular"): "6d801beebaf927e0c5a3cbb993bfd60507d29cc1cfc734c9d51ff63451fa553f",
@@ -315,3 +318,38 @@ def test_hierarchical_sign_vectors_pinned(key):
     n, profile, dist = key
     eps = solve_hierarchical(build_synthetic_matrix(n, profile, seed=0, dist=dist)).eps
     assert hashlib.sha256(eps.tobytes()).hexdigest() == SIGN_PINS[key]
+
+
+def test_top_merge_breaks_the_global_flip_tie_by_rule():
+    # every row sum lies inside the top merge, so a flip vector and its
+    # negation tie exactly, and the first candidate, +1 first, must win
+    # rather than whichever rounding residue favours
+    v = build_synthetic_matrix(64, "exact_decay", seed=0, dist="circular")
+    eps = solve_hierarchical(v).eps
+    old = "e4ab2d30633c6bde4e1b5eddbbd378990c0ff673d095136e14a896d63ee8910a"
+    assert eps[0] == 1
+    assert hashlib.sha256((-eps).tobytes()).hexdigest() == old
+    assert row_discrepancy(v, SignVector(eps)) == 0.3858354347180841
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(9, 64),
+    st.sampled_from(["exact_decay", "random_signs_decay"]),
+    st.integers(0, 10**6),
+    st.sampled_from(["circular", "linear"]),
+)
+@example(64, "exact_decay", 0, "circular")
+def test_single_merge_keeps_the_first_sign_positive(n, profile, seed, dist):
+    # 9 .. 64 columns at block 8: 2 .. 8 level-0 blocks, then the top merge
+    # alone. Block 0 and the top merge both search against an exact zero
+    # base, so each keeps the first of a tied candidate pair, whose first
+    # sign is +1
+    calls = []
+    search = signs._best_candidate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signs, "_best_candidate", lambda *a: calls.append(a[0].shape[1]) or search(*a))
+        eps = solve_hierarchical(build_synthetic_matrix(n, profile, seed=seed, dist=dist)).eps
+    blocks = -(-n // 8)
+    assert len(calls) == blocks + 1 and calls[-1] == blocks
+    assert eps[0] == 1
