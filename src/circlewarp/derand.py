@@ -14,8 +14,10 @@ Two expectation engines back this up and are deliberately kept separate.
 * Window comparisons and the averaging identity use a closed-form engine.
   Every rank strictly below the active one is frozen at its conditional
   center, which makes the conditional map affine in the one live
-  coordinate; the integral of f along a window then reduces to exact
-  rational-quadratic panels, and the identity
+  coordinate: a grid point's value is a window mean of f between two lines
+  through one origin. Its integral over a window is a difference of two
+  one-line integrals, each a sum of exact panels between that line's
+  crossings of the f nodes, and the identity
   (upper + lower) / 2 = whole window holds by additivity up to roundoff.
 * Deviation records and diagnostics use an honest quadrature engine that
   integrates several untouched ranks per point with Gauss-Legendre nodes
@@ -84,9 +86,12 @@ def record_shape_check(records) -> dict:
     bin maxima ought to fall off with distance; the report counts how many
     adjacent bin pairs are nonincreasing across all groups. Groups whose
     deviations sit below fp noise are skipped rather than counted as flat.
+    A record whose sup_dev is NaN or infinite raises ValueError.
     """
     groups: dict[tuple, dict] = {}
     for rec in records:
+        if not math.isfinite(rec.sup_dev):
+            raise ValueError(f"deviation record is not finite: {rec}")
         b = int(round(abs(rec.n - math.log2(rec.r))))
         g = groups.setdefault((rec.n, rec.ell), {})
         g[b] = max(g.get(b, 0.0), rec.sup_dev)
@@ -352,13 +357,18 @@ class _PLTable:
         return self._quad(du, self.half_slopes.take(p), self.values.take(p), self.cum.take(p))
 
     def lookup(self, u, p):
-        """F_at(u, p), f_at(u, p) and slopes[p], from one offset and one
-        gather of each table."""
+        """F_at(u, p), f_at(u, p) and half_slopes[p], from one offset and
+        one gather of each table; f is evaluated as values[p] + 2 * (half
+        slope * du), which may differ from f_at in the last bit."""
         du = self._offset(u, p)
-        slope = self.slopes.take(p)
-        value = self.values.take(p)
-        F = self._quad(du, 0.5 * slope, value, self.cum.take(p))
-        return F, self._line(du, slope, value, out=du), slope
+        half = self.half_slopes.take(p)
+        rise = half * du
+        g = self.values.take(p)
+        g += rise
+        F = g * du
+        F += self.cum.take(p)
+        g += rise
+        return F, g, half
 
     def mean_F(self, ulo, uhi):
         """Mean of f over [ulo, uhi]; pointwise value when the window is
@@ -417,15 +427,21 @@ def _constant_cells(state: DerandState) -> np.ndarray:
 # frozen tail of the value engine and the Monte-Carlo paths stream through:
 # small enough that a block's temporaries stay in cache. It cannot change a
 # result. Every operation inside a block is elementwise or acts within one
-# row; a point's breakpoints are one row of a window block, sorted on their
-# own, so its panels never straddle two blocks (its sum is one bincount
-# over them, in z order); np.add.at accumulates the frozen-tail blocks in
-# input order; and the sampler draws and sums whole batches, building only
-# the paths in blocks, one row per path and live cell, so a sampler block
-# holds about _BLOCK grid points of the live cells whatever their number. A
-# window block holds about _BLOCK breakpoints; the pads that fill its rows
-# to the longest one come on top.
+# line or row: a window block holds whole points, about _WINDOW_BLOCK
+# panels of their two lines, and each line's sum is one bincount over its
+# own panels, in z order; np.add.at accumulates the frozen-tail blocks in input order;
+# and the sampler draws and sums whole batches, building only the paths in
+# blocks, one row per path and live cell, so a sampler block holds about
+# _BLOCK grid points of the live cells whatever their number.
 _BLOCK = 1 << 14
+
+# Panels per window-engine block, half of _BLOCK: the window kernel keeps
+# about twenty float temporaries per panel, and at _BLOCK panels each one is
+# 128 KiB, a size at which glibc's malloc gives heap pages back and faults
+# them in again on every block. On the m=12 rank-1 opening assembly this
+# size takes 1.07-1.13 s against 1.57-1.66 s at _BLOCK; the value engine and
+# the sampler, whose blocks hold fewer temporaries, run slower at it.
+_WINDOW_BLOCK = 1 << 13
 
 # Monte-Carlo paths per batch of draws. The sampler draws a whole batch in
 # stream order, so this fixes which draw feeds which path: changing it
@@ -438,23 +454,26 @@ _MC_BATCH = 512
 # For a grid point t strictly inside the active cell, freezing every deeper
 # rank at its conditional center makes the image of t's own rank window a
 # pair of lines u(z) = origin + c * z in the live coordinate z, and the
-# conditional value of f at t is (F(u_hi) - F(u_lo)) / (u_hi - u_lo). Its
-# integral over a window in z splits into panels at the f-node crossings of
-# either line; on each panel the numerator is one quadratic, expanded at the
+# conditional value of f at t is (F(u_hi) - F(u_lo)) / (u_hi - u_lo), whose
+# denominator is (c_hi - c_lo) * z. Its integral over a window [z1, z2] in z
+# is therefore (J(c_hi) - J(c_lo)) / (c_hi - c_lo), with
+#
+#     J(c) = integral over [z1, z2] of (F(origin + c z) - F(origin)) / z dz,
+#
+# one integral per line. Subtracting F(origin), computed once and shared by
+# the two lines, changes nothing in the difference, and it keeps J finite at
+# z1 = 0, where a window touches its cell edge. J splits into panels at the
+# line's crossings of the f nodes; on a panel the line stays in one piece of
+# the interpolant, so the numerator is one quadratic in z, expanded at the
 # panel's left edge so nothing cancels, and the integral is elementary.
 #
-# The points of one half window share the origin and the window [z1, z2],
-# which are passed as floats. In a block, each point's breakpoints (z1, z2
-# and the crossings) fill one row, padded with z2 up to the longest row;
-# an in-place row sort orders them, and the panels are the positive gaps,
-# read in row-major order. A pad repeats the row's largest breakpoint, so it
-# only adds zero-width gaps, which are dropped as repeated crossings are.
-
-
-def _ranges(counts: np.ndarray) -> np.ndarray:
-    total = int(counts.sum())
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.arange(total) - np.repeat(starts, counts)
+# A line's crossings are nodes first, first + 1, ... in z order when c > 0
+# and the same nodes in reverse when c < 0 (a flat line has none), so each
+# point's panels, and the piece each panel lies in, follow from its count
+# and first node with no sort and no merge: one table lookup per panel. The
+# points of one half window share the origin and the window, which are
+# passed as floats. Crossings are clipped to [z1, z2]; a panel that clipping
+# leaves zero wide adds exactly zero.
 
 
 def _crossing_counts(size, origin, c, z1, z2):
@@ -468,59 +487,68 @@ def _crossing_counts(size, origin, c, z1, z2):
     return cnt, first
 
 
-def _integrate_block(table, origin, c_hi, c_lo, z1, z2, cnt1, first1, cnt2, first2):
-    """_half_window_integrals on one block, given the node crossings
-    (_crossing_counts) of its two lines."""
-    T = c_hi.size
-    rows = np.arange(T)
-    # row t: z1, then the crossings of point t, then z2 and its pads
-    L = 2 + int((cnt1 + cnt2).max())
-    zs = np.full((T, L), z2)
-    zs[:, 0] = z1
-    col = rows * L + 1  # flat index of the row's next free cell
-    for cnt, first, c in ((cnt1, first1, c_hi), (cnt2, first2, c_lo)):
-        rr = _ranges(cnt)
-        zc = ((np.repeat(first, cnt) + rr) / table.size - origin) / np.repeat(c, cnt)
-        zs.reshape(-1)[np.repeat(col, cnt) + rr] = np.clip(zc, z1, z2)
-        col += cnt
-    zs.sort(axis=1)
-    W = zs[:, 1:] - zs[:, :-1]
-    keep = W > 0.0
-    zA = zs[:, :-1][keep]
-    W = W[keep]
-    per_row = np.count_nonzero(keep, axis=1)
-
-    ch = np.repeat(c_hi, per_row)
-    cl = np.repeat(c_lo, per_row)
-    zm = zA + 0.5 * W
-    p1 = table.piece(origin + ch * zm)
-    p2 = table.piece(origin + cl * zm)
-    F1, f1, s1 = table.lookup(origin + ch * zA, p1)
-    F2, f2, s2 = table.lookup(origin + cl * zA, p2)
-    n0 = F1 - F2
-    n1 = f1 * ch - f2 * cl
-    n2 = 0.5 * (s1 * ch * ch - s2 * cl * cl)
-    panel = W * (n1 - n2 * zA + 0.5 * n2 * W)
-    # at zA == 0 both lines start at the origin, so the log coefficient
-    # n0 - n1 zA + n2 zA**2 vanishes identically and the term drops
-    if zA.min(initial=1.0) > 0.0:
-        panel += (n0 - zA * (n1 - zA * n2)) * np.log1p(W / zA)
+def _line_integrals(table, origin, F0, c, z1, z2, cnt, first):
+    """J(c) of every line (see above), given its node crossings
+    (_crossing_counts) and F0 = F(origin)."""
+    T = c.size
+    panels = cnt + 1
+    ends = np.cumsum(panels) - 1
+    rows = np.repeat(np.arange(T), panels)
+    # panel j of a rising line lies in piece first - 1 + j, between nodes
+    # first - 1 + j and first + j; a falling line's panels run down from node
+    # first + cnt - 1, so its panel j lies in piece first + cnt - 1 - j
+    rise = c >= 0.0
+    step = np.where(rise, 1, -1)
+    j0 = ends - cnt  # flat index of each line's panel 0
+    piece = np.arange(ends[-1] + 1) * step.take(rows)
+    piece += (np.where(rise, first - 1, first + cnt - 1) - step * j0).take(rows)
+    node = piece + rise.take(rows)  # the node at each panel's right end
+    cz = c.take(rows)
+    zB = node * table.inv_size
+    zB -= origin
+    zB /= np.where(c != 0.0, c, 1.0).take(rows)  # a flat line has no crossing
+    np.clip(zB, z1, z2, out=zB)
+    zB[ends] = z2
+    zA = np.empty_like(zB)
+    zA[1:] = zB[:-1]
+    zA[j0] = z1
+    W = zB - zA
+    # On a panel, with du = c (z - zA) and h the half slope,
+    # F(u) - F0 = (F(uA) - F0) + f(uA) du + h du**2. Put t = f(uA) - h c zA
+    # and K = (F(uA) - F0) - c zA t, the value of that quadratic at z = 0;
+    # the panel's integral of (F(u) - F0) / z is then
+    # c W (t + h c W / 2) + K log(zB / zA).
+    cA = cz * zA
+    F, t, half = table.lookup(cA + origin, np.clip(piece, 0, table.size - 1, out=piece))
+    t -= half * cA
+    cW = cz * W
+    panel = half * cW
+    panel *= 0.5
+    panel += t
+    panel *= cW
+    F -= F0
+    F -= cA * t
+    # K vanishes at zA == 0, where the line starts at the origin, so the log
+    # term drops there
+    if z1 > 0.0:
+        W /= zA
+        panel += F * np.log1p(W)
     else:
         inner = zA > 0.0
-        K = n0[inner] - zA[inner] * (n1[inner] - zA[inner] * n2[inner])
-        panel[inner] += K * np.log1p(W[inner] / zA[inner])
-    return np.bincount(np.repeat(rows, per_row), weights=panel, minlength=T) / (c_hi - c_lo)
+        panel[inner] += F[inner] * np.log1p(W[inner] / zA[inner])
+    return np.bincount(rows, weights=panel, minlength=T)
 
 
-def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2, max_edges=_BLOCK):
+def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2, max_edges=_WINDOW_BLOCK):
     """Per-point integral over [z1, z2] of the window mean of f along the
-    line pair (origin, c_hi), (origin, c_lo), in blocks of whole points.
-    The lines share one origin and one window: origin, z1 and z2 are
-    floats, one slope pair per point."""
+    line pair (origin, c_hi), (origin, c_lo), in blocks of whole points of
+    about max_edges panels. The lines share one origin and one window:
+    origin, z1 and z2 are floats, one slope pair per point."""
     T = c_hi.size
     out = np.zeros(T)
     if T == 0:
         return out
+    F0 = table.F_at(np.array([origin]))[0]
     cnt1, first1 = _crossing_counts(table.size, origin, c_hi, z1, z2)
     cnt2, first2 = _crossing_counts(table.size, origin, c_lo, z1, z2)
     cum = np.concatenate([[0], np.cumsum(2 + cnt1 + cnt2)])
@@ -529,10 +557,14 @@ def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2, max_edges=_BLOCK):
         stop = int(np.searchsorted(cum, cum[start] + max_edges, side="right")) - 1
         stop = min(max(stop, start + 1), T)
         sl = slice(start, stop)
-        out[sl] = _integrate_block(
-            table, origin, c_hi[sl], c_lo[sl], z1, z2,
-            cnt1[sl], first1[sl], cnt2[sl], first2[sl],
+        # both lines of the block in one pass: the upper lines, then the lower
+        J = _line_integrals(
+            table, origin, F0,
+            np.concatenate([c_hi[sl], c_lo[sl]]), z1, z2,
+            np.concatenate([cnt1[sl], cnt2[sl]]), np.concatenate([first1[sl], first2[sl]]),
         )
+        k = stop - start
+        out[sl] = (J[:k] - J[k:]) / (c_hi[sl] - c_lo[sl])
         start = stop
     return out
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlewarp import (
@@ -83,19 +83,30 @@ def test_breakpoints_must_fix_endpoints():
         PLHomeo(np.array([0.0, 1.0]), np.array([0.1, 1.0]))
 
 
+@st.composite
+def random_maps(draw):
+    """Breakpoints (xs, ys) of a random increasing map with 1 .. 6 interior
+    nodes."""
+    k = draw(st.integers(1, 6))
+    interior = st.lists(st.floats(0.001, 0.999), min_size=k, max_size=k, unique=True)
+    return sorted(draw(interior)), sorted(draw(interior))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6, unique=True), st.data())
-def test_monotone_on_random_maps(interior, data):
-    xs = np.array([0.0] + sorted(interior) + [1.0])
-    ys_inner = sorted(data.draw(st.lists(
-        st.floats(0.001, 0.999), min_size=len(interior), max_size=len(interior), unique=True)))
-    ys = np.array([0.0] + ys_inner + [1.0])
+@given(random_maps(), st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0))
+# a segment that rises by one ulp: h(0.125) == h(0.25) == 0.001 in floats
+@example(([0.125, 0.5], [0.001, 0.0010000000000000002]), 0.125, 0.25)
+def test_monotone_on_random_maps(nodes, t, t2):
+    # strict monotonicity holds at the nodes; between them the interpolant of
+    # a segment that rises by less than an ulp per step may round flat, so
+    # floats can only promise that it never decreases
+    xs = np.array([0.0] + nodes[0] + [1.0])
+    ys = np.array([0.0] + nodes[1] + [1.0])
     h = PLHomeo(xs, ys)
-    t = data.draw(st.floats(0.0, 1.0, exclude_max=True))
-    t2 = data.draw(st.floats(0.0, 1.0))
+    assert np.all(np.diff([h.eval(x) for x in xs]) > 0.0)
     lo, hi = min(t, t2), max(t, t2)
     if lo < hi:
-        assert h.eval(lo) < h.eval(hi)
+        assert h.eval(lo) <= h.eval(hi)
 
 
 def test_compose_with_identity_is_bitwise():
