@@ -429,10 +429,10 @@ def _constant_cells(state: DerandState) -> np.ndarray:
 # result. Every operation inside a block is elementwise or acts within one
 # line or row: a window block holds whole points, about _WINDOW_BLOCK
 # panels of their two lines, and each line's sum is one bincount over its
-# own panels, in z order; np.add.at accumulates the frozen-tail blocks in input order;
-# and the sampler draws and sums whole batches, building only the paths in
-# blocks, one row per path and live cell, so a sampler block holds about
-# _BLOCK grid points of the live cells whatever their number.
+# own panels, in z order; np.add.at accumulates the frozen-tail blocks in
+# input order; and the sampler draws and sums whole batches, building only
+# the paths in blocks, one row per path and live cell, so a sampler block
+# holds about _BLOCK grid points of the live cells whatever their number.
 _BLOCK = 1 << 14
 
 # Panels per window-engine block, half of _BLOCK: the window kernel keeps
@@ -519,23 +519,24 @@ def _line_integrals(table, origin, F0, c, z1, z2, cnt, first):
     # the panel's integral of (F(u) - F0) / z is then
     # c W (t + h c W / 2) + K log(zB / zA).
     cA = cz * zA
-    F, t, half = table.lookup(cA + origin, np.clip(piece, 0, table.size - 1, out=piece))
+    # K starts as F(uA) and t as f(uA)
+    K, t, half = table.lookup(cA + origin, np.clip(piece, 0, table.size - 1, out=piece))
     t -= half * cA
     cW = cz * W
     panel = half * cW
     panel *= 0.5
     panel += t
     panel *= cW
-    F -= F0
-    F -= cA * t
+    K -= F0
+    K -= cA * t
     # K vanishes at zA == 0, where the line starts at the origin, so the log
     # term drops there
     if z1 > 0.0:
         W /= zA
-        panel += F * np.log1p(W)
+        panel += K * np.log1p(W)
     else:
         inner = zA > 0.0
-        panel[inner] += F[inner] * np.log1p(W[inner] / zA[inner])
+        panel[inner] += K[inner] * np.log1p(W[inner] / zA[inner])
     return np.bincount(rows, weights=panel, minlength=T)
 
 
