@@ -16,9 +16,12 @@ Two expectation engines back this up and are deliberately kept separate.
   center, which makes the conditional map affine in the one live
   coordinate: a grid point's value is a window mean of f between two lines
   through one origin. Its integral over a window is a difference of two
-  one-line integrals, each a sum of exact panels between that line's
-  crossings of the f nodes, and the identity
-  (upper + lower) / 2 = whole window holds by additivity up to roundoff.
+  one-line integrals. Every line of a half window integrates the same
+  function of the offset from the shared origin, so the exact integral of
+  each f piece is summed outward from the origin once, and a line's
+  integral is a difference of two of those sums plus two partial end
+  panels. The identity (upper + lower) / 2 = whole window holds by
+  additivity up to roundoff.
 * Deviation records and diagnostics use an honest quadrature engine that
   integrates several untouched ranks per point with Gauss-Legendre nodes
   before freezing the rest. A seeded Monte-Carlo sampler with exact grid
@@ -193,18 +196,26 @@ class DerandConfig:
     level_nodes_deep: ClassVar[tuple] = (8, 2)
 
     def __post_init__(self):
-        if not (isinstance(self.ell_max, int) and self.ell_max >= 0):
+        # not isinstance: a bool is an int to it, and True would halve once
+        if not (type(self.ell_max) is int and self.ell_max >= 0):
             raise ValueError("ell_max must be a nonnegative integer")
         if not (0.0 < self.j_tol < 1.0):
             raise ValueError("j_tol must lie in (0, 1)")
         for name in ("row_tol", "null_tol", "identity_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            # a NaN fails every comparison: as row_tol it would keep no row,
+            # as identity_tol it would fail every residual
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
         if not (isinstance(self.mc_samples, int) and self.mc_samples >= 2):
             # one path has a standard error of 0, so the guard could never pass
             raise ValueError("mc_samples must be an integer of at least 2")
         if self.degrees is not None:
-            object.__setattr__(self, "degrees", tuple(int(r) for r in self.degrees))
+            degrees = tuple(self.degrees)
+            # int() would round 1.5 down to 1 without a word
+            if not degrees or not all(float(r).is_integer() and r >= 1 for r in degrees):
+                raise ValueError("degrees must be a nonempty tuple of positive integers")
+            object.__setattr__(self, "degrees", tuple(int(r) for r in degrees))
 
     def value_plan(self, rank: int) -> tuple[int, int, tuple]:
         if rank <= self.shallow_rank_max:
@@ -423,25 +434,16 @@ def _constant_cells(state: DerandState) -> np.ndarray:
     return steps[hi] == steps[lo]
 
 
-# Work size, in array elements, of the blocks that the window engine, the
-# frozen tail of the value engine and the Monte-Carlo paths stream through:
-# small enough that a block's temporaries stay in cache. It cannot change a
-# result. Every operation inside a block is elementwise or acts within one
-# line or row: a window block holds whole points, about _WINDOW_BLOCK
-# panels of their two lines, and each line's sum is one bincount over its
-# own panels, in z order; np.add.at accumulates the frozen-tail blocks in
-# input order; and the sampler draws and sums whole batches, building only
-# the paths in blocks, one row per path and live cell, so a sampler block
-# holds about _BLOCK grid points of the live cells whatever their number.
+# Work size, in array elements, of the blocks that the frozen tail of the
+# value engine and the Monte-Carlo paths stream through: small enough that a
+# block's temporaries stay in cache. It cannot change a result: np.add.at
+# accumulates the frozen-tail blocks in input order, and the sampler draws
+# and sums whole batches, building only the paths in blocks, one row per path
+# and live cell, so a sampler block holds about _BLOCK grid points of the
+# live cells whatever their number. The window engine needs no blocks: its
+# work per half window is linear in the points and in the f pieces that the
+# points' lines reach.
 _BLOCK = 1 << 14
-
-# Panels per window-engine block, half of _BLOCK: the window kernel keeps
-# about twenty float temporaries per panel, and at _BLOCK panels each one is
-# 128 KiB, a size at which glibc's malloc gives heap pages back and faults
-# them in again on every block. On the m=12 rank-1 opening assembly this
-# size takes 1.07-1.13 s against 1.57-1.66 s at _BLOCK; the value engine and
-# the sampler, whose blocks hold fewer temporaries, run slower at it.
-_WINDOW_BLOCK = 1 << 13
 
 # Monte-Carlo paths per batch of draws. The sampler draws a whole batch in
 # stream order, so this fixes which draw feeds which path: changing it
@@ -458,116 +460,149 @@ _MC_BATCH = 512
 # denominator is (c_hi - c_lo) * z. Its integral over a window [z1, z2] in z
 # is therefore (J(c_hi) - J(c_lo)) / (c_hi - c_lo), with
 #
-#     J(c) = integral over [z1, z2] of (F(origin + c z) - F(origin)) / z dz,
+#     J(c) = integral over [z1, z2] of (F(origin + c z) - F(origin)) / z dz
+#          = integral over [c z1, c z2] of (F(origin + d) - F(origin)) / d dd.
 #
-# one integral per line. Subtracting F(origin), computed once and shared by
-# the two lines, changes nothing in the difference, and it keeps J finite at
-# z1 = 0, where a window touches its cell edge. J splits into panels at the
-# line's crossings of the f nodes; on a panel the line stays in one piece of
-# the interpolant, so the numerator is one quadratic in z, expanded at the
-# panel's left edge so nothing cancels, and the integral is elementary.
-#
-# A line's crossings are nodes first, first + 1, ... in z order when c > 0
-# and the same nodes in reverse when c < 0 (a flat line has none), so each
-# point's panels, and the piece each panel lies in, follow from its count
-# and first node with no sort and no merge: one table lookup per panel. The
-# points of one half window share the origin and the window, which are
-# passed as floats. Crossings are clipped to [z1, z2]; a panel that clipping
-# leaves zero wide adds exactly zero.
+# Subtracting F(origin), computed once per half window, changes nothing in
+# the difference, and it keeps J finite at z1 = 0, where a window touches its
+# cell edge. In the offset d = u - origin the integrand no longer depends on
+# c: every line of a half window integrates the same function, only between
+# its own limits (product integration against a 1/d kernel). So each half
+# window integrates every f piece outward from the origin once, exactly, and
+# sums the pieces outward. A line's J is the difference of two of those
+# prefix sums, at the first and the last node inside its limits, plus a
+# partial panel at each end, or one panel when the line crosses no node. On
+# a panel the line stays in one piece of the interpolant, so the numerator is
+# a quadratic in d, expanded at the panel's end nearer the origin so that
+# nothing cancels, and the integral is elementary. The panel ends are the
+# offsets c * z1, c * z2 and node - origin, never u - origin from a rounded
+# u. A prefix difference cancels the more, the farther a window lies from
+# its origin, so the rounding left in the prefix sums and in c * z1, c * z2
+# is carried along (see _side_integrals). The work per half window is one
+# table lookup per f piece the lines reach and at most two per line,
+# whatever the number of node crossings; a flat line (c == 0) adds exactly
+# zero.
 
 
-def _crossing_counts(size, origin, c, z1, z2):
-    ua = origin + c * z1
-    ub = origin + c * z2
-    lo = np.minimum(ua, ub)
-    hi = np.maximum(ua, ub)
-    first = np.floor(lo * size).astype(np.int64) + 1
-    last = np.ceil(hi * size).astype(np.int64) - 1
-    cnt = np.where(c != 0.0, np.maximum(last - first + 1, 0), 0)
-    return cnt, first
-
-
-def _line_integrals(table, origin, F0, c, z1, z2, cnt, first):
-    """J(c) of every line (see above), given its node crossings
-    (_crossing_counts) and F0 = F(origin)."""
-    T = c.size
-    panels = cnt + 1
-    ends = np.cumsum(panels) - 1
-    rows = np.repeat(np.arange(T), panels)
-    # panel j of a rising line lies in piece first - 1 + j, between nodes
-    # first - 1 + j and first + j; a falling line's panels run down from node
-    # first + cnt - 1, so its panel j lies in piece first + cnt - 1 - j
-    rise = c >= 0.0
-    step = np.where(rise, 1, -1)
-    j0 = ends - cnt  # flat index of each line's panel 0
-    piece = np.arange(ends[-1] + 1) * step.take(rows)
-    piece += (np.where(rise, first - 1, first + cnt - 1) - step * j0).take(rows)
-    node = piece + rise.take(rows)  # the node at each panel's right end
-    cz = c.take(rows)
-    zB = node * table.inv_size
-    zB -= origin
-    zB /= np.where(c != 0.0, c, 1.0).take(rows)  # a flat line has no crossing
-    np.clip(zB, z1, z2, out=zB)
-    zB[ends] = z2
-    zA = np.empty_like(zB)
-    zA[1:] = zB[:-1]
-    zA[j0] = z1
-    W = zB - zA
-    # On a panel, with du = c (z - zA) and h the half slope,
-    # F(u) - F0 = (F(uA) - F0) + f(uA) du + h du**2. Put t = f(uA) - h c zA
-    # and K = (F(uA) - F0) - c zA t, the value of that quadratic at z = 0;
-    # the panel's integral of (F(u) - F0) / z is then
-    # c W (t + h c W / 2) + K log(zB / zA).
-    cA = cz * zA
-    # K starts as F(uA) and t as f(uA)
-    K, t, half = table.lookup(cA + origin, np.clip(piece, 0, table.size - 1, out=piece))
-    t -= half * cA
-    cW = cz * W
-    panel = half * cW
-    panel *= 0.5
-    panel += t
-    panel *= cW
-    K -= F0
-    K -= cA * t
-    # K vanishes at zA == 0, where the line starts at the origin, so the log
+def _panels(table, F0, dS, dU, u, p):
+    """Integral of (F(origin + d) - F0) / d over d from dS to dS + dU, for
+    panels that each stay inside piece p. dS is the panel's end nearer the
+    origin, and u = origin + dS."""
+    F, t, half = table.lookup(u, p)
+    # with h the half slope, F(origin + d) - F0 = K + t d + h d**2 on the
+    # panel, where t = f(u) - h dS and K = (F(u) - F0) - dS t; the integral
+    # is dU (t + h dU / 2) + K log1p(dU / dS)
+    t -= half * dS
+    out = half * dU
+    out *= 0.5
+    out += t
+    out *= dU
+    F -= F0
+    F -= dS * t
+    # K vanishes at dS == 0, where the panel starts at the origin, so the log
     # term drops there
-    if z1 > 0.0:
-        W /= zA
-        panel += K * np.log1p(W)
-    else:
-        inner = zA > 0.0
-        panel[inner] += K[inner] * np.log1p(W[inner] / zA[inner])
-    return np.bincount(rows, weights=panel, minlength=T)
-
-
-def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2, max_edges=_WINDOW_BLOCK):
-    """Per-point integral over [z1, z2] of the window mean of f along the
-    line pair (origin, c_hi), (origin, c_lo), in blocks of whole points of
-    about max_edges panels. The lines share one origin and one window:
-    origin, z1 and z2 are floats, one slope pair per point."""
-    T = c_hi.size
-    out = np.zeros(T)
-    if T == 0:
-        return out
-    F0 = table.F_at(np.array([origin]))[0]
-    cnt1, first1 = _crossing_counts(table.size, origin, c_hi, z1, z2)
-    cnt2, first2 = _crossing_counts(table.size, origin, c_lo, z1, z2)
-    cum = np.concatenate([[0], np.cumsum(2 + cnt1 + cnt2)])
-    start = 0
-    while start < T:
-        stop = int(np.searchsorted(cum, cum[start] + max_edges, side="right")) - 1
-        stop = min(max(stop, start + 1), T)
-        sl = slice(start, stop)
-        # both lines of the block in one pass: the upper lines, then the lower
-        J = _line_integrals(
-            table, origin, F0,
-            np.concatenate([c_hi[sl], c_lo[sl]]), z1, z2,
-            np.concatenate([cnt1[sl], cnt2[sl]]), np.concatenate([first1[sl], first2[sl]]),
-        )
-        k = stop - start
-        out[sl] = (J[:k] - J[k:]) / (c_hi[sl] - c_lo[sl])
-        start = stop
+    ratio = np.divide(dU, dS, out=np.zeros_like(dU), where=dS != 0.0)
+    out += F * np.log1p(ratio)
     return out
+
+
+def _product_error(c, z: float):
+    """c * z - fl(c * z), exactly: Dekker's product on Veltkamp's split,
+    since NumPy has no fused multiply-add."""
+    t = c * 134217729.0  # 2**27 + 1
+    ch = t - (t - c)
+    cl = c - ch
+    t = z * 134217729.0
+    zh = t - (t - z)
+    zl = z - zh
+    return ((ch * zh - c * z) + ch * zl + cl * zh) + cl * zl
+
+
+def _side_integrals(table, origin, F0, c, z1, z2):
+    """J(c) (see above) of lines that all leave the origin on one side:
+    every c > 0, or every c < 0."""
+    size = table.size
+    side = 1 if c[0] > 0.0 else -1
+    dA = c * z1
+    dB = c * z2
+    # the nodes strictly beyond the origin on this side, outward, as far as
+    # the farthest line end, within the grid
+    if side > 0:
+        k0 = math.floor(origin * size) + 1
+        nodes = np.arange(k0, min(math.ceil((origin + dB.max()) * size), size) + 1)
+    else:
+        k0 = math.ceil(origin * size) - 1
+        nodes = np.arange(k0, max(math.floor((origin + dB.min()) * size), 0) - 1, -1)
+    nn = nodes.size
+    # segment j runs to node j from node j - 1 (from the origin when j == 0);
+    # segment nn runs on past the last node, and the end pieces extend past
+    # the grid
+    piece = np.arange(nn + 1) * side
+    piece += k0 - (side > 0)
+    np.clip(piece, 0, size - 1, out=piece)
+    un = nodes * table.inv_size
+    # offsets of the segment ends, from the origin's 0.0 to the last node,
+    # padded with a 0.0 that only lines crossing no node index
+    ends = np.concatenate([[0.0], un - origin, [0.0]])
+    starts_u = np.concatenate([[origin], un])
+    outward = side * ends[1 : nn + 1]  # increasing
+    jA = np.searchsorted(outward, side * dA, side="right")  # first node past dA
+    jB = np.searchsorted(outward, side * dB, side="left")  # nodes short of dB
+    crossing = jB > jA
+    cross = np.flatnonzero(crossing)
+    jBc = jB.take(cross)
+    # dA and dB round the limits c z1 and c z2 by up to half an ulp, which
+    # the integrand turns into an error larger than all the others: each
+    # end panel is stretched by its limit's rounding error, so that to first
+    # order a line is integrated between its exact limits
+    errA = _product_error(c, z1)
+    errB = _product_error(c, z2)
+    # a line's first panel runs to the first node past dA, or on to dB; a
+    # crossing line's last panel runs on from the last node short of dB
+    first = np.where(crossing, ends.take(jA + 1) - dA, (dB - dA) + errB)
+    first -= errA
+    last = dB.take(cross) - ends.take(jBc)
+    last += errB.take(cross)
+    # one lookup for the whole segments, each line's first panel (its only
+    # one if it crosses no node) and each crossing line's last panel
+    L = dA.size
+    panels = _panels(
+        table,
+        F0,
+        np.concatenate([ends[:nn], dA, ends.take(jBc)]),
+        np.concatenate([np.diff(ends[: nn + 1]), first, last]),
+        np.concatenate([starts_u[:nn], origin + dA, starts_u.take(jBc)]),
+        np.concatenate([piece[:nn], piece.take(jA), piece.take(jBc)]),
+    )
+    # the whole segments summed outward, and the rounding error of each
+    # addition (Knuth's two-sum) summed alongside: the prefix sums grow with
+    # the distance from the origin, a line's integral only with its span
+    whole = panels[:nn]
+    prefix = np.cumsum(whole)
+    before = np.concatenate([[0.0], prefix])[:nn]
+    added = prefix - before
+    lost = np.cumsum((before - (prefix - added)) + (whole - added))
+    a = jA.take(cross)
+    b = jBc - 1
+    between = (prefix.take(b) - prefix.take(a)) + (lost.take(b) - lost.take(a))
+    J = panels[nn : nn + L]
+    J[cross] += panels[nn + L :] + between
+    return J
+
+
+def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2):
+    """Per-point integral over [z1, z2] of the window mean of f along the
+    line pair (origin, c_hi), (origin, c_lo). The lines share one origin and
+    one window: origin, z1 and z2 are floats, one slope pair per point."""
+    T = c_hi.size
+    c = np.concatenate([c_hi, c_lo])
+    J = np.zeros(2 * T)
+    F0 = table.F_at(np.array([origin]))[0]
+    # rising lines, then falling ones; a flat line keeps J = 0
+    for lines in (np.flatnonzero(c > 0.0), np.flatnonzero(c < 0.0)):
+        if lines.size:
+            J[lines] = _side_integrals(table, origin, F0, c.take(lines), z1, z2)
+    return (J[:T] - J[T:]) / (c_hi - c_lo)
 
 
 def _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2):

@@ -1,6 +1,8 @@
 """Derandomization loop: expectation engines, halving choices, full runs."""
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +52,31 @@ def test_config_rejects_bad_values():
         DerandConfig(ell_max=-1)
     with pytest.raises(ValueError):
         DerandConfig(j_tol=1.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("name", ["row_tol", "null_tol", "identity_tol"])
+def test_config_rejects_tolerances_that_are_not_finite(name, bad):
+    # a NaN row_tol would keep no row and steer nothing; a NaN identity_tol
+    # would fail a residual of 1e-15
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        DerandConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("degrees", [(1.5,), (4, 2.5), (), (2, 0)])
+def test_config_rejects_degrees_that_are_not_positive_integers(degrees):
+    # int(1.5) is 1: a fractional degree would be tracked as another one
+    with pytest.raises(ValueError, match="degrees must be a nonempty tuple of positive integers"):
+        DerandConfig(degrees=degrees)
+
+
+def test_config_keeps_whole_float_degrees():
+    assert DerandConfig(degrees=[4.0, 1]).degrees == (4, 1)
+
+
+def test_config_rejects_a_boolean_ell_max():
+    with pytest.raises(ValueError, match="ell_max must be a nonnegative integer"):
+        DerandConfig(ell_max=True)
 
 
 SETTINGS = [
@@ -533,6 +560,16 @@ def mc_profile_reference(state, n_samples, seed, batch=512):
     return mean, se
 
 
+def assert_point_slices_are_bitwise(table, origin, c_hi, c_lo, z1, z2):
+    """The window engine on a slice of a half window's points is bit for bit
+    the same slice of the engine on all of them."""
+    whole = derand._half_window_integrals(table, origin, c_hi, c_lo, z1, z2)
+    for sl in (slice(None, None, 3), slice(c_hi.size // 2, None), slice(0, 1)):
+        part = derand._half_window_integrals(table, origin, c_hi[sl], c_lo[sl], z1, z2)
+        assert np.array_equal(part, whole[sl])
+    return whole
+
+
 @pytest.mark.parametrize("rank", [1, 3])
 def test_engines_are_block_invariant(rank_states, rank, monkeypatch):
     state = rank_states[rank]
@@ -541,9 +578,7 @@ def test_engines_are_block_invariant(rank_states, rank, monkeypatch):
     sides = set()
     for side, *lines in window_lines(state):
         sides.add(side)
-        whole = derand._half_window_integrals(table, *lines)
-        split = derand._half_window_integrals(table, *lines, max_edges=64)
-        assert np.array_equal(split, whole)
+        assert_point_slices_are_bitwise(table, *lines)
     assert sides == {"left", "right"}
 
     prof = derand._value_profile(state, cfg)
@@ -624,39 +659,58 @@ def quadrature_cases(state):
         yield "edge", *case
 
 
+@pytest.fixture(scope="module")
+def late_states(rank_states):
+    """rank_states after five halvings: windows 1/32 as wide as the opening
+    ones, many of them far from their origin compared with their width,
+    which is where a difference of two prefix sums cancels the most."""
+    cfg = DerandConfig(mc_check=False, degrees=DEGREES)
+    out = {}
+    for rank, state in rank_states.items():
+        for _ in range(5):
+            state, _, _ = choose_halves(state, cfg, DEGREES)
+        out[rank] = state
+    return out
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
-def test_window_engine_matches_adaptive_quadrature(rank_states, rank):
+def test_window_engine_matches_adaptive_quadrature(rank_states, late_states, rank):
+    """At the rank's opening, and five halvings on, where windows lie at
+    least 16 of their widths from their origin."""
     quad = pytest.importorskip("scipy.integrate").quad
-    state = rank_states[rank]
-    table = derand._PLTable(state.f)
-    F = pl_antiderivative(np.asarray(state.f.values, dtype=float))
-    size = table.size
-    checked = {"halved": 0, "edge": 0}
-    flat = at_origin = 0
-    for kind, side, O, c_hi, c_lo, a, b in quadrature_cases(state):
-        got = derand._half_window_integrals(table, O, c_hi, c_lo, a, b)
-        at_origin += a == 0.0
-        # every 4th point, and the last one (the flat line of its window)
-        for t in sorted(set(range(0, c_hi.size, 4)) | {c_hi.size - 1}):
-            ch, cl = c_hi[t], c_lo[t]
-            flat += cl == 0.0
+    for state, far_at_least in ((rank_states[rank], 0.0), (late_states[rank], 16.0)):
+        table = derand._PLTable(state.f)
+        F = pl_antiderivative(np.asarray(state.f.values, dtype=float))
+        size = table.size
+        checked = {"halved": 0, "edge": 0}
+        flat = at_origin = 0
+        far = 0.0
+        for kind, side, O, c_hi, c_lo, a, b in quadrature_cases(state):
+            got = derand._half_window_integrals(table, O, c_hi, c_lo, a, b)
+            at_origin += a == 0.0
+            far = max(far, a / (b - a))
+            # every 4th point, and the last one (the flat line of its window)
+            for t in sorted(set(range(0, c_hi.size, 4)) | {c_hi.size - 1}):
+                ch, cl = c_hi[t], c_lo[t]
+                flat += cl == 0.0
 
-            def mean_along(z):
-                return (F(O + ch * z) - F(O + cl * z)) / ((ch - cl) * z)
+                def mean_along(z):
+                    return (F(O + ch * z) - F(O + cl * z)) / ((ch - cl) * z)
 
-            kinks = sorted(set(crossings(size, O, ch, a, b) + crossings(size, O, cl, a, b)))
-            want, err = quad(
-                mean_along, a, b, points=kinks or None, limit=4 * len(kinks) + 100,
-                epsabs=1e-13, epsrel=1e-13,
-            )
-            assert err < 1e-11
-            # compare window means: the integrals shrink with the window
-            assert abs(got[t] - want) / (b - a) <= 1e-10, (kind, side, t)
-            checked[kind] += 1
-    assert min(checked.values()) >= 16
-    assert flat == 1
-    # the first cell's left half and the last cell's right half start at z1 = 0
-    assert at_origin == 2
+                kinks = sorted(set(crossings(size, O, ch, a, b) + crossings(size, O, cl, a, b)))
+                want, err = quad(
+                    mean_along, a, b, points=kinks or None, limit=4 * len(kinks) + 100,
+                    epsabs=1e-13, epsrel=1e-13,
+                )
+                assert err < 1e-11
+                # compare window means: the integrals shrink with the window
+                assert abs(got[t] - want) / (b - a) <= 1e-10, (state.ell, kind, side, t)
+                checked[kind] += 1
+        assert min(checked.values()) >= 16
+        assert flat == 1
+        # the first cell's left half and the last cell's right half start at z1 = 0
+        assert at_origin == 2
+        assert far >= far_at_least
 
 
 # --- the window kernel against its first, lexsort form ------------------------
@@ -683,8 +737,16 @@ def half_window_reference(table, origin, c_hi, c_lo, z1, z2):
     size = table.size
     T = c_hi.size
     origin, z1, z2 = (np.full(T, x) for x in (origin, z1, z2))
-    cnt1, first1 = derand._crossing_counts(size, origin, c_hi, z1, z2)
-    cnt2, first2 = derand._crossing_counts(size, origin, c_lo, z1, z2)
+
+    def crossing_counts(c):
+        ua = origin + c * z1
+        ub = origin + c * z2
+        first = np.floor(np.minimum(ua, ub) * size).astype(np.int64) + 1
+        last = np.ceil(np.maximum(ua, ub) * size).astype(np.int64) - 1
+        return np.where(c != 0.0, np.maximum(last - first + 1, 0), 0), first
+
+    cnt1, first1 = crossing_counts(c_hi)
+    cnt2, first2 = crossing_counts(c_lo)
     counts = 2 + cnt1 + cnt2
     cum = np.concatenate([[0], np.cumsum(counts)])
     z_flat = np.empty(int(cum[-1]))
@@ -738,9 +800,10 @@ def edge_window_state(state):
 
 
 # Largest error of the window engine against the lexsort form, relative to
-# the window width, on these states: 6.0e-14. Splitting the line pair
-# divides a difference of two line integrals by c_hi - c_lo, so the two
-# kernels agree to rounding, not bit for bit.
+# the window width, on these states: 9.4e-15 (6.0e-14 with a panel sweep of
+# each line). The engine divides a difference of two line integrals, each a
+# difference of prefix sums, by c_hi - c_lo, so the two kernels agree to
+# rounding, not bit for bit.
 LEXSORT_RTOL = 2e-13
 
 
@@ -756,13 +819,71 @@ def test_window_kernel_matches_the_lexsort_form(rank_states, rank, edge):
         sides.add(side)
         at_origin += lines[3] == 0.0
         want = half_window_reference(table, *lines)
-        got = derand._half_window_integrals(table, *lines)
+        got = assert_point_slices_are_bitwise(table, *lines)
         assert np.max(np.abs(got - want)) <= LEXSORT_RTOL * (lines[4] - lines[3])
-        # blocks of whole points: bit for bit whatever their size
-        assert np.array_equal(derand._half_window_integrals(table, *lines, max_edges=64), got)
     assert sides == {"left", "right"}
     # the first cell's left half and the last cell's right half
     assert at_origin == (2 if edge else 0)
+
+
+def test_product_error_is_exact():
+    # the window engine stretches each end panel by c * z - fl(c * z)
+    rng = np.random.default_rng(3)
+    c = rng.uniform(-1.0, 1.0, 2000)
+    c[:3] = (0.0, 1.0, -2.0**-40)
+    for z in (0.7599328720569611, 1.0 / 3.0, 2.0**-30, 0.0):
+        err = derand._product_error(c, z)
+        for ci, ei in zip(c, err):
+            assert Fraction(ci) * Fraction(z) == Fraction(ci * z) + Fraction(ei)
+
+
+def node_crossings(size, origin, c, z1, z2):
+    """Per line, the f nodes strictly inside its span origin + c [z1, z2]."""
+    ua, ub = origin + c * z1, origin + c * z2
+    inside = np.ceil(np.maximum(ua, ub) * size) - np.floor(np.minimum(ua, ub) * size) - 1
+    return np.where(c != 0.0, np.maximum(inside, 0), 0).astype(np.int64)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_window_profile_cost_ignores_node_crossings(rank_states, rank, monkeypatch):
+    """A window profile looks up at most 4 table elements per point and per
+    f piece under its cell's image, however many f nodes its lines cross.
+    One lookup per panel between crossings, as a panel sweep of each line
+    takes, is far past that bound on these states."""
+    state = rank_states[rank]
+    m, n = state.f.m, state.n_active
+    size = 1 << m
+    table = derand._PLTable(state.f)
+    qtab, ranktab = derand._q_table(state.q, m), derand._rank_table(m)
+    edges, mids = derand._cell_grid(m, n)
+    looked_up = []
+    inner = derand._PLTable.lookup
+
+    def recorder(self, u, p):
+        looked_up.append(np.size(u))
+        return inner(self, u, p)
+
+    monkeypatch.setattr(derand._PLTable, "lookup", recorder)
+    lines = list(window_lines(state))
+    swept = []
+    for i in range(mids.size):
+        a, b = float(state.fixed_y[i]), float(state.fixed_y[i + 1])
+        looked_up.clear()
+        derand._window_profile(
+            table, qtab, ranktab, n, edges[i], mids[i], edges[i + 1], a, b,
+            float(state.j_lo[i]), float(state.j_hi[i]),
+        )
+        points = edges[i + 1] - edges[i] - 1
+        pieces = math.ceil(b * size) - math.floor(a * size)
+        bound = 4 * (points + pieces)
+        assert 0 < sum(looked_up) <= bound
+        panels = sum(
+            c.size + node_crossings(size, O, c, z1, z2).sum()
+            for _, O, c_hi, c_lo, z1, z2 in lines[2 * i : 2 * i + 2]
+            for c in (c_hi, c_lo)
+        )
+        swept.append(panels > bound)
+    assert all(swept)
 
 
 @pytest.mark.filterwarnings("error")
