@@ -31,14 +31,16 @@ Two expectation engines back this up and are deliberately kept separate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .fourier import sup_partial_sums
-from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly
+from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, compose
 from .haar import ConfinementMap, confinement_map, normalize_sup
 from .rng import tagged_generator
 from .signs import SignMatrix, solve_hierarchical
@@ -129,14 +131,33 @@ def default_degrees(n_max: int, m: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _check_degrees(degrees) -> tuple[int, ...]:
+    """The given degrees as ints, in their order. Each must be a whole,
+    positive number and no bool: int() would read 1.5 as 1 and True as 1
+    without a word."""
+    message = "degrees must be a nonempty tuple of positive integers"
+    try:
+        out = tuple(degrees)
+    except TypeError:
+        raise ValueError(message) from None
+    whole = (
+        isinstance(r, numbers.Real)
+        and not isinstance(r, bool)
+        and (isinstance(r, numbers.Integral) or float(r).is_integer())
+        and r >= 1
+        for r in out
+    )
+    if not out or not all(whole):
+        raise ValueError(message)
+    return tuple(int(r) for r in out)
+
+
 def _resolve_degrees(degrees, m: int, n_hint: int) -> tuple[int, ...]:
     if degrees is None:
         degrees = default_degrees(n_hint, m)
         if not degrees:
             raise ResolutionError(f"a 2**{m} grid resolves no degree to track")
-    out = sorted(set(int(r) for r in degrees))
-    if not out or out[0] < 1:
-        raise ValueError("degrees must be positive integers")
+    out = sorted(set(_check_degrees(degrees)))
     if out[-1] >= (1 << (m - 1)):
         raise ResolutionError(f"degree {out[-1]} too large for a 2**{m} grid")
     return tuple(out)
@@ -211,11 +232,7 @@ class DerandConfig:
             # one path has a standard error of 0, so the guard could never pass
             raise ValueError("mc_samples must be an integer of at least 2")
         if self.degrees is not None:
-            degrees = tuple(self.degrees)
-            # int() would round 1.5 down to 1 without a word
-            if not degrees or not all(float(r).is_integer() and r >= 1 for r in degrees):
-                raise ValueError("degrees must be a nonempty tuple of positive integers")
-            object.__setattr__(self, "degrees", tuple(int(r) for r in degrees))
+            object.__setattr__(self, "degrees", _check_degrees(self.degrees))
 
     def value_plan(self, rank: int) -> tuple[int, int, tuple]:
         if rank <= self.shallow_rank_max:
@@ -232,11 +249,11 @@ class DerandState:
     per cell, nested inside the cell image. phase flips to "final" once
     every tracked rank is pinned, after which homeo() is available.
 
-    Each state remembers what the halving steps learn about it: its
-    quadrature profile ("profile") and per cell the profile of its full
-    window ("windows"). Both are pure functions of the state, so a step
-    reads them here rather than recomputing them. The memo is no
-    constructor argument, and dataclasses.replace starts it empty."""
+    Each state remembers its quadrature profile ("profile"), a pure
+    function of the state, so the Monte-Carlo guard and the halving step
+    that follow each other read it here rather than recomputing it. The
+    memo is no constructor argument, and dataclasses.replace starts it
+    empty."""
 
     f: SampledFunction
     q: ConfinementMap
@@ -337,35 +354,26 @@ class _PLTable:
         du = p * self.inv_size
         return np.subtract(u, du, out=du)
 
-    @staticmethod
-    def _line(du, slope, value, out=None):
-        """value + slope * du."""
-        out = np.multiply(du, slope, out=out)
-        out += value
-        return out
-
-    @staticmethod
-    def _quad(du, half_slope, value, cum):
-        """cum + (value + half_slope * du) * du, accumulated in half_slope."""
-        half_slope *= du
-        half_slope += value
-        half_slope *= du
-        half_slope += cum
-        return half_slope
-
     def f_at(self, u, p=None):
         """values[p] + slopes[p] * (u - p / size)."""
         if p is None:
             p = self.piece(u)
         du = self._offset(u, p)
-        return self._line(du, self.slopes.take(p), self.values.take(p), out=du)
+        du *= self.slopes.take(p)
+        du += self.values.take(p)
+        return du
 
     def F_at(self, u, p=None):
         """cum[p] + (values[p] + 0.5 * slopes[p] * du) * du, du = u - p / size."""
         if p is None:
             p = self.piece(u)
         du = self._offset(u, p)
-        return self._quad(du, self.half_slopes.take(p), self.values.take(p), self.cum.take(p))
+        out = self.half_slopes.take(p)
+        out *= du
+        out += self.values.take(p)
+        out *= du
+        out += self.cum.take(p)
+        return out
 
     def lookup(self, u, p):
         """F_at(u, p), f_at(u, p) and half_slopes[p], from one offset and
@@ -406,12 +414,15 @@ def _q_table(q: ConfinementMap, m: int) -> np.ndarray:
     return out
 
 
-def _rank_table(m: int) -> np.ndarray:
-    out = np.zeros((1 << m) + 1, dtype=np.int64)
-    for rank in range(1, m + 1):
-        step = 1 << (m - rank)
-        out[step :: 2 * step] = rank
-    return out
+def _tail_table(qtab: np.ndarray, seg: int) -> np.ndarray:
+    """qtab[g] * lowbit(g mod seg) / seg at every grid index g: the half
+    width, per unit of its segment's span, of a point inside a seg-wide
+    segment whose deeper ranks are frozen at conditional centers. The value
+    engine's frozen tail and the window engine's half cells both read it.
+    The factor is a power of two, so tail[g] * span rounds exactly as
+    qtab[g] * span * factor does."""
+    d = np.arange(qtab.size) % seg
+    return qtab * ((d & -d) / seg)
 
 
 def _cell_grid(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -605,10 +616,13 @@ def _half_window_integrals(table, origin, c_hi, c_lo, z1, z2):
     return (J[:T] - J[T:]) / (c_hi - c_lo)
 
 
-def _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2):
+def _window_profile(table, tail, gl, gd, gr, a, b, y1, y2):
     """Conditional expectation of f(warp(t)) for grid t inside one cell,
     the live midpoint image averaged over [y1, y2], everything deeper
-    frozen at conditional centers (each point keeps its own window mean)."""
+    frozen at conditional centers (each point keeps its own window mean).
+    tail is _tail_table(qtab, 2**(m - n)): a point strictly inside a half
+    cell has lowbit(g mod 2**(m - n)) / 2**(m - n) = 2**(n - rank(g)), so
+    its half width per unit span is qtab[g] * 2**(n - rank(g))."""
     span = y2 - y1
     out = np.empty(gr - gl - 1)
     mid_pos = gd - gl - 1
@@ -616,14 +630,14 @@ def _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2):
     left = np.arange(gl + 1, gd)
     if left.size:
         s = (left - gl) / (gd - gl)
-        width = qtab[left] * np.exp2(n - ranktab[left]).astype(float)
+        width = tail[left]
         out[:mid_pos] = (
             _half_window_integrals(table, a, s + width, s - width, y1 - a, y2 - a) / span
         )
     right = np.arange(gd + 1, gr)
     if right.size:
         s = (gr - right) / (gr - gd)
-        width = qtab[right] * np.exp2(n - ranktab[right]).astype(float)
+        width = tail[right]
         out[mid_pos + 1 :] = (
             _half_window_integrals(table, b, width - s, -(s + width), b - y2, b - y1) / span
         )
@@ -661,36 +675,29 @@ def _fold_degrees(profile: np.ndarray, plan) -> np.ndarray:
 
 def _assemble(state: DerandState, degrees, cfg: DerandConfig):
     """Functional matrix of one halving step: its rows of largest entry at
-    least row_tol, their ids, the averaging-identity residual, and each
-    cell's (upper, lower) half-window profiles. The residual is measured on
-    the same folded entries the matrix is made of, and unless it is finite
-    and within identity_tol it raises NumericalAlarm.
+    least row_tol, their ids, and the averaging-identity residual. Each
+    live cell's full window and its upper and lower halves are profiled
+    here; the residual is measured on the same folded entries the matrix is
+    made of, and unless it is finite and within identity_tol it raises
+    NumericalAlarm.
 
     Cells flagged by _constant_cells have f flat on their image, so every
     window gives the same profile: their column is exactly zero, they add
-    nothing to the residual, and their halves are None, with no window
-    profile or fold computed. Full-window profiles come from the state's
-    memo; the previous halving seeded it with the halves it kept, which are
-    bit for bit this step's full windows (same call, same floats, since the
-    new edge is the old 0.5 * (lo + hi))."""
+    nothing to the residual, and no window profile or fold is computed."""
     f = state.f
     m = f.m
     n = state.n_active
     table = _PLTable(f)
-    qtab = _q_table(state.q, m)
-    ranktab = _rank_table(m)
+    tail = _tail_table(_q_table(state.q, m), 1 << (m - n))
     pts = 1 << n
     plan = _fold_plan(1 << m, degrees, pts)
     edges, mids = _cell_grid(m, n)
     constant = _constant_cells(state)
-    windows = state._memo.setdefault("windows", {})
     vals = np.zeros((len(degrees) * pts, mids.size))
     ident = 0.0
     buf = np.zeros(1 << m)
-    halves = []
     for i in range(mids.size):
         if constant[i]:
-            halves.append(None)
             continue
         gl, gd, gr = edges[i], mids[i], edges[i + 1]
         a = float(state.fixed_y[i])
@@ -698,14 +705,12 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
         y1 = float(state.j_lo[i])
         y2 = float(state.j_hi[i])
         ym = 0.5 * (y1 + y2)
-        if i not in windows:
-            windows[i] = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2)
-        g_up = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, ym, y2)
-        g_dn = _window_profile(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, ym)
-        halves.append((g_up, g_dn))
+        g = _window_profile(table, tail, gl, gd, gr, a, b, y1, y2)
+        g_up = _window_profile(table, tail, gl, gd, gr, a, b, ym, y2)
+        g_dn = _window_profile(table, tail, gl, gd, gr, a, b, y1, ym)
         buf[gl + 1 : gr] = 0.5 * (g_up - g_dn)
         vals[:, i] = _fold_degrees(buf, plan).ravel()
-        buf[gl + 1 : gr] = 0.5 * (g_up + g_dn) - windows[i]
+        buf[gl + 1 : gr] = 0.5 * (g_up + g_dn) - g
         # np.maximum, unlike max, carries a NaN through to the gate
         ident = float(np.maximum(ident, np.max(np.abs(_fold_degrees(buf, plan)))))
         buf[gl + 1 : gr] = 0.0
@@ -719,7 +724,7 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
         )
     keep = np.max(np.abs(vals), axis=1) >= cfg.row_tol
     row_ids = tuple((r, j) for r in degrees for j in range(pts))
-    return vals[keep], tuple(rid for rid, flag in zip(row_ids, keep) if flag), ident, halves
+    return vals[keep], tuple(rid for rid, flag in zip(row_ids, keep) if flag), ident
 
 
 def _step_args(state: DerandState, config: DerandConfig | None, degrees):
@@ -743,39 +748,31 @@ def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | N
     run does, pass default_degrees(n_max, m). choose_halves and advance
     take the same defaults."""
     cfg, degrees = _step_args(state, config, degrees)
-    kept, kept_ids, _, _ = _assemble(state, degrees, cfg)
+    kept, kept_ids, _ = _assemble(state, degrees, cfg)
     return SignMatrix(kept, kept_ids, dist="circular")
 
 
 # --- quadrature value engine ---------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gl_nodes(k: int):
-    if k not in _GL_CACHE:
-        _GL_CACHE[k] = np.polynomial.legendre.leggauss(k)
-    return _GL_CACHE[k]
+    return np.polynomial.legendre.leggauss(k)
 
 
-_UNIT_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _composite_unit(budget: int):
     """Composite two-point Gauss rule on [-1, 1] with about `budget` nodes.
     Piecewise-linear integrands keep kinks at every scale, so spreading a
     fixed budget over panels beats one high-order rule on the whole window;
     weights sum to 2 to match the plain rule's normalization."""
-    if budget not in _UNIT_CACHE:
-        panels = max(1, (budget + 1) // 2)
-        nodes, wts = _gl_nodes(2) if budget > 1 else _gl_nodes(1)
-        edges = -1.0 + 2.0 * np.arange(panels + 1) / panels
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 1.0 / panels
-        xs = (mids[:, None] + half * nodes[None, :]).ravel()
-        ws = np.tile(wts * half, panels)
-        _UNIT_CACHE[budget] = (xs, ws)
-    return _UNIT_CACHE[budget]
+    panels = max(1, (budget + 1) // 2)
+    nodes, wts = _gl_nodes(2) if budget > 1 else _gl_nodes(1)
+    edges = -1.0 + 2.0 * np.arange(panels + 1) / panels
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 1.0 / panels
+    xs = (mids[:, None] + half * nodes[None, :]).ravel()
+    ws = np.tile(wts * half, panels)
+    return xs, ws
 
 
 def _composite_gl(y1, y2, panels, k):
@@ -788,39 +785,12 @@ def _composite_gl(y1, y2, panels, k):
     return ys, ws
 
 
-_PATH_CHUNK = 600_000
-
-
-def _tail_table(qtab: np.ndarray, seg: int) -> np.ndarray:
-    """qtab[g] * lowbit(g mod seg) / seg at every grid index g: the half
-    width, per unit of its segment's span, of a point that the frozen tail
-    of seg-wide segments places. The factor is a power of two, so
-    tail[g] * span rounds exactly as qtab[g] * span * factor does."""
-    d = np.arange(qtab.size) % seg
-    return qtab * ((d & -d) / seg)
-
-
 def _cell_expectation(E, table, qtab, tail, state, i, gl, gd, plan):
     y_panels, y_nodes, level_nodes = plan
     E[gd] = table.mean_F(np.array([state.j_lo[i]]), np.array([state.j_hi[i]]))[0]
-
     ys, ws = _composite_gl(float(state.j_lo[i]), float(state.j_hi[i]), y_panels, y_nodes)
-    # the tree below is independent per live-coordinate node, so chunking
-    # the nodes bounds peak memory no matter how rich the node tuples are
-    growth = 1
-    for k in level_nodes:
-        growth *= 2 * _composite_unit(k)[0].size
-    step = max(1, _PATH_CHUNK // max(growth, 1))
     a = float(state.fixed_y[i])
     b = float(state.fixed_y[i + 1])
-    for start in range(0, ys.size, step):
-        _cell_subtree(
-            E, table, qtab, tail, state, gl, gd, a, b, level_nodes,
-            ys[start : start + step], ws[start : start + step],
-        )
-
-
-def _cell_subtree(E, table, qtab, tail, state, gl, gd, a, b, level_nodes, ys, ws):
     m = table.m
     n = state.n_active
     lo = np.concatenate([np.full(ys.size, a), ys])
@@ -882,7 +852,7 @@ def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     edges, mids = _cell_grid(m, n)
     E[edges[:-1]] = table.f_at(state.fixed_y[:-1])
     plan = cfg.value_plan(n)
-    # _cell_subtree's segments are this wide once its quadrature levels end
+    # _cell_expectation's segments are this wide once its quadrature levels end
     tail = _tail_table(qtab, (1 << (m - n)) >> min(len(plan[2]), m - n))
     constant = _constant_cells(state)
     for i in range(mids.size):
@@ -895,7 +865,8 @@ def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
 
 
 def _profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
-    """The state's quadrature profile, computed on first use. The value
+    """The state's quadrature profile, computed on first use and kept in
+    the state's memo, which holds nothing else. The value
     plan is a set of class constants, so the profile depends on the state
     alone. The memo is valid only for that plan: a caller who varies it
     (on DerandConfig or a subclass) must pass a dataclasses.replace copy,
@@ -918,8 +889,6 @@ def expected_composition(
     cfg = config if config is not None else DerandConfig()
     m_out = state.f.m if m_out is None else int(m_out)
     if state.phase == "final":
-        from .grid import compose
-
         return compose(state.f, state.homeo(), m_out)
     if m_out > state.f.m:
         raise ResolutionError("cannot refine past the sample grid of f while windows are live")
@@ -1060,7 +1029,7 @@ def _halve(state: DerandState, cfg: DerandConfig, degrees):
     """choose_halves, plus the step's silent-cell counts: constant cells,
     and null columns over the other cells."""
     constant = _constant_cells(state)
-    kept, kept_ids, ident, halves = _assemble(state, degrees, cfg)
+    kept, kept_ids, ident = _assemble(state, degrees, cfg)
     cells = kept.shape[1]
     if kept.shape[0]:
         null_cols = constant | (np.max(np.abs(kept), axis=0) < cfg.null_tol)
@@ -1087,12 +1056,6 @@ def _halve(state: DerandState, cfg: DerandConfig, degrees):
     new_lo = np.where(null_cols, mid - quarter, np.where(eps > 0, mid, lo))
     new_hi = np.where(null_cols, mid + quarter, np.where(eps > 0, hi, mid))
     new_state = dataclasses.replace(state, ell=state.ell + 1, j_lo=new_lo, j_hi=new_hi)
-    # the half a cell kept is its new full window; concentric cells start over
-    new_state._memo["windows"] = {
-        i: pair[0] if e > 0 else pair[1]
-        for i, (pair, e, null) in enumerate(zip(halves, eps, null_cols))
-        if not null
-    }
     change = SampledFunction(state.f.m, _profile(new_state, cfg) - _profile(state, cfg))
     records = [
         DeviationRecord(state.n_active, state.ell, r, sup)

@@ -72,6 +72,40 @@ def test_config_rejects_degrees_that_are_not_positive_integers(degrees):
 
 def test_config_keeps_whole_float_degrees():
     assert DerandConfig(degrees=[4.0, 1]).degrees == (4, 1)
+    assert DerandConfig(degrees=(np.int64(2), np.float64(8.0))).degrees == (2, 8)
+
+
+BAD_DEGREES = [(2.9, 4), (1.5, 3), (True, 4), (False,), ("2",), "24", 4, (2, float("nan"))]
+
+
+def degree_steps():
+    """Each public step, and DerandConfig, as a call on one degree argument."""
+    state = taper_state()
+    cfg = DerandConfig(mc_check=False, ell_max=1)
+    return {
+        "config": lambda d: DerandConfig(degrees=d),
+        "assemble_v_matrix": lambda d: assemble_v_matrix(state, d, cfg),
+        "choose_halves": lambda d: choose_halves(state, cfg, d),
+        "advance": lambda d: advance(state, cfg, d),
+    }
+
+
+@pytest.mark.parametrize("degrees", BAD_DEGREES, ids=repr)
+@pytest.mark.parametrize("step", ["config", "assemble_v_matrix", "choose_halves", "advance"])
+def test_steps_reject_degrees_that_are_not_positive_integers(step, degrees):
+    # int() would track 2.9 as 2, 1.5 as 1 and True as 1 without a word
+    with pytest.raises(ValueError, match="degrees must be a nonempty tuple of positive integers"):
+        degree_steps()[step](degrees)
+
+
+@pytest.mark.parametrize("step", ["assemble_v_matrix", "choose_halves", "advance"])
+def test_steps_take_whole_float_degrees(step):
+    call = degree_steps()[step]
+    got, want = call((4, 2.0)), call([2, 4])
+    if step == "assemble_v_matrix":
+        assert got.row_ids == want.row_ids and np.array_equal(got.values, want.values)
+    else:
+        assert np.array_equal(got[0].j_lo, want[0].j_lo) and got[1] == want[1]
 
 
 def test_config_rejects_a_boolean_ell_max():
@@ -493,6 +527,15 @@ def rank_states():
     return states
 
 
+def rank_table(m):
+    """Rank of every grid index 0 .. 2**m (0 at the ends), set rank by rank."""
+    out = np.zeros((1 << m) + 1, dtype=np.int64)
+    for rank in range(1, m + 1):
+        step = 1 << (m - rank)
+        out[step :: 2 * step] = rank
+    return out
+
+
 def window_lines(state):
     """(side, origin, c_hi, c_lo, z1, z2) of every half window, built the
     way the window engine frames each cell: live midpoint at origin + z,
@@ -501,7 +544,7 @@ def window_lines(state):
     hold one slope per point."""
     m, n = state.f.m, state.n_active
     qtab = derand._q_table(state.q, m)
-    ranktab = derand._rank_table(m)
+    ranktab = rank_table(m)
     for i in range(state.j_lo.size):
         gl = i << (m - n + 1)
         gr = gl + (1 << (m - n + 1))
@@ -516,6 +559,21 @@ def window_lines(state):
         s = (gr - right) / (gr - gd)
         width = qtab[right] * np.exp2(n - ranktab[right])
         yield "right", b, width - s, -(s + width), b - y2, b - y1
+
+
+@pytest.mark.parametrize("m", [6, 8, 10, 12])
+def test_tail_table_is_the_half_cell_width(m):
+    # the window engine reads a point's half width per unit span from the
+    # frozen-tail table: qtab[g] * 2**(n - rank(g)) inside a half cell
+    f = CorpusSpec("perturbed_square", {"rank": 4, "jitter": 0.5, "seed": 1}, m).build()
+    qtab = derand._q_table(confinement_map(f, depth=m).with_floor(), m)
+    rank = rank_table(m)
+    for n in range(1, m):
+        half = 1 << (m - n)
+        g = np.arange(1 << m)
+        g = g[g % half != 0]  # strictly inside a half cell
+        tail = derand._tail_table(qtab, half)
+        assert np.array_equal(tail[g], qtab[g] * 2.0 ** (n - rank[g])), (m, n)
 
 
 def mc_profile_reference(state, n_samples, seed, batch=512):
@@ -854,7 +912,7 @@ def test_window_profile_cost_ignores_node_crossings(rank_states, rank, monkeypat
     m, n = state.f.m, state.n_active
     size = 1 << m
     table = derand._PLTable(state.f)
-    qtab, ranktab = derand._q_table(state.q, m), derand._rank_table(m)
+    tail = derand._tail_table(derand._q_table(state.q, m), 1 << (m - n))
     edges, mids = derand._cell_grid(m, n)
     looked_up = []
     inner = derand._PLTable.lookup
@@ -870,7 +928,7 @@ def test_window_profile_cost_ignores_node_crossings(rank_states, rank, monkeypat
         a, b = float(state.fixed_y[i]), float(state.fixed_y[i + 1])
         looked_up.clear()
         derand._window_profile(
-            table, qtab, ranktab, n, edges[i], mids[i], edges[i + 1], a, b,
+            table, tail, edges[i], mids[i], edges[i + 1], a, b,
             float(state.j_lo[i]), float(state.j_hi[i]),
         )
         points = edges[i + 1] - edges[i] - 1
@@ -987,10 +1045,10 @@ def test_constant_cell_mask_edges(odd, expected):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_advance_equals_repeated_choose_halves(kk_states, rank):
-    # advance reuses the kept halves as the next full windows; the reference
-    # recomputes every full window and profile from scratch (each step gets
-    # a copy with an empty memo), so the two agree only if a kept half is
-    # bit for bit the next full window
+    # advance reads each state's remembered profile; the reference computes
+    # every profile from scratch (each step gets a copy with an empty memo),
+    # so the two agree only if what a state remembers is what it would
+    # compute
     cfg = DerandConfig(mc_check=False)
     state = kk_states[rank]
     promoted, records, ident_max = advance(state, cfg, DEGREES)
@@ -1025,9 +1083,9 @@ def count_window_profiles(monkeypatch):
     calls = []
     inner = derand._window_profile
 
-    def recorder(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2):
+    def recorder(table, tail, gl, gd, gr, a, b, y1, y2):
         calls.append((a, b))
-        return inner(table, qtab, ranktab, n, gl, gd, gr, a, b, y1, y2)
+        return inner(table, tail, gl, gd, gr, a, b, y1, y2)
 
     monkeypatch.setattr(derand, "_window_profile", recorder)
     return calls
@@ -1146,9 +1204,9 @@ def test_constant_cells_move_only_their_own_windows(monkeypatch):
     # constant cell would have been signed on rounding noise, and there
     # only such cells differ, each shrunk to its concentric middle half.
     # Each step is choose_halves; the unmasked one runs on a copy with an
-    # empty memo, so it recomputes every window instead of reading the
-    # masked step's, and the profiles compared are the ones each new state
-    # remembers.
+    # empty memo, so it recomputes the state's profile instead of reading
+    # the masked step's, and the profiles compared are the ones each new
+    # state remembers.
     f = CorpusSpec("perturbed_square", {"rank": 5, "jitter": 0.5, "seed": 1}, 8).build()
     cfg = DerandConfig(mc_check=False)
     degrees = default_degrees(6, 8)
@@ -1229,7 +1287,7 @@ def test_public_steps_profile_each_state_once(square_run, monkeypatch):
     counts.update(value=0, window=0)
     advance(dataclasses.replace(rank3), cfg, degrees)
     by_advance = dict(counts)
-    assert by_advance == {"value": 7, "window": 52}
+    assert by_advance == {"value": 7, "window": 72}
     counts.update(value=0, window=0)
     state = dataclasses.replace(rank3)
     while state.ell < cfg.ell_max and not derand._windows_converged(state, cfg):
@@ -1270,7 +1328,7 @@ def test_state_memo_starts_empty():
     )
     assert built._memo == {}
     choose_halves(built, DerandConfig(), DEGREES)
-    assert set(built._memo) == {"profile", "windows"}
+    assert set(built._memo) == {"profile"}
     assert dataclasses.replace(built)._memo == {}
     assert dataclasses.replace(built, ell=1)._memo == {}
     memo = next(fd for fd in dataclasses.fields(DerandState) if fd.name == "_memo")
