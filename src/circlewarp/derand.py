@@ -866,11 +866,11 @@ def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
 
 def _profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     """The state's quadrature profile, computed on first use and kept in
-    the state's memo, which holds nothing else. The value
-    plan is a set of class constants, so the profile depends on the state
-    alone. The memo is valid only for that plan: a caller who varies it
-    (on DerandConfig or a subclass) must pass a dataclasses.replace copy,
-    which starts with an empty memo."""
+    the state's memo, which holds nothing else. The value plan is a set of
+    class constants, so the profile depends on the state alone. The memo
+    is valid only for that plan: a caller who varies it (on DerandConfig
+    or a subclass) must pass a dataclasses.replace copy, which starts with
+    an empty memo."""
     memo = state._memo
     if "profile" not in memo:
         memo["profile"] = _readonly(_value_profile(state, cfg))
