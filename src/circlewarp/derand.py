@@ -26,6 +26,20 @@ Two expectation engines back this up and are deliberately kept separate.
   integrates several untouched ranks per point with Gauss-Legendre nodes
   before freezing the rest. A seeded Monte-Carlo sampler with exact grid
   marginals guards it; disagreement raises NumericalAlarm.
+
+The two diagnostics use a second CPU through a forked child process (see
+_fork_call). _value_profile gives the later half of its live half cells, in
+grid order, to the child. mc_cross_check runs the sampler in the child while
+this process computes the profile, unsplit. Both paths are bitwise the
+serial ones. Every quadrature row stays inside the half cell it starts in, so
+a half cell writes only its own range of the profile. The rows of a subset of
+half cells keep their order in every np.add.at, so each grid index receives
+the same additions in the same order. The sampler and the profile are pure
+functions of the state. The work runs serially when os.fork is missing, when
+fewer than two CPUs are in os.sched_getaffinity(0), when the fork fails, or
+when a share is too small to pay for a fork (_FORK_MIN). On Python 3.12 and
+later, os.fork warns (DeprecationWarning) in a process that runs other OS
+threads, such as a multithreaded BLAS.
 """
 
 from __future__ import annotations
@@ -34,6 +48,9 @@ import dataclasses
 import functools
 import math
 import numbers
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -456,10 +473,75 @@ def _constant_cells(state: DerandState) -> np.ndarray:
 # points' lines reach.
 _BLOCK = 1 << 14
 
+# Least work that each process's share must hold for a fork to pay, in
+# window means of the value engine (see _half_cell_means) or in grid points
+# of the sampler's paths. Forking, piping the result back and reaping take
+# about 8 ms, the time of some 60 000 window means. It cannot change a
+# result: the forked and the serial paths are bitwise the same.
+_FORK_MIN = 1 << 17
+
 # Monte-Carlo paths per batch of draws. The sampler draws a whole batch in
 # stream order, so this fixes which draw feeds which path: changing it
 # changes the guard's numbers, and it is no tuning knob.
 _MC_BATCH = 512
+
+
+# --- a second process --------------------------------------------------------
+
+
+def _can_fork() -> bool:
+    """Whether a forked child could run beside this process: os.fork
+    exists and this process may run on at least two CPUs."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _fork_call(child, parent):
+    """(child(), parent()), child running in a forked child process while
+    parent runs here. The child pickles its result, or the exception it
+    raised, into a pipe and leaves by os._exit, so it flushes no buffer it
+    inherited and runs no exit handler; the child's exception is raised
+    here. The child is always reaped, and killed first if parent raises.
+    If the fork fails, both run here."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return child(), parent()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            try:
+                reply = (True, child())
+            except BaseException as exc:  # raised in the parent instead
+                reply = (False, exc)
+            with open(wfd, "wb") as pipe:
+                pickle.dump(reply, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    try:
+        with open(rfd, "rb") as pipe:
+            mine = parent()
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, wait_status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(f"forked child left no result (wait status {wait_status})")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return theirs, mine
 
 
 # --- closed-form window engine -----------------------------------------------
@@ -785,21 +867,22 @@ def _composite_gl(y1, y2, panels, k):
     return ys, ws
 
 
-def _cell_expectation(E, table, qtab, tail, state, i, gl, gd, plan):
+def _cell_expectation(E, table, qtab, tail, state, i, sides, plan):
+    """Add to E the quadrature of the grid points strictly inside cell i's
+    half cells that sides names: 0 the left one, 1 the right one, in
+    ascending order. Every row stays inside the half cell it starts in, so
+    each half cell writes only its own range of E."""
     y_panels, y_nodes, level_nodes = plan
-    E[gd] = table.mean_F(np.array([state.j_lo[i]]), np.array([state.j_hi[i]]))[0]
     ys, ws = _composite_gl(float(state.j_lo[i]), float(state.j_hi[i]), y_panels, y_nodes)
     a = float(state.fixed_y[i])
     b = float(state.fixed_y[i + 1])
     m = table.m
     n = state.n_active
-    lo = np.concatenate([np.full(ys.size, a), ys])
-    hi = np.concatenate([ys, np.full(ys.size, b)])
-    w = np.concatenate([ws, ws])
-    xl = np.concatenate(
-        [np.full(ys.size, gl, dtype=np.int64), np.full(ys.size, gd, dtype=np.int64)]
-    )
     seg = 1 << (m - n)  # segment width in grid units
+    lo = np.concatenate([ys if s else np.full(ys.size, a) for s in sides])
+    hi = np.concatenate([np.full(ys.size, b) if s else ys for s in sides])
+    w = np.tile(ws, len(sides))
+    xl = np.repeat((2 * i + np.asarray(sides, dtype=np.int64)) * seg, ys.size)
     levels = min(len(level_nodes), m - n)
     for j in range(levels):
         half = seg >> 1
@@ -840,9 +923,24 @@ def _cell_expectation(E, table, qtab, tail, state, i, gl, gd, plan):
         np.add.at(E, g.ravel(), vals.ravel())
 
 
-def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
+def _half_cell_means(m: int, n: int, plan) -> int:
+    """Window means that _cell_expectation evaluates per half cell at
+    active rank n: the unit in which _FORK_MIN measures a profile."""
+    rows = plan[0] * plan[1]
+    seg = 1 << (m - n)
+    means = 0
+    for k in plan[2][: m - n]:
+        means += rows
+        rows *= 2 * _composite_unit(k)[0].size
+        seg >>= 1
+    return means + rows * max(seg - 1, 0)
+
+
+def _value_profile(state: DerandState, cfg: DerandConfig, fork: bool = True) -> np.ndarray:
     """Quadrature profile of the state, computed afresh (_profile reads it
-    from the state's memo)."""
+    from the state's memo). With fork, a large profile's live half cells
+    are shared with a forked child process (see _fork_call), the later half
+    of them in grid order going to the child."""
     f = state.f
     m = f.m
     n = state.n_active
@@ -855,16 +953,32 @@ def _value_profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     # _cell_expectation's segments are this wide once its quadrature levels end
     tail = _tail_table(qtab, (1 << (m - n)) >> min(len(plan[2]), m - n))
     constant = _constant_cells(state)
-    for i in range(mids.size):
-        if constant[i]:
-            # f is flat on the cell's image: its left edge value is exact
-            E[edges[i] + 1 : edges[i + 1]] = E[edges[i]]
-        else:
-            _cell_expectation(E, table, qtab, tail, state, i, edges[i], mids[i], plan)
+    for i in np.flatnonzero(constant):
+        # f is flat on the cell's image: its left edge value is exact
+        E[edges[i] + 1 : edges[i + 1]] = E[edges[i]]
+    live = np.flatnonzero(~constant)
+    E[mids[live]] = table.mean_F(state.j_lo[live], state.j_hi[live])
+    # half cell u of the grid spans [u, u + 1] * 2**(m - n); cell i holds
+    # 2 i and 2 i + 1
+    units = (2 * live[:, None] + np.arange(2)).ravel()
+
+    def fill(share):
+        # one call per cell, on those of its half cells that the share holds
+        for cell in np.split(share, np.flatnonzero(np.diff(share >> 1)) + 1):
+            _cell_expectation(E, table, qtab, tail, state, int(cell[0]) >> 1, cell & 1, plan)
+        return E
+
+    cut = units.size // 2
+    if fork and cut * _half_cell_means(m, n, plan) >= _FORK_MIN and _can_fork():
+        start = int(units[cut]) << (m - n)
+        theirs, _ = _fork_call(lambda: fill(units[cut:])[start:], lambda: fill(units[:cut]))
+        E[start:] = theirs
+    elif units.size:
+        fill(units)
     return E
 
 
-def _profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
+def _profile(state: DerandState, cfg: DerandConfig, fork: bool = True) -> np.ndarray:
     """The state's quadrature profile, computed on first use and kept in
     the state's memo, which holds nothing else. The value plan is a set of
     class constants, so the profile depends on the state alone. The memo
@@ -873,7 +987,7 @@ def _profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     an empty memo."""
     memo = state._memo
     if "profile" not in memo:
-        memo["profile"] = _readonly(_value_profile(state, cfg))
+        memo["profile"] = _readonly(_value_profile(state, cfg, fork=fork))
     return memo["profile"]
 
 
@@ -1000,8 +1114,22 @@ def mc_cross_check(
     The quadrature side is the state's remembered profile (see _profile):
     after varying the value plan, pass a dataclasses.replace copy."""
     cfg = config if config is not None else DerandConfig()
-    mean, se = _mc_profile(state, cfg.mc_samples, cfg.mc_seed if seed is None else seed)
-    diff = np.abs(_profile(state, cfg) - mean)
+    if state.phase != "active":
+        raise ValueError("a final state has no live windows")
+    seed = cfg.mc_seed if seed is None else seed
+    m, n = state.f.m, state.n_active
+    live = np.count_nonzero(~_constant_cells(state))
+    means = 2 * live * _half_cell_means(m, n, cfg.value_plan(n))
+    points = cfg.mc_samples * live << (m - n + 1)
+    if "profile" not in state._memo and min(means, points) >= _FORK_MIN and _can_fork():
+        # the sampler in a child, the profile here on its own
+        (mean, se), profile = _fork_call(
+            lambda: _mc_profile(state, cfg.mc_samples, seed), lambda: _profile(state, cfg, fork=False)
+        )
+    else:
+        mean, se = _mc_profile(state, cfg.mc_samples, seed)
+        profile = _profile(state, cfg)
+    diff = np.abs(profile - mean)
     floor = cfg.mc_floor * max(state.f.sup_norm(), 1e-30)
     mean_gap = float(np.mean(diff))
     mean_gate = 3.0 * float(np.mean(se)) + floor

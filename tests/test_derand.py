@@ -1,7 +1,10 @@
 """Derandomization loop: expectation engines, halving choices, full runs."""
 
 import dataclasses
+import hashlib
 import math
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +26,7 @@ from circlewarp import (
     confinement_map,
     default_degrees,
     expected_composition,
+    homeo_to_json,
     mc_cross_check,
     normalize_sup,
     record_shape_check,
@@ -303,8 +307,8 @@ def test_averaging_identity_alarm_catches_one_nan(call, monkeypatch):
 def test_mc_guard_alarm_catches_one_nan(monkeypatch):
     inner = derand._value_profile
 
-    def poisoned(state, cfg):
-        out = inner(state, cfg)
+    def poisoned(state, cfg, **kw):
+        out = inner(state, cfg, **kw)
         out[7] = np.nan
         return out
 
@@ -382,6 +386,14 @@ def test_advance_rejects_final_state():
     s = DerandState(f, q, 1, 0, np.array([0.0, 1.0]), np.empty(0), np.empty(0), phase="final")
     with pytest.raises(ValueError):
         advance(s)
+
+
+def test_mc_guard_rejects_final_state():
+    f = tapered_oscillation(4, m=8)
+    q = confinement_map(f, depth=8).with_floor()
+    s = DerandState(f, q, 1, 0, np.array([0.0, 1.0]), np.empty(0), np.empty(0), phase="final")
+    with pytest.raises(ValueError, match="final state"):
+        mc_cross_check(s)
 
 
 # --- full runs ------------------------------------------------------------
@@ -654,9 +666,9 @@ def test_run_profiles_each_state_once(monkeypatch):
     profiled = []
     inner = derand._value_profile
 
-    def recorder(state, config):
+    def recorder(state, config, **kw):
         profiled.append(state)
-        return inner(state, config)
+        return inner(state, config, **kw)
 
     monkeypatch.setattr(derand, "_value_profile", recorder)
     res = run(tapered_oscillation(4, m=8), 4, cfg)
@@ -1249,9 +1261,9 @@ def count_engine_calls(mp):
     counts = {"value": 0, "window": 0}
     value, window = derand._value_profile, derand._window_profile
 
-    def value_counted(*args):
+    def value_counted(*args, **kw):
         counts["value"] += 1
-        return value(*args)
+        return value(*args, **kw)
 
     def window_counted(*args):
         counts["window"] += 1
@@ -1367,3 +1379,123 @@ def test_fold_plan_is_bitwise_the_per_degree_loop(m):
         for profile in (rng.standard_normal(1 << m), np.repeat(rng.standard_normal(pts), 1 << (m - n))):
             got = derand._fold_degrees(profile, plan)
             assert np.array_equal(got, fold_degrees_reference(profile, degrees, pts)), (m, n)
+
+
+# --- two processes --------------------------------------------------------------
+
+
+M10_CORPORA = {
+    "kk_example": {"k_max": 4},
+    "perturbed_square": {"rank": 5, "jitter": 0.5, "seed": 1},
+}
+
+
+@pytest.fixture(scope="module")
+def m10_states():
+    """Opening states of ranks 1 .. 3 of both m=10 acceptance corpora, each
+    rank below halved once."""
+    cfg = DerandConfig(mc_check=False, ell_max=1)
+    degrees = default_degrees(7, 10)
+    states = {}
+    for name, params in M10_CORPORA.items():
+        f = CorpusSpec(name, params, 10).build()
+        q = confinement_map(f, depth=10).with_floor(cfg.q_floor_exponent)
+        states[name, 1] = DerandState.initial(f, q)
+        for rank in (2, 3):
+            states[name, rank], _, _ = advance(states[name, rank - 1], cfg, degrees)
+    return states
+
+
+def count_forks(monkeypatch, can_fork):
+    """Set what the CPU predicate answers, and log every fork helper call;
+    returns the log."""
+    calls = []
+    inner = derand._fork_call
+
+    def counted(child, parent):
+        calls.append(1)
+        return inner(child, parent)
+
+    monkeypatch.setattr(derand, "_can_fork", lambda: can_fork)
+    monkeypatch.setattr(derand, "_fork_call", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("name", list(M10_CORPORA))
+def test_forked_diagnostics_are_bitwise_serial(m10_states, name, rank, monkeypatch):
+    state = m10_states[name, rank]
+    cfg = DerandConfig()
+    got = {}
+    for can_fork in (True, False):
+        forks = count_forks(monkeypatch, can_fork)
+        profile = derand._value_profile(state, cfg)
+        # a copy remembers no profile, so the guard computes it beside the sampler
+        report = mc_cross_check(dataclasses.replace(state), cfg, cfg.mc_seed + 7919 * rank)
+        # the split profile forks once, and the guard once, with no nested split
+        assert len(forks) == (2 if can_fork else 0)
+        got[can_fork] = profile, report
+    assert np.array_equal(got[True][0], got[False][0])
+    assert got[True][1] == got[False][1]
+
+
+class ShareFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("share", ["child", "parent"])
+@pytest.mark.parametrize("site", ["profile", "guard"])
+def test_a_failed_share_raises_here_and_leaves_no_child(site, share, monkeypatch, capfd):
+    # at rank 1 the parent profiles the left half cell and the child the right
+    # one; the guard samples in the child and profiles here. The share that
+    # does not fail stalls in the child, which must be killed, not awaited
+    forks = count_forks(monkeypatch, True)
+
+    def fail(*args, **kw):
+        raise ShareFailed(share)
+
+    def stall(*args, **kw):
+        time.sleep(60)
+
+    if site == "profile":
+        inner = derand._cell_expectation
+
+        def cell(E, table, qtab, tail, state, i, sides, plan):
+            if list(sides) == ([1] if share == "child" else [0]):
+                fail()
+            if share == "parent":
+                stall()
+            return inner(E, table, qtab, tail, state, i, sides, plan)
+
+        monkeypatch.setattr(derand, "_cell_expectation", cell)
+        call = lambda: derand._value_profile(taper_state(), DerandConfig())
+    else:
+        monkeypatch.setattr(derand, "_mc_profile", fail if share == "child" else stall)
+        if share == "parent":
+            monkeypatch.setattr(derand, "_value_profile", fail)
+        call = lambda: mc_cross_check(taper_state(), DerandConfig())
+    start = time.monotonic()
+    with pytest.raises(ShareFailed, match=share):
+        call()
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        # the warp-m10 bench pin
+        ("kk_example", "c8e4ceaa1a8004bb1e0c79498d3505536941449fb06839c6301e5e6c9abdcb0a"),
+        # recorded from a default run(f, 7)
+        ("perturbed_square", "9613ef44beb5891378d423d18c12774463bb128fcf9568b6e275f2e0ed64fde9"),
+    ],
+)
+def test_homeomorphism_ignores_the_diagnostics(name, digest, monkeypatch):
+    # the halving choice reads neither the quadrature profile nor the guard:
+    # a profile of zeros and no guard leave the default run's homeomorphism
+    monkeypatch.setattr(derand, "_value_profile", lambda state, cfg, fork=True: np.zeros(1 << state.f.m))
+    res = run(CorpusSpec(name, M10_CORPORA[name], 10).build(), 7, DerandConfig(mc_check=False))
+    assert hashlib.sha256(homeo_to_json(res.homeo).encode()).hexdigest() == digest
