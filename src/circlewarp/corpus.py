@@ -26,37 +26,19 @@ def _grid(m: int) -> np.ndarray:
     return np.arange(1 << m, dtype=float) / float(1 << m)
 
 
-def _phase_ramp(s: np.ndarray, profile: Callable | None) -> np.ndarray:
-    """Monotone ramp from 0 to 1 over the normalized support coordinate."""
-    if profile is None:
-        return s
-    ramp = np.asarray(profile(s), dtype=float)
-    if ramp.shape != s.shape or not np.all(np.isfinite(ramp)):
-        raise ValueError("phase profile must return finite values per input point")
-    end0 = float(profile(np.array([0.0]))[0])
-    end1 = float(profile(np.array([1.0]))[0])
-    if abs(end0) > 1e-9 or abs(end1 - 1.0) > 1e-9:
-        raise ValueError("phase profile must map 0 to 0 and 1 to 1")
-    if np.any(np.diff(ramp) < -1e-12):
-        raise ValueError("phase profile must be nondecreasing")
-    return ramp
-
-
 def oscillation(
     n_cycles: int,
     gamma: float = 0.5,
     m: int = 14,
-    profile: Callable | None = None,
     convention: str = "count",
 ) -> SampledFunction:
     """Wave with an abrupt end: sin of a ramped phase on [0, gamma], zero after.
 
-    The ramp runs from 0 at t=0 to 1 at t=gamma (linear by default; pass
-    ``profile`` mapping the normalized coordinate s = t/gamma to [0, 1] to
-    reshape it).  Under the default "count" convention the phase is
-    n_cycles*pi*ramp, so the wave changes sign n_cycles times across its
-    support and lands on a zero at gamma; "literal" uses phase n_cycles*ramp,
-    which generally leaves a jump at the cutoff.
+    The ramp runs linearly from 0 at t=0 to 1 at t=gamma.  Under the default
+    "count" convention the phase is n_cycles*pi*ramp, so the wave changes
+    sign n_cycles times across its support and lands on a zero at gamma;
+    "literal" uses phase n_cycles*ramp, which generally leaves a jump at the
+    cutoff.
     """
     if int(n_cycles) != n_cycles or n_cycles < 1:
         raise ValueError("n_cycles must be a positive integer")
@@ -66,7 +48,7 @@ def oscillation(
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
     t = _grid(m)
     inside = t <= gamma
-    ramp = _phase_ramp(t[inside] / gamma, profile)
+    ramp = t[inside] / gamma
     scale = math.pi * n_cycles if convention == "count" else float(n_cycles)
     values = np.zeros(1 << m)
     values[inside] = np.sin(scale * ramp)
@@ -86,7 +68,6 @@ def tapered_oscillation(
     n_cycles: int,
     gamma: float = 0.5,
     m: int = 14,
-    profile: Callable | None = None,
     convention: str = "count",
 ) -> SampledFunction:
     """Same wave as :func:`oscillation` but eased to zero at the cutoff.
@@ -96,7 +77,7 @@ def tapered_oscillation(
     gamma through the envelope, and at 0 because the phase starts at zero.
     Its spectral sums stay bounded where the abrupt version's grow.
     """
-    raw = oscillation(n_cycles, gamma, m, profile, convention)
+    raw = oscillation(n_cycles, gamma, m, convention)
     t = _grid(m)
     inside = t <= gamma
     values = raw.values.copy()
@@ -107,8 +88,6 @@ def tapered_oscillation(
 def _packet_scales(k_max: int, decay) -> np.ndarray:
     if decay is None:
         scales = [math.factorial(k) ** -3.0 for k in range(1, k_max + 1)]
-    elif callable(decay):
-        scales = [float(decay(k)) for k in range(1, k_max + 1)]
     else:
         scales = [float(a) for a in decay]
         if len(scales) != k_max:
@@ -131,8 +110,8 @@ def resonant_packets(k_max: int = 6, m: int = 14, decay=None) -> SampledFunction
 
     Packet k (k >= 2) lives on [a_k, k*a_k] and swings through k half-sine
     arches; the function is exactly zero between packets.  The scale sequence
-    a_k defaults to (k!)^-3 and may be overridden by a callable k -> a_k or an
-    explicit sequence a_1..a_{k_max}; overlapping intervals are rejected.
+    a_k defaults to (k!)^-3 and may be overridden by an explicit sequence
+    a_1..a_{k_max}; overlapping intervals are rejected.
     Packet 1 is degenerate (its interval is a point), so k_max=1 yields the
     zero function.
     """

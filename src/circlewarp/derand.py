@@ -57,7 +57,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fourier import sup_partial_sums
-from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, compose
+from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly
 from .haar import ConfinementMap, confinement_map, normalize_sup
 from .rng import tagged_generator
 from .signs import SignMatrix, solve_hierarchical
@@ -371,19 +371,18 @@ class _PLTable:
         du = p * self.inv_size
         return np.subtract(u, du, out=du)
 
-    def f_at(self, u, p=None):
-        """values[p] + slopes[p] * (u - p / size)."""
-        if p is None:
-            p = self.piece(u)
+    def f_at(self, u):
+        """values[p] + slopes[p] * (u - p / size), p = piece(u)."""
+        p = self.piece(u)
         du = self._offset(u, p)
         du *= self.slopes.take(p)
         du += self.values.take(p)
         return du
 
-    def F_at(self, u, p=None):
-        """cum[p] + (values[p] + 0.5 * slopes[p] * du) * du, du = u - p / size."""
-        if p is None:
-            p = self.piece(u)
+    def F_at(self, u):
+        """cum[p] + (values[p] + 0.5 * slopes[p] * du) * du, du = u - p / size,
+        p = piece(u)."""
+        p = self.piece(u)
         du = self._offset(u, p)
         out = self.half_slopes.take(p)
         out *= du
@@ -393,7 +392,7 @@ class _PLTable:
         return out
 
     def lookup(self, u, p):
-        """F_at(u, p), f_at(u, p) and half_slopes[p], from one offset and
+        """F and f at u on piece p, and half_slopes[p], from one offset and
         one gather of each table; f is evaluated as values[p] + 2 * (half
         slope * du), which may differ from f_at in the last bit."""
         du = self._offset(u, p)
@@ -489,14 +488,18 @@ _MC_BATCH = 512
 # --- a second process --------------------------------------------------------
 
 
+def _usable_cpus() -> int | None:
+    """The number of CPUs this process may run on (os.cpu_count(), possibly
+    None, where the affinity mask cannot be read)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _can_fork() -> bool:
     """Whether a forked child could run beside this process: os.fork
     exists and this process may run on at least two CPUs."""
-    if not hasattr(os, "fork"):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
+    return hasattr(os, "fork") and (_usable_cpus() or 1) >= 2
 
 
 def _fork_call(child, parent):
@@ -757,10 +760,10 @@ def _fold_degrees(profile: np.ndarray, plan) -> np.ndarray:
 
 def _assemble(state: DerandState, degrees, cfg: DerandConfig):
     """Functional matrix of one halving step: its rows of largest entry at
-    least row_tol, their ids, and the averaging-identity residual. Each
-    live cell's full window and its upper and lower halves are profiled
-    here; the residual is measured on the same folded entries the matrix is
-    made of, and unless it is finite and within identity_tol it raises
+    least row_tol, and the averaging-identity residual. Each live cell's
+    full window and its upper and lower halves are profiled here; the
+    residual is measured on the same folded entries the matrix is made of,
+    and unless it is finite and within identity_tol it raises
     NumericalAlarm.
 
     Cells flagged by _constant_cells have f flat on their image, so every
@@ -804,9 +807,7 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
             residual=ident,
             tol=cfg.identity_tol,
         )
-    keep = np.max(np.abs(vals), axis=1) >= cfg.row_tol
-    row_ids = tuple((r, j) for r in degrees for j in range(pts))
-    return vals[keep], tuple(rid for rid, flag in zip(row_ids, keep) if flag), ident
+    return vals[np.max(np.abs(vals), axis=1) >= cfg.row_tol], ident
 
 
 def _step_args(state: DerandState, config: DerandConfig | None, degrees):
@@ -819,10 +820,10 @@ def _step_args(state: DerandState, config: DerandConfig | None, degrees):
 
 
 def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | None = None) -> SignMatrix:
-    """Rows are (degree, sample point) functionals, columns the live
-    midpoints; entry = the response gained by conditioning the midpoint
-    into its upper window half rather than the lower one. Rows whose best
-    entry is below row_tol are dropped.
+    """Rows are (degree, sample point) functionals, degree-major, columns
+    the live midpoints; entry = the response gained by conditioning the
+    midpoint into its upper window half rather than the lower one. Rows
+    whose best entry is below row_tol are dropped.
 
     With degrees=None and config.degrees=None the default ladder is sized
     to the state's active rank, default_degrees(state.n_active, m): 8
@@ -830,8 +831,7 @@ def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | N
     run does, pass default_degrees(n_max, m). choose_halves and advance
     take the same defaults."""
     cfg, degrees = _step_args(state, config, degrees)
-    kept, kept_ids, _ = _assemble(state, degrees, cfg)
-    return SignMatrix(kept, kept_ids, dist="circular")
+    return SignMatrix(_assemble(state, degrees, cfg)[0])
 
 
 # --- quadrature value engine ---------------------------------------------------
@@ -991,25 +991,14 @@ def _profile(state: DerandState, cfg: DerandConfig, fork: bool = True) -> np.nda
     return memo["profile"]
 
 
-def expected_composition(
-    state: DerandState, m_out: int | None = None, config: DerandConfig | None = None
-) -> SampledFunction:
-    """Pointwise conditional expectation of f(warp(t)) on the output grid.
-
-    Final states compose exactly; active states run the quadrature engine
-    at the sample resolution of f and subsample if a coarser grid is asked
-    for. Output above the resolution of f is refused while windows are
-    still live."""
+def expected_composition(state: DerandState, config: DerandConfig | None = None) -> SampledFunction:
+    """Pointwise conditional expectation of f(warp(t)) on the sample grid of
+    f, from the quadrature engine. A final state has no live windows and
+    raises ValueError; compose(state.f, state.homeo(), m) samples it."""
     cfg = config if config is not None else DerandConfig()
-    m_out = state.f.m if m_out is None else int(m_out)
-    if state.phase == "final":
-        return compose(state.f, state.homeo(), m_out)
-    if m_out > state.f.m:
-        raise ResolutionError("cannot refine past the sample grid of f while windows are live")
-    profile = _value_profile(state, cfg)
-    if m_out < state.f.m:
-        profile = profile[:: 1 << (state.f.m - m_out)]
-    return SampledFunction(m_out, profile)
+    if state.phase != "active":
+        raise ValueError("a final state has no live windows")
+    return SampledFunction(state.f.m, _value_profile(state, cfg))
 
 
 # --- Monte-Carlo guard ---------------------------------------------------------
@@ -1157,7 +1146,7 @@ def _halve(state: DerandState, cfg: DerandConfig, degrees):
     """choose_halves, plus the step's silent-cell counts: constant cells,
     and null columns over the other cells."""
     constant = _constant_cells(state)
-    kept, kept_ids, ident = _assemble(state, degrees, cfg)
+    kept, ident = _assemble(state, degrees, cfg)
     cells = kept.shape[1]
     if kept.shape[0]:
         null_cols = constant | (np.max(np.abs(kept), axis=0) < cfg.null_tol)
@@ -1165,9 +1154,8 @@ def _halve(state: DerandState, cfg: DerandConfig, degrees):
         null_cols = np.ones(cells, dtype=bool)
     eps = np.ones(cells, dtype=np.int8)
     if kept.shape[0] and not null_cols.all():
-        matrix = SignMatrix(kept, kept_ids)
         eps = solve_hierarchical(
-            matrix,
+            SignMatrix(kept),
             block=cfg.solver_block,
             retries=cfg.solver_retries,
             seed=cfg.solver_seed + 131071 * state.n_active + 127 * state.ell,

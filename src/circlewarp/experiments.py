@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .corpus import CorpusSpec, oscillation, tapered_oscillation
-from .derand import DerandConfig, record_shape_check, run as derand_run
+from .derand import DerandConfig, _usable_cpus, record_shape_check, run as derand_run
 from .fourier import a_norm, circ_dist, kernel_block_matrix, sup_partial_sums
 from .grid import compose, homeo_to_json, identity_homeo
 from .haar import confinement_map
@@ -551,8 +551,4 @@ def _provenance() -> str:
         tool = version("circlewarp")
     except Exception:
         tool = "0.1.0+local"
-    if hasattr(os, "sched_getaffinity"):
-        nproc = len(os.sched_getaffinity(0))
-    else:
-        nproc = os.cpu_count()
-    return f"circlewarp {tool}\nnumpy {np.__version__}\nnproc {nproc}\n"
+    return f"circlewarp {tool}\nnumpy {np.__version__}\nnproc {_usable_cpus()}\n"

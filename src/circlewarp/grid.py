@@ -77,9 +77,6 @@ class SampledFunction:
     def size(self) -> int:
         return 1 << self.m
 
-    def grid(self) -> np.ndarray:
-        return np.arange(self.size) / self.size
-
     def eval(self, t):
         """Piecewise-linear periodic evaluation."""
         t = _reduce_mod1(t)
@@ -113,28 +110,6 @@ class DyadicPoint:
         if self.k % 2 == 0:
             raise ValueError(f"k must be odd, got {self.k} (reduce the fraction)")
 
-    @property
-    def value(self) -> float:
-        return self.k / (1 << self.n)
-
-    @property
-    def rank(self) -> int:
-        return self.n
-
-    def parent_interval(self) -> tuple[float, float]:
-        """The interval ((k-1)/2**n, (k+1)/2**n) whose middle this point is."""
-        return ((self.k - 1) / (1 << self.n), (self.k + 1) / (1 << self.n))
-
-    @classmethod
-    def from_index(cls, i: int, m: int) -> "DyadicPoint":
-        """Reduce i / 2**m to lowest terms."""
-        if not (0 < i < (1 << m)):
-            raise ValueError(f"need 0 < i < 2**{m}")
-        while i % 2 == 0:
-            i //= 2
-            m -= 1
-        return cls(i, m)
-
 
 @dataclass(frozen=True, eq=False)
 class PLHomeo:
@@ -158,15 +133,6 @@ class PLHomeo:
             raise ValueError("breakpoints must be strictly increasing in both coordinates")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    @classmethod
-    def from_breakpoints(cls, pts) -> "PLHomeo":
-        pts = np.asarray(pts, dtype=float)
-        return cls(pts[:, 0], pts[:, 1])
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.column_stack([self.x, self.y])
 
     def eval(self, t):
         t = _reduce_mod1(t)

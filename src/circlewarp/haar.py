@@ -150,12 +150,6 @@ class ConfinementMap:
     def with_floor(self, floor_exponent: float = 0.25) -> "ConfinementMap":
         return ConfinementMap(self.levels, floor_exponent)
 
-    @classmethod
-    def constant(cls, q: float, depth: int) -> "ConfinementMap":
-        if not (0.0 < q <= 1.0):
-            raise ValueError("constant budget must lie in (0, 1]")
-        return cls(tuple(np.full(1 << (n - 1), q) for n in range(1, depth + 1)))
-
 
 def confinement_map(f: SampledFunction, depth: int | None = None) -> ConfinementMap:
     """Raw confinement budgets of f for ranks 1..depth (default: up to f.m).

@@ -222,17 +222,6 @@ class ACReport:
     worst_ratio: float
     consistent: bool
 
-    def to_json(self) -> str:
-        payload = {
-            "levels": list(self.levels),
-            "p_values": list(self.p_values),
-            "norms": [list(row) for row in self.norms],
-            "tol": self.tol,
-            "worst_ratio": self.worst_ratio,
-            "consistent": self.consistent,
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def ac_diagnostics(
     h: PLHomeo,

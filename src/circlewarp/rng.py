@@ -40,10 +40,10 @@ def tagged_generator(seed: int, *tags: int) -> np.random.Generator:
 class DyadicStream:
     """Per-dyadic-point uniforms under one seed.
 
-    uniform(k, n) is the draw attached to the point k / 2**n (k odd). All
-    values lie in the open interval (0, 1): the generator's grid of 2**-53
-    multiples of [0, 1) is shifted by 2**-54, which keeps exactness while
-    forbidding the endpoints.
+    rank_uniforms(n)[(k - 1) // 2] is the draw attached to the point
+    k / 2**n (k odd). All values lie in the open interval (0, 1): the
+    generator's grid of 2**-53 multiples of [0, 1) is shifted by 2**-54,
+    which keeps exactness while forbidding the endpoints.
     """
 
     def __init__(self, seed: int):
@@ -60,8 +60,3 @@ class DyadicStream:
             got.setflags(write=False)
             self._cache[n] = got
         return got
-
-    def uniform(self, k: int, n: int) -> float:
-        if k % 2 == 0:
-            raise ValueError("dyadic index must be odd")
-        return float(self.rank_uniforms(n)[(k - 1) // 2])

@@ -36,33 +36,23 @@ _EXHAUSTIVE_LIMIT = 12
 
 @dataclass(frozen=True, eq=False)
 class SignMatrix:
-    """Dense functional matrix with labeled rows.
+    """Dense functional matrix, finite and read-only.
 
     values has shape (n_rows, n_cols); row k of the transpose is the effect
-    vector of column k. row_ids labels rows either by an integer j or by a
-    pair (degree, j). decay_cert, when present, certifies
-    max |v[k, j]| * (dist(k, j) + 1) over the full matrix.
+    vector of column k.
     """
 
     values: np.ndarray
-    row_ids: tuple
-    dist: str = "circular"
-    decay_cert: float | None = None
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 2:
             raise ValueError("values must be a 2-d array")
-        if len(self.row_ids) != arr.shape[0]:
-            raise ValueError("one row id per row required")
-        if self.dist not in ("circular", "linear"):
-            raise ValueError("dist must be 'circular' or 'linear'")
         # min and max carry any NaN or infinity, with no full-size temporary
         if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
             raise ValueError("values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "row_ids", tuple(self.row_ids))
 
     @property
     def n_cols(self) -> int:
@@ -71,30 +61,6 @@ class SignMatrix:
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
-
-    def verify_decay(self) -> float:
-        """Measured constant max |v| * (dist + 1) for square integer-labeled
-        matrices; the certificate stored at build time comes from the same
-        scan (_dist_blocks)."""
-        js = np.array(
-            [rid[-1] if isinstance(rid, tuple) else rid for rid in self.row_ids], dtype=np.int64
-        )
-        cert = 0.0
-        for block, d in _dist_blocks(js, self.n_cols, self.dist):
-            cert = max(cert, float(np.max(np.abs(self.values[block]) * (d + 1))))
-        return cert
-
-
-def _dist_blocks(js: np.ndarray, n: int, dist: str):
-    """Row blocks of about 2**16 entries, with dist(k, j) for row labels j and
-    columns k < n: the temporaries stay in cache, and no n x n temporary is
-    built."""
-    ks = np.arange(n)
-    rows = max(1, (1 << 16) // max(n, 1))
-    for start in range(0, js.size, rows):
-        j = js[start : start + rows, None]
-        d = circ_dist(ks, j, n) if dist == "circular" else np.abs(ks - j)
-        yield slice(start, start + rows), d
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,15 +86,19 @@ def build_synthetic_matrix(
         signs = tagged_generator(seed, 0x51, n).integers(0, 2, size=(n, n))
     elif profile != "exact_decay":
         raise ValueError(f"unknown profile {profile!r}")
-    # vals[k, j] = v[k, j]; one scan fills it and measures its certificate
+    # vals[k, j] = v[k, j], filled in row blocks of about 2**16 entries: the
+    # temporaries stay in cache, and no n x n temporary is built
     vals = np.empty((n, n))
-    cert = 0.0
-    for block, d in _dist_blocks(np.arange(n), n, dist):
+    ks = np.arange(n)
+    rows = max(1, (1 << 16) // max(n, 1))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        j = ks[block, None]
+        d = circ_dist(ks, j, n) if dist == "circular" else np.abs(ks - j)
         mags = 1.0 / (d + 1.0)
         vals[block] = mags if profile == "exact_decay" else mags * (signs[block] * 2 - 1)
-        cert = max(cert, float(np.max(np.abs(vals[block]) * (d + 1))))
     # rows are indexed by j: row j holds v[k, j] over k
-    return SignMatrix(vals.T, tuple(range(n)), dist, cert)
+    return SignMatrix(vals.T)
 
 
 def row_discrepancy(v: SignMatrix, eps: SignVector) -> float:

@@ -49,15 +49,6 @@ def test_oscillation_sign_changes_match_cycle_count():
     assert int(np.sum(s[1:] != s[:-1])) == 4  # 5 arches alternate 4 times
 
 
-def test_oscillation_phase_profile():
-    quad = lambda s: s ** 2
-    f = oscillation(3, 0.5, m=10, profile=quad)
-    t = grid(10)
-    inside = t <= 0.5
-    expect = np.sin(3 * math.pi * (t[inside] / 0.5) ** 2)
-    np.testing.assert_allclose(f.values[inside], expect, atol=1e-12)
-
-
 def test_oscillation_rejects_bad_arguments():
     with pytest.raises(ValueError):
         oscillation(0, 0.5)
@@ -65,10 +56,6 @@ def test_oscillation_rejects_bad_arguments():
         oscillation(2, 1.0)
     with pytest.raises(ValueError):
         oscillation(2, 0.5, convention="verbal")
-    with pytest.raises(ValueError):  # profile must map 0 -> 0 and 1 -> 1
-        oscillation(2, 0.5, m=8, profile=lambda s: 0.5 * s + 0.25)
-    with pytest.raises(ValueError):  # decreasing profile
-        oscillation(2, 0.5, m=8, profile=lambda s: 1.0 - s)
 
 
 # --- tapered oscillation ------------------------------------------------------

@@ -16,13 +16,11 @@ from circlewarp import (
     DerandState,
     DeviationRecord,
     NumericalAlarm,
-    PLHomeo,
     ResolutionError,
     SampledFunction,
     advance,
     assemble_v_matrix,
     choose_halves,
-    compose,
     confinement_map,
     default_degrees,
     expected_composition,
@@ -107,7 +105,7 @@ def test_steps_take_whole_float_degrees(step):
     call = degree_steps()[step]
     got, want = call((4, 2.0)), call([2, 4])
     if step == "assemble_v_matrix":
-        assert got.row_ids == want.row_ids and np.array_equal(got.values, want.values)
+        assert np.array_equal(got.values, want.values)
     else:
         assert np.array_equal(got[0].j_lo, want[0].j_lo) and got[1] == want[1]
 
@@ -202,13 +200,13 @@ def test_degree_cap_enforced():
 # --- expectation engine ---------------------------------------------------
 
 
-def test_expected_composition_final_state_composes():
+def test_expected_composition_refuses_a_final_state():
     f = tapered_oscillation(4, m=8)
     q = confinement_map(f, depth=8).with_floor()
     fixed = np.array([0.0, 0.2, 0.45, 0.8, 1.0])
     s = DerandState(f, q, 3, 0, fixed, np.empty(0), np.empty(0), phase="final")
-    h = PLHomeo(np.arange(5) / 4, fixed)
-    assert np.array_equal(expected_composition(s, 8).values, compose(f, h, 8).values)
+    with pytest.raises(ValueError, match="a final state has no live windows"):
+        expected_composition(s)
 
 
 def test_expected_composition_constant_function():
@@ -227,11 +225,6 @@ def test_expected_composition_linear_midpoint():
     s = DerandState(f, q, 1, 0, np.array([0.0, 1.0]), np.array([a]), np.array([b]))
     prof = expected_composition(s)
     assert prof.values[size // 2] == pytest.approx(0.5 * (a + b), abs=1e-12)
-
-
-def test_expected_composition_refuses_refinement_while_live():
-    with pytest.raises(ResolutionError):
-        expected_composition(taper_state(), m_out=10)
 
 
 def test_mc_guard_agrees_on_corpus_function():
@@ -267,9 +260,9 @@ def test_matrix_entries_vanish_as_windows_shrink():
     assert tops[-1] < 0.1 * tops[0]
 
 
-def test_matrix_row_ids_enumerate_degree_point_pairs():
+def test_matrix_keeps_every_degree_point_row_at_zero_row_tol():
     m = assemble_v_matrix(taper_state(), DEGREES, DerandConfig(mc_check=False, row_tol=0.0))
-    assert m.row_ids == tuple((r, j) for r in DEGREES for j in range(2))
+    assert m.values.shape == (len(DEGREES) * 2, 1)
 
 
 def test_averaging_identity_within_tolerance():
@@ -1144,9 +1137,9 @@ def test_mc_guard_builds_no_path_inside_constant_cells(name, kk_states, monkeypa
     points = []
     inner = derand._PLTable.f_at
 
-    def recorder(self, u, p=None):
+    def recorder(self, u):
         points.append(np.array(u, dtype=float).ravel())
-        return inner(self, u, p)
+        return inner(self, u)
 
     monkeypatch.setattr(derand._PLTable, "f_at", recorder)
     derand._mc_profile(state, 600, 5)
@@ -1482,6 +1475,43 @@ def test_a_failed_share_raises_here_and_leaves_no_child(site, share, monkeypatch
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert capfd.readouterr() == ("", "")
+
+
+def test_a_failed_fork_runs_both_shares_here(m10_states, monkeypatch):
+    # a fork refused for want of processes or memory leaves both shares to
+    # this process, bitwise as the serial path, and closes the pipe it made
+    state = m10_states["perturbed_square", 1]
+    cfg = DerandConfig()
+    seed = cfg.mc_seed + 7919
+
+    def both():
+        return derand._value_profile(state, cfg), mc_cross_check(dataclasses.replace(state), cfg, seed)
+
+    monkeypatch.setattr(derand, "_can_fork", lambda: False)
+    want = both()
+    forks = count_forks(monkeypatch, True)
+    refused = []
+
+    def no_fork():
+        refused.append(1)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    got = both()
+    assert len(forks) == len(refused) == 2
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def test_a_child_that_leaves_no_result_raises_here_and_is_reaped():
+    # os._exit(3) skips the pickled reply: the pipe reads empty and the
+    # error names the child's wait status, 3 << 8
+    with pytest.raises(RuntimeError, match=r"no result \(wait status 768\)"):
+        derand._fork_call(lambda: os._exit(3), lambda: None)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlewarp import (
-    ConfinementMap,
     SampledFunction,
     confinement_map,
     haar_inverse,
@@ -166,10 +165,3 @@ def test_jittered_budgets_track_square_wave():
             live = (va > 0) & (vb > 0)
             ratio = np.maximum(va[live] / vb[live], vb[live] / va[live])
             assert np.max(ratio) < 4.0
-
-
-def test_constant_budget_constructor_validates():
-    with pytest.raises(ValueError):
-        ConfinementMap.constant(0.0, 4)
-    q = ConfinementMap.constant(0.5, 4)
-    assert q.value(3, 3) == 0.5

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlewarp import (
-    ACReport,
     DFParams,
     DyadicPoint,
     PLHomeo,
@@ -249,12 +248,3 @@ def test_ac_rejects_bad_arguments():
         ac_diagnostics(ident, p_list=(0.5,))
     with pytest.raises(ValueError):
         ac_diagnostics(ident, window=1)
-
-
-def test_ac_report_json():
-    grid = np.arange(65) / 64
-    rep = ac_diagnostics(PLHomeo(grid, grid.copy()))
-    payload = json.loads(rep.to_json())
-    assert payload["consistent"] is True
-    assert payload["levels"] == list(rep.levels)
-    assert isinstance(rep, ACReport)

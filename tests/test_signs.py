@@ -18,7 +18,7 @@ from circlewarp import (
 )
 from circlewarp import signs
 
-V2 = SignMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), row_ids=(0, 1))
+V2 = SignMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
 
 def test_synthetic_exact_decay_small_cases():
@@ -29,35 +29,19 @@ def test_synthetic_exact_decay_small_cases():
 
 
 def test_synthetic_matrices_certify_unit_decay():
-    for profile in ("exact_decay", "random_signs_decay"):
-        v = build_synthetic_matrix(12, profile, seed=4)
-        assert v.decay_cert == pytest.approx(1.0)
-
-
-def verify_decay_by_rows(v):
-    """The certificate scan one row at a time."""
-    n = v.n_cols
-    ks = np.arange(n)
-    cert = 0.0
-    for r, rid in enumerate(v.row_ids):
-        j = rid[-1] if isinstance(rid, tuple) else rid
-        d = np.minimum(np.abs(ks - j), n - np.abs(ks - j)) if v.dist == "circular" else np.abs(ks - j)
-        cert = max(cert, float(np.max(np.abs(v.values[r]) * (d + 1))))
-    return cert
-
-
-@pytest.mark.parametrize("dist", ["circular", "linear"])
-def test_verify_decay_matches_row_scan(dist):
-    # 200 rows of 1024 columns: three row blocks of 2**16 entries and a partial one
-    rng = np.random.default_rng(3)
-    n = 1024
-    rows = 200
-    js = rng.integers(0, n, size=rows)
-    ids = tuple((int(r % 7) + 1, int(j)) if r % 2 else int(j) for r, j in enumerate(js))
-    v = SignMatrix(rng.standard_normal((rows, n)) / (1.0 + rng.integers(0, n, size=(rows, n))), ids, dist)
-    assert v.verify_decay() == verify_decay_by_rows(v)
-    square = build_synthetic_matrix(96, "random_signs_decay", seed=2, dist=dist)
-    assert square.decay_cert == verify_decay_by_rows(square) == pytest.approx(1.0)
+    # |v[k, j]| * (dist(k, j) + 1) is 1 at every entry, one row at a time;
+    # n = 1000 fills fifteen row blocks of 65 rows and a partial one
+    cases = [(12, "exact_decay"), (12, "random_signs_decay"), (1000, "random_signs_decay")]
+    for dist in ("circular", "linear"):
+        for n, profile in cases:
+            v = build_synthetic_matrix(n, profile, seed=4, dist=dist)
+            assert v.values.shape == (n, n)
+            ks = np.arange(n)
+            for j in range(n):
+                d = np.abs(ks - j)
+                if dist == "circular":
+                    d = np.minimum(d, n - d)
+                assert np.allclose(np.abs(v.values[j]) * (d + 1), 1.0, rtol=1e-15, atol=0.0)
 
 
 def test_iid_reproducible_and_valid():
@@ -71,7 +55,7 @@ def test_iid_reproducible_and_valid():
 
 
 def test_hierarchical_zero_matrix():
-    v = SignMatrix(np.zeros((1, 8)), row_ids=(0,))
+    v = SignMatrix(np.zeros((1, 8)))
     eps = solve_hierarchical(v)
     assert row_discrepancy(v, eps) == 0.0
 
@@ -96,16 +80,16 @@ def test_sign_matrix_rejects_non_finite_values(bad):
     values = np.ones((2, 3))
     values[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
-        SignMatrix(values, row_ids=(0, 1))
+        SignMatrix(values)
 
 
 def test_hierarchical_no_rows():
-    eps = solve_hierarchical(SignMatrix(np.zeros((0, 5)), row_ids=()))
+    eps = solve_hierarchical(SignMatrix(np.zeros((0, 5))))
     assert np.array_equal(eps.eps, np.ones(5, dtype=np.int8))
 
 
 def test_bruteforce_single_column():
-    v = SignMatrix(np.array([[0.3], [-0.7]]), row_ids=(0, 1))
+    v = SignMatrix(np.array([[0.3], [-0.7]]))
     eps, opt = solve_bruteforce(v)
     assert opt == pytest.approx(0.7)
     assert abs(eps.eps[0]) == 1
@@ -131,7 +115,7 @@ def test_bruteforce_rejects_wide_matrices():
 
 
 def test_row_discrepancy_basics():
-    assert row_discrepancy(SignMatrix(np.zeros((1, 4)), row_ids=(0,)),
+    assert row_discrepancy(SignMatrix(np.zeros((1, 4))),
                            SignVector(np.ones(4, dtype=np.int8))) == 0.0
     assert row_discrepancy(V2, SignVector(np.array([1, -1], dtype=np.int8))) == pytest.approx(0.5)
     with pytest.raises(ValueError):
@@ -157,7 +141,7 @@ def test_sign_flip_symmetry(n, seed):
 
 def test_scale_equivariance():
     v = build_synthetic_matrix(10, "exact_decay")
-    scaled = SignMatrix(3.0 * v.values, row_ids=v.row_ids)
+    scaled = SignMatrix(3.0 * v.values)
     eps_v, opt_v = solve_bruteforce(v)
     eps_s, opt_s = solve_bruteforce(scaled)
     assert opt_s == pytest.approx(3.0 * opt_v, rel=1e-12)
@@ -274,7 +258,7 @@ def zero_block_matrix():
     v = build_synthetic_matrix(200, "random_signs_decay", seed=4).values.copy()
     for cols in (slice(0, 64), slice(72, 80), [100, 130, 131]):
         v[:, cols] = 0.0
-    return SignMatrix(v, tuple(range(200)))
+    return SignMatrix(v)
 
 
 @pytest.mark.parametrize("block, seed", [(8, 0), (4, 0), (16, 3)])
