@@ -28,18 +28,15 @@ Two expectation engines back this up and are deliberately kept separate.
   marginals guards it; disagreement raises NumericalAlarm.
 
 The two diagnostics use a second CPU through a forked child process (see
-_fork_call). _value_profile gives the later half of its live half cells, in
-grid order, to the child. mc_cross_check runs the sampler in the child while
-this process computes the profile, unsplit. Both paths are bitwise the
+the _fork module). _value_profile gives the later half of its live half
+cells, in grid order, to the child. mc_cross_check runs the sampler in the
+child while this process computes the profile, unsplit. Both paths are bitwise the
 serial ones. Every quadrature row stays inside the half cell it starts in, so
 a half cell writes only its own range of the profile. The rows of a subset of
 half cells keep their order in every np.add.at, so each grid index receives
 the same additions in the same order. The sampler and the profile are pure
-functions of the state. The work runs serially when os.fork is missing, when
-fewer than two CPUs are in os.sched_getaffinity(0), when the fork fails, or
-when a share is too small to pay for a fork (_FORK_MIN). On Python 3.12 and
-later, os.fork warns (DeprecationWarning) in a process that runs other OS
-threads, such as a multithreaded BLAS.
+functions of the state. Besides _fork's serial fallbacks, the work runs
+serially when a share is too small to pay for a fork (_FORK_MIN).
 """
 
 from __future__ import annotations
@@ -47,16 +44,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .fourier import sup_partial_sums
+from ._fork import _can_fork, _fork_call
+from .fourier import _whole_degrees, sup_partial_sums
 from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly
 from .haar import ConfinementMap, confinement_map, normalize_sup
 from .rng import tagged_generator
@@ -148,33 +142,12 @@ def default_degrees(n_max: int, m: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _check_degrees(degrees) -> tuple[int, ...]:
-    """The given degrees as ints, in their order. Each must be a whole,
-    positive number and no bool: int() would read 1.5 as 1 and True as 1
-    without a word."""
-    message = "degrees must be a nonempty tuple of positive integers"
-    try:
-        out = tuple(degrees)
-    except TypeError:
-        raise ValueError(message) from None
-    whole = (
-        isinstance(r, numbers.Real)
-        and not isinstance(r, bool)
-        and (isinstance(r, numbers.Integral) or float(r).is_integer())
-        and r >= 1
-        for r in out
-    )
-    if not out or not all(whole):
-        raise ValueError(message)
-    return tuple(int(r) for r in out)
-
-
 def _resolve_degrees(degrees, m: int, n_hint: int) -> tuple[int, ...]:
     if degrees is None:
         degrees = default_degrees(n_hint, m)
         if not degrees:
             raise ResolutionError(f"a 2**{m} grid resolves no degree to track")
-    out = sorted(set(_check_degrees(degrees)))
+    out = sorted(set(_whole_degrees(degrees, 1)))
     if out[-1] >= (1 << (m - 1)):
         raise ResolutionError(f"degree {out[-1]} too large for a 2**{m} grid")
     return tuple(out)
@@ -249,7 +222,7 @@ class DerandConfig:
             # one path has a standard error of 0, so the guard could never pass
             raise ValueError("mc_samples must be an integer of at least 2")
         if self.degrees is not None:
-            object.__setattr__(self, "degrees", _check_degrees(self.degrees))
+            object.__setattr__(self, "degrees", _whole_degrees(self.degrees, 1))
 
     def value_plan(self, rank: int) -> tuple[int, int, tuple]:
         if rank <= self.shallow_rank_max:
@@ -483,68 +456,6 @@ _FORK_MIN = 1 << 17
 # stream order, so this fixes which draw feeds which path: changing it
 # changes the guard's numbers, and it is no tuning knob.
 _MC_BATCH = 512
-
-
-# --- a second process --------------------------------------------------------
-
-
-def _usable_cpus() -> int | None:
-    """The number of CPUs this process may run on (os.cpu_count(), possibly
-    None, where the affinity mask cannot be read)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
-
-
-def _can_fork() -> bool:
-    """Whether a forked child could run beside this process: os.fork
-    exists and this process may run on at least two CPUs."""
-    return hasattr(os, "fork") and (_usable_cpus() or 1) >= 2
-
-
-def _fork_call(child, parent):
-    """(child(), parent()), child running in a forked child process while
-    parent runs here. The child pickles its result, or the exception it
-    raised, into a pipe and leaves by os._exit, so it flushes no buffer it
-    inherited and runs no exit handler; the child's exception is raised
-    here. The child is always reaped, and killed first if parent raises.
-    If the fork fails, both run here."""
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return child(), parent()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(rfd)
-            try:
-                reply = (True, child())
-            except BaseException as exc:  # raised in the parent instead
-                reply = (False, exc)
-            with open(wfd, "wb") as pipe:
-                pickle.dump(reply, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(wfd)
-    try:
-        with open(rfd, "rb") as pipe:
-            mine = parent()
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, wait_status = os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError(f"forked child left no result (wait status {wait_status})")
-    ok, theirs = pickle.loads(data)
-    if not ok:
-        raise theirs
-    return theirs, mine
 
 
 # --- closed-form window engine -----------------------------------------------
@@ -831,7 +742,7 @@ def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | N
     run does, pass default_degrees(n_max, m). choose_halves and advance
     take the same defaults."""
     cfg, degrees = _step_args(state, config, degrees)
-    return SignMatrix(_assemble(state, degrees, cfg)[0])
+    return SignMatrix._keep(_assemble(state, degrees, cfg)[0])
 
 
 # --- quadrature value engine ---------------------------------------------------
@@ -1155,7 +1066,7 @@ def _halve(state: DerandState, cfg: DerandConfig, degrees):
     eps = np.ones(cells, dtype=np.int8)
     if kept.shape[0] and not null_cols.all():
         eps = solve_hierarchical(
-            SignMatrix(kept),
+            SignMatrix._keep(kept),
             block=cfg.solver_block,
             retries=cfg.solver_retries,
             seed=cfg.solver_seed + 131071 * state.n_active + 127 * state.ell,

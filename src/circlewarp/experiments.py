@@ -22,8 +22,9 @@ from typing import Mapping
 
 import numpy as np
 
+from ._fork import _usable_cpus
 from .corpus import CorpusSpec, oscillation, tapered_oscillation
-from .derand import DerandConfig, _usable_cpus, record_shape_check, run as derand_run
+from .derand import DerandConfig, record_shape_check, run as derand_run
 from .fourier import a_norm, circ_dist, kernel_block_matrix, sup_partial_sums
 from .grid import compose, homeo_to_json, identity_homeo
 from .haar import confinement_map
@@ -38,6 +39,7 @@ from .randhomeo import (
 )
 from .signs import (
     _EXHAUSTIVE_LIMIT,
+    _check_search,
     build_synthetic_matrix,
     row_discrepancy,
     solve_hierarchical,
@@ -112,6 +114,12 @@ class ExperimentConfig:
                 f"unknown params for {self.experiment}: {', '.join(map(str, unknown))}; "
                 f"valid: {', '.join(known)}"
             )
+        # the block sizes and retries solve_hierarchical would reject
+        blocks = self.params.get("blocks", (8,))
+        if not (isinstance(blocks, (list, tuple)) and blocks):
+            raise ValueError("params blocks must be a nonempty list of block sizes")
+        for block in (self.solver.get("block", 8), *blocks):
+            _check_search(block, self.solver.get("retries", 64))
 
     def to_json(self) -> str:
         payload = {

@@ -13,6 +13,7 @@ merge level at a time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,16 @@ class SignMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("values must be a 2-d array")
-        # min and max carry any NaN or infinity, with no full-size temporary
-        if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
-            raise ValueError("values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(np.array(self.values, dtype=float)))
+
+    @classmethod
+    def _keep(cls, arr: np.ndarray) -> SignMatrix:
+        """A SignMatrix over arr itself, with no copy, for a float array
+        that its caller made and hands over: the same checks, and arr is
+        made read-only."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "values", _frozen(arr))
+        return out
 
     @property
     def n_cols(self) -> int:
@@ -61,6 +64,17 @@ class SignMatrix:
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, checked to be 2-d and finite and made read-only."""
+    if arr.ndim != 2:
+        raise ValueError("values must be a 2-d array")
+    # min and max carry any NaN or infinity, with no full-size temporary
+    if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
+        raise ValueError("values must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,18 +101,24 @@ def build_synthetic_matrix(
     elif profile != "exact_decay":
         raise ValueError(f"unknown profile {profile!r}")
     # vals[k, j] = v[k, j], filled in row blocks of about 2**16 entries: the
-    # temporaries stay in cache, and no n x n temporary is built
+    # temporaries stay in cache, and no n x n temporary is built besides
+    # the random signs
     vals = np.empty((n, n))
     ks = np.arange(n)
     rows = max(1, (1 << 16) // max(n, 1))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         j = ks[block, None]
-        d = circ_dist(ks, j, n) if dist == "circular" else np.abs(ks - j)
-        mags = 1.0 / (d + 1.0)
-        vals[block] = mags if profile == "exact_decay" else mags * (signs[block] * 2 - 1)
-    # rows are indexed by j: row j holds v[k, j] over k
-    return SignMatrix(vals.T)
+        # 1 / (d + 1), times the signs, computed in place
+        out = vals[block]
+        np.add(circ_dist(ks, j, n) if dist == "circular" else np.abs(ks - j), 1.0, out=out)
+        np.divide(1.0, out, out=out)
+        if profile != "exact_decay":
+            out *= signs[block] * 2 - 1
+    # rows are indexed by j: row j holds v[k, j] over k. The transpose is
+    # kept, not copied: F-contiguous, strides (8, 8 n), the layout a copy
+    # of it has, so BLAS sees the same operands
+    return SignMatrix._keep(vals.T)
 
 
 def row_discrepancy(v: SignMatrix, eps: SignVector) -> float:
@@ -242,6 +262,16 @@ def _best_candidate(
     return cands[alive[int(np.argmin(_exact_scores(prod, base, sigma, lam, alive)))]]
 
 
+def _check_search(block, retries) -> None:
+    """Reject a block size below 2, whose merges of one group never shrink
+    the group list, and retries below 1, which leave a random search no
+    candidate. Both must be integers and no bool."""
+    for name, value, low in (("block", block, 2), ("retries", retries, 1)):
+        whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if not (whole and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}")
+
+
 def solve_hierarchical(
     v: SignMatrix,
     block: int = 8,
@@ -265,15 +295,16 @@ def solve_hierarchical(
     every search is exhaustive and the seed is inert. An exhaustive search
     over columns that are all exactly zero is skipped: every candidate ties,
     so it keeps the first, all +1. A matrix with no rows, or no nonzero
-    entry, gets all +1.
+    entry, gets all +1. block must be an integer of at least 2 and retries
+    one of at least 1 (ValueError otherwise, booleans included).
     """
-    if block < 1:
-        raise ValueError("block must be >= 1")
+    _check_search(block, retries)
     n = v.n_cols
     if n == 0:
         return SignVector(np.empty(0, dtype=np.int8))
     a = v.values
-    sigma = float(np.max(np.abs(a), initial=0.0))
+    # max |a| exactly, with no n x n temporary
+    sigma = float(max(a.max(initial=0.0), -a.min(initial=0.0)))
     if sigma == 0.0:
         return SignVector(np.ones(n, dtype=np.int8))
     gen = tagged_generator(seed, 0x31E7)

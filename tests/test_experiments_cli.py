@@ -78,6 +78,28 @@ def test_solver_options_restricted():
         ExperimentConfig("signs-trend", solver={"blok": 4})
 
 
+@pytest.mark.parametrize(
+    "solver, params, message",
+    [
+        ({"block": 1}, {}, "block must be an integer >= 2"),
+        ({"block": True}, {}, "block must be an integer >= 2"),
+        ({"block": 8.0}, {}, "block must be an integer >= 2"),
+        ({"retries": 0}, {}, "retries must be an integer >= 1"),
+        ({"retries": True}, {}, "retries must be an integer >= 1"),
+        ({}, {"blocks": [4, 1]}, "block must be an integer >= 2"),
+        ({}, {"blocks": [True]}, "block must be an integer >= 2"),
+        ({}, {"blocks": 8}, "params blocks must be a nonempty list of block sizes"),
+        ({}, {"blocks": []}, "params blocks must be a nonempty list of block sizes"),
+    ],
+)
+def test_solver_block_and_retries_rejected_up_front(solver, params, message):
+    # block 1 never shrinks the merge groups, so the solve would not return;
+    # retries 0 leaves a random block search (block > 12) no candidate; an
+    # empty blocks list has no reference block to compare sizes at
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig("signs-trend", solver=solver, params=params)
+
+
 def test_unknown_params_rejected_with_valid_names():
     with pytest.raises(ValueError, match="unknown params for kernel-decay: nlist; valid: n_list"):
         ExperimentConfig("kernel-decay", params={"nlist": [4]})

@@ -1,14 +1,21 @@
 """Kernel, coefficients, partial sums, A-norm, block integrals."""
 
+import os
+
 import numpy as np
 import pytest
 
 from circlewarp import (
+    CorpusSpec,
     ResolutionError,
     SampledFunction,
     a_norm,
     coeffs,
+    compose,
+    default_degrees,
     dirichlet_kernel,
+    fourier,
+    identity_homeo,
     oscillation,
     partial_sum,
     rademacher,
@@ -137,6 +144,99 @@ def test_sup_partial_sums_is_sup_of_partial_sum():
     degs = [17, 1, 0, 255, 64, 17, 3]
     want = [(r, float(np.max(np.abs(partial_sum(f, r).values)))) for r in sorted(set(degs))]
     assert sup_partial_sums(f, degs) == want
+
+
+@pytest.mark.parametrize(
+    "degrees", [[-1], [2.5], [True], [3, False], [], "12", 4, [float("nan")]], ids=repr
+)
+def test_sup_partial_sums_rejects_degrees_that_are_not_whole(degrees):
+    # int() would read 2.5 as 2 and True as 1; -1 used to give (-1, 0.0)
+    f = oscillation(4, 0.5, m=8)
+    with pytest.raises(ValueError, match="degrees must be a nonempty tuple of nonnegative integers"):
+        sup_partial_sums(f, degrees)
+
+
+@pytest.mark.parametrize("n", [2.5, -1, True])
+def test_partial_sum_rejects_a_degree_that_is_not_whole(n):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        partial_sum(oscillation(4, 0.5, m=8), n)
+
+
+def test_whole_float_degrees_are_their_integers():
+    f = oscillation(4, 0.5, m=8)
+    assert sup_partial_sums(f, [2.0, np.int64(5)]) == sup_partial_sums(f, [2, 5])
+    assert np.array_equal(partial_sum(f, 3.0).values, partial_sum(f, 3).values)
+
+
+M16_CORPORA = {
+    "perturbed_square": {"rank": 5, "jitter": 0.5, "seed": 1},
+    "kk_example": {"k_max": 4},
+}
+
+
+@pytest.fixture(scope="module")
+def m16_functions():
+    """The two m=12 acceptance corpora sampled at m=16, as the r <= 512
+    sweeps of the acceptance gate read them."""
+    return {
+        name: compose(CorpusSpec(name, params, 12).build(), identity_homeo(), 16)
+        for name, params in M16_CORPORA.items()
+    }
+
+
+def count_sweep_forks(monkeypatch, can_fork):
+    calls = []
+    inner = fourier._fork_call
+
+    def counted(child, parent):
+        calls.append(1)
+        return inner(child, parent)
+
+    monkeypatch.setattr(fourier, "_can_fork", lambda: can_fork)
+    monkeypatch.setattr(fourier, "_fork_call", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(M16_CORPORA))
+def test_forked_sweep_is_bitwise_serial(m16_functions, name, monkeypatch):
+    # every sup comes from the same _synthesis call in either process;
+    # 37 degrees up to 505 stand in for r <= 512, with the floor lowered
+    g = m16_functions[name]
+    degrees = range(1, 513, 14)
+    serial_forks = count_sweep_forks(monkeypatch, False)
+    serial = sup_partial_sums(g, degrees)
+    assert serial_forks == []
+    assert serial == [(r, float(np.max(np.abs(partial_sum(g, r).values)))) for r in degrees]
+    monkeypatch.setattr(fourier, "_SWEEP_FORK_MIN", 1)
+    forks = count_sweep_forks(monkeypatch, True)
+    assert sup_partial_sums(g, degrees) == serial
+    assert len(forks) == 1
+    # a refused fork leaves both shares here and closes the pipe it made
+    refused = []
+
+    def no_fork():
+        refused.append(1)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert sup_partial_sums(g, degrees) == serial
+    assert (len(forks), len(refused)) == (2, 1)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_sweep_fork_floor(m16_functions, monkeypatch):
+    # each share of r <= 32 at m=16 holds 16 * 2**16 = 2**20 points, the
+    # floor; derand's per-halving records at m=12 (31 degrees, a share of
+    # 15 * 2**12 points) and a sweep of one degree stay serial
+    forks = count_sweep_forks(monkeypatch, True)
+    g = m16_functions["kk_example"]
+    sup_partial_sums(g, range(1, 33))
+    assert len(forks) == 1
+    sup_partial_sums(g, range(1, 32))
+    sup_partial_sums(g, [512])
+    sup_partial_sums(CorpusSpec("kk_example", {"k_max": 4}, 12).build(), default_degrees(7, 12))
+    assert len(forks) == 1
 
 
 def test_abrupt_cutoff_overshoots_its_sup():

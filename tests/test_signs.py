@@ -1,6 +1,7 @@
 """Decay matrices and the three sign solvers."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from circlewarp import (
     solve_iid,
 )
 from circlewarp import signs
+from circlewarp.rng import tagged_generator
 
 V2 = SignMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
@@ -42,6 +44,81 @@ def test_synthetic_matrices_certify_unit_decay():
                 if dist == "circular":
                     d = np.minimum(d, n - d)
                 assert np.allclose(np.abs(v.values[j]) * (d + 1), 1.0, rtol=1e-15, atol=0.0)
+
+
+def reference_matrix(n, profile, seed, dist):
+    """The synthetic matrix filled in one piece, and its transpose copied:
+    the layout every solve of a built matrix has had."""
+    ks = np.arange(n)
+    d = np.abs(ks[:, None] - ks[None, :])
+    if dist == "circular":
+        d = np.minimum(d, n - d)
+    vals = 1.0 / (d + 1.0)
+    if profile == "random_signs_decay":
+        vals = vals * (tagged_generator(seed, 0x51, n).integers(0, 2, size=(n, n)) * 2 - 1)
+    return np.array(vals.T)
+
+
+@pytest.mark.parametrize("dist", ["circular", "linear"])
+@pytest.mark.parametrize("profile", ["exact_decay", "random_signs_decay"])
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_built_matrix_keeps_the_copied_layout(n, profile, dist):
+    # the builder keeps the array it filled, with the values and strides
+    # of a copy of its transpose, so BLAS sees the same operands
+    got = build_synthetic_matrix(n, profile, seed=6, dist=dist).values
+    want = reference_matrix(n, profile, 6, dist)
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides == (8, 8 * n)
+    assert not got.flags.writeable
+
+
+def test_public_sign_matrix_copies_its_values():
+    arr = np.ones((2, 3))
+    v = SignMatrix(arr)
+    arr[0, 0] = 5.0
+    assert v.values[0, 0] == 1.0 and arr.flags.writeable
+    assert not v.values.flags.writeable
+
+
+def test_build_and_solve_hold_no_second_matrix():
+    # one n x n float array is the built matrix itself; at n = 1024 the
+    # solver's own working set (the 256 x n candidate product of a block
+    # search, and one row vector per block) takes about 0.6 of that, so a
+    # bound of 3/4 fails on any n x n temporary
+    n = 1024
+    size = n * n * 8
+    tracemalloc.start()
+    try:
+        v = build_synthetic_matrix(n, "exact_decay")
+        _, build_peak = tracemalloc.get_traced_memory()
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        solve_hierarchical(v)
+        _, solve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 1.25 * size
+    assert solve_peak - start < 0.75 * size
+
+
+@pytest.mark.parametrize(
+    "block, retries, message",
+    [
+        (1, 64, "block must be an integer >= 2"),
+        (True, 64, "block must be an integer >= 2"),
+        (0, 64, "block must be an integer >= 2"),
+        (2.0, 64, "block must be an integer >= 2"),
+        (13, 0, "retries must be an integer >= 1"),
+        (8, 0, "retries must be an integer >= 1"),
+        (8, True, "retries must be an integer >= 1"),
+    ],
+)
+def test_hierarchical_rejects_blocks_and_retries_up_front(block, retries, message):
+    # block 1 merges chunks of one group, which never shrink the group list,
+    # so the solve never returned; retries 0 left a random search (block
+    # > 12) no candidate to take the argmin of
+    with pytest.raises(ValueError, match=message):
+        solve_hierarchical(build_synthetic_matrix(16, "exact_decay"), block, retries)
 
 
 def test_iid_reproducible_and_valid():
