@@ -24,8 +24,12 @@ Two expectation engines back this up and are deliberately kept separate.
   additivity up to roundoff.
 * Deviation records and diagnostics use an honest quadrature engine that
   integrates several untouched ranks per point with Gauss-Legendre nodes
-  before freezing the rest. A seeded Monte-Carlo sampler with exact grid
-  marginals guards it; disagreement raises NumericalAlarm.
+  before freezing the rest. Its working set is bounded by _BLOCK: each
+  level's midpoint means are taken in _BLOCK slices, and the last level of
+  the quadrature tree is never built whole but generated a block of parents
+  at a time, in level order, straight into the frozen tail. A seeded
+  Monte-Carlo sampler with exact grid marginals guards it; disagreement
+  raises NumericalAlarm.
 
 The two diagnostics use a second CPU through a forked child process (see
 the _fork module). _value_profile gives the later half of its live half
@@ -434,10 +438,12 @@ def _constant_cells(state: DerandState) -> np.ndarray:
     return steps[hi] == steps[lo]
 
 
-# Work size, in array elements, of the blocks that the frozen tail of the
-# value engine and the Monte-Carlo paths stream through: small enough that a
-# block's temporaries stay in cache. It cannot change a result: np.add.at
-# accumulates the frozen-tail blocks in input order, and the sampler draws
+# Work size, in array elements, of the blocks that the value engine's level
+# means, its last quadrature level with the frozen tail, and the Monte-Carlo
+# paths stream through: small enough that a block's temporaries stay in
+# cache, and it bounds the value engine's working set. It cannot change a
+# result: every row is the same elementwise expression whatever the block,
+# np.add.at accumulates the blocks in input order, and the sampler draws
 # and sums whole batches, building only the paths in blocks, one row per path
 # and live cell, so a sampler block holds about _BLOCK grid points of the
 # live cells whatever their number. The window engine needs no blocks: its
@@ -778,18 +784,42 @@ def _composite_gl(y1, y2, panels, k):
     return ys, ws
 
 
+def _children(lo, hi, w, xl, mid_x, centers, hw, unit, rows):
+    """The next quadrature level's rows (lo, hi, w, xl), built `rows`
+    parent rows at a time in level order: first every child whose window
+    runs from its parent's lo to a node, then every child whose window runs
+    from a node to its parent's hi. Each child is one elementwise expression
+    of its parent, so the rows do not depend on `rows`."""
+    nodes, wts = unit
+    k = nodes.size
+    half_wts = wts * 0.5
+    for upper in (False, True):
+        for start in range(0, lo.size, rows):
+            sl = slice(start, start + rows)
+            u = (centers[sl, None] + hw[sl, None] * nodes).ravel()
+            cw = (w[sl, None] * half_wts).ravel()
+            if upper:
+                yield u, hi[sl].repeat(k), cw, mid_x[sl].repeat(k)
+            else:
+                yield lo[sl].repeat(k), u, cw, xl[sl].repeat(k)
+
+
 def _cell_expectation(E, table, qtab, tail, state, i, sides, plan):
     """Add to E the quadrature of the grid points strictly inside cell i's
     half cells that sides names: 0 the left one, 1 the right one, in
     ascending order. Every row stays inside the half cell it starts in, so
-    each half cell writes only its own range of E."""
+    each half cell writes only its own range of E. The last level's rows are
+    never held at once: they stream, a block of parents at a time, into the
+    frozen tail."""
     y_panels, y_nodes, level_nodes = plan
-    ys, ws = _composite_gl(float(state.j_lo[i]), float(state.j_hi[i]), y_panels, y_nodes)
-    a = float(state.fixed_y[i])
-    b = float(state.fixed_y[i + 1])
     m = table.m
     n = state.n_active
     seg = 1 << (m - n)  # segment width in grid units
+    if seg < 2:
+        return  # a half cell holds no grid point
+    ys, ws = _composite_gl(float(state.j_lo[i]), float(state.j_hi[i]), y_panels, y_nodes)
+    a = float(state.fixed_y[i])
+    b = float(state.fixed_y[i + 1])
     lo = np.concatenate([ys if s else np.full(ys.size, a) for s in sides])
     hi = np.concatenate([np.full(ys.size, b) if s else ys for s in sides])
     w = np.tile(ws, len(sides))
@@ -800,37 +830,35 @@ def _cell_expectation(E, table, qtab, tail, state, i, sides, plan):
         mid_x = xl + half
         centers = 0.5 * (lo + hi)
         hw = 0.5 * qtab[mid_x] * (hi - lo)
-        np.add.at(E, mid_x, w * table.mean_F(centers - hw, centers + hw))
-        if j == levels - 1 and half <= 1:
+        for start in range(0, lo.size, _BLOCK):
+            sl = slice(start, start + _BLOCK)
+            means = table.mean_F(centers[sl] - hw[sl], centers[sl] + hw[sl])
+            np.add.at(E, mid_x[sl], w[sl] * means)
+        if half <= 1:
             return  # nothing deeper than the emitted midpoints
-        nodes, wts = _composite_unit(level_nodes[j])
-        k = nodes.size
-        u = (centers[:, None] + hw[:, None] * nodes[None, :]).ravel()
-        cw = (w[:, None] * (wts[None, :] * 0.5)).ravel()
-        lo = np.concatenate([np.repeat(lo, k), u])
-        hi = np.concatenate([u, np.repeat(hi, k)])
-        w = np.concatenate([cw, cw])
-        xl = np.concatenate([np.repeat(xl, k), np.repeat(mid_x, k)])
         seg = half
-    if seg < 2 or lo.size == 0:
-        return
+        unit = _composite_unit(level_nodes[j])
+        last = j == levels - 1
+        # the last level's parents per block: about _BLOCK frozen-tail means
+        rows = max(1, _BLOCK // (unit[0].size * seg)) if last else lo.size
+        children = _children(lo, hi, w, xl, mid_x, centers, hw, unit, rows)
+        if not last:
+            lo, hi, w, xl = map(np.concatenate, zip(*children))
     # ranks past the quadrature tuple: ancestors frozen at conditional
     # centers, each point still integrated exactly over its own window
     deltas = np.arange(1, seg)
     frac = deltas / seg
-    rows = max(1, _BLOCK // seg)
-    for start in range(0, lo.size, rows):
-        sl = slice(start, min(start + rows, lo.size))
-        span = (hi[sl] - lo[sl])[:, None]
-        g = xl[sl][:, None] + deltas
+    for b_lo, b_hi, b_w, b_xl in children:
+        span = (b_hi - b_lo)[:, None]
+        g = b_xl[:, None] + deltas
         pos = span * frac
-        pos += lo[sl][:, None]
-        hw = tail.take(g)
-        hw *= span
-        ulo = pos - hw
-        pos += hw
+        pos += b_lo[:, None]
+        b_hw = tail.take(g)
+        b_hw *= span
+        ulo = pos - b_hw
+        pos += b_hw
         vals = table.mean_F(ulo, pos)
-        vals *= w[sl][:, None]
+        vals *= b_w[:, None]
         np.add.at(E, g.ravel(), vals.ravel())
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from .randhomeo import (
 )
 from .signs import (
     _EXHAUSTIVE_LIMIT,
+    _check_lam,
     _check_search,
     build_synthetic_matrix,
     row_discrepancy,
@@ -114,12 +116,17 @@ class ExperimentConfig:
                 f"unknown params for {self.experiment}: {', '.join(map(str, unknown))}; "
                 f"valid: {', '.join(known)}"
             )
-        # the block sizes and retries solve_hierarchical would reject
+        # the block sizes, retries and weight solve_hierarchical would reject
         blocks = self.params.get("blocks", (8,))
         if not (isinstance(blocks, (list, tuple)) and blocks):
             raise ValueError("params blocks must be a nonempty list of block sizes")
         for block in (self.solver.get("block", 8), *blocks):
             _check_search(block, self.solver.get("retries", 64))
+        _check_lam(self.solver.get("lam", 0.5))
+        # _solver_args's int() would read true as seed 1 and truncate 1.5
+        seed = self.solver.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError("solver seed must be an integer")
 
     def to_json(self) -> str:
         payload = {

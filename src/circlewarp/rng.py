@@ -5,11 +5,13 @@ attached to the dyadic point k / 2**n under a given seed is a fixed function
 of (seed, n, k). Deepening a construction by more ranks therefore never
 perturbs the draws of shallower ranks, and two samplers sharing a seed see
 identical uniforms at identical points. Philox supplies the counter-based
-generator; one keyed generator per (seed, rank) yields the whole rank's
-uniforms in a single vectorized call.
+generator; one key per (seed, rank) yields the whole rank's uniforms in a
+single vectorized call.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -29,6 +31,29 @@ def _mix(*parts: int) -> int:
         h = (h ^ (h >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
         h = h ^ (h >> 31)
     return h
+
+
+# One Philox generator per thread, rewound to a key before each keyed draw.
+_local = threading.local()
+
+
+def _keyed_random(key: int, size: int) -> np.ndarray:
+    """Generator(Philox(key=key)).random(size), bit for bit, from this
+    thread's generator set to (key, counter 0, empty buffer): constructing
+    a Philox first draws a SeedSequence from OS entropy that a key makes
+    unused, which costs several times the draw of a small rank."""
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.random(size)
 
 
 def tagged_generator(seed: int, *tags: int) -> np.random.Generator:
@@ -54,9 +79,7 @@ class DyadicStream:
         """All 2**(n-1) uniforms of rank n, indexed by (k - 1) // 2."""
         got = self._cache.get(n)
         if got is None:
-            key = _mix(_RANK_SALT, self.seed, n)
-            g = np.random.Generator(np.random.Philox(key=key))
-            got = g.random(1 << (n - 1)) + 2.0**-54
+            got = _keyed_random(_mix(_RANK_SALT, self.seed, n), 1 << (n - 1)) + 2.0**-54
             got.setflags(write=False)
             self._cache[n] = got
         return got

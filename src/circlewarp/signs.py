@@ -13,6 +13,7 @@ merge level at a time.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -272,6 +273,14 @@ def _check_search(block, retries) -> None:
             raise ValueError(f"{name} must be an integer >= {low}")
 
 
+def _check_lam(lam) -> None:
+    """Reject a potential weight that is not a finite real (booleans
+    included): with a NaN weight every score is NaN, and the argmin would
+    keep the first candidate, all +1, without a word."""
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam):
+        raise ValueError("lam must be a finite real")
+
+
 def solve_hierarchical(
     v: SignMatrix,
     block: int = 8,
@@ -295,10 +304,12 @@ def solve_hierarchical(
     every search is exhaustive and the seed is inert. An exhaustive search
     over columns that are all exactly zero is skipped: every candidate ties,
     so it keeps the first, all +1. A matrix with no rows, or no nonzero
-    entry, gets all +1. block must be an integer of at least 2 and retries
-    one of at least 1 (ValueError otherwise, booleans included).
+    entry, gets all +1. block must be an integer of at least 2, retries
+    one of at least 1 and lam a finite real (ValueError otherwise, booleans
+    included).
     """
     _check_search(block, retries)
+    _check_lam(lam)
     n = v.n_cols
     if n == 0:
         return SignVector(np.empty(0, dtype=np.int8))

@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1412,6 +1413,40 @@ def count_forks(monkeypatch, can_fork):
     monkeypatch.setattr(derand, "_can_fork", lambda: can_fork)
     monkeypatch.setattr(derand, "_fork_call", counted)
     return calls
+
+
+# sha256 of the serial profile's bytes, recorded before the last quadrature
+# level streamed into the frozen tail, when that level was built whole
+M10_PROFILE_PINS = {
+    ("kk_example", 1): "7b2681c663407729bda106852f0d8900aebe9669ba9116a634d4e4fa70555c4f",
+    ("kk_example", 2): "87365439bb09147363bfd976a3f4a81e0c74ef3580bb030403768a061f23a0a8",
+    ("kk_example", 3): "e53d2a25058cca809214922da9adf9776ba32f7c724fcc4687788bdcd276c4af",
+    ("perturbed_square", 1): "5389c6c1922917b325cb8abc22717b6cbecc91b5414919051b7e85bc5237152d",
+    ("perturbed_square", 2): "d90d2a7967a0a1056ed2e101b8b7c4faaf91872527d24cc886aee1d1fae4ff96",
+    ("perturbed_square", 3): "46e306bd74c15d84e231bc45ebc04a3d74c27535d15bff860e86bab6afb609f7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(M10_PROFILE_PINS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_value_profile_is_pinned(m10_states, key):
+    profile = derand._value_profile(m10_states[key], DerandConfig(), fork=False)
+    assert hashlib.sha256(profile.tobytes()).hexdigest() == M10_PROFILE_PINS[key]
+
+
+@pytest.mark.parametrize("name", list(M10_CORPORA))
+def test_value_profile_working_set_is_bounded(name):
+    # a rank-1 profile walks 2**18 last-level rows per cell; built whole they
+    # and their concatenation copies peaked at 14.0-14.7 MB whatever m is
+    f = CorpusSpec(name, M10_CORPORA[name], 8).build()
+    state = DerandState.initial(f, confinement_map(f, depth=8).with_floor())
+    derand._value_profile(state, DerandConfig(), fork=False)  # warm the caches
+    tracemalloc.start()
+    try:
+        derand._value_profile(state, DerandConfig(), fork=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

@@ -90,12 +90,19 @@ def test_solver_options_restricted():
         ({}, {"blocks": [True]}, "block must be an integer >= 2"),
         ({}, {"blocks": 8}, "params blocks must be a nonempty list of block sizes"),
         ({}, {"blocks": []}, "params blocks must be a nonempty list of block sizes"),
+        ({"lam": float("nan")}, {}, "lam must be a finite real"),
+        ({"lam": float("inf")}, {}, "lam must be a finite real"),
+        ({"lam": "0.5"}, {}, "lam must be a finite real"),
+        ({"lam": True}, {}, "lam must be a finite real"),
+        ({"seed": True}, {}, "solver seed must be an integer"),
+        ({"seed": 1.5}, {}, "solver seed must be an integer"),
     ],
 )
 def test_solver_block_and_retries_rejected_up_front(solver, params, message):
     # block 1 never shrinks the merge groups, so the solve would not return;
     # retries 0 leaves a random block search (block > 12) no candidate; an
-    # empty blocks list has no reference block to compare sizes at
+    # empty blocks list has no reference block to compare sizes at; a NaN
+    # weight made every score NaN and the solve returned all +1
     with pytest.raises(ValueError, match=message):
         ExperimentConfig("signs-trend", solver=solver, params=params)
 

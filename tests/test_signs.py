@@ -121,6 +121,14 @@ def test_hierarchical_rejects_blocks_and_retries_up_front(block, retries, messag
         solve_hierarchical(build_synthetic_matrix(16, "exact_decay"), block, retries)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), True, "0.5"])
+def test_hierarchical_rejects_a_weight_that_is_not_a_finite_real(lam):
+    # with lam NaN every score was NaN and the argmin kept the first
+    # candidate: all +1, discrepancy 7.147 at n=64 against 0.386 at lam 0.5
+    with pytest.raises(ValueError, match="lam must be a finite real"):
+        solve_hierarchical(build_synthetic_matrix(64, "exact_decay"), lam=lam)
+
+
 def test_iid_reproducible_and_valid():
     v = build_synthetic_matrix(16, "exact_decay")
     a = solve_iid(v, seed=5)
