@@ -54,7 +54,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._fork import _can_fork, _fork_call
-from .fourier import _whole_degrees, sup_partial_sums
+from .fourier import _check_degree, _whole_degrees, sup_partial_sums
 from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly
 from .haar import ConfinementMap, confinement_map, normalize_sup
 from .rng import tagged_generator
@@ -152,8 +152,7 @@ def _resolve_degrees(degrees, m: int, n_hint: int) -> tuple[int, ...]:
         if not degrees:
             raise ResolutionError(f"a 2**{m} grid resolves no degree to track")
     out = sorted(set(_whole_degrees(degrees, 1)))
-    if out[-1] >= (1 << (m - 1)):
-        raise ResolutionError(f"degree {out[-1]} too large for a 2**{m} grid")
+    _check_degree(m, out[-1])
     return tuple(out)
 
 
@@ -297,16 +296,8 @@ class DerandState:
     @classmethod
     def initial(cls, f: SampledFunction, q: ConfinementMap) -> "DerandState":
         """Rank 1 opened: one window around 1/2, concentric in [0, 1]."""
-        q1 = q.value(1, 1)
-        return cls(
-            f,
-            q,
-            1,
-            0,
-            np.array([0.0, 1.0]),
-            np.array([max(0.5 - 0.5 * q1, 0.0)]),
-            np.array([min(0.5 + 0.5 * q1, 1.0)]),
-        )
+        y = np.array([0.0, 1.0])
+        return cls(f, q, 1, 0, y, *_open_windows(y, q.rank_values(1)))
 
     def homeo(self) -> PLHomeo:
         if self.phase != "final":
@@ -758,23 +749,8 @@ def _gl_nodes(k: int):
     return np.polynomial.legendre.leggauss(k)
 
 
-@functools.cache
-def _composite_unit(budget: int):
-    """Composite two-point Gauss rule on [-1, 1] with about `budget` nodes.
-    Piecewise-linear integrands keep kinks at every scale, so spreading a
-    fixed budget over panels beats one high-order rule on the whole window;
-    weights sum to 2 to match the plain rule's normalization."""
-    panels = max(1, (budget + 1) // 2)
-    nodes, wts = _gl_nodes(2) if budget > 1 else _gl_nodes(1)
-    edges = -1.0 + 2.0 * np.arange(panels + 1) / panels
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 1.0 / panels
-    xs = (mids[:, None] + half * nodes[None, :]).ravel()
-    ws = np.tile(wts * half, panels)
-    return xs, ws
-
-
 def _composite_gl(y1, y2, panels, k):
+    """Composite k-point Gauss rule on [y1, y2]; the weights sum to 1."""
     nodes, wts = _gl_nodes(k)
     edges = y1 + (y2 - y1) * np.arange(panels + 1) / panels
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -784,20 +760,27 @@ def _composite_gl(y1, y2, panels, k):
     return ys, ws
 
 
-def _children(lo, hi, w, xl, mid_x, centers, hw, unit, rows):
-    """The next quadrature level's rows (lo, hi, w, xl), built `rows`
-    parent rows at a time in level order: first every child whose window
-    runs from its parent's lo to a node, then every child whose window runs
-    from a node to its parent's hi. Each child is one elementwise expression
-    of its parent, so the rows do not depend on `rows`."""
-    nodes, wts = unit
-    k = nodes.size
-    half_wts = wts * 0.5
+@functools.cache
+def _level_rule(k: int):
+    """The k-node rule of a quadrature level on [-1, 1]: two-point Gauss on
+    k / 2 panels. Piecewise-linear integrands keep kinks at every scale, so
+    spreading a fixed budget over panels beats one high-order rule on the
+    whole window."""
+    return _composite_gl(-1.0, 1.0, k // 2, 2)
+
+
+def _children(lo, hi, w, xl, mid_x, centers, hw, k, rows):
+    """The next quadrature level's rows (lo, hi, w, xl) under the k-node
+    rule, `rows` parent rows at a time in level order: first every child
+    from its parent's lo to a node, then every child from a node to its
+    parent's hi. Each child is one elementwise expression of its parent, so
+    the rows do not depend on `rows`."""
+    nodes, wts = _level_rule(k)
     for upper in (False, True):
         for start in range(0, lo.size, rows):
             sl = slice(start, start + rows)
             u = (centers[sl, None] + hw[sl, None] * nodes).ravel()
-            cw = (w[sl, None] * half_wts).ravel()
+            cw = (w[sl, None] * wts).ravel()
             if upper:
                 yield u, hi[sl].repeat(k), cw, mid_x[sl].repeat(k)
             else:
@@ -837,11 +820,11 @@ def _cell_expectation(E, table, qtab, tail, state, i, sides, plan):
         if half <= 1:
             return  # nothing deeper than the emitted midpoints
         seg = half
-        unit = _composite_unit(level_nodes[j])
+        k = level_nodes[j]
         last = j == levels - 1
         # the last level's parents per block: about _BLOCK frozen-tail means
-        rows = max(1, _BLOCK // (unit[0].size * seg)) if last else lo.size
-        children = _children(lo, hi, w, xl, mid_x, centers, hw, unit, rows)
+        rows = max(1, _BLOCK // (k * seg)) if last else lo.size
+        children = _children(lo, hi, w, xl, mid_x, centers, hw, k, rows)
         if not last:
             lo, hi, w, xl = map(np.concatenate, zip(*children))
     # ranks past the quadrature tuple: ancestors frozen at conditional
@@ -870,7 +853,7 @@ def _half_cell_means(m: int, n: int, plan) -> int:
     means = 0
     for k in plan[2][: m - n]:
         means += rows
-        rows *= 2 * _composite_unit(k)[0].size
+        rows *= 2 * k
         seg >>= 1
     return means + rows * max(seg - 1, 0)
 
@@ -1135,6 +1118,15 @@ def _windows_converged(state: DerandState, cfg: DerandConfig) -> bool:
     return bool(np.all(widths < cfg.j_tol * np.diff(state.fixed_y)))
 
 
+def _open_windows(y: np.ndarray, qv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A rank's opening windows: in each cell between consecutive pinned
+    images y, the concentric window of relative length qv, clipped to the
+    cell."""
+    centers = 0.5 * (y[:-1] + y[1:])
+    half = 0.5 * qv * np.diff(y)
+    return np.maximum(centers - half, y[:-1]), np.minimum(centers + half, y[1:])
+
+
 def _fix_and_promote(state: DerandState) -> DerandState:
     if state.n_active + 1 > state.f.m:
         raise ResolutionError("next rank would outrun the sample grid of f")
@@ -1143,11 +1135,7 @@ def _fix_and_promote(state: DerandState) -> DerandState:
     y[0::2] = state.fixed_y
     y[1::2] = mids
     n_new = state.n_active + 1
-    qv = state.q.rank_values(n_new)
-    centers = 0.5 * (y[:-1] + y[1:])
-    half = 0.5 * qv * np.diff(y)
-    j_lo = np.maximum(centers - half, y[:-1])
-    j_hi = np.minimum(centers + half, y[1:])
+    j_lo, j_hi = _open_windows(y, state.q.rank_values(n_new))
     return dataclasses.replace(
         state, n_active=n_new, ell=0, fixed_y=y, j_lo=j_lo, j_hi=j_hi
     )
@@ -1199,7 +1187,8 @@ def run(
     n_max stay affine, which is exactly what dropping their concentric
     windows leaves behind."""
     cfg = config if config is not None else DerandConfig()
-    if not (isinstance(n_max, int) and n_max >= 1):
+    # not isinstance: a bool is an int to it, and True would pin one rank
+    if not (type(n_max) is int and n_max >= 1):
         raise ValueError("n_max must be a positive integer")
     if n_max > f.m - 2:
         raise ResolutionError(f"n_max={n_max} too deep for a 2**{f.m} grid")

@@ -19,7 +19,7 @@ import numbers
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ._fork import _usable_cpus
 from .corpus import CorpusSpec, oscillation, tapered_oscillation
 from .derand import DerandConfig, record_shape_check, run as derand_run
 from .fourier import a_norm, circ_dist, kernel_block_matrix, sup_partial_sums
-from .grid import compose, homeo_to_json, identity_homeo
+from .grid import _is_whole, compose, homeo_to_json, identity_homeo
 from .haar import confinement_map
 from .plotting import _atomic_write, emit_plot
 from .randhomeo import (
@@ -89,14 +89,16 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "solver", dict(self.solver))
         object.__setattr__(self, "params", dict(self.params))
+        if not all(_is_whole(s) for s in self.seeds):
+            raise ValueError("seeds must be whole numbers")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(
             self, "formats", tuple(dict.fromkeys(_canon_format(f) for f in self.formats))
         )
         for key in self.solver:
-            if key not in ("block", "retries", "seed", "lam"):
+            if key not in _SOLVER:
                 raise ValueError(f"unknown solver option {key!r}")
-        reads = _SECTIONS[self.experiment]
+        reads = EXPERIMENTS[self.experiment].sections
         present = {
             "corpus": self.corpus is not None,
             "solver": bool(self.solver),
@@ -109,7 +111,7 @@ class ExperimentConfig:
                 f"sections {self.experiment} does not read: {', '.join(unread)}; "
                 f"valid: {', '.join(reads) or 'none'}"
             )
-        known = _PARAMS[self.experiment]
+        known = EXPERIMENTS[self.experiment].params
         unknown = [key for key in self.params if key not in known]
         if unknown:
             raise ValueError(
@@ -120,11 +122,11 @@ class ExperimentConfig:
         blocks = self.params.get("blocks", (8,))
         if not (isinstance(blocks, (list, tuple)) and blocks):
             raise ValueError("params blocks must be a nonempty list of block sizes")
-        for block in (self.solver.get("block", 8), *blocks):
-            _check_search(block, self.solver.get("retries", 64))
-        _check_lam(self.solver.get("lam", 0.5))
-        # _solver_args's int() would read true as seed 1 and truncate 1.5
-        seed = self.solver.get("seed", 0)
+        block, retries, seed, lam = _solver_args(self)
+        for size in (block, *blocks):
+            _check_search(size, retries)
+        _check_lam(lam)
+        # solve_hierarchical would draw from seed 1 for true
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
             raise ValueError("solver seed must be an integer")
 
@@ -220,14 +222,13 @@ def _write_csv(path: str, header, rows) -> str:
     return _atomic_write(path, "\n".join(lines) + "\n")
 
 
+# solve_hierarchical's settings that a config's solver section may override
+_SOLVER = {"block": 8, "retries": 64, "seed": 0, "lam": 0.5}
+
+
 def _solver_args(cfg: ExperimentConfig) -> tuple:
-    s = cfg.solver
-    return (
-        int(s.get("block", 8)),
-        int(s.get("retries", 64)),
-        int(s.get("seed", 0)),
-        float(s.get("lam", 0.5)),
-    )
+    s = {**_SOLVER, **cfg.solver}
+    return s["block"], s["retries"], s["seed"], s["lam"]
 
 
 # --- the experiments -------------------------------------------------------------
@@ -477,46 +478,42 @@ def _exp_ac_diagnostics(cfg):
     return checks, files, None, None, ()
 
 
+class _Experiment(NamedTuple):
+    """An experiment's function, the config sections it reads and its
+    `params` keys with their defaults. ExperimentConfig rejects any other
+    section unless it is empty, and any other params key."""
+
+    run: Callable
+    sections: tuple
+    params: dict
+
+
 EXPERIMENTS = {
-    "kernel-decay": _exp_kernel_decay,
-    "signs-trend": _exp_signs_trend,
-    "iid-vs-hierarchical": _exp_iid_vs_hierarchical,
-    "df-stats": _exp_df_stats,
-    "psi-q-certificates": _exp_psi_q_certificates,
-    "anorm-growth": _exp_anorm_growth,
-    "derand-full": _exp_derand_full,
-    "ac-diagnostics": _exp_ac_diagnostics,
-}
-
-# the config sections each experiment reads; ExperimentConfig rejects any
-# other section unless it is empty
-_SECTIONS = {
-    "kernel-decay": (),
-    "signs-trend": ("solver", "seeds"),
-    "iid-vs-hierarchical": ("solver", "seeds"),
-    "df-stats": ("seeds",),
-    "psi-q-certificates": ("seeds",),
-    "anorm-growth": (),
-    "derand-full": ("corpus", "derand"),
-    "ac-diagnostics": ("corpus", "seeds"),
-}
-
-# every experiment's `params` keys with their defaults; ExperimentConfig
-# rejects any other key
-_PARAMS = {
-    "kernel-decay": {"n_list": (8, 16, 64, 256)},
-    "signs-trend": {"n_list": (64, 128, 256, 512, 1024, 2048, 4096), "blocks": (8,)},
-    "iid-vs-hierarchical": {"n_list": (64, 512, 4096)},
-    "df-stats": {"coupling_depth": 6, "coupling_seeds": 32},
-    "psi-q-certificates": {"q_list": (0.25, 0.5, 0.75, 0.9), "depth": 10},
-    "anorm-growth": {"N_list": (16, 32, 64, 128, 256, 512), "m": 14},
-    "derand-full": {"n_max": 7, "compose_m": 16, "r_max": 512},
-    "ac-diagnostics": {"depth": 12, "p_list": (1.0, 2.0, 4.0)},
+    "kernel-decay": _Experiment(_exp_kernel_decay, (), {"n_list": (8, 16, 64, 256)}),
+    "signs-trend": _Experiment(
+        _exp_signs_trend,
+        ("solver", "seeds"),
+        {"n_list": (64, 128, 256, 512, 1024, 2048, 4096), "blocks": (8,)},
+    ),
+    "iid-vs-hierarchical": _Experiment(
+        _exp_iid_vs_hierarchical, ("solver", "seeds"), {"n_list": (64, 512, 4096)}
+    ),
+    "df-stats": _Experiment(_exp_df_stats, ("seeds",), {"coupling_depth": 6, "coupling_seeds": 32}),
+    "psi-q-certificates": _Experiment(
+        _exp_psi_q_certificates, ("seeds",), {"q_list": (0.25, 0.5, 0.75, 0.9), "depth": 10}
+    ),
+    "anorm-growth": _Experiment(_exp_anorm_growth, (), {"N_list": (16, 32, 64, 128, 256, 512), "m": 14}),
+    "derand-full": _Experiment(
+        _exp_derand_full, ("corpus", "derand"), {"n_max": 7, "compose_m": 16, "r_max": 512}
+    ),
+    "ac-diagnostics": _Experiment(
+        _exp_ac_diagnostics, ("corpus", "seeds"), {"depth": 12, "p_list": (1.0, 2.0, 4.0)}
+    ),
 }
 
 
 def _params(cfg: ExperimentConfig) -> dict:
-    return {**_PARAMS[cfg.experiment], **cfg.params}
+    return {**EXPERIMENTS[cfg.experiment].params, **cfg.params}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -530,7 +527,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     out = cfg.output_dir or os.environ.get("CIRCLEWARP_OUT", "") or "."
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
-    checks, files, plot_src, plot_kind, notes = EXPERIMENTS[cfg.experiment](cfg)
+    checks, files, plot_src, plot_kind, notes = EXPERIMENTS[cfg.experiment].run(cfg)
     outputs = []
     for name, content in files.items():
         if os.path.splitext(name)[1][1:] not in cfg.formats:

@@ -17,13 +17,12 @@ symmetry and exact Parseval at the same time.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._fork import _can_fork, _fork_call
-from .grid import ResolutionError, SampledFunction
+from .grid import ResolutionError, SampledFunction, _is_whole
 
 __all__ = [
     "dirichlet_kernel",
@@ -127,22 +126,14 @@ def coeffs_naive(f: SampledFunction) -> FourierCoeffs:
 
 def _whole_degrees(degrees, low: int) -> tuple[int, ...]:
     """The given degrees as ints, in their order. Each must be a whole
-    number of at least low (0 or 1) and no bool: int() would read 2.5 as 2
-    and True as 1 without a word."""
+    number of at least low (0 or 1) and no bool (see _is_whole)."""
     kind = {0: "nonnegative", 1: "positive"}[low]
     message = f"degrees must be a nonempty tuple of {kind} integers"
     try:
         out = tuple(degrees)
     except TypeError:
         raise ValueError(message) from None
-    whole = (
-        isinstance(r, numbers.Real)
-        and not isinstance(r, bool)
-        and (isinstance(r, numbers.Integral) or float(r).is_integer())
-        and r >= low
-        for r in out
-    )
-    if not out or not all(whole):
+    if not out or not all(_is_whole(r) and r >= low for r in out):
         raise ValueError(message)
     return tuple(int(r) for r in out)
 

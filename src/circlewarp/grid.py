@@ -10,6 +10,7 @@ onto itself fixing both endpoints, so they extend to circle maps fixing 0.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,16 @@ def _readonly(a, dtype=float):
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _is_whole(r) -> bool:
+    """r is a whole number and no bool: int() would read 2.5 as 2 and True
+    as 1 without a word."""
+    return (
+        isinstance(r, numbers.Real)
+        and not isinstance(r, bool)
+        and (isinstance(r, numbers.Integral) or float(r).is_integer())
+    )
 
 
 def _reduce_mod1(t):

@@ -23,9 +23,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import DyadicPoint, PLHomeo, ResolutionError
+from .grid import DyadicPoint, PLHomeo, ResolutionError, _is_whole
 from .haar import ConfinementMap
-from .rng import DyadicStream
+from .rng import rank_uniforms
 
 __all__ = [
     "DFParams",
@@ -55,8 +55,9 @@ class DFParams:
     orientation: str | None = None
 
     def __post_init__(self):
-        if int(self.depth) != self.depth or self.depth < 1:
+        if not (_is_whole(self.depth) and self.depth >= 1):
             raise ValueError("depth must be a positive integer")
+        object.__setattr__(self, "depth", int(self.depth))
         if self.depth > _MAX_DEPTH:
             raise ResolutionError(f"depth {self.depth} exceeds supported maximum {_MAX_DEPTH}")
         if isinstance(self.q, ConfinementMap):
@@ -84,28 +85,6 @@ class DFParams:
         return self.q.rank_values(n)
 
 
-def _midpoint_fill(depth: int, seed: int, budgets) -> np.ndarray:
-    """Image values on the full rank-`depth` dyadic grid.
-
-    budgets(n) gives the rank-n confinement (scalar or per-point vector);
-    the draw is mid = lo + (hi - lo) * ((1 - q)/2 + q*u), which degenerates
-    to the plain uniform placement exactly when q == 1.
-    """
-    size = 1 << depth
-    y = np.zeros(size + 1)
-    y[size] = 1.0
-    stream = DyadicStream(seed)
-    for n in range(1, depth + 1):
-        step = 1 << (depth - n)
-        mids = np.arange(step, size, 2 * step)
-        lo = y[mids - step]
-        hi = y[mids + step]
-        u = stream.rank_uniforms(n)
-        q = budgets(n)
-        y[mids] = lo + (hi - lo) * (0.5 * (1.0 - q) + q * u)
-    return y
-
-
 def sample_df(depth: int, seed: int) -> PLHomeo:
     """Unconfined midpoint recursion down to the given rank.
 
@@ -113,19 +92,28 @@ def sample_df(depth: int, seed: int) -> PLHomeo:
     drawn uniformly in the open image interval of its parents. The marginal
     law of the rank-1 image is exactly uniform on (0, 1).
     """
-    if int(depth) != depth or depth < 1:
-        raise ValueError("depth must be a positive integer")
-    if depth > _MAX_DEPTH:
-        raise ResolutionError(f"depth {depth} exceeds supported maximum {_MAX_DEPTH}")
-    size = 1 << depth
-    y = _midpoint_fill(depth, seed, lambda n: 1.0)
-    return PLHomeo(np.arange(size + 1) / size, y)
+    return sample_psi_q(DFParams(depth), seed)
 
 
 def sample_psi_q(params: DFParams, seed: int) -> PLHomeo:
-    """Confined midpoint recursion; inverts the result under inverse orientation."""
-    size = 1 << params.depth
-    y = _midpoint_fill(params.depth, seed, params.rank_budgets)
+    """Confined midpoint recursion; inverts the result under inverse orientation.
+
+    With the rank-n budgets q (scalar or per-point vector) the draw is
+    mid = lo + (hi - lo) * ((1 - q)/2 + q*u), which degenerates to the
+    plain uniform placement exactly when q == 1.
+    """
+    depth = params.depth
+    size = 1 << depth
+    y = np.zeros(size + 1)
+    y[size] = 1.0
+    for n in range(1, depth + 1):
+        step = 1 << (depth - n)
+        mids = np.arange(step, size, 2 * step)
+        lo = y[mids - step]
+        hi = y[mids + step]
+        u = rank_uniforms(seed, n)
+        q = params.rank_budgets(n)
+        y[mids] = lo + (hi - lo) * (0.5 * (1.0 - q) + q * u)
     h = PLHomeo(np.arange(size + 1) / size, y)
     return h.inverse() if params.orientation == "inverse" else h
 

@@ -15,7 +15,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["DyadicStream", "tagged_generator"]
+__all__ = ["rank_uniforms", "tagged_generator"]
 
 # Fixed 64-bit salts separating the package's independent stream families.
 _RANK_SALT = 0x9E3779B97F4A7C15
@@ -62,24 +62,10 @@ def tagged_generator(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class DyadicStream:
-    """Per-dyadic-point uniforms under one seed.
-
-    rank_uniforms(n)[(k - 1) // 2] is the draw attached to the point
-    k / 2**n (k odd). All values lie in the open interval (0, 1): the
-    generator's grid of 2**-53 multiples of [0, 1) is shifted by 2**-54,
-    which keeps exactness while forbidding the endpoints.
+def rank_uniforms(seed: int, n: int) -> np.ndarray:
+    """All 2**(n-1) uniforms of rank n under seed; entry (k - 1) // 2 is the
+    draw attached to the point k / 2**n (k odd). All values lie in the open
+    interval (0, 1): the generator's grid of 2**-53 multiples of [0, 1) is
+    shifted by 2**-54, which keeps exactness while forbidding the endpoints.
     """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._cache: dict[int, np.ndarray] = {}
-
-    def rank_uniforms(self, n: int) -> np.ndarray:
-        """All 2**(n-1) uniforms of rank n, indexed by (k - 1) // 2."""
-        got = self._cache.get(n)
-        if got is None:
-            got = _keyed_random(_mix(_RANK_SALT, self.seed, n), 1 << (n - 1)) + 2.0**-54
-            got.setflags(write=False)
-            self._cache[n] = got
-        return got
+    return _keyed_random(_mix(_RANK_SALT, int(seed), n), 1 << (n - 1)) + 2.0**-54

@@ -225,9 +225,10 @@ def _screen(prod, cols, base, sigma, lam, zb, reach):
     return value, rel * (mx + abs(lam) * cosh_sum)
 
 
-def _exhaustive_signs(b: int) -> np.ndarray:
-    """All 2^b sign vectors of length b, lexicographic (+1 before -1)."""
-    masks = np.arange(1 << b, dtype=np.uint32)
+def _exhaustive_signs(b: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """The sign vectors of length b, lexicographic (+1 before -1), from
+    index start up to stop (default: all 2^b of them)."""
+    masks = np.arange(start, 1 << b if stop is None else stop, dtype=np.uint32)
     bits = (masks[:, None] >> np.arange(b - 1, -1, -1, dtype=np.uint32)[None, :]) & 1
     return (1 - 2 * bits.astype(np.int8))
 
@@ -370,12 +371,9 @@ def solve_bruteforce(v: SignMatrix) -> tuple[SignVector, float]:
     best_val = np.inf
     best = None
     chunk = 1 << min(n, 14)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     for start in range(0, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        bits = (masks[:, None] >> shifts[None, :]) & 1
-        cands = (1 - 2 * bits.astype(np.int8)).astype(float)
-        disc = np.max(np.abs(cands @ a.T), axis=1) if a.shape[0] else np.zeros(len(masks))
+        cands = _exhaustive_signs(n, start, min(start + chunk, 1 << n)).astype(float)
+        disc = np.max(np.abs(cands @ a.T), axis=1) if a.shape[0] else np.zeros(len(cands))
         i = int(np.argmin(disc))
         if disc[i] < best_val:
             best_val = float(disc[i])

@@ -457,6 +457,9 @@ def test_run_depth_guard():
         run(tapered_oscillation(4, m=8), 7)
     with pytest.raises(ValueError):
         run(tapered_oscillation(4, m=8), 0)
+    # a bool is no rank count, as DerandConfig's ell_max is no halving count
+    with pytest.raises(ValueError, match="n_max must be a positive integer"):
+        run(tapered_oscillation(4, m=8), True)
 
 
 @pytest.mark.parametrize("step", [choose_halves, assemble_v_matrix, advance])
@@ -1386,7 +1389,7 @@ M10_CORPORA = {
 
 @pytest.fixture(scope="module")
 def m10_states():
-    """Opening states of ranks 1 .. 3 of both m=10 acceptance corpora, each
+    """Opening states of ranks 1 .. 4 of both m=10 acceptance corpora, each
     rank below halved once."""
     cfg = DerandConfig(mc_check=False, ell_max=1)
     degrees = default_degrees(7, 10)
@@ -1395,7 +1398,7 @@ def m10_states():
         f = CorpusSpec(name, params, 10).build()
         q = confinement_map(f, depth=10).with_floor(cfg.q_floor_exponent)
         states[name, 1] = DerandState.initial(f, q)
-        for rank in (2, 3):
+        for rank in (2, 3, 4):
             states[name, rank], _, _ = advance(states[name, rank - 1], cfg, degrees)
     return states
 
@@ -1415,15 +1418,19 @@ def count_forks(monkeypatch, can_fork):
     return calls
 
 
-# sha256 of the serial profile's bytes, recorded before the last quadrature
-# level streamed into the frozen tail, when that level was built whole
+# sha256 of the serial profile's bytes: ranks 1-3 run the shallow value plan
+# and were recorded before the last quadrature level streamed into the
+# frozen tail, when that level was built whole; rank 4 runs the deep plan and
+# was recorded before the level rules were served by _composite_gl
 M10_PROFILE_PINS = {
     ("kk_example", 1): "7b2681c663407729bda106852f0d8900aebe9669ba9116a634d4e4fa70555c4f",
     ("kk_example", 2): "87365439bb09147363bfd976a3f4a81e0c74ef3580bb030403768a061f23a0a8",
     ("kk_example", 3): "e53d2a25058cca809214922da9adf9776ba32f7c724fcc4687788bdcd276c4af",
+    ("kk_example", 4): "2364161409cccc70972a791f55c1490341528b7689d2becd45c4068055c77efb",
     ("perturbed_square", 1): "5389c6c1922917b325cb8abc22717b6cbecc91b5414919051b7e85bc5237152d",
     ("perturbed_square", 2): "d90d2a7967a0a1056ed2e101b8b7c4faaf91872527d24cc886aee1d1fae4ff96",
     ("perturbed_square", 3): "46e306bd74c15d84e231bc45ebc04a3d74c27535d15bff860e86bab6afb609f7",
+    ("perturbed_square", 4): "42ed186f8837c23bd7dec55a88554e8a383d2a1d4c8b320676dacc244386e2b7",
 }
 
 

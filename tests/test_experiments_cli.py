@@ -119,6 +119,13 @@ def test_seeds_coerced_to_int_tuple():
     assert cfg.seeds == (3, 7)
 
 
+@pytest.mark.parametrize("seed", [True, 2.5, "3", float("nan"), None])
+def test_seeds_that_are_not_whole_numbers_rejected(seed):
+    # int() would read True as seed 1, truncate 2.5 and parse "3"
+    with pytest.raises(ValueError, match="seeds must be whole numbers"):
+        ExperimentConfig("df-stats", seeds=[0, seed])
+
+
 def test_load_config_builds_corpus_and_defaults(tmp_path):
     p = _write_config(
         tmp_path / "c.json",

@@ -33,6 +33,21 @@ def test_params_rejects_bad_depth():
         DFParams(25)
 
 
+@pytest.mark.parametrize("depth", [True, 2.5, "3", float("inf")])
+def test_params_and_sample_df_reject_a_depth_that_is_no_whole_number(depth):
+    # a bool is no depth, although int() reads True as 1
+    for make in (DFParams, lambda d: sample_df(d, seed=1)):
+        with pytest.raises(ValueError, match="depth must be a positive integer"):
+            make(depth)
+
+
+def test_whole_float_depth_is_stored_as_int():
+    params = DFParams(3.0, q=0.5)
+    assert type(params.depth) is int and params.depth == 3
+    assert np.array_equal(sample_psi_q(params, 4).y, sample_psi_q(DFParams(3, q=0.5), 4).y)
+    assert np.array_equal(sample_df(3.0, 4).y, sample_df(3, 4).y)
+
+
 def test_params_rejects_bad_budget():
     with pytest.raises(ValueError):
         DFParams(4, q=0.0)
