@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import ResolutionError, SampledFunction
+from .grid import ResolutionError, SampledFunction, _whole
 from .haar import perturbed_square_wave, rademacher
 
 _CONVENTIONS = ("count", "literal")
@@ -40,8 +40,7 @@ def oscillation(
     "literal" uses phase n_cycles*ramp, which generally leaves a jump at the
     cutoff.
     """
-    if int(n_cycles) != n_cycles or n_cycles < 1:
-        raise ValueError("n_cycles must be a positive integer")
+    n_cycles = _whole(n_cycles, 1, "n_cycles must be a positive integer")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly inside (0, 1)")
     if convention not in _CONVENTIONS:
@@ -115,8 +114,7 @@ def resonant_packets(k_max: int = 6, m: int = 14, decay=None) -> SampledFunction
     Packet 1 is degenerate (its interval is a point), so k_max=1 yields the
     zero function.
     """
-    if int(k_max) != k_max or k_max < 1:
-        raise ValueError("k_max must be a positive integer")
+    k_max = _whole(k_max, 1, "k_max must be a positive integer")
     a = _packet_scales(k_max, decay)
     t = _grid(m)
     values = np.zeros(1 << m)
@@ -137,8 +135,7 @@ def fejer_blocks(block_count: int, m: int = 14) -> SampledFunction:
     exposes that logarithm, so sup_r |S_r f| grows with block_count even
     though the function itself stays bounded by 1.
     """
-    if int(block_count) != block_count or block_count < 0:
-        raise ValueError("block_count must be a nonnegative integer")
+    block_count = _whole(block_count, 0, "block_count must be a nonnegative integer")
     size = 1 << m
     if block_count and 1 << (block_count + 3) > size // 2:
         raise ResolutionError(

@@ -55,7 +55,7 @@ import numpy as np
 
 from ._fork import _can_fork, _fork_call
 from .fourier import _check_degree, _whole_degrees, sup_partial_sums
-from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly
+from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, _whole
 from .haar import ConfinementMap, confinement_map, normalize_sup
 from .rng import tagged_generator
 from .signs import SignMatrix, solve_hierarchical
@@ -210,9 +210,8 @@ class DerandConfig:
     level_nodes_deep: ClassVar[tuple] = (8, 2)
 
     def __post_init__(self):
-        # not isinstance: a bool is an int to it, and True would halve once
-        if not (type(self.ell_max) is int and self.ell_max >= 0):
-            raise ValueError("ell_max must be a nonnegative integer")
+        ell_max = _whole(self.ell_max, 0, "ell_max must be a nonnegative integer")
+        object.__setattr__(self, "ell_max", ell_max)
         if not (0.0 < self.j_tol < 1.0):
             raise ValueError("j_tol must lie in (0, 1)")
         for name in ("row_tol", "null_tol", "identity_tol"):
@@ -221,9 +220,9 @@ class DerandConfig:
             # as identity_tol it would fail every residual
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if not (isinstance(self.mc_samples, int) and self.mc_samples >= 2):
-            # one path has a standard error of 0, so the guard could never pass
-            raise ValueError("mc_samples must be an integer of at least 2")
+        # one path has a standard error of 0, so the guard could never pass
+        samples = _whole(self.mc_samples, 2, "mc_samples must be an integer of at least 2")
+        object.__setattr__(self, "mc_samples", samples)
         if self.degrees is not None:
             object.__setattr__(self, "degrees", _whole_degrees(self.degrees, 1))
 
@@ -265,10 +264,11 @@ class DerandState:
             raise TypeError("q must be a ConfinementMap")
         if self.q.floor_exponent is None and self.q.depth < self.f.m:
             raise ValueError("budget map must carry a floor or reach the grid depth")
-        if not (isinstance(self.n_active, int) and 1 <= self.n_active <= self.f.m):
-            raise ValueError(f"active rank out of range: {self.n_active}")
-        if not (isinstance(self.ell, int) and self.ell >= 0):
-            raise ValueError("ell must be a nonnegative integer")
+        message = f"active rank out of range: {self.n_active}"
+        object.__setattr__(self, "n_active", _whole(self.n_active, 1, message))
+        if self.n_active > self.f.m:
+            raise ValueError(message)
+        object.__setattr__(self, "ell", _whole(self.ell, 0, "ell must be a nonnegative integer"))
         if self.phase not in ("active", "final"):
             raise ValueError(f"unknown phase {self.phase!r}")
         y = _readonly(self.fixed_y)
@@ -1019,8 +1019,10 @@ def mc_cross_check(
     errors (plus a small relative floor). Pointwise, each value gets six
     standard errors; inputs with kinks or jumps legitimately overrun that
     in thin bands around their images, so the gate bounds the fraction of
-    offending points rather than the worst one. A genuine indexing or
-    window bug shifts whole cells and trips both immediately.
+    offending points rather than the worst one. Faults injected into the
+    quadrature side at m=10 showed the guard's reach: it misses a profile
+    shifted by one grid point at ranks 1-3 (1-4 on kk_example), a 10 %
+    budget error at 13 of 14 ranks, and misplaced quadrature nodes.
 
     The quadrature side is the state's remembered profile (see _profile):
     after varying the value plan, pass a dataclasses.replace copy."""
@@ -1187,9 +1189,7 @@ def run(
     n_max stay affine, which is exactly what dropping their concentric
     windows leaves behind."""
     cfg = config if config is not None else DerandConfig()
-    # not isinstance: a bool is an int to it, and True would pin one rank
-    if not (type(n_max) is int and n_max >= 1):
-        raise ValueError("n_max must be a positive integer")
+    n_max = _whole(n_max, 1, "n_max must be a positive integer")
     if n_max > f.m - 2:
         raise ResolutionError(f"n_max={n_max} too deep for a 2**{f.m} grid")
     f_use = normalize_sup(f) if f.sup_norm() > 1.0 + 1e-12 else f

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from ._fork import _usable_cpus
 from .corpus import CorpusSpec, oscillation, tapered_oscillation
 from .derand import DerandConfig, record_shape_check, run as derand_run
 from .fourier import a_norm, circ_dist, kernel_block_matrix, sup_partial_sums
-from .grid import _is_whole, compose, homeo_to_json, identity_homeo
+from .grid import _whole, compose, homeo_to_json, identity_homeo
 from .haar import confinement_map
 from .plotting import _atomic_write, emit_plot
 from .randhomeo import (
@@ -89,9 +88,8 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "solver", dict(self.solver))
         object.__setattr__(self, "params", dict(self.params))
-        if not all(_is_whole(s) for s in self.seeds):
-            raise ValueError("seeds must be whole numbers")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = tuple(_whole(s, None, "seeds must be whole numbers") for s in self.seeds)
+        object.__setattr__(self, "seeds", seeds)
         object.__setattr__(
             self, "formats", tuple(dict.fromkeys(_canon_format(f) for f in self.formats))
         )
@@ -118,6 +116,9 @@ class ExperimentConfig:
                 f"unknown params for {self.experiment}: {', '.join(map(str, unknown))}; "
                 f"valid: {', '.join(known)}"
             )
+        for key, value in self.params.items():
+            if not isinstance(known[key], tuple):  # a count, not a tuple of values
+                self.params[key] = _whole(value, 0, f"params {key} must be a nonnegative integer")
         # the block sizes, retries and weight solve_hierarchical would reject
         blocks = self.params.get("blocks", (8,))
         if not (isinstance(blocks, (list, tuple)) and blocks):
@@ -126,9 +127,7 @@ class ExperimentConfig:
         for size in (block, *blocks):
             _check_search(size, retries)
         _check_lam(lam)
-        # solve_hierarchical would draw from seed 1 for true
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise ValueError("solver seed must be an integer")
+        _whole(seed, None, "solver seed must be an integer")
 
     def to_json(self) -> str:
         payload = {
@@ -337,8 +336,8 @@ def _exp_df_stats(cfg):
     # q -> 1 collapses the confinement to the whole parent interval, so the
     # psi sampler must reproduce plain midpoint placement on the same seeds
     couple_gap = 0.0
-    depth = int(p["coupling_depth"])
-    for s in seeds[: int(p["coupling_seeds"])]:
+    depth = p["coupling_depth"]
+    for s in seeds[: p["coupling_seeds"]]:
         a = sample_psi_q(DFParams(depth, 1.0), s)
         b = sample_df(depth, s)
         couple_gap = max(couple_gap, float(np.max(np.abs(a.y - b.y))))
@@ -359,7 +358,7 @@ def _exp_df_stats(cfg):
 def _exp_psi_q_certificates(cfg):
     p = _params(cfg)
     q_list = tuple(p["q_list"])
-    depth = int(p["depth"])
+    depth = p["depth"]
     seeds = cfg.seeds or tuple(range(1000))
     rows = []
     all_ok = True
@@ -383,7 +382,7 @@ def _exp_psi_q_certificates(cfg):
 def _exp_anorm_growth(cfg):
     p = _params(cfg)
     n_list = tuple(p["N_list"])
-    m = int(p["m"])
+    m = p["m"]
     rows = []
     abrupt = []
     tapered = []
@@ -409,9 +408,7 @@ def _exp_derand_full(cfg):
     )
     f = spec.build()
     p = _params(cfg)
-    n_max = int(p["n_max"])
-    compose_m = int(p["compose_m"])
-    r_max = int(p["r_max"])
+    n_max, compose_m, r_max = p["n_max"], p["compose_m"], p["r_max"]
     dcfg = cfg.derand or DerandConfig()
     res = derand_run(f, n_max, dcfg, label=spec.label())
     shape = record_shape_check(res.records)
@@ -454,7 +451,7 @@ def _exp_ac_diagnostics(cfg):
     spec = cfg.corpus or CorpusSpec("tapered_oscillation", {"n_cycles": 8}, 14)
     f = spec.build()
     p = _params(cfg)
-    depth = int(p["depth"])
+    depth = p["depth"]
     p_list = tuple(p["p_list"])
     seeds = cfg.seeds or tuple(range(8))
     q = confinement_map(f, depth=depth).with_floor()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import _can_fork, _fork_call
-from .grid import ResolutionError, SampledFunction, _is_whole
+from .grid import ResolutionError, SampledFunction, _whole
 
 __all__ = [
     "dirichlet_kernel",
@@ -45,8 +45,7 @@ def dirichlet_kernel(n: int, t):
     which keeps accuracy for large arguments; the removable singularity at
     integer t evaluates to exactly 2n + 1.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+    n = _whole(n, 0, "degree must be >= 0")
     t = np.asarray(t, dtype=float)
     frac = t - np.round(t)
     singular = frac == 0.0
@@ -125,17 +124,17 @@ def coeffs_naive(f: SampledFunction) -> FourierCoeffs:
 
 
 def _whole_degrees(degrees, low: int) -> tuple[int, ...]:
-    """The given degrees as ints, in their order. Each must be a whole
-    number of at least low (0 or 1) and no bool (see _is_whole)."""
+    """The given degrees as ints, in their order, each a whole number of at
+    least low (0 or 1)."""
     kind = {0: "nonnegative", 1: "positive"}[low]
     message = f"degrees must be a nonempty tuple of {kind} integers"
     try:
-        out = tuple(degrees)
+        out = tuple(_whole(r, low, message) for r in degrees)
     except TypeError:
         raise ValueError(message) from None
-    if not out or not all(_is_whole(r) and r >= low for r in out):
+    if not out:
         raise ValueError(message)
-    return tuple(int(r) for r in out)
+    return out
 
 
 def _check_degree(f_m: int, n: int):
@@ -219,8 +218,10 @@ def _kernel_antiderivative(n: int, u: np.ndarray) -> np.ndarray:
 
 def kernel_block_integral(n: int, k: int, j: int) -> float:
     """Integral of D_n(j/n - t) over the block [k/n, (k+1)/n]."""
-    if n < 1 or not (0 <= k < n) or not (0 <= j < n):
-        raise ValueError("need n >= 1 and 0 <= k, j < n")
+    message = "need n >= 1 and 0 <= k, j < n"
+    n, k, j = _whole(n, 1, message), _whole(k, 0, message), _whole(j, 0, message)
+    if not (k < n and j < n):
+        raise ValueError(message)
     hi = (j - k) / n
     lo = (j - k - 1) / n
     vals = _kernel_antiderivative(n, np.array([hi, lo]))
@@ -233,8 +234,7 @@ def kernel_block_matrix(n: int) -> np.ndarray:
     The integral depends on k and j only through j - k, so one antiderivative
     sweep over the 2n + 1 distinct differences fills the whole table.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _whole(n, 1, "need n >= 1")
     d = np.arange(-n, n + 1) / n
     a = _kernel_antiderivative(n, d)
     # integral for difference index delta = j - k is a[delta + n] - a[delta + n - 1]

@@ -37,14 +37,18 @@ def _readonly(a, dtype=float):
     return arr
 
 
-def _is_whole(r) -> bool:
-    """r is a whole number and no bool: int() would read 2.5 as 2 and True
-    as 1 without a word."""
-    return (
-        isinstance(r, numbers.Real)
-        and not isinstance(r, bool)
-        and (isinstance(r, numbers.Integral) or float(r).is_integer())
-    )
+def _whole(value, low: int | None, message: str) -> int:
+    """value as an int if it is a whole number, at least low unless low is
+    None, and no bool; else ValueError(message). 3.0 reads as 3, where int()
+    alone would also read 2.5 as 2 and True as 1 without a word."""
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and (isinstance(value, numbers.Integral) or float(value).is_integer())
+        and (low is None or value >= low)
+    ):
+        return int(value)
+    raise ValueError(message)
 
 
 def _reduce_mod1(t):
@@ -73,8 +77,10 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (0 <= int(self.m) <= 26):
-            raise ValueError(f"grid exponent out of range: {self.m}")
+        message = f"grid exponent out of range: {self.m}"
+        object.__setattr__(self, "m", _whole(self.m, 0, message))
+        if self.m > 26:
+            raise ValueError(message)
         vals = _readonly(self.values)
         if vals.ndim != 1 or vals.shape[0] != (1 << self.m):
             raise ValueError(
@@ -166,8 +172,7 @@ def compose(f: SampledFunction, h: PLHomeo, m_out: int | None = None) -> Sampled
     The output node at i / 2**m_out carries the piecewise-linear value of f
     at h(i / 2**m_out).
     """
-    if m_out is None:
-        m_out = f.m + 4
+    m_out = f.m + 4 if m_out is None else _whole(m_out, 0, "m_out must be a nonnegative integer")
     t = np.arange(1 << m_out) / (1 << m_out)
     return SampledFunction(m_out, f.eval(h.eval(t)))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ResolutionError, SampledFunction
+from .grid import ResolutionError, SampledFunction, _whole
 from .rng import tagged_generator
 
 __all__ = [
@@ -160,10 +160,7 @@ def confinement_map(f: SampledFunction, depth: int | None = None) -> Confinement
     """
     if f.sup_norm() > 1.0 + 1e-12:
         raise ValueError("confinement_map needs |f| <= 1; apply normalize_sup first")
-    if depth is None:
-        depth = f.m
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = f.m if depth is None else _whole(depth, 1, "depth must be >= 1")
 
     hc = haar_transform(f)
     # cumulative energy E[l][j] = sum over dyadic J inside I_{l,j} of coef^2 |J|^(1/2)
@@ -195,8 +192,7 @@ def rademacher(rank: int, m: int) -> SampledFunction:
     Value +1 on [2j * 2**-rank, (2j+1) * 2**-rank), -1 on the complementary
     cells; requires m >= rank + 2 so each wave spans at least four samples.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    rank = _whole(rank, 1, "rank must be >= 1")
     if m < rank + 2:
         raise ResolutionError(f"need m >= {rank + 2} to sample rank {rank}")
     i = np.arange(1 << m)
@@ -213,8 +209,7 @@ def perturbed_square_wave(rank: int, jitter: float, seed: int, m: int) -> Sample
     jitter = 0 reproduces the exact square wave (every piece 2**-rank, the
     final piece closing the circle exactly). The last piece is truncated at 1.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    rank = _whole(rank, 1, "rank must be >= 1")
     if not (0.0 <= jitter <= 1.0):
         raise ValueError("jitter must lie in [0, 1]")
     if m < rank + 2:

@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import DyadicPoint, PLHomeo, ResolutionError, _is_whole
+from .grid import DyadicPoint, PLHomeo, ResolutionError, _whole
 from .haar import ConfinementMap
 from .rng import rank_uniforms
 
@@ -55,9 +55,7 @@ class DFParams:
     orientation: str | None = None
 
     def __post_init__(self):
-        if not (_is_whole(self.depth) and self.depth >= 1):
-            raise ValueError("depth must be a positive integer")
-        object.__setattr__(self, "depth", int(self.depth))
+        object.__setattr__(self, "depth", _whole(self.depth, 1, "depth must be a positive integer"))
         if self.depth > _MAX_DEPTH:
             raise ResolutionError(f"depth {self.depth} exceeds supported maximum {_MAX_DEPTH}")
         if isinstance(self.q, ConfinementMap):
@@ -236,12 +234,10 @@ def ac_diagnostics(
     """
     if any(p < 1.0 for p in p_list):
         raise ValueError("p values must be >= 1")
-    if window < 2:
-        raise ValueError("window must cover at least two levels")
+    window = _whole(window, 2, "window must cover at least two levels")
     if level_max is None:
-        level_max = max(1, int(round(math.log2(max(len(h.x) - 1, 2)))))
-    if level_max < 2:
-        raise ValueError("need at least two levels to form a ratio")
+        level_max = max(1, round(math.log2(max(len(h.x) - 1, 2))))
+    level_max = _whole(level_max, 2, "need at least two levels to form a ratio")
     norms = []
     for p in p_list:
         norms.append([])

@@ -15,6 +15,8 @@ import threading
 
 import numpy as np
 
+from .grid import _whole
+
 __all__ = ["rank_uniforms", "tagged_generator"]
 
 # Fixed 64-bit salts separating the package's independent stream families.
@@ -58,7 +60,7 @@ def _keyed_random(key: int, size: int) -> np.ndarray:
 
 def tagged_generator(seed: int, *tags: int) -> np.random.Generator:
     """Deterministic generator for an auxiliary purpose (Monte Carlo etc.)."""
-    key = _mix(_TAG_SALT, seed, *tags)
+    key = _mix(_TAG_SALT, _whole(seed, None, "seed must be an integer"), *tags)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -68,4 +70,6 @@ def rank_uniforms(seed: int, n: int) -> np.ndarray:
     interval (0, 1): the generator's grid of 2**-53 multiples of [0, 1) is
     shifted by 2**-54, which keeps exactness while forbidding the endpoints.
     """
-    return _keyed_random(_mix(_RANK_SALT, int(seed), n), 1 << (n - 1)) + 2.0**-54
+    n = _whole(n, 1, "rank must be >= 1")
+    key = _mix(_RANK_SALT, _whole(seed, None, "seed must be an integer"), n)
+    return _keyed_random(key, 1 << (n - 1)) + 2.0**-54

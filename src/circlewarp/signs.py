@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import circ_dist
+from .grid import _whole
 from .rng import tagged_generator
 
 __all__ = [
@@ -95,15 +96,17 @@ def build_synthetic_matrix(
 ) -> SignMatrix:
     """Square test matrices: magnitudes 1 / (dist(k, j) + 1), optionally with
     seeded random signs ('random_signs_decay')."""
+    n = _whole(n, 0, "n must be a nonnegative integer")
     if dist not in ("circular", "linear"):
         raise ValueError("dist must be 'circular' or 'linear'")
     if profile == "random_signs_decay":
-        signs = tagged_generator(seed, 0x51, n).integers(0, 2, size=(n, n))
+        gen = tagged_generator(seed, 0x51, n)
     elif profile != "exact_decay":
         raise ValueError(f"unknown profile {profile!r}")
     # vals[k, j] = v[k, j], filled in row blocks of about 2**16 entries: the
-    # temporaries stay in cache, and no n x n temporary is built besides
-    # the random signs
+    # temporaries stay in cache, and no n x n temporary is built. The signs
+    # are drawn block by block too: consecutive draws of (rows, n) integers
+    # are bitwise the rows of one (n, n) draw
     vals = np.empty((n, n))
     ks = np.arange(n)
     rows = max(1, (1 << 16) // max(n, 1))
@@ -115,7 +118,7 @@ def build_synthetic_matrix(
         np.add(circ_dist(ks, j, n) if dist == "circular" else np.abs(ks - j), 1.0, out=out)
         np.divide(1.0, out, out=out)
         if profile != "exact_decay":
-            out *= signs[block] * 2 - 1
+            out *= gen.integers(0, 2, size=out.shape) * 2 - 1
     # rows are indexed by j: row j holds v[k, j] over k. The transpose is
     # kept, not copied: F-contiguous, strides (8, 8 n), the layout a copy
     # of it has, so BLAS sees the same operands
@@ -264,14 +267,14 @@ def _best_candidate(
     return cands[alive[int(np.argmin(_exact_scores(prod, base, sigma, lam, alive)))]]
 
 
-def _check_search(block, retries) -> None:
-    """Reject a block size below 2, whose merges of one group never shrink
-    the group list, and retries below 1, which leave a random search no
-    candidate. Both must be integers and no bool."""
-    for name, value, low in (("block", block, 2), ("retries", retries, 1)):
-        whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        if not (whole and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}")
+def _check_search(block, retries) -> tuple[int, int]:
+    """block and retries as ints. A block size below 2, whose merges of one
+    group never shrink the group list, and retries below 1, which leave a
+    random search no candidate, raise."""
+    return (
+        _whole(block, 2, "block must be an integer >= 2"),
+        _whole(retries, 1, "retries must be an integer >= 1"),
+    )
 
 
 def _check_lam(lam) -> None:
@@ -305,11 +308,11 @@ def solve_hierarchical(
     every search is exhaustive and the seed is inert. An exhaustive search
     over columns that are all exactly zero is skipped: every candidate ties,
     so it keeps the first, all +1. A matrix with no rows, or no nonzero
-    entry, gets all +1. block must be an integer of at least 2, retries
+    entry, gets all +1. block must be a whole number of at least 2, retries
     one of at least 1 and lam a finite real (ValueError otherwise, booleans
     included).
     """
-    _check_search(block, retries)
+    block, retries = _check_search(block, retries)
     _check_lam(lam)
     n = v.n_cols
     if n == 0:

@@ -1,14 +1,44 @@
 """The public surface: every exported name resolves, and so does every name
-the benchmark scripts in bench/ import from the package."""
+the benchmark scripts in bench/ import from the package. Every count, rank,
+depth, degree and seed the package reads passes one whole-number check."""
 
 import ast
 import importlib
+import pickle
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import circlewarp
+from circlewarp import (
+    DerandConfig,
+    DerandState,
+    DFParams,
+    ExperimentConfig,
+    SampledFunction,
+    ac_diagnostics,
+    build_synthetic_matrix,
+    confinement_map,
+    compose,
+    dirichlet_kernel,
+    fejer_blocks,
+    identity_homeo,
+    kernel_block_matrix,
+    oscillation,
+    partial_sum,
+    perturbed_square_wave,
+    rademacher,
+    resonant_packets,
+    run,
+    sample_df,
+    solve_hierarchical,
+    solve_iid,
+    sup_partial_sums,
+)
+from circlewarp.fourier import kernel_block_integral
+from circlewarp.rng import rank_uniforms, tagged_generator
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = ["circlewarp"] + [
@@ -112,3 +142,178 @@ def test_every_unused_export_is_a_test_reference():
             elif isinstance(node, ast.ImportFrom):
                 used.update(a.name for a in node.names)
     assert exported - used == set(UNUSED_EXPORTS)
+
+
+def test_whole_number_checks_live_in_one_helper():
+    """type(x) is int, isinstance(x, int) and numbers.Integral appear in
+    src/circlewarp only inside grid._whole."""
+    src = Path(circlewarp.__file__).resolve().parent
+
+    def is_int(node):
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    def checks(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+                call = node.left
+                if isinstance(call.func, ast.Name) and call.func.id == "type":
+                    if any(isinstance(op, ast.Is) for op in node.ops) and any(
+                        is_int(c) for c in node.comparators
+                    ):
+                        yield node
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "isinstance" and len(node.args) == 2:
+                    kinds = node.args[1]
+                    kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                    if any(is_int(k) for k in kinds):
+                        yield node
+            elif isinstance(node, ast.Attribute) and node.attr == "Integral":
+                yield node
+
+    inside, outside = 0, []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = set()
+        if path.name == "grid.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_whole":
+                    helper = {id(n) for n in ast.walk(node)}
+        for node in checks(tree):
+            if id(node) in helper:
+                inside += 1
+            else:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert not outside, f"whole-number checks outside grid._whole: {outside}"
+    assert inside, "grid._whole holds no whole-number check"
+
+
+F6 = SampledFunction.from_callable(6, lambda t: np.sin(2 * np.pi * t) * np.cos(6 * np.pi * t))
+V16 = build_synthetic_matrix(16, "random_signs_decay", seed=2)
+H5 = sample_df(5, 1)
+
+
+def rank_state(n_active, ell=0):
+    """A rank-n_active state over four cells, valid at n_active = 3."""
+    y = np.linspace(0.0, 1.0, 5)
+    q = confinement_map(F6).with_floor()
+    return DerandState(F6, q, n_active, ell, y, y[:-1] + 0.05, y[1:] - 0.05)
+
+
+def params_row(experiment, key):
+    return lambda x: ExperimentConfig(experiment, params={key: x})
+
+
+# (public call, argument): the call on a value of the argument, and the
+# message it raises for a value that is no whole number in range
+WHOLE_ARGUMENTS = {
+    ("DerandConfig", "ell_max"): (lambda x: DerandConfig(ell_max=x), "ell_max must be"),
+    ("DerandConfig", "mc_samples"): (lambda x: DerandConfig(mc_samples=x), "mc_samples must be"),
+    ("DerandConfig", "degrees"): (lambda x: DerandConfig(degrees=(1, x)), "degrees must be"),
+    ("DerandState", "n_active"): (rank_state, "active rank out of range"),
+    ("DerandState", "ell"): (lambda x: rank_state(3, x), "ell must be a nonnegative"),
+    ("run", "n_max"): (
+        lambda x: run(F6, x, DerandConfig(mc_check=False, ell_max=1)),
+        "n_max must be a positive integer",
+    ),
+    ("solve_hierarchical", "block"): (lambda x: solve_hierarchical(V16, x), "block must be"),
+    ("solve_hierarchical", "retries"): (
+        lambda x: solve_hierarchical(V16, 16, x),
+        "retries must be",
+    ),
+    ("solve_hierarchical", "seed"): (
+        lambda x: solve_hierarchical(V16, 16, 4, x),
+        "seed must be an integer",
+    ),
+    ("solve_iid", "seed"): (lambda x: solve_iid(V16, x), "seed must be an integer"),
+    ("build_synthetic_matrix", "n"): (
+        lambda x: build_synthetic_matrix(x, "random_signs_decay"),
+        "n must be a nonnegative",
+    ),
+    ("build_synthetic_matrix", "seed"): (
+        lambda x: build_synthetic_matrix(8, "random_signs_decay", x),
+        "seed must be an integer",
+    ),
+    ("rank_uniforms", "seed"): (lambda x: rank_uniforms(x, 4), "seed must be an integer"),
+    ("rank_uniforms", "n"): (lambda x: rank_uniforms(1, x), "rank must be >= 1"),
+    ("tagged_generator", "seed"): (
+        lambda x: tagged_generator(x, 7).random(4),
+        "seed must be an integer",
+    ),
+    ("DFParams", "depth"): (DFParams, "depth must be a positive integer"),
+    ("sample_df", "depth"): (lambda x: sample_df(x, 1), "depth must be a positive integer"),
+    ("sample_df", "seed"): (lambda x: sample_df(3, x), "seed must be an integer"),
+    ("ac_diagnostics", "level_max"): (
+        lambda x: ac_diagnostics(H5, level_max=x),
+        "need at least two levels",
+    ),
+    ("ac_diagnostics", "window"): (
+        lambda x: ac_diagnostics(H5, window=x),
+        "window must cover at least two levels",
+    ),
+    ("dirichlet_kernel", "n"): (lambda x: dirichlet_kernel(x, 0.1), "degree must be >= 0"),
+    ("kernel_block_matrix", "n"): (kernel_block_matrix, "need n >= 1"),
+    ("kernel_block_integral", "n"): (lambda x: kernel_block_integral(x, 0, 1), "need n >= 1"),
+    ("kernel_block_integral", "k"): (lambda x: kernel_block_integral(5, x, 1), "need n >= 1"),
+    ("kernel_block_integral", "j"): (lambda x: kernel_block_integral(5, 1, x), "need n >= 1"),
+    ("partial_sum", "n"): (lambda x: partial_sum(F6, x), "degrees must be"),
+    ("sup_partial_sums", "degrees"): (lambda x: sup_partial_sums(F6, (1, x)), "degrees must be"),
+    ("SampledFunction", "m"): (lambda x: SampledFunction(x, np.arange(8.0)), "grid exponent"),
+    ("compose", "m_out"): (lambda x: compose(F6, identity_homeo(), x), "m_out must be"),
+    ("confinement_map", "depth"): (lambda x: confinement_map(F6, x), "depth must be >= 1"),
+    ("rademacher", "rank"): (lambda x: rademacher(x, 6), "rank must be >= 1"),
+    ("perturbed_square_wave", "rank"): (
+        lambda x: perturbed_square_wave(x, 0.5, 1, 6),
+        "rank must be >= 1",
+    ),
+    ("perturbed_square_wave", "seed"): (
+        lambda x: perturbed_square_wave(2, 0.5, x, 6),
+        "seed must be an integer",
+    ),
+    ("oscillation", "n_cycles"): (lambda x: oscillation(x, m=6), "n_cycles must be"),
+    ("resonant_packets", "k_max"): (lambda x: resonant_packets(x, m=8), "k_max must be"),
+    ("fejer_blocks", "block_count"): (lambda x: fejer_blocks(x, m=8), "block_count must be"),
+    ("ExperimentConfig", "seeds"): (
+        lambda x: ExperimentConfig("df-stats", seeds=(x,)),
+        "seeds must be whole numbers",
+    ),
+    ("ExperimentConfig", "df-stats coupling_depth"): (
+        params_row("df-stats", "coupling_depth"),
+        "params coupling_depth must be",
+    ),
+    ("ExperimentConfig", "df-stats coupling_seeds"): (
+        params_row("df-stats", "coupling_seeds"),
+        "params coupling_seeds must be",
+    ),
+    ("ExperimentConfig", "psi-q-certificates depth"): (
+        params_row("psi-q-certificates", "depth"),
+        "params depth must be",
+    ),
+    ("ExperimentConfig", "anorm-growth m"): (params_row("anorm-growth", "m"), "params m must be"),
+    ("ExperimentConfig", "derand-full n_max"): (
+        params_row("derand-full", "n_max"),
+        "params n_max must be",
+    ),
+    ("ExperimentConfig", "derand-full compose_m"): (
+        params_row("derand-full", "compose_m"),
+        "params compose_m must be",
+    ),
+    ("ExperimentConfig", "derand-full r_max"): (
+        params_row("derand-full", "r_max"),
+        "params r_max must be",
+    ),
+    ("ExperimentConfig", "ac-diagnostics depth"): (
+        params_row("ac-diagnostics", "depth"),
+        "params depth must be",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", WHOLE_ARGUMENTS, ids=" ".join)
+def test_every_count_takes_whole_numbers_only(row):
+    # int() would read True as 1, 2.5 as 2 and "3" as 3 without a word; a
+    # whole float is the int it equals
+    call, message = WHOLE_ARGUMENTS[row]
+    for bad in (True, 2.5, float("nan"), float("inf"), "3"):
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    assert pickle.dumps(call(3.0)) == pickle.dumps(call(3))

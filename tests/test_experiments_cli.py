@@ -83,7 +83,7 @@ def test_solver_options_restricted():
     [
         ({"block": 1}, {}, "block must be an integer >= 2"),
         ({"block": True}, {}, "block must be an integer >= 2"),
-        ({"block": 8.0}, {}, "block must be an integer >= 2"),
+        ({"block": 2.5}, {}, "block must be an integer >= 2"),
         ({"retries": 0}, {}, "retries must be an integer >= 1"),
         ({"retries": True}, {}, "retries must be an integer >= 1"),
         ({}, {"blocks": [4, 1]}, "block must be an integer >= 2"),
