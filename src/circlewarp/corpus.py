@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import ResolutionError, SampledFunction, _whole
+from .grid import ResolutionError, SampledFunction, _exponent, _whole
 from .haar import perturbed_square_wave, rademacher
 
 _CONVENTIONS = ("count", "literal")
@@ -40,6 +40,7 @@ def oscillation(
     "literal" uses phase n_cycles*ramp, which generally leaves a jump at the
     cutoff.
     """
+    m = _exponent(m)
     n_cycles = _whole(n_cycles, 1, "n_cycles must be a positive integer")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly inside (0, 1)")
@@ -76,6 +77,7 @@ def tapered_oscillation(
     gamma through the envelope, and at 0 because the phase starts at zero.
     Its spectral sums stay bounded where the abrupt version's grow.
     """
+    m = _exponent(m)
     raw = oscillation(n_cycles, gamma, m, convention)
     t = _grid(m)
     inside = t <= gamma
@@ -114,6 +116,7 @@ def resonant_packets(k_max: int = 6, m: int = 14, decay=None) -> SampledFunction
     Packet 1 is degenerate (its interval is a point), so k_max=1 yields the
     zero function.
     """
+    m = _exponent(m)
     k_max = _whole(k_max, 1, "k_max must be a positive integer")
     a = _packet_scales(k_max, decay)
     t = _grid(m)
@@ -135,6 +138,7 @@ def fejer_blocks(block_count: int, m: int = 14) -> SampledFunction:
     exposes that logarithm, so sup_r |S_r f| grows with block_count even
     though the function itself stays bounded by 1.
     """
+    m = _exponent(m)
     block_count = _whole(block_count, 0, "block_count must be a nonnegative integer")
     size = 1 << m
     if block_count and 1 << (block_count + 3) > size // 2:
@@ -182,6 +186,7 @@ class CorpusSpec:
             valid = ", ".join(sorted(_GENERATORS))
             raise ValueError(f"unknown corpus kind {self.kind!r}; valid kinds: {valid}")
         object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "m", _exponent(self.m))
 
     def build(self) -> SampledFunction:
         try:

@@ -429,16 +429,18 @@ def _constant_cells(state: DerandState) -> np.ndarray:
     return steps[hi] == steps[lo]
 
 
-# Work size, in array elements, of the blocks that the value engine's level
-# means, its last quadrature level with the frozen tail, and the Monte-Carlo
-# paths stream through: small enough that a block's temporaries stay in
-# cache, and it bounds the value engine's working set. It cannot change a
-# result: every row is the same elementwise expression whatever the block,
-# np.add.at accumulates the blocks in input order, and the sampler draws
-# and sums whole batches, building only the paths in blocks, one row per path
-# and live cell, so a sampler block holds about _BLOCK grid points of the
-# live cells whatever their number. The window engine needs no blocks: its
-# work per half window is linear in the points and in the f pieces that the
+# Work size, in array elements, of the blocks that every stage streams
+# through: the value engine's children of one descent step and its
+# frozen-tail means, the Monte-Carlo paths with the buffer they are summed
+# in, and the sampler's draws of a rank that leaves out constant cells. Small
+# enough that a block's temporaries stay in cache, and it bounds the working
+# set: no stage holds (rows x nodes) of a whole quadrature level or (paths x
+# grid points) of a whole batch. It cannot change a result: every row is the
+# same elementwise expression whatever the block, np.add.at meets each grid
+# point's terms in the same order (see _descend), consecutive draws are the
+# rows of one draw, and the sampler's sums add the rows of a batch one by one
+# in order, whatever the block. The window engine needs no blocks: its work
+# per half window is linear in the points and in the f pieces that the
 # points' lines reach.
 _BLOCK = 1 << 14
 
@@ -715,7 +717,9 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
             residual=ident,
             tol=cfg.identity_tol,
         )
-    return vals[np.max(np.abs(vals), axis=1) >= cfg.row_tol], ident
+    # max |v| of a row, with no |vals| temporary
+    keep = np.maximum(vals.max(axis=1), -vals.min(axis=1)) >= cfg.row_tol
+    return (vals if keep.all() else vals[keep]), ident
 
 
 def _step_args(state: DerandState, config: DerandConfig | None, degrees):
@@ -791,9 +795,7 @@ def _cell_expectation(E, table, qtab, tail, state, i, sides, plan):
     """Add to E the quadrature of the grid points strictly inside cell i's
     half cells that sides names: 0 the left one, 1 the right one, in
     ascending order. Every row stays inside the half cell it starts in, so
-    each half cell writes only its own range of E. The last level's rows are
-    never held at once: they stream, a block of parents at a time, into the
-    frozen tail."""
+    each half cell writes only its own range of E."""
     y_panels, y_nodes, level_nodes = plan
     m = table.m
     n = state.n_active
@@ -807,31 +809,44 @@ def _cell_expectation(E, table, qtab, tail, state, i, sides, plan):
     hi = np.concatenate([np.full(ys.size, b) if s else ys for s in sides])
     w = np.tile(ws, len(sides))
     xl = np.repeat((2 * i + np.asarray(sides, dtype=np.int64)) * seg, ys.size)
-    levels = min(len(level_nodes), m - n)
-    for j in range(levels):
-        half = seg >> 1
-        mid_x = xl + half
-        centers = 0.5 * (lo + hi)
-        hw = 0.5 * qtab[mid_x] * (hi - lo)
-        for start in range(0, lo.size, _BLOCK):
-            sl = slice(start, start + _BLOCK)
-            means = table.mean_F(centers[sl] - hw[sl], centers[sl] + hw[sl])
-            np.add.at(E, mid_x[sl], w[sl] * means)
-        if half <= 1:
-            return  # nothing deeper than the emitted midpoints
-        seg = half
-        k = level_nodes[j]
-        last = j == levels - 1
-        # the last level's parents per block: about _BLOCK frozen-tail means
-        rows = max(1, _BLOCK // (k * seg)) if last else lo.size
-        children = _children(lo, hi, w, xl, mid_x, centers, hw, k, rows)
-        if not last:
-            lo, hi, w, xl = map(np.concatenate, zip(*children))
+    _descend(E, table, qtab, tail, (lo, hi, w, xl), seg, level_nodes[: m - n])
+
+
+def _descend(E, table, qtab, tail, rows, seg, nodes):
+    """Add to E the window means of rows (lo, hi, w, xl), whose segments
+    are seg grid units wide, at their midpoints, then those of their
+    descendants: under nodes[0] for the next level, and so on, the children
+    of the last level being integrated over their frozen tails.
+
+    The children stream, a block of parents at a time, each block descended
+    whole before the next: no level is ever held at once. It cannot change a
+    bit of E: every grid point is the midpoint of one level (or inside one
+    frozen-tail segment), and all its terms come from the lower children, or
+    all from the upper children, of parents that share one segment; the
+    descent meets those parents in level order, as the levels built whole
+    did, so np.add.at adds the same terms in the same order."""
+    lo, hi, w, xl = rows
+    half = seg >> 1
+    mid_x = xl + half
+    centers = 0.5 * (lo + hi)
+    hw = 0.5 * qtab[mid_x] * (hi - lo)
+    means = table.mean_F(centers - hw, centers + hw)
+    np.add.at(E, mid_x, w * means)
+    if half <= 1:
+        return  # nothing deeper than the emitted midpoints
+    k = nodes[0]
+    if len(nodes) > 1:
+        # about _BLOCK children per block
+        for child in _children(lo, hi, w, xl, mid_x, centers, hw, k, max(1, _BLOCK // k)):
+            _descend(E, table, qtab, tail, child, half, nodes[1:])
+        return
     # ranks past the quadrature tuple: ancestors frozen at conditional
-    # centers, each point still integrated exactly over its own window
-    deltas = np.arange(1, seg)
-    frac = deltas / seg
-    for b_lo, b_hi, b_w, b_xl in children:
+    # centers, each point still integrated exactly over its own window;
+    # about _BLOCK frozen-tail means per block
+    deltas = np.arange(1, half)
+    frac = deltas / half
+    parents = max(1, _BLOCK // (k * half))
+    for b_lo, b_hi, b_w, b_xl in _children(lo, hi, w, xl, mid_x, centers, hw, k, parents):
         span = (b_hi - b_lo)[:, None]
         g = b_xl[:, None] + deltas
         pos = span * frac
@@ -960,34 +975,50 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
         step = 1 << (m - rank)
         qv = qtab[step : size : 2 * step].reshape(cells, W // (2 * step))[take]
         deeper.append((step, qv, 0.5 * (1.0 - qv)))
-    rows = max(1, _BLOCK // max(k * W, 1))
+    rows = max(1, _BLOCK >> m)  # paths per block
     # f at each cell's left edge, across the cell: the value of the pinned
     # edge and of every point of a constant cell
     fill = np.repeat(table.f_at(state.fixed_y[:-1]), W)
+    # rows 1.. of buf hold one block of paths' values; row 0 the batch's
+    # running sum while the block is added, then its running sum of squares
+    buf = np.empty((rows + 1, size))
+    by_cell = buf[1:].reshape(rows, cells, W)
     acc = np.zeros(size)
     acc2 = np.zeros(size)
     done = 0
     while done < n_samples:
         bsz = min(_MC_BATCH, n_samples - done)
         # the whole batch's draws in stream order, then the live cells' paths
-        # built and evaluated a few rows at a time; the column sums see the
-        # same rows in the same order either way
+        # built and evaluated a block at a time. Consecutive draws of a few
+        # rows are bitwise the rows of one draw, so the draws of a rank that
+        # leaves out constant cells are made a few rows at a time too
         u_live = gen.random((bsz, cells))[:, take]
         u_live *= j_span
         u_live += j_lo
         u_deep = []
         for step, qv, base in deeper:
             per = W // (2 * step)
-            u = gen.random((bsz, cells * per)).reshape(bsz, cells, per)[:, take]
+            if k == cells:
+                u = gen.random((bsz, cells, per))
+            else:
+                u = np.empty((bsz, k, per))
+                chunk = max(1, _BLOCK // (cells * per))
+                for c0 in range(0, bsz, chunk):
+                    c1 = min(c0 + chunk, bsz)
+                    u[c0:c1] = gen.random((c1 - c0, cells, per))[:, take]
             u *= qv
             u += base
-            u_deep.append(u.reshape(bsz * k, per))  # contiguous either way: a view
-        vals = np.empty((bsz, size))
-        if k < cells:
-            vals[:] = fill
-        by_cell = vals.reshape(bsz, cells, W)
+            u_deep.append(u.reshape(bsz * k, per))  # contiguous: a view
+        # a reduction over the rows of a C-ordered array adds them one by one
+        # in row order, so summing (running sum, block) continues the sum of
+        # the batch's rows exactly as one sum over all of them would
+        total = np.zeros(size)
+        total2 = np.zeros(size)
         for r0 in range(0, bsz, rows):
             r1 = min(r0 + rows, bsz)
+            block = buf[: r1 - r0 + 1]
+            if k < cells:
+                block[1:] = fill
             Y = np.empty((r1 - r0, k, W + 1))
             Y[:, :, 0] = a
             Y[:, :, W] = b
@@ -999,10 +1030,14 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
                 mid *= u[r0 * k : r1 * k]
                 mid += lo
                 paths[:, step : W : 2 * step] = mid
-            by_cell[r0:r1, take] = table.f_at(paths[:, :W]).reshape(r1 - r0, k, W)
-        acc += vals.sum(axis=0)
-        vals *= vals
-        acc2 += vals.sum(axis=0)
+            by_cell[: r1 - r0, take] = table.f_at(paths[:, :W]).reshape(r1 - r0, k, W)
+            block[0] = total
+            total = block.sum(axis=0)
+            block[1:] *= block[1:]
+            block[0] = total2
+            total2 = block.sum(axis=0)
+        acc += total
+        acc2 += total2
         done += bsz
     mean = acc / n_samples
     var = np.maximum(acc2 / n_samples - mean * mean, 0.0)

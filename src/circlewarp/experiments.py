@@ -119,13 +119,20 @@ class ExperimentConfig:
         for key, value in self.params.items():
             if not isinstance(known[key], tuple):  # a count, not a tuple of values
                 self.params[key] = _whole(value, 0, f"params {key} must be a nonnegative integer")
+            elif key in _SIZE_LISTS:
+                message = f"params {key} must be a nonempty list of positive integers"
+                if not (isinstance(value, (list, tuple)) and value):
+                    raise ValueError(message)
+                self.params[key] = [_whole(size, 1, message) for size in value]
         # the block sizes, retries and weight solve_hierarchical would reject
         blocks = self.params.get("blocks", (8,))
         if not (isinstance(blocks, (list, tuple)) and blocks):
             raise ValueError("params blocks must be a nonempty list of block sizes")
         block, retries, seed, lam = _solver_args(self)
-        for size in (block, *blocks):
-            _check_search(size, retries)
+        _check_search(block, retries)
+        sizes = [_check_search(size, retries)[0] for size in blocks]
+        if "blocks" in self.params:
+            self.params["blocks"] = sizes
         _check_lam(lam)
         _whole(seed, None, "solver seed must be an integer")
 
@@ -253,16 +260,23 @@ def _exp_kernel_decay(cfg):
         worst_c = max(worst_c, c)
         worst_gap = max(worst_gap, gap)
         summary.append((n, c, gap))
-        files[f"kernel_decay_n{n}.csv"] = (
-            ("k", "j", "integral", "weighted"),
-            [(int(k), int(j), mat[k, j], weighted[k, j]) for k in range(n) for j in range(n)],
-        )
+        header = ("k", "j", "integral", "weighted")
+        files[f"kernel_decay_n{n}.csv"] = (header, _entry_rows(mat, weighted))
     files["kernel_decay_summary.csv"] = (("n", "decay_constant", "row_sum_gap"), summary)
     checks = (
         ("decay_constant_max", worst_c, 4.0, worst_c <= 4.0),
         ("row_sum_gap_max", worst_gap, 1e-8, worst_gap <= 1e-8),
     )
     return checks, files, "kernel_decay_summary.csv", "line", ()
+
+
+def _entry_rows(mat, weighted):
+    """(k, j, mat[k, j], weighted[k, j]) for every entry, row-major, as
+    Python numbers made one matrix row at a time while the table is
+    written: no list of n * n tuples is held."""
+    for k in range(mat.shape[0]):
+        for j, (v, w) in enumerate(zip(mat[k].tolist(), weighted[k].tolist())):
+            yield k, j, v, w
 
 
 def _exp_signs_trend(cfg):
@@ -507,6 +521,10 @@ EXPERIMENTS = {
         _exp_ac_diagnostics, ("corpus", "seeds"), {"depth": 12, "p_list": (1.0, 2.0, 4.0)}
     ),
 }
+
+
+# params holding lists of matrix or frequency sizes, each a positive count
+_SIZE_LISTS = ("n_list", "N_list")
 
 
 def _params(cfg: ExperimentConfig) -> dict:

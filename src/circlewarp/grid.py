@@ -51,6 +51,16 @@ def _whole(value, low: int | None, message: str) -> int:
     raise ValueError(message)
 
 
+def _exponent(m) -> int:
+    """m as a grid exponent: a whole number from 0 to 26, else
+    ValueError. Read before any 1 << m, so that 6.0 reads as 6."""
+    message = f"grid exponent out of range: {m}"
+    m = _whole(m, 0, message)
+    if m > 26:
+        raise ValueError(message)
+    return m
+
+
 def _reduce_mod1(t):
     """Map arguments outside [0, 1] into [0, 1), keeping interior points
     (including 1.0 itself) untouched."""
@@ -77,10 +87,7 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        message = f"grid exponent out of range: {self.m}"
-        object.__setattr__(self, "m", _whole(self.m, 0, message))
-        if self.m > 26:
-            raise ValueError(message)
+        object.__setattr__(self, "m", _exponent(self.m))
         vals = _readonly(self.values)
         if vals.ndim != 1 or vals.shape[0] != (1 << self.m):
             raise ValueError(
@@ -108,6 +115,7 @@ class SampledFunction:
 
     @classmethod
     def from_callable(cls, m: int, fn) -> "SampledFunction":
+        m = _exponent(m)
         t = np.arange(1 << m) / (1 << m)
         return cls(m, np.asarray(fn(t), dtype=float))
 
@@ -120,12 +128,14 @@ class DyadicPoint:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"rank must be >= 1, got {self.n}")
-        if not (0 < self.k < (1 << self.n)):
-            raise ValueError(f"need 0 < k < 2**{self.n}, got k={self.k}")
-        if self.k % 2 == 0:
-            raise ValueError(f"k must be odd, got {self.k} (reduce the fraction)")
+        n = _whole(self.n, 1, f"rank must be >= 1, got {self.n}")
+        k = _whole(self.k, 1, f"need 0 < k < 2**{n}, got k={self.k}")
+        if k >= 1 << n:
+            raise ValueError(f"need 0 < k < 2**{n}, got k={k}")
+        if k % 2 == 0:
+            raise ValueError(f"k must be odd, got {k} (reduce the fraction)")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True, eq=False)

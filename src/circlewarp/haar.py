@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ResolutionError, SampledFunction, _whole
+from .grid import ResolutionError, SampledFunction, _exponent, _whole
 from .rng import tagged_generator
 
 __all__ = [
@@ -192,6 +192,7 @@ def rademacher(rank: int, m: int) -> SampledFunction:
     Value +1 on [2j * 2**-rank, (2j+1) * 2**-rank), -1 on the complementary
     cells; requires m >= rank + 2 so each wave spans at least four samples.
     """
+    m = _exponent(m)
     rank = _whole(rank, 1, "rank must be >= 1")
     if m < rank + 2:
         raise ResolutionError(f"need m >= {rank + 2} to sample rank {rank}")
@@ -209,6 +210,7 @@ def perturbed_square_wave(rank: int, jitter: float, seed: int, m: int) -> Sample
     jitter = 0 reproduces the exact square wave (every piece 2**-rank, the
     final piece closing the circle exactly). The last piece is truncated at 1.
     """
+    m = _exponent(m)
     rank = _whole(rank, 1, "rank must be >= 1")
     if not (0.0 <= jitter <= 1.0):
         raise ValueError("jitter must lie in [0, 1]")

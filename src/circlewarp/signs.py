@@ -157,26 +157,42 @@ def solve_iid(v: SignMatrix, seed: int = 0) -> SignVector:
 # high and a low half gives every candidate's sum_j cosh(x_j) from two small
 # matmuls, (P_hi o e^{+-b/sigma}) @ P_lo^T, in `_exhaustive_signs` order,
 # instead of cosh over the (2^b x n_rows) matrix of row sums. The max term
-# is read from the product itself, on the rows that can hold the maximum
-# (|b_j|/sigma + r_j >= max(|b_k|/sigma - r_k), r_j = sum_i |c_ij| / sigma);
-# a max over a subset of the exact values never exceeds the exact max. The
-# screened value then differs from the exact score by rounding only, within
-# `margin` (see _screen). Confirming keeps every candidate whose screened
-# value, less its margin, is at most the exact score of the screen's
-# argmin, and scores those exactly. Each dropped candidate scores strictly
-# above the minimum, so the first exact argmin is the one an exact score of
-# all candidates picks.
+# is read from the row sums themselves, on the rows that can hold the
+# maximum (|b_j|/sigma + r_j >= max(|b_k|/sigma - r_k), r_j = sum_i |c_ij| /
+# sigma); a max over a subset of the rows never exceeds the max over all.
+# The screened value then differs from the exact score by rounding only,
+# within `margin` (see _screen). Confirming keeps every candidate whose
+# screened value, less its margin, is at most the exact score of the
+# screen's argmin, and scores those exactly. Each dropped candidate scores
+# strictly above the minimum, so the first exact argmin is the one an exact
+# score of all candidates picks: the choice depends on the exact scores
+# alone.
 #
-# The candidate product stays one BLAS call with the shapes and layouts it
-# always had: BLAS output bits depend on the call, so a re-blocked product, a
-# row subset of it or a contiguous copy of an operand can round differently
-# and flip a near-tie. The exact scores are taken from rows of that one
-# product. Screening falls back to exact scores of every candidate for
-# random candidates, for b < 2, and when some |x_j| may exceed _EXP_SAFE,
-# where the exponentials leave a safe range.
+# No (candidates x rows) product is held: the max term reads the rows in
+# blocks, cols[rows] @ cands.T, and the exact scores take the candidates in
+# blocks, cands[idx] @ cols.T, each of about _SCORE_BLOCK entries (candidate
+# blocks for the max term would repack cols in every call). The margin covers
+# the max term's rounding in any order, so only the exact scores' bits
+# matter. The candidates' entries are +-1, so every product term is exact and
+# an entry's bits depend only on the order in which BLAS sums it. Measured
+# with OpenBLAS 0.3.31 (Haswell kernel) over some 3 000 shapes: a block of
+# two candidates or more sums every entry left to right, as the one product
+# cands @ cols.T did, except that the one product sums its last n_rows mod 8
+# rows in another order once n_rows > 192 (and b >= 4). There an exact score
+# may differ from the one product's in its last bits, and a near-tie within
+# rounding may break the other way. No exact score differed in the 252
+# searches of the two m=10 acceptance runs, 64 of them over such rows. A
+# one-candidate or one-row product is a matrix-vector call, whose bits depend
+# on its operands: a lone candidate is padded with itself, and one row's
+# exact scores come from its whole product, n_cand numbers.
+# (cols @ cands[idx].T would sum its last k mod 8 candidates in another order
+# once k > 192.) Each exact score is reduced from a contiguous row, so its
+# cosh sum is the same pairwise sum. Screening falls back to exact scores of
+# every candidate for random candidates, for b < 2, and when some |x_j| may
+# exceed _EXP_SAFE, where the exponentials leave a safe range.
 
 _EXP_SAFE = 300.0
-# entries per candidate block in the exact scores
+# entries per block of the max term's rows and of the exact scores' candidates
 _SCORE_BLOCK = 1 << 15
 
 
@@ -186,21 +202,27 @@ def _score(sums: np.ndarray, sigma: float, lam: float) -> np.ndarray:
     return z.max(axis=-1) + lam * (np.cosh(z) - 1.0).sum(axis=-1)
 
 
-def _exact_scores(prod, base, sigma, lam, idx) -> np.ndarray:
-    """_score(prod[idx] + base) in cache-sized candidate blocks. Each row is
-    reduced on its own, so the values equal the one-shot scores bit for bit."""
+def _exact_scores(cols, cands, base, sigma, lam, idx) -> np.ndarray:
+    """_score(cands[idx] @ cols.T + base), cands as floats, in blocks of
+    about _SCORE_BLOCK entries; see the notes above on its bits."""
+    n_rows = cols.shape[0]
+    if n_rows == 1:  # n_cand numbers, from the one matrix-vector call
+        return _score((cands @ cols.T)[idx] + base, sigma, lam)
     out = np.empty(idx.size)
-    step = max(1, _SCORE_BLOCK // prod.shape[1])
+    step = max(2, _SCORE_BLOCK // n_rows)
     for s in range(0, idx.size, step):
-        out[s : s + step] = _score(prod[idx[s : s + step]] + base, sigma, lam)
+        sel = idx[s : s + step]
+        # a lone candidate's product would be a matrix-vector call: pad it
+        part = cands[sel if sel.size > 1 else sel.repeat(2)] @ cols.T
+        out[s : s + sel.size] = _score(part + base, sigma, lam)[: sel.size]
     return out
 
 
-def _screen(prod, cols, base, sigma, lam, zb, reach):
-    """Screened potential of all 2^b exhaustive candidates, with its error
-    bound against _score."""
-    n_cand, n_rows = prod.shape
-    b = cols.shape[1]
+def _screen(cols, cands, base, sigma, lam, zb, reach):
+    """Screened potential of all 2^b exhaustive candidates (cands, as
+    floats), with its error bound against _score."""
+    n_rows, b = cols.shape
+    n_cand = cands.shape[0]
     h = b // 2
     hi = np.exp(_exhaustive_signs(h) @ cols[:, :h].T / sigma)
     lo = np.exp(_exhaustive_signs(b - h) @ cols[:, h:].T / sigma)
@@ -208,24 +230,28 @@ def _screen(prod, cols, base, sigma, lam, zb, reach):
     # negating a candidate reverses its index within each half
     cosh_sum = 0.5 * ((hi * eb) @ lo.T + (hi[::-1] / eb) @ lo[::-1].T).ravel()
     rows = np.flatnonzero(zb + reach >= np.max(zb - reach))
-    step = max(1, _SCORE_BLOCK // rows.size)
-    if 8 * rows.size > n_rows:  # a gather costs more than scanning every row
-        rows = slice(None)
-        step = max(1, _SCORE_BLOCK // n_rows)
-    mx = np.empty(n_cand)
-    for s in range(0, n_cand, step):
-        z = np.abs(prod[s : s + step, rows] + base[rows]) / sigma
-        mx[s : s + step] = z.max(axis=1)
+    if 8 * rows.size <= n_rows:  # a gather costs less than scanning every row
+        cols, base = cols[rows], base[rows]
+    mx = np.full(n_cand, -np.inf)
+    step = max(1, _SCORE_BLOCK // n_cand)
+    for s in range(0, cols.shape[0], step):
+        z = cols[s : s + step] @ cands.T
+        z += base[s : s + step, None]
+        np.abs(z, out=z)
+        z /= sigma
+        np.maximum(mx, z.max(axis=0), out=mx)
     # Every exponent |x_j| <= |b_j|/sigma + r_j <= _EXP_SAFE carries an
     # absolute error of at most (b + 2) * eps * _EXP_SAFE through its matmul,
     # its scaling and the addition of base, on both paths; the exponentials
     # and cosh add a few ulp; and summing n_rows positive terms, by pairwise
     # summation or inside a matmul, adds at most n_rows * eps, all relative
     # to sum_j cosh(x_j). The factor 8 covers both paths and the final
-    # additions, which round relative to max + |lam| * sum cosh.
+    # additions, which round relative to max + |lam| * sum cosh. The max
+    # term comes from other products than the exact scores, so it carries
+    # the exponents' absolute error on both paths, which rel * 1 covers.
     rel = 8.0 * (n_rows + (b + 2) * _EXP_SAFE + 8) * np.finfo(float).eps
     value = mx + lam * (cosh_sum - n_rows)
-    return value, rel * (mx + abs(lam) * cosh_sum)
+    return value, rel * (1.0 + mx + abs(lam) * cosh_sum)
 
 
 def _exhaustive_signs(b: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -254,17 +280,17 @@ def _best_candidate(
         # all +1; random candidates would still draw from gen
         return np.ones(b, dtype=np.int8)
     cands = _block_candidates(b, retries, gen)
-    prod = cands.astype(float) @ cols.T  # (n_cand, n_rows), one BLAS call
+    cf = cands.astype(float)
     every = np.arange(cands.shape[0])
     zb = np.abs(base) / sigma
     reach = np.abs(cols).sum(axis=1) / sigma
     if b < 2 or b > _EXHAUSTIVE_LIMIT or not np.max(zb + reach) <= _EXP_SAFE:
-        return cands[int(np.argmin(_exact_scores(prod, base, sigma, lam, every)))]
-    value, margin = _screen(prod, cols, base, sigma, lam, zb, reach)
-    target = _exact_scores(prod, base, sigma, lam, every[[int(np.argmin(value))]])[0]
+        return cands[int(np.argmin(_exact_scores(cols, cf, base, sigma, lam, every)))]
+    value, margin = _screen(cols, cf, base, sigma, lam, zb, reach)
+    target = _exact_scores(cols, cf, base, sigma, lam, every[[int(np.argmin(value))]])[0]
     # a NaN keeps its candidate, as an exact score of all would see it
     alive = every[~(value - margin > target)]
-    return cands[alive[int(np.argmin(_exact_scores(prod, base, sigma, lam, alive)))]]
+    return cands[alive[int(np.argmin(_exact_scores(cols, cf, base, sigma, lam, alive)))]]
 
 
 def _check_search(block, retries) -> tuple[int, int]:

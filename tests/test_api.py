@@ -13,9 +13,11 @@ import pytest
 
 import circlewarp
 from circlewarp import (
+    CorpusSpec,
     DerandConfig,
     DerandState,
     DFParams,
+    DyadicPoint,
     ExperimentConfig,
     SampledFunction,
     ac_diagnostics,
@@ -258,6 +260,12 @@ WHOLE_ARGUMENTS = {
     ("partial_sum", "n"): (lambda x: partial_sum(F6, x), "degrees must be"),
     ("sup_partial_sums", "degrees"): (lambda x: sup_partial_sums(F6, (1, x)), "degrees must be"),
     ("SampledFunction", "m"): (lambda x: SampledFunction(x, np.arange(8.0)), "grid exponent"),
+    ("SampledFunction.from_callable", "m"): (
+        lambda x: SampledFunction.from_callable(x, np.sin),
+        "grid exponent",
+    ),
+    ("DyadicPoint", "k"): (lambda x: DyadicPoint(x, 2), "need 0 < k < 2"),
+    ("DyadicPoint", "n"): (lambda x: DyadicPoint(1, x), "rank must be >= 1"),
     ("compose", "m_out"): (lambda x: compose(F6, identity_homeo(), x), "m_out must be"),
     ("confinement_map", "depth"): (lambda x: confinement_map(F6, x), "depth must be >= 1"),
     ("rademacher", "rank"): (lambda x: rademacher(x, 6), "rank must be >= 1"),
@@ -270,6 +278,11 @@ WHOLE_ARGUMENTS = {
         "seed must be an integer",
     ),
     ("oscillation", "n_cycles"): (lambda x: oscillation(x, m=6), "n_cycles must be"),
+    ("oscillation", "m"): (lambda x: oscillation(4, m=x), "grid exponent"),
+    ("CorpusSpec", "m"): (
+        lambda x: CorpusSpec("oscillation", {"n_cycles": 4}, x).build(),
+        "grid exponent",
+    ),
     ("resonant_packets", "k_max"): (lambda x: resonant_packets(x, m=8), "k_max must be"),
     ("fejer_blocks", "block_count"): (lambda x: fejer_blocks(x, m=8), "block_count must be"),
     ("ExperimentConfig", "seeds"): (
@@ -289,6 +302,18 @@ WHOLE_ARGUMENTS = {
         "params depth must be",
     ),
     ("ExperimentConfig", "anorm-growth m"): (params_row("anorm-growth", "m"), "params m must be"),
+    ("ExperimentConfig", "anorm-growth N_list"): (
+        lambda x: ExperimentConfig("anorm-growth", params={"N_list": [16, x]}),
+        "params N_list must be",
+    ),
+    ("ExperimentConfig", "kernel-decay n_list"): (
+        lambda x: ExperimentConfig("kernel-decay", params={"n_list": [8, x]}),
+        "params n_list must be",
+    ),
+    ("ExperimentConfig", "signs-trend blocks"): (
+        lambda x: ExperimentConfig("signs-trend", params={"blocks": [8, x]}),
+        "block must be an integer >= 2",
+    ),
     ("ExperimentConfig", "derand-full n_max"): (
         params_row("derand-full", "n_max"),
         "params n_max must be",

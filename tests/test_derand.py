@@ -1389,7 +1389,7 @@ M10_CORPORA = {
 
 @pytest.fixture(scope="module")
 def m10_states():
-    """Opening states of ranks 1 .. 4 of both m=10 acceptance corpora, each
+    """Opening states of ranks 1 .. 7 of both m=10 acceptance corpora, each
     rank below halved once."""
     cfg = DerandConfig(mc_check=False, ell_max=1)
     degrees = default_degrees(7, 10)
@@ -1398,7 +1398,7 @@ def m10_states():
         f = CorpusSpec(name, params, 10).build()
         q = confinement_map(f, depth=10).with_floor(cfg.q_floor_exponent)
         states[name, 1] = DerandState.initial(f, q)
-        for rank in (2, 3, 4):
+        for rank in range(2, 8):
             states[name, rank], _, _ = advance(states[name, rank - 1], cfg, degrees)
     return states
 
@@ -1440,20 +1440,88 @@ def test_value_profile_is_pinned(m10_states, key):
     assert hashlib.sha256(profile.tobytes()).hexdigest() == M10_PROFILE_PINS[key]
 
 
-@pytest.mark.parametrize("name", list(M10_CORPORA))
-def test_value_profile_working_set_is_bounded(name):
-    # a rank-1 profile walks 2**18 last-level rows per cell; built whole they
-    # and their concatenation copies peaked at 14.0-14.7 MB whatever m is
-    f = CorpusSpec(name, M10_CORPORA[name], 8).build()
-    state = DerandState.initial(f, confinement_map(f, depth=8).with_floor())
-    derand._value_profile(state, DerandConfig(), fork=False)  # warm the caches
+def traced_peak(fn):
+    """fn's result and the peak of the memory it allocates, traced."""
     tracemalloc.start()
     try:
-        derand._value_profile(state, DerandConfig(), fork=False)
+        start, _ = tracemalloc.get_traced_memory()
+        out = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    return out, peak - start
+
+
+@pytest.mark.parametrize("name", list(M10_CORPORA))
+def test_value_profile_working_set_is_bounded(m10_states, name):
+    # a rank-1 profile walks 2**18 last-level rows per cell; built whole they
+    # and their concatenation copies peaked at 14.0-14.7 MB whatever m is.
+    # With only the last level streamed, the levels above it peaked at
+    # 5.3 MB at m=10; the descent streams every level: 2.4 MB
+    state = m10_states[name, 1]
+    derand._value_profile(state, DerandConfig(), fork=False)  # warm the caches
+    _, peak = traced_peak(lambda: derand._value_profile(state, DerandConfig(), fork=False))
+    assert peak <= 4e6
+
+
+@pytest.fixture(scope="module")
+def m12_open_state():
+    """The opening state of the m=12 perturbed_square acceptance corpus."""
+    f = CorpusSpec("perturbed_square", M10_CORPORA["perturbed_square"], 12).build()
+    q = confinement_map(f, depth=12).with_floor(DerandConfig().q_floor_exponent)
+    return DerandState.initial(f, q)
+
+
+def sampler_state(key, m10_states, m12_open_state):
+    name, m, rank = key
+    return m12_open_state if m == 12 else m10_states[name, rank]
+
+
+# sha256 of the sampler's mean and standard error at 1100 samples (two full
+# batches and a partial one), recorded while each batch held its
+# (paths x grid points) values whole
+MC_PROFILE_PINS = {
+    ("kk_example", 10, 1): (
+        "e8b77be18f1e3004a873234d1fa50f181f5fca45897812b03ac5cb9674877cfa",
+        "c2ce734c5b0190398988335222784b4479c1575258990989741c6b02304de7bd",
+    ),
+    ("kk_example", 10, 4): (
+        "0a4e1858c52a0e4d5f0c9e263466623e2129136c4e76ac8184351996ea1da63c",
+        "e028e583748c87a0b2e624c5b34d27d76fa726e5debda9c9129cc47569ca0bb8",
+    ),
+    ("kk_example", 10, 7): (
+        "e2f8da84da5120723766b2d420a3cfd6b2fb6f44c1c1d5ab081d0e9ce7d65c2e",
+        "e742b6fb41278c150a0499a9492f74518f0de9606d7d0e47041105109ba5ce26",
+    ),
+    ("perturbed_square", 12, 1): (
+        "f913483cc32a81939389c8b22d425f376e1eab1ca2e7de5a7b22d9a90f82541e",
+        "f42b9244711942e72bb375949e58d4bcf3e3c666635066ee6e7b10f68b11f614",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MC_PROFILE_PINS), ids=lambda k: f"{k[0]}-m{k[1]}-{k[2]}")
+def test_mc_profile_is_pinned(m10_states, m12_open_state, key):
+    state = sampler_state(key, m10_states, m12_open_state)
+    mean, se = derand._mc_profile(state, 1100, DerandConfig().mc_seed)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (mean, se))
+    assert got == MC_PROFILE_PINS[key]
+
+
+@pytest.mark.parametrize(
+    "key, bound",
+    [(("kk_example", 10, 4), 3e6), (("perturbed_square", 12, 1), 24e6)],
+    ids=["kk_example-m10-4", "perturbed_square-m12-1"],
+)
+def test_mc_profile_working_set_is_bounded(m10_states, m12_open_state, key, bound):
+    # a batch's (512 x 2**m) values, with their squares, and the whole draw
+    # of each deeper rank before its live cells were taken, peaked at 9.2 MB
+    # and 50.8 MB here; one block of paths in a small buffer, and the draws
+    # of a rank with constant cells a few rows at a time, leave 0.9 MB and
+    # 17.9 MB, most of it the live cells' draws of one batch
+    state = sampler_state(key, m10_states, m12_open_state)
+    _, peak = traced_peak(lambda: derand._mc_profile(state, 1100, DerandConfig().mc_seed))
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

@@ -220,6 +220,13 @@ def _kernel_cfg(out, n_list=(4, 8), formats=("csv", "json", "svg-plot")):
     )
 
 
+def test_kernel_decay_reads_whole_float_sizes(tmp_path):
+    # 4.0 went through the config as given, and range(4.0) raised TypeError
+    rep = run_experiment(_kernel_cfg(tmp_path, n_list=(4.0,), formats=("csv",)))
+    assert rep.passed
+    assert (tmp_path / "kernel_decay_n4.csv").exists()
+
+
 def test_kernel_decay_tables_and_thresholds(tmp_path):
     rep = run_experiment(_kernel_cfg(tmp_path))
     assert rep.passed

@@ -82,9 +82,11 @@ def test_public_sign_matrix_copies_its_values():
 
 def test_build_and_solve_hold_no_second_matrix():
     # one n x n float array is the built matrix itself; at n = 1024 the
-    # solver's own working set (the 256 x n candidate product of a block
-    # search, and one row vector per block) takes about 0.6 of that, so a
-    # bound of 3/4 fails on any n x n temporary. The random signs are drawn
+    # solver's own working set (a block search's row and candidate blocks of
+    # about 2**15 products each, and one row vector per block) takes about
+    # 0.3 of that. A bound of 1/2 fails on any n x n temporary, and on the
+    # 256 x n candidate product every block search held before its products
+    # were blocked (0.54 and 0.48 of n x n then). The random signs are drawn
     # block by block: one n x n int64 draw took the build to 2.19 n x n
     n = 1024
     size = n * n * 8
@@ -100,7 +102,7 @@ def test_build_and_solve_hold_no_second_matrix():
         finally:
             tracemalloc.stop()
         assert build_peak <= 1.25 * size, profile
-        assert solve_peak - start < 0.75 * size, profile
+        assert solve_peak - start < 0.5 * size, profile
 
 
 @pytest.mark.parametrize(
@@ -322,7 +324,9 @@ def test_screen_keeps_few_candidates(monkeypatch):
     kept = []
     exact = signs._exact_scores
     monkeypatch.setattr(
-        signs, "_exact_scores", lambda p, b, s, l, idx: kept.append(idx.size) or exact(p, b, s, l, idx)
+        signs,
+        "_exact_scores",
+        lambda c, k, b, s, l, idx: kept.append(idx.size) or exact(c, k, b, s, l, idx),
     )
     solve_hierarchical(build_synthetic_matrix(512, "random_signs_decay"))
     assert len(kept) == 2 * 73  # each search: the screen's argmin, then its survivors
@@ -331,16 +335,18 @@ def test_screen_keeps_few_candidates(monkeypatch):
 
 @pytest.mark.parametrize("n_rows", [1, 3, 255, 4097])
 def test_blocked_exact_scores_are_bitwise_one_shot(n_rows):
+    # entries in eighths make every partial sum of a product exact, so this
+    # sees the blocks, the padding of a lone candidate and the reduction of
+    # each score, whatever order BLAS sums a product in
     rng = np.random.default_rng(n_rows)
-    n_cand = 257
-    prod = rng.standard_normal((n_cand, n_rows)) * 3.0
-    prod[0, 0] = 1e4  # past the overflow guard
+    cands = signs._exhaustive_signs(8).astype(float)
+    cols = rng.integers(-8, 9, size=(n_rows, 8)) / 8.0
+    cols[0] = 1e3  # past the overflow guard unless a candidate's signs balance
     base = rng.standard_normal(n_rows)
-    want = signs._score(prod + base, 1.5, 0.5)
-    every = np.arange(n_cand)
-    assert np.array_equal(signs._exact_scores(prod, base, 1.5, 0.5, every), want)
-    odd = every[1::2]
-    assert np.array_equal(signs._exact_scores(prod, base, 1.5, 0.5, odd), want[odd])
+    want = signs._score(cands @ cols.T + base, 1.5, 0.5)
+    every = np.arange(cands.shape[0])
+    for idx in (every, every[1::2], every[[77]], every[[255, 3]]):
+        assert np.array_equal(signs._exact_scores(cols, cands, base, 1.5, 0.5, idx), want[idx])
 
 
 def zero_block_matrix():
@@ -394,6 +400,25 @@ def test_hierarchical_sign_vectors_pinned(key):
     n, profile, dist = key
     eps = solve_hierarchical(build_synthetic_matrix(n, profile, seed=0, dist=dist)).eps
     assert hashlib.sha256(eps.tobytes()).hexdigest() == SIGN_PINS[key]
+
+
+# sha256 of int8 sign vectors recorded while every block search still
+# made one (candidates x rows) product: the lab's n=4096 solve, and random
+# signs at block 8 (exhaustive searches) and 16 (random candidates) with a
+# seeded solve
+BLOCKED_SIGN_PINS = {
+    (4096, "exact_decay", 0, 8, 0): "2134e98b94458d808326b641b3790aafc307071f70e86189a2be4f0ef5511c37",
+    (1024, "random_signs_decay", 3, 8, 5): "0f995c6baa25b1375a2c06f525af82582d844e807cd3ab1cb40962181c879907",
+    (1024, "random_signs_decay", 3, 16, 5): "bf684c4d6e3160698c5d2d5f2f330b7cb78ff80a7f646050a97693724837d9c7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BLOCKED_SIGN_PINS), ids=lambda k: f"{k[0]}-{k[1]}-b{k[3]}")
+def test_blocked_searches_keep_the_pinned_signs(key):
+    n, profile, seed, block, solve_seed = key
+    v = build_synthetic_matrix(n, profile, seed=seed)
+    eps = solve_hierarchical(v, block, 64, solve_seed, 0.5).eps
+    assert hashlib.sha256(eps.tobytes()).hexdigest() == BLOCKED_SIGN_PINS[key]
 
 
 def test_top_merge_breaks_the_global_flip_tie_by_rule():
