@@ -949,8 +949,9 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
     a cell's grid points depend only on its own pinned edges and draws. On a
     constant cell f(warp(t)) is f at the cell's left edge whatever the path
     does, because the interpolant's slope there is 0.0 (or du is 0 at the
-    right edge), so those columns, like the pinned edges, take that value
-    in every row. The draws are those of the whole grid, in stream order."""
+    right edge), so those columns take that value in every row, and each
+    constant cell's column sums are summed once for all its points. The
+    draws are those of the whole grid, in stream order."""
     f = state.f
     m = f.m
     size = 1 << m
@@ -960,7 +961,8 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
     gen = tagged_generator(seed, 0xEC, n)
     cells = state.j_lo.size
     W = size // cells  # grid points per cell, W + 1 with the right edge
-    live = np.flatnonzero(~_constant_cells(state))
+    constant = _constant_cells(state)
+    live = np.flatnonzero(~constant)
     k = live.size
     # a basic slice when every cell is live, so no draw is copied
     take = slice(None) if k == cells else live
@@ -975,16 +977,17 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
         step = 1 << (m - rank)
         qv = qtab[step : size : 2 * step].reshape(cells, W // (2 * step))[take]
         deeper.append((step, qv, 0.5 * (1.0 - qv)))
-    rows = max(1, _BLOCK >> m)  # paths per block
-    # f at each cell's left edge, across the cell: the value of the pinned
-    # edge and of every point of a constant cell
-    fill = np.repeat(table.f_at(state.fixed_y[:-1]), W)
-    # rows 1.. of buf hold one block of paths' values; row 0 the batch's
-    # running sum while the block is added, then its running sum of squares
-    buf = np.empty((rows + 1, size))
-    by_cell = buf[1:].reshape(rows, cells, W)
+    rows = max(1, _BLOCK // max(k * W, 1))  # paths per block
+    # f at each constant cell's left edge: its value at every point
+    flat = table.f_at(state.fixed_y[:-1][constant])
+    # rows 1.. of buf hold one block of paths' values on the live cells;
+    # row 0 the batch's running sum while the block is added, then its
+    # running sum of squares
+    buf = np.empty((rows + 1, k * W))
     acc = np.zeros(size)
     acc2 = np.zeros(size)
+    sums = acc.reshape(cells, W)
+    sums2 = acc2.reshape(cells, W)
     done = 0
     while done < n_samples:
         bsz = min(_MC_BATCH, n_samples - done)
@@ -1010,15 +1013,12 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
             u += base
             u_deep.append(u.reshape(bsz * k, per))  # contiguous: a view
         # a reduction over the rows of a C-ordered array adds them one by one
-        # in row order, so summing (running sum, block) continues the sum of
-        # the batch's rows exactly as one sum over all of them would
-        total = np.zeros(size)
-        total2 = np.zeros(size)
+        # in row order, from +0.0, so summing (running sum, block) continues
+        # the sum of the batch's rows exactly as one sum over all would
+        total = np.zeros(k * W)
+        total2 = np.zeros(k * W)
         for r0 in range(0, bsz, rows):
             r1 = min(r0 + rows, bsz)
-            block = buf[: r1 - r0 + 1]
-            if k < cells:
-                block[1:] = fill
             Y = np.empty((r1 - r0, k, W + 1))
             Y[:, :, 0] = a
             Y[:, :, W] = b
@@ -1030,14 +1030,26 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
                 mid *= u[r0 * k : r1 * k]
                 mid += lo
                 paths[:, step : W : 2 * step] = mid
-            by_cell[: r1 - r0, take] = table.f_at(paths[:, :W]).reshape(r1 - r0, k, W)
+            block = buf[: r1 - r0 + 1]
+            block[1:] = table.f_at(paths[:, :W]).reshape(r1 - r0, k * W)
             block[0] = total
             total = block.sum(axis=0)
             block[1:] *= block[1:]
             block[0] = total2
             total2 = block.sum(axis=0)
-        acc += total
-        acc2 += total2
+        sums[take] += total.reshape(k, W)
+        sums2[take] += total2.reshape(k, W)
+        if flat.size:
+            # the same sums, made once per constant cell for all its points.
+            # Accumulating the batch's rows below a row of zeros adds them
+            # one by one whatever the shape, where a sum over a single
+            # column would be pairwise
+            col = np.empty((bsz + 1, flat.size))
+            col[0] = 0.0
+            col[1:] = flat
+            sums[constant] += np.add.accumulate(col, axis=0)[-1][:, None]
+            col *= col
+            sums2[constant] += np.add.accumulate(col, axis=0)[-1][:, None]
         done += bsz
     mean = acc / n_samples
     var = np.maximum(acc2 / n_samples - mean * mean, 0.0)

@@ -1516,9 +1516,9 @@ def test_mc_profile_is_pinned(m10_states, m12_open_state, key):
 def test_mc_profile_working_set_is_bounded(m10_states, m12_open_state, key, bound):
     # a batch's (512 x 2**m) values, with their squares, and the whole draw
     # of each deeper rank before its live cells were taken, peaked at 9.2 MB
-    # and 50.8 MB here; one block of paths in a small buffer, and the draws
-    # of a rank with constant cells a few rows at a time, leave 0.9 MB and
-    # 17.9 MB, most of it the live cells' draws of one batch
+    # and 50.8 MB here; one block of live paths in a small buffer, and the
+    # draws of a rank with constant cells a few rows at a time, leave 1.3 MB
+    # and 17.8 MB, most of it the live cells' draws of one batch
     state = sampler_state(key, m10_states, m12_open_state)
     _, peak = traced_peak(lambda: derand._mc_profile(state, 1100, DerandConfig().mc_seed))
     assert peak <= bound
