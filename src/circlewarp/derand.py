@@ -950,8 +950,8 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
     constant cell f(warp(t)) is f at the cell's left edge whatever the path
     does, because the interpolant's slope there is 0.0 (or du is 0 at the
     right edge), so those columns take that value in every row, and each
-    constant cell's column sums are summed once for all its points. The
-    draws are those of the whole grid, in stream order."""
+    constant cell's sums are made once for all its points. The draws are
+    those of the whole grid, in stream order."""
     f = state.f
     m = f.m
     size = 1 << m
