@@ -1,12 +1,16 @@
 """A second CPU through one forked child process.
 
 _fork_call(child, parent) runs child() in a forked child while parent()
-runs in the caller, and returns both results. Callers split work whose
-result does not depend on which process computes which share, so the
-forked path is bitwise the serial one. Two modules use it: derand for its
-quadrature profile and its Monte-Carlo guard, and fourier for long
-partial-sum sweeps. Each caller sets its own work floor below which a fork
-does not pay.
+runs in the caller, and returns both results. _fork_map(jobs) runs a list of
+independent jobs on the caller and one forked child, each taking the next
+job from one shared queue, and returns their results in job order. Callers
+split work whose result does not depend on which process computes which
+share, so the forked path is bitwise the serial one. Two modules use it.
+derand's run constructs, then certifies on _fork_map: each state's
+quadrature profile and each rank's Monte-Carlo sampler is one job. derand's
+public steps split one quadrature profile, or one guard, with _fork_call,
+and fourier splits long partial-sum sweeps with it. Each _fork_call caller
+sets its own work floor below which a fork does not pay.
 
 The work runs serially when os.fork is missing, when fewer than two CPUs are
 in os.sched_getaffinity(0) (_can_fork), and when the fork fails (_fork_call
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
 
 
@@ -79,3 +84,56 @@ def _fork_call(child, parent):
     if not ok:
         raise theirs
     return theirs, mine
+
+
+# Jobs per queue. Writing at most PIPE_BUF bytes into an empty pipe never
+# blocks, so the queue is filled whole before the fork; a longer job list
+# runs as consecutive queues.
+_QUEUE = select.PIPE_BUF // 4
+
+
+def _fork_map(jobs) -> list:
+    """[job() for job in jobs], the jobs shared between this process and one
+    forked child (see _fork_call): each process takes the next job index
+    from one pipe, in list order, and runs that job whole, until the pipe is
+    empty. So list the biggest jobs first. A process whose job raises takes
+    the remaining indices out of the pipe and stops; the child's exception
+    is raised here, after this process's job in hand. Without a second
+    CPU, or when the fork fails, every job runs here, in list order."""
+    jobs = list(jobs)
+    if len(jobs) < 2 or not _can_fork():
+        return [job() for job in jobs]
+    out = []
+    for start in range(0, len(jobs), _QUEUE):
+        out += _queue_map(jobs[start : start + _QUEUE])
+    return out
+
+
+def _queue_map(jobs) -> list:
+    """_fork_map on one queue of at most _QUEUE jobs."""
+
+    def worker():
+        done = {}
+        try:
+            # a 4-byte read from a pipe of whole 4-byte records takes one
+            # record; no process writes to it any more, so empty reads b""
+            while index := os.read(rfd, 4):
+                i = int.from_bytes(index, "little")
+                done[i] = jobs[i]()
+        except BaseException:
+            while os.read(rfd, select.PIPE_BUF):
+                pass
+            raise
+        return done
+
+    rfd, wfd = os.pipe()
+    try:
+        try:
+            os.write(wfd, b"".join(i.to_bytes(4, "little") for i in range(len(jobs))))
+        finally:
+            os.close(wfd)
+        theirs, mine = _fork_call(worker, worker)
+    finally:
+        os.close(rfd)
+    theirs.update(mine)
+    return [theirs[i] for i in range(len(jobs))]

@@ -31,12 +31,22 @@ Two expectation engines back this up and are deliberately kept separate.
   Monte-Carlo sampler with exact grid marginals guards it; disagreement
   raises NumericalAlarm.
 
-The two diagnostics use a second CPU through a forked child process (see
-the _fork module). _value_profile gives the later half of its live half
-cells, in grid order, to the child. mc_cross_check runs the sampler in the
-child while this process computes the profile, unsplit. Both paths are bitwise the
-serial ones. Every quadrature row stays inside the half cell it starts in, so
-a half cell writes only its own range of the profile. The rows of a subset of
+run constructs, then certifies. The construction is the halving loop's
+assembly and solve alone (_choose), rank by rank, keeping every state; it
+reads no diagnostic. The certification is a list of independent jobs, each
+rank's Monte-Carlo sampler on its opening state and then the quadrature
+profile of each of its states, in rank order, which puts the biggest jobs
+first. _fork_map runs them on this process and one forked child (see the
+_fork module). Each job runs serially inside one process, so the results
+are bitwise the serial ones, and the records and guard reports are built
+from them in rank order.
+
+The public steps keep their own two-process splits (_fork_call).
+_value_profile gives the later half of its live half cells, in grid order,
+to the child. mc_cross_check runs the sampler in the child while this
+process computes the profile, unsplit. Both paths are bitwise the serial
+ones. Every quadrature row stays inside the half cell it starts in, so a
+half cell writes only its own range of the profile. The rows of a subset of
 half cells keep their order in every np.add.at, so each grid index receives
 the same additions in the same order. The sampler and the profile are pure
 functions of the state. Besides _fork's serial fallbacks, the work runs
@@ -53,7 +63,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._fork import _can_fork, _fork_call
+from ._fork import _can_fork, _fork_call, _fork_map
 from .fourier import _check_degree, _whole_degrees, sup_partial_sums
 from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, _whole
 from .haar import ConfinementMap, confinement_map, normalize_sup
@@ -1089,6 +1099,13 @@ def mc_cross_check(
     else:
         mean, se = _mc_profile(state, cfg.mc_samples, seed)
         profile = _profile(state, cfg)
+    return _mc_report(state, cfg, profile, mean, se)
+
+
+def _mc_report(state: DerandState, cfg: DerandConfig, profile, mean, se) -> dict:
+    """mc_cross_check's report on the state's quadrature profile against
+    the sampler's mean and standard errors; raises NumericalAlarm, with the
+    report as its context, unless both gates pass."""
     diff = np.abs(profile - mean)
     floor = cfg.mc_floor * max(state.f.sup_norm(), 1e-30)
     mean_gap = float(np.mean(diff))
@@ -1113,9 +1130,10 @@ def mc_cross_check(
 # --- the halving loop ----------------------------------------------------------
 
 
-def _halve(state: DerandState, cfg: DerandConfig, degrees):
-    """choose_halves, plus the step's silent-cell counts: constant cells,
-    and null columns over the other cells."""
+def _choose(state: DerandState, cfg: DerandConfig, degrees):
+    """One halving's construction, assembly and solve: the halved state, the
+    averaging-identity residual, and the step's silent-cell counts (constant
+    cells, and null columns over the other cells)."""
     constant = _constant_cells(state)
     kept, ident = _assemble(state, degrees, cfg)
     cells = kept.shape[1]
@@ -1143,13 +1161,26 @@ def _halve(state: DerandState, cfg: DerandConfig, degrees):
     new_lo = np.where(null_cols, mid - quarter, np.where(eps > 0, mid, lo))
     new_hi = np.where(null_cols, mid + quarter, np.where(eps > 0, hi, mid))
     new_state = dataclasses.replace(state, ell=state.ell + 1, j_lo=new_lo, j_hi=new_hi)
-    change = SampledFunction(state.f.m, _profile(new_state, cfg) - _profile(state, cfg))
-    records = [
+    silent = np.array([constant.sum(), (null_cols & ~constant).sum()], dtype=np.int64)
+    return new_state, ident, silent
+
+
+def _records(state: DerandState, before, after, degrees) -> list[DeviationRecord]:
+    """The deviation records of the halving of state, from the quadrature
+    profiles of the state (before) and of its halved state (after)."""
+    change = SampledFunction(state.f.m, after - before)
+    return [
         DeviationRecord(state.n_active, state.ell, r, sup)
         for r, sup in sup_partial_sums(change, degrees)
     ]
-    silent = np.array([constant.sum(), (null_cols & ~constant).sum()], dtype=np.int64)
-    return new_state, records, ident, silent
+
+
+def _halve(state: DerandState, cfg: DerandConfig, degrees):
+    """choose_halves on checked arguments: _choose, and the step's records
+    from the profiles the states remember (see _profile)."""
+    new_state, ident, _ = _choose(state, cfg, degrees)
+    records = _records(state, _profile(state, cfg), _profile(new_state, cfg), degrees)
+    return new_state, records, ident
 
 
 def choose_halves(
@@ -1159,7 +1190,7 @@ def choose_halves(
     functional matrix. Returns the new state, one deviation record per
     tracked degree, and the averaging-identity residual of the step."""
     cfg, degrees = _step_args(state, config, degrees)
-    return _halve(state, cfg, degrees)[:3]
+    return _halve(state, cfg, degrees)
 
 
 def _windows_converged(state: DerandState, cfg: DerandConfig) -> bool:
@@ -1198,20 +1229,13 @@ def advance(
     Returns the new state, the deviation records of every halving, and the
     largest averaging-identity residual among them."""
     cfg, degrees = _step_args(state, config, degrees)
-    return _advance(state, cfg, degrees)[:3]
-
-
-def _advance(state: DerandState, cfg: DerandConfig, degrees):
-    """advance, plus the rank's silent-cell counts summed over its halvings."""
     records: list[DeviationRecord] = []
     ident_max = 0.0
-    silent = np.zeros(2, dtype=np.int64)
     while state.ell < cfg.ell_max and not _windows_converged(state, cfg):
-        state, recs, ident, counts = _halve(state, cfg, degrees)
+        state, recs, ident = _halve(state, cfg, degrees)
         records.extend(recs)
         ident_max = max(ident_max, ident)
-        silent += counts
-    return _fix_and_promote(state), records, ident_max, silent
+    return _fix_and_promote(state), records, ident_max
 
 
 @dataclass(frozen=True)
@@ -1234,7 +1258,18 @@ def run(
     """Full pipeline: normalize f if needed, derive its budget map with a
     floor, then pin ranks 1 .. n_max with the halving loop. Ranks past
     n_max stay affine, which is exactly what dropping their concentric
-    windows leaves behind."""
+    windows leaves behind.
+
+    run constructs, then certifies. The halving loop assembles and solves
+    only; an averaging-identity alarm raises there, at its rank. The
+    quadrature profile of every state and the Monte-Carlo sampler of every
+    rank's opening state then run as independent jobs on this process and
+    one forked child (_fork_map), and the deviation records and guard
+    reports are built from them in rank order. So a Monte-Carlo alarm at
+    rank r raises after the whole construction, not before rank r's
+    halvings, with the same exception and context as mc_cross_check's. The
+    outputs are bitwise those of the public steps (mc_cross_check,
+    choose_halves, advance) driven rank by rank."""
     cfg = config if config is not None else DerandConfig()
     n_max = _whole(n_max, 1, "n_max must be a positive integer")
     if n_max > f.m - 2:
@@ -1243,18 +1278,38 @@ def run(
     q = confinement_map(f_use, depth=f_use.m).with_floor(cfg.q_floor_exponent)
     degrees = _resolve_degrees(cfg.degrees, f.m, n_max)
     state = DerandState.initial(f_use, q)
-    records: list[DeviationRecord] = []
+    ranks = []  # each rank's states, in halving order
     ident_max = 0.0
-    mc_reports = []
     silent_cells = []
     for rank in range(1, n_max + 1):
-        if cfg.mc_check:
-            mc_reports.append(mc_cross_check(state, cfg, cfg.mc_seed + 7919 * rank))
-        state, recs, ident, silent = _advance(state, cfg, degrees)
-        records.extend(recs)
-        ident_max = max(ident_max, ident)
+        states = [state]
+        silent = np.zeros(2, dtype=np.int64)
+        while state.ell < cfg.ell_max and not _windows_converged(state, cfg):
+            state, ident, counts = _choose(state, cfg, degrees)
+            states.append(state)
+            ident_max = max(ident_max, ident)
+            silent += counts
+        ranks.append(states)
         constant, null = (int(c) for c in silent)
         silent_cells.append({"n": rank, "constant": constant, "null_not_constant": null})
+        state = _fix_and_promote(state)
+    # each rank's sampler, then the profiles of its states: rank order puts
+    # the biggest jobs first
+    jobs = []
+    for rank, states in enumerate(ranks, 1):
+        if cfg.mc_check:
+            jobs.append(functools.partial(_mc_profile, states[0], cfg.mc_samples, cfg.mc_seed + 7919 * rank))
+        jobs += [functools.partial(_value_profile, s, cfg, fork=False) for s in states]
+    results = iter(_fork_map(jobs))
+    records: list[DeviationRecord] = []
+    mc_reports = []
+    for states in ranks:
+        sampled = next(results) if cfg.mc_check else None
+        profiles = [next(results) for _ in states]
+        if sampled is not None:
+            mc_reports.append(_mc_report(states[0], cfg, profiles[0], *sampled))
+        for s, before, after in zip(states, profiles, profiles[1:]):
+            records.extend(_records(s, before, after, degrees))
     final = dataclasses.replace(state, phase="final", j_lo=np.empty(0), j_hi=np.empty(0))
     h = final.homeo()
     manifest = {

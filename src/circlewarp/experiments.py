@@ -28,7 +28,7 @@ from .derand import DerandConfig, record_shape_check, run as derand_run
 from .fourier import a_norm, circ_dist, kernel_block_matrix, sup_partial_sums
 from .grid import _whole, compose, homeo_to_json, identity_homeo
 from .haar import confinement_map
-from .plotting import _atomic_write, emit_plot
+from .plotting import _atomic_open, _atomic_write, emit_plot
 from .randhomeo import (
     DFParams,
     ac_diagnostics,
@@ -220,12 +220,13 @@ class ExperimentReport:
 
 
 def _write_csv(path: str, header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(c if isinstance(c, str) else f"{c:.12g}" for c in row)
-        )
-    return _atomic_write(path, "\n".join(lines) + "\n")
+    """Stream header and rows into path, one line at a time, through
+    _atomic_open; returns path."""
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else f"{c:.12g}" for c in row) + "\n")
+    return path
 
 
 # solve_hierarchical's settings that a config's solver section may override

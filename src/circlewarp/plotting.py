@@ -11,6 +11,7 @@ and colors cells by the last column, collapsing duplicates by max.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -263,17 +264,26 @@ def emit_plot(table_path, kind: str) -> str:
     return _atomic_write(os.path.splitext(str(table_path))[0] + ".svg", svg)
 
 
-def _atomic_write(path: str, text: str) -> str:
-    """Write text to path through a temp file and a rename, so readers never
-    see partial output; returns path. Experiment tables share it."""
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text file that becomes path when the block ends: it is written as a
+    temp file and renamed, so readers never see partial output, and it is
+    removed if the block or the rename raises. Experiment tables stream
+    their lines into it."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, text: str) -> str:
+    """Write text to path through _atomic_open; returns path."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
     return path

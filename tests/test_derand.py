@@ -33,7 +33,7 @@ from circlewarp import (
     solve_bruteforce,
     verify_mass_ratios,
 )
-from circlewarp import derand
+from circlewarp import _fork, derand
 from circlewarp.corpus import CorpusSpec, tapered_oscillation
 from circlewarp.experiments import _write_csv
 from circlewarp.rng import tagged_generator
@@ -659,27 +659,32 @@ def test_engines_are_block_invariant(rank_states, rank, monkeypatch):
 
 
 def test_run_profiles_each_state_once(monkeypatch):
+    # run hands its profiles and samplers to the job pool, and a job may run
+    # in the forked child, where no recorder in this process sees it: the
+    # jobs are counted as they are handed over
     cfg = DerandConfig(ell_max=2, degrees=DEGREES, mc_samples=2000)
-    profiled = []
-    inner = derand._value_profile
+    handed = []
+    inner = derand._fork_map
 
-    def recorder(state, config, **kw):
-        profiled.append(state)
-        return inner(state, config, **kw)
+    def recorder(jobs):
+        handed.extend(jobs)
+        return inner(jobs)
 
-    monkeypatch.setattr(derand, "_value_profile", recorder)
+    monkeypatch.setattr(derand, "_fork_map", recorder)
     res = run(tapered_oscillation(4, m=8), 4, cfg)
+    profiled = [job.args[0] for job in handed if job.func is derand._value_profile]
+    sampled = [job.args[0] for job in handed if job.func is derand._mc_profile]
+    assert len(profiled) + len(sampled) == len(handed)
     keys = [
         (s.n_active, s.ell, s.fixed_y.tobytes(), s.j_lo.tobytes(), s.j_hi.tobytes()) for s in profiled
     ]
     assert len(set(keys)) == len(keys)
     # one opening profile per rank plus one per halving
     assert len(keys) == 4 + len(res.records) // len(DEGREES)
-    monkeypatch.setattr(derand, "_value_profile", inner)
     openings = [s for s in profiled if s.ell == 0]
     assert [s.n_active for s in openings] == [1, 2, 3, 4]
+    assert all(a is b for a, b in zip(sampled, openings, strict=True))
     # fresh copies, so the expected reports profile each opening anew
-    # rather than read the profile run left on it
     expected = [
         mc_cross_check(dataclasses.replace(s), cfg, seed=cfg.mc_seed + 7919 * s.n_active)
         for s in openings
@@ -1276,6 +1281,8 @@ def square_run():
     """run(f, 6) on the m=8 perturbed_square, and its _value_profile calls."""
     with pytest.MonkeyPatch.context() as mp:
         counts = count_engine_calls(mp)
+        # every job of run's pool in this process, where the counters are
+        mp.setattr(_fork, "_can_fork", lambda: False)
         res = run(square_m8(), 6)
     return res, counts["value"]
 
@@ -1613,6 +1620,29 @@ def test_a_failed_fork_runs_both_shares_here(m10_states, monkeypatch):
     assert len(os.listdir("/proc/self/fd")) == fds
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("name", list(M10_CORPORA))
+def test_run_pool_is_bitwise_serial(name, monkeypatch):
+    # run's certification jobs shared with a forked child, against every job
+    # run in this process
+    f = CorpusSpec(name, M10_CORPORA[name], 8).build()
+    got = {}
+    for can_fork in (True, False):
+        pools = []
+        inner = _fork._fork_call
+
+        def counted(child, parent):
+            pools.append(1)
+            return inner(child, parent)
+
+        monkeypatch.setattr(_fork, "_can_fork", lambda: can_fork)
+        monkeypatch.setattr(_fork, "_fork_call", counted)
+        res = run(f, 6)
+        assert len(pools) == (1 if can_fork else 0)
+        got[can_fork] = homeo_to_json(res.homeo), res.records, res.manifest
+    assert got[True] == got[False]
+    assert len(got[True][2]["mc_reports"]) == 6
 
 
 def test_a_child_that_leaves_no_result_raises_here_and_is_reaped():
