@@ -100,7 +100,6 @@ def _fork_map(jobs) -> list:
     the remaining indices out of the pipe and stops; the child's exception
     is raised here, after this process's job in hand. Without a second
     CPU, or when the fork fails, every job runs here, in list order."""
-    jobs = list(jobs)
     if len(jobs) < 2 or not _can_fork():
         return [job() for job in jobs]
     out = []

@@ -121,9 +121,3 @@ def test_a_failed_fork_runs_every_job_here(two_cpus, monkeypatch):
     assert len(two_cpus) == 1
     assert len(os.listdir("/proc/self/fd")) == fds
 
-
-def test_one_cpu_runs_every_job_here(monkeypatch):
-    monkeypatch.setattr(_fork, "_can_fork", lambda: False)
-    me = os.getpid()
-    got = _fork._fork_map([functools.partial(lambda i: (i, os.getpid()), i) for i in range(4)])
-    assert got == [(i, me) for i in range(4)]
