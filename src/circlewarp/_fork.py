@@ -1,16 +1,15 @@
 """A second CPU through one forked child process.
 
-_fork_call(child, parent) runs child() in a forked child while parent()
-runs in the caller, and returns both results. _fork_map(jobs) runs a list of
-independent jobs on the caller and one forked child, each taking the next
-job from one shared queue, and returns their results in job order. Callers
-split work whose result does not depend on which process computes which
-share, so the forked path is bitwise the serial one. Two modules use it.
-derand's run constructs, then certifies on _fork_map: each state's
-quadrature profile and each rank's Monte-Carlo sampler is one job. derand's
-public steps split one quadrature profile, or one guard, with _fork_call,
-and fourier splits long partial-sum sweeps with it. Each _fork_call caller
-sets its own work floor below which a fork does not pay.
+_fork_map(jobs) runs a list of independent jobs on the caller and one forked
+child and returns their results in job order: the child runs job 0 first,
+then each process takes the next job from one shared queue. It is the only
+way the package forks. Callers split work whose result does not depend on
+which process computes which share, so the forked path is bitwise the serial
+one. Two modules use it. derand's run constructs, then certifies on it: each
+rank's Monte-Carlo sampler and each half of every state's quadrature
+profile is one job, and derand's public steps hand over the two halves of
+one profile, with the guard's sampler in front. fourier hands over the two
+halves of a long partial-sum sweep. _fork_call is its engine.
 
 The work runs serially when os.fork is missing, when fewer than two CPUs are
 in os.sched_getaffinity(0) (_can_fork), and when the fork fails (_fork_call
@@ -94,12 +93,14 @@ _QUEUE = select.PIPE_BUF // 4
 
 def _fork_map(jobs) -> list:
     """[job() for job in jobs], the jobs shared between this process and one
-    forked child (see _fork_call): each process takes the next job index
-    from one pipe, in list order, and runs that job whole, until the pipe is
-    empty. So list the biggest jobs first. A process whose job raises takes
-    the remaining indices out of the pipe and stops; the child's exception
-    is raised here, after this process's job in hand. Without a second
-    CPU, or when the fork fails, every job runs here, in list order."""
+    forked child (see _fork_call): the child runs job 0 first, then each
+    process takes the next job index from one pipe, in list order, and runs
+    that job whole, until the pipe is empty. So list the biggest jobs first,
+    and first the job that should leave this process's memory alone. A
+    process whose job raises takes the remaining indices out of the pipe and
+    stops; the child's exception is raised here, after this process's job in
+    hand. Without a second CPU, or when the fork fails, every job runs here,
+    in list order."""
     if len(jobs) < 2 or not _can_fork():
         return [job() for job in jobs]
     out = []
@@ -111,9 +112,11 @@ def _fork_map(jobs) -> list:
 def _queue_map(jobs) -> list:
     """_fork_map on one queue of at most _QUEUE jobs."""
 
-    def worker():
+    def worker(first):
         done = {}
         try:
+            if first:
+                done[0] = jobs[0]()
             # a 4-byte read from a pipe of whole 4-byte records takes one
             # record; no process writes to it any more, so empty reads b""
             while index := os.read(rfd, 4):
@@ -128,10 +131,10 @@ def _queue_map(jobs) -> list:
     rfd, wfd = os.pipe()
     try:
         try:
-            os.write(wfd, b"".join(i.to_bytes(4, "little") for i in range(len(jobs))))
+            os.write(wfd, b"".join(i.to_bytes(4, "little") for i in range(1, len(jobs))))
         finally:
             os.close(wfd)
-        theirs, mine = _fork_call(worker, worker)
+        theirs, mine = _fork_call(lambda: worker(True), lambda: worker(False))
     finally:
         os.close(rfd)
     theirs.update(mine)

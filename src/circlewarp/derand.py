@@ -34,23 +34,22 @@ Two expectation engines back this up and are deliberately kept separate.
 run constructs, then certifies. The construction is the halving loop's
 assembly and solve alone (_choose), rank by rank, keeping every state; it
 reads no diagnostic. The certification is a list of independent jobs, each
-rank's Monte-Carlo sampler on its opening state and then the quadrature
-profile of each of its states, in rank order, which puts the biggest jobs
+rank's Monte-Carlo sampler on its opening state and then the two profile
+jobs of each of its states, in rank order, which puts the biggest jobs
 first. _fork_map runs them on this process and one forked child (see the
-_fork module). Each job runs serially inside one process, so the results
-are bitwise the serial ones, and the records and guard reports are built
-from them in rank order.
+_fork module); the public steps hand it the two profile jobs of one state,
+behind the guard's sampler in mc_cross_check. Each job runs serially inside
+one process, so the results are bitwise the serial ones, and the records
+and guard reports are built from them in rank order.
 
-The public steps keep their own two-process splits (_fork_call).
-_value_profile gives the later half of its live half cells, in grid order,
-to the child. mc_cross_check runs the sampler in the child while this
-process computes the profile, unsplit. Both paths are bitwise the serial
-ones. Every quadrature row stays inside the half cell it starts in, so a
-half cell writes only its own range of the profile. The rows of a subset of
-half cells keep their order in every np.add.at, so each grid index receives
-the same additions in the same order. The sampler and the profile are pure
-functions of the state. Besides _fork's serial fallbacks, the work runs
-serially when a share is too small to pay for a fork (_FORK_MIN).
+A profile's two jobs are the earlier and the later half of its live half
+cells in grid order (_value_profile's half), each returning the slice of
+the profile below or from the first grid point of the later half; the two
+slices joined are the whole profile bit for bit. Every quadrature row
+stays inside the half cell it starts in, so a half cell writes only its own
+range of the profile. The rows of a subset of half cells keep their order
+in every np.add.at, so each grid index receives the same additions in the
+same order. The sampler and the profile are pure functions of the state.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._fork import _can_fork, _fork_call, _fork_map
+from ._fork import _fork_map
 from .fourier import _check_degree, _whole_degrees, sup_partial_sums
 from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, _whole
 from .haar import ConfinementMap, confinement_map, normalize_sup
@@ -453,13 +452,6 @@ def _constant_cells(state: DerandState) -> np.ndarray:
 # per half window is linear in the points and in the f pieces that the
 # points' lines reach.
 _BLOCK = 1 << 14
-
-# Least work that each process's share must hold for a fork to pay, in
-# window means of the value engine (see _half_cell_means) or in grid points
-# of the sampler's paths. Forking, piping the result back and reaping take
-# about 8 ms, the time of some 60 000 window means. It cannot change a
-# result: the forked and the serial paths are bitwise the same.
-_FORK_MIN = 1 << 17
 
 # Monte-Carlo paths per batch of draws. The sampler draws a whole batch in
 # stream order, so this fixes which draw feeds which path: changing it
@@ -870,24 +862,12 @@ def _descend(E, table, qtab, tail, rows, seg, nodes):
         np.add.at(E, g.ravel(), vals.ravel())
 
 
-def _half_cell_means(m: int, n: int, plan) -> int:
-    """Window means that _cell_expectation evaluates per half cell at
-    active rank n: the unit in which _FORK_MIN measures a profile."""
-    rows = plan[0] * plan[1]
-    seg = 1 << (m - n)
-    means = 0
-    for k in plan[2][: m - n]:
-        means += rows
-        rows *= 2 * k
-        seg >>= 1
-    return means + rows * max(seg - 1, 0)
-
-
-def _value_profile(state: DerandState, cfg: DerandConfig, fork: bool = True) -> np.ndarray:
+def _value_profile(state: DerandState, cfg: DerandConfig, half: int | None = None) -> np.ndarray:
     """Quadrature profile of the state, computed afresh (_profile reads it
-    from the state's memo). With fork, a large profile's live half cells
-    are shared with a forked child process (see _fork_call), the later half
-    of them in grid order going to the child."""
+    from the state's memo). half 0 or 1 takes only the earlier or the later
+    half of the live half cells in grid order and returns only the slice of
+    the profile below, or from, the later half's first grid point; the two
+    slices joined are the whole profile bit for bit (see _profile_jobs)."""
     f = state.f
     m = f.m
     n = state.n_active
@@ -908,24 +888,26 @@ def _value_profile(state: DerandState, cfg: DerandConfig, fork: bool = True) -> 
     # half cell u of the grid spans [u, u + 1] * 2**(m - n); cell i holds
     # 2 i and 2 i + 1
     units = (2 * live[:, None] + np.arange(2)).ravel()
-
-    def fill(share):
-        # one call per cell, on those of its half cells that the share holds
-        for cell in np.split(share, np.flatnonzero(np.diff(share >> 1)) + 1):
+    cut = live.size
+    start = int(units[cut]) << (m - n) if cut else 0
+    if half is not None:
+        units = units[cut:] if half else units[:cut]
+    if units.size:
+        # one call per cell, on those of its half cells that units holds
+        for cell in np.split(units, np.flatnonzero(np.diff(units >> 1)) + 1):
             _cell_expectation(E, table, qtab, tail, state, int(cell[0]) >> 1, cell & 1, plan)
+    if half is None:
         return E
-
-    cut = units.size // 2
-    if fork and cut * _half_cell_means(m, n, plan) >= _FORK_MIN and _can_fork():
-        start = int(units[cut]) << (m - n)
-        theirs, _ = _fork_call(lambda: fill(units[cut:])[start:], lambda: fill(units[:cut]))
-        E[start:] = theirs
-    elif units.size:
-        fill(units)
-    return E
+    return E[start:] if half else E[:start]
 
 
-def _profile(state: DerandState, cfg: DerandConfig, fork: bool = True) -> np.ndarray:
+def _profile_jobs(state: DerandState, cfg: DerandConfig) -> list:
+    """The two jobs of the state's profile for _fork_map: its earlier and
+    its later half, whose results np.concatenate joins."""
+    return [functools.partial(_value_profile, state, cfg, half) for half in (0, 1)]
+
+
+def _profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
     """The state's quadrature profile, computed on first use and kept in
     the state's memo, which holds nothing else. The value plan is a set of
     class constants, so the profile depends on the state alone. The memo
@@ -934,7 +916,7 @@ def _profile(state: DerandState, cfg: DerandConfig, fork: bool = True) -> np.nda
     an empty memo."""
     memo = state._memo
     if "profile" not in memo:
-        memo["profile"] = _readonly(_value_profile(state, cfg, fork=fork))
+        memo["profile"] = _readonly(np.concatenate(_fork_map(_profile_jobs(state, cfg))))
     return memo["profile"]
 
 
@@ -945,7 +927,7 @@ def expected_composition(state: DerandState, config: DerandConfig | None = None)
     cfg = config if config is not None else DerandConfig()
     if state.phase != "active":
         raise ValueError("a final state has no live windows")
-    return SampledFunction(state.f.m, _value_profile(state, cfg))
+    return SampledFunction(state.f.m, np.concatenate(_fork_map(_profile_jobs(state, cfg))))
 
 
 # --- Monte-Carlo guard ---------------------------------------------------------
@@ -1087,19 +1069,15 @@ def mc_cross_check(
     if state.phase != "active":
         raise ValueError("a final state has no live windows")
     seed = cfg.mc_seed if seed is None else seed
-    m, n = state.f.m, state.n_active
-    live = np.count_nonzero(~_constant_cells(state))
-    means = 2 * live * _half_cell_means(m, n, cfg.value_plan(n))
-    points = cfg.mc_samples * live << (m - n + 1)
-    if "profile" not in state._memo and min(means, points) >= _FORK_MIN and _can_fork():
-        # the sampler in a child, the profile here on its own
-        (mean, se), profile = _fork_call(
-            lambda: _mc_profile(state, cfg.mc_samples, seed), lambda: _profile(state, cfg, fork=False)
-        )
-    else:
-        mean, se = _mc_profile(state, cfg.mc_samples, seed)
-        profile = _profile(state, cfg)
-    return _mc_report(state, cfg, profile, mean, se)
+    memo = state._memo
+    # the sampler first, so that a forked child runs it (see _fork_map)
+    jobs = [functools.partial(_mc_profile, state, cfg.mc_samples, seed)]
+    if "profile" not in memo:
+        jobs += _profile_jobs(state, cfg)
+    (mean, se), *halves = _fork_map(jobs)
+    if halves:
+        memo["profile"] = _readonly(np.concatenate(halves))
+    return _mc_report(state, cfg, memo["profile"], mean, se)
 
 
 def _mc_report(state: DerandState, cfg: DerandConfig, profile, mean, se) -> dict:
@@ -1262,14 +1240,16 @@ def run(
 
     run constructs, then certifies. The halving loop assembles and solves
     only; an averaging-identity alarm raises there, at its rank. The
-    quadrature profile of every state and the Monte-Carlo sampler of every
-    rank's opening state then run as independent jobs on this process and
-    one forked child (_fork_map), and the deviation records and guard
-    reports are built from them in rank order. So a Monte-Carlo alarm at
-    rank r raises after the whole construction, not before rank r's
-    halvings, with the same exception and context as mc_cross_check's. The
-    outputs are bitwise those of the public steps (mc_cross_check,
-    choose_halves, advance) driven rank by rank."""
+    two halves of every state's quadrature profile and the Monte-Carlo
+    sampler of every rank's opening state then run as independent jobs on
+    this process and one forked child (_fork_map), and the deviation
+    records and guard reports are built from them in rank order. So a
+    Monte-Carlo alarm at rank r raises after the whole construction, not
+    before rank r's halvings, with the same exception and context as
+    mc_cross_check's. The first rank's sampler is job 0, which a forked
+    child runs, so its draws stay out of this process's memory. The outputs
+    are bitwise those of the public steps (mc_cross_check, choose_halves,
+    advance) driven rank by rank."""
     cfg = config if config is not None else DerandConfig()
     n_max = _whole(n_max, 1, "n_max must be a positive integer")
     if n_max > f.m - 2:
@@ -1293,19 +1273,20 @@ def run(
         constant, null = (int(c) for c in silent)
         silent_cells.append({"n": rank, "constant": constant, "null_not_constant": null})
         state = _fix_and_promote(state)
-    # each rank's sampler, then the profiles of its states: rank order puts
-    # the biggest jobs first
+    # each rank's sampler, then the two profile jobs of each of its states:
+    # rank order puts the biggest jobs first
     jobs = []
     for rank, states in enumerate(ranks, 1):
         if cfg.mc_check:
             jobs.append(functools.partial(_mc_profile, states[0], cfg.mc_samples, cfg.mc_seed + 7919 * rank))
-        jobs += [functools.partial(_value_profile, s, cfg, fork=False) for s in states]
+        for s in states:
+            jobs += _profile_jobs(s, cfg)
     results = iter(_fork_map(jobs))
     records: list[DeviationRecord] = []
     mc_reports = []
     for states in ranks:
         sampled = next(results) if cfg.mc_check else None
-        profiles = [next(results) for _ in states]
+        profiles = [np.concatenate((next(results), next(results))) for _ in states]
         if sampled is not None:
             mc_reports.append(_mc_report(states[0], cfg, profiles[0], *sampled))
         for s, before, after in zip(states, profiles, profiles[1:]):

@@ -17,11 +17,12 @@ symmetry and exact Parseval at the same time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import _can_fork, _fork_call
+from ._fork import _fork_map
 from .grid import ResolutionError, SampledFunction, _whole
 
 __all__ = [
@@ -164,22 +165,22 @@ def partial_sum(f: SampledFunction, n: int) -> SampledFunction:
 
 
 # Least work, in transform points (degrees times 2**m samples), that each
-# process's share of a sweep must hold for a fork to pay. Forking, piping
-# the result back and reaping take about 5 ms on 2 shared cores, the time of
-# 75 000 to 150 000 points at 30-70 ns a point, so the floor asks for about
-# ten times that. derand's per-halving records (31 degrees on 2**12 points
-# at m=12, a share of about 61 000 points) stay serial; the r <= 512 sweeps
-# at m=16 (shares of 2**24 points) fork. It cannot change a result: the
-# forked and the serial sweeps are bitwise the same.
+# half of a sweep must hold for its split into two jobs to pay. Forking,
+# piping the result back and reaping take about 5 ms on 2 shared cores, the
+# time of 75 000 to 150 000 points at 30-70 ns a point, so the floor asks
+# for about ten times that. derand's per-halving records (31 degrees on
+# 2**12 points at m=12, a half of about 61 000 points) stay one job; the
+# r <= 512 sweeps at m=16 (halves of 2**24 points) fork. It cannot change a
+# result: the forked and the serial sweeps are bitwise the same.
 _SWEEP_FORK_MIN = 1 << 20
 
 
 def sup_partial_sums(f: SampledFunction, degrees) -> list[tuple[int, float]]:
     """Sup norms of S_n f over the grid, for each requested degree, in
-    ascending order of degree. A long sweep gives the later half of its
-    degrees to a forked child process (see the _fork module); each sup
-    comes from the same _synthesis call in either process, so the list is
-    bitwise the serial one."""
+    ascending order of degree. A long sweep hands the earlier and the later
+    half of its degrees to _fork_map as two jobs (see the _fork module);
+    each sup comes from the same _synthesis call in either process, so the
+    list is bitwise the serial one."""
     degs = sorted(set(_whole_degrees(degrees, 0)))
     for n in degs:
         _check_degree(f.m, n)
@@ -189,10 +190,9 @@ def sup_partial_sums(f: SampledFunction, degrees) -> list[tuple[int, float]]:
         return [float(np.max(np.abs(_synthesis(spec, n)))) for n in share]
 
     cut = len(degs) // 2
-    if cut * f.size >= _SWEEP_FORK_MIN and _can_fork():
-        theirs, mine = _fork_call(lambda: sups(degs[cut:]), lambda: sups(degs[:cut]))
-        return list(zip(degs, mine + theirs))
-    return list(zip(degs, sups(degs)))
+    shares = [degs[:cut], degs[cut:]] if cut * f.size >= _SWEEP_FORK_MIN else [degs]
+    done = _fork_map([functools.partial(sups, share) for share in shares])
+    return list(zip(degs, sum(done, [])))
 
 
 def a_norm(f: SampledFunction) -> float:

@@ -331,6 +331,8 @@ def _best_candidate(
     target = _exact_scores(cols, cf, base, sigma, lam, every[[int(np.argmin(value))]])[0]
     # a NaN keeps its candidate, as an exact score of all would see it
     alive = every[~(value - margin > target)]
+    if alive.size == 1:
+        return cands[alive[0]]  # nothing to compare: no second exact score
     return cands[alive[int(np.argmin(_exact_scores(cols, cf, base, sigma, lam, alive)))]]
 
 

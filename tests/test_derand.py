@@ -301,9 +301,10 @@ def test_averaging_identity_alarm_catches_one_nan(call, monkeypatch):
 def test_mc_guard_alarm_catches_one_nan(monkeypatch):
     inner = derand._value_profile
 
-    def poisoned(state, cfg, **kw):
-        out = inner(state, cfg, **kw)
-        out[7] = np.nan
+    def poisoned(state, cfg, half=None):
+        out = inner(state, cfg, half)
+        if not half:  # the whole profile, or its earlier slice
+            out[7] = np.nan
         return out
 
     monkeypatch.setattr(derand, "_value_profile", poisoned)
@@ -672,9 +673,13 @@ def test_run_profiles_each_state_once(monkeypatch):
 
     monkeypatch.setattr(derand, "_fork_map", recorder)
     res = run(tapered_oscillation(4, m=8), 4, cfg)
-    profiled = [job.args[0] for job in handed if job.func is derand._value_profile]
+    halves = [job.args for job in handed if job.func is derand._value_profile]
     sampled = [job.args[0] for job in handed if job.func is derand._mc_profile]
-    assert len(profiled) + len(sampled) == len(handed)
+    assert len(halves) + len(sampled) == len(handed)
+    # two jobs per state, its earlier and its later half, one after the other
+    assert [args[2] for args in halves] == [0, 1] * (len(halves) // 2)
+    assert all(a[0] is b[0] for a, b in zip(halves[::2], halves[1::2], strict=True))
+    profiled = [args[0] for args in halves[::2]]
     keys = [
         (s.n_active, s.ell, s.fixed_y.tobytes(), s.j_lo.tobytes(), s.j_hi.tobytes()) for s in profiled
     ]
@@ -1140,6 +1145,35 @@ def test_mc_guard_on_constant_cells_is_bitwise_the_reference(name, block, kk_sta
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
+def top_rank_state():
+    """A state at active rank m on m=4 samples, every cell live: a half cell
+    is one grid unit wide and holds no grid point."""
+    return flat_state(np.sin(np.arange(16.0)), np.linspace(0.0, 1.0, 9))
+
+
+@pytest.mark.parametrize("name", ["kk-r2", "kk-r4", "constant", "wrap", "top-rank"])
+def test_profile_jobs_join_to_the_serial_profile(name, kk_states, monkeypatch):
+    # the kk states keep one live cell, so the cut falls inside it, at its
+    # midpoint; a constant f leaves no live half cell, wrap_state's live
+    # cells 0 and 2 split at cell 2's left edge, and at the top rank the
+    # eight live cells split at the fifth
+    state = top_rank_state() if name == "top-rank" else mc_state(name, kk_states)
+    cfg = DerandConfig()
+    live = np.flatnonzero(~derand._constant_cells(state))
+    if name.startswith("kk"):
+        assert live.size == 1
+        cut = derand._cell_grid(state.f.m, state.n_active)[1][live[0]]
+    else:
+        cut = {"constant": 0, "wrap": 32, "top-rank": 8}[name]
+    serial = derand._value_profile(state, cfg)
+    halves = [job() for job in derand._profile_jobs(state, cfg)]
+    assert [h.size for h in halves] == [cut, (1 << state.f.m) - cut]
+    assert np.array_equal(np.concatenate(halves), serial)
+    forks = count_forks(monkeypatch, True)
+    assert np.array_equal(derand.expected_composition(state, cfg).values, serial)
+    assert len(forks) == 1
+
+
 @pytest.mark.parametrize("name", ["kk-r3", "wrap"])
 def test_mc_guard_builds_no_path_inside_constant_cells(name, kk_states, monkeypatch):
     state = mc_state(name, kk_states)
@@ -1278,7 +1312,8 @@ def count_engine_calls(mp):
 
 @pytest.fixture(scope="module")
 def square_run():
-    """run(f, 6) on the m=8 perturbed_square, and its _value_profile calls."""
+    """run(f, 6) on the m=8 perturbed_square, and its _value_profile calls,
+    two per profile."""
     with pytest.MonkeyPatch.context() as mp:
         counts = count_engine_calls(mp)
         # every job of run's pool in this process, where the counters are
@@ -1293,24 +1328,27 @@ def test_public_steps_profile_each_state_once(square_run, monkeypatch):
     degrees = default_degrees(6, f.m)
     opening = DerandState.initial(f, confinement_map(f, depth=f.m).with_floor(cfg.q_floor_exponent))
     counts = count_engine_calls(monkeypatch)
-    # the guard's profile of the opening state serves the halving too
+    # every profile job in this process, where the counters are
+    monkeypatch.setattr(_fork, "_can_fork", lambda: False)
+    # the guard's profile of the opening state serves the halving too; a
+    # profile is two jobs, its earlier and its later half
     mc_cross_check(opening, cfg)
     choose_halves(opening, cfg, degrees)
-    assert counts["value"] == 2
+    assert counts["value"] == 2 * 2
     rank3 = opening
     for _ in range(2):
         rank3, _, _ = advance(rank3, cfg, degrees)
     counts.update(value=0, window=0)
     advance(dataclasses.replace(rank3), cfg, degrees)
     by_advance = dict(counts)
-    assert by_advance == {"value": 7, "window": 72}
+    assert by_advance == {"value": 2 * 7, "window": 72}
     counts.update(value=0, window=0)
     state = dataclasses.replace(rank3)
     while state.ell < cfg.ell_max and not derand._windows_converged(state, cfg):
         state, _, _ = choose_halves(state, cfg, degrees)
     assert counts == by_advance
     # one profile per opening state and per halving: 6 ranks x (1 + 6)
-    assert square_run[1] == 42
+    assert square_run[1] == 2 * 42
 
 
 def test_public_steps_reproduce_run(square_run):
@@ -1411,17 +1449,17 @@ def m10_states():
 
 
 def count_forks(monkeypatch, can_fork):
-    """Set what the CPU predicate answers, and log every fork helper call;
-    returns the log."""
+    """Set what the CPU predicate answers, and log every fork the job pool
+    makes; returns the log."""
     calls = []
-    inner = derand._fork_call
+    inner = _fork._fork_call
 
     def counted(child, parent):
         calls.append(1)
         return inner(child, parent)
 
-    monkeypatch.setattr(derand, "_can_fork", lambda: can_fork)
-    monkeypatch.setattr(derand, "_fork_call", counted)
+    monkeypatch.setattr(_fork, "_can_fork", lambda: can_fork)
+    monkeypatch.setattr(_fork, "_fork_call", counted)
     return calls
 
 
@@ -1443,7 +1481,7 @@ M10_PROFILE_PINS = {
 
 @pytest.mark.parametrize("key", sorted(M10_PROFILE_PINS), ids=lambda k: f"{k[0]}-{k[1]}")
 def test_value_profile_is_pinned(m10_states, key):
-    profile = derand._value_profile(m10_states[key], DerandConfig(), fork=False)
+    profile = derand._value_profile(m10_states[key], DerandConfig())
     assert hashlib.sha256(profile.tobytes()).hexdigest() == M10_PROFILE_PINS[key]
 
 
@@ -1466,8 +1504,8 @@ def test_value_profile_working_set_is_bounded(m10_states, name):
     # With only the last level streamed, the levels above it peaked at
     # 5.3 MB at m=10; the descent streams every level: 2.4 MB
     state = m10_states[name, 1]
-    derand._value_profile(state, DerandConfig(), fork=False)  # warm the caches
-    _, peak = traced_peak(lambda: derand._value_profile(state, DerandConfig(), fork=False))
+    derand._value_profile(state, DerandConfig())  # warm the caches
+    _, peak = traced_peak(lambda: derand._value_profile(state, DerandConfig()))
     assert peak <= 4e6
 
 
@@ -1539,10 +1577,10 @@ def test_forked_diagnostics_are_bitwise_serial(m10_states, name, rank, monkeypat
     got = {}
     for can_fork in (True, False):
         forks = count_forks(monkeypatch, can_fork)
-        profile = derand._value_profile(state, cfg)
+        profile = derand.expected_composition(state, cfg).values
         # a copy remembers no profile, so the guard computes it beside the sampler
         report = mc_cross_check(dataclasses.replace(state), cfg, cfg.mc_seed + 7919 * rank)
-        # the split profile forks once, and the guard once, with no nested split
+        # the profile's two jobs fork once, and the guard's three once
         assert len(forks) == (2 if can_fork else 0)
         got[can_fork] = profile, report
     assert np.array_equal(got[True][0], got[False][0])
@@ -1556,9 +1594,10 @@ class ShareFailed(Exception):
 @pytest.mark.parametrize("share", ["child", "parent"])
 @pytest.mark.parametrize("site", ["profile", "guard"])
 def test_a_failed_share_raises_here_and_leaves_no_child(site, share, monkeypatch, capfd):
-    # at rank 1 the parent profiles the left half cell and the child the right
-    # one; the guard samples in the child and profiles here. The share that
-    # does not fail stalls in the child, which must be killed, not awaited
+    # at rank 1 the child profiles the left half cell, job 0, and the parent
+    # the right one; the guard samples in the child and profiles here. The
+    # share that does not fail stalls in the child, which must be killed,
+    # not awaited
     forks = count_forks(monkeypatch, True)
 
     def fail(*args, **kw):
@@ -1571,14 +1610,14 @@ def test_a_failed_share_raises_here_and_leaves_no_child(site, share, monkeypatch
         inner = derand._cell_expectation
 
         def cell(E, table, qtab, tail, state, i, sides, plan):
-            if list(sides) == ([1] if share == "child" else [0]):
+            if list(sides) == ([0] if share == "child" else [1]):
                 fail()
             if share == "parent":
                 stall()
             return inner(E, table, qtab, tail, state, i, sides, plan)
 
         monkeypatch.setattr(derand, "_cell_expectation", cell)
-        call = lambda: derand._value_profile(taper_state(), DerandConfig())
+        call = lambda: derand.expected_composition(taper_state())
     else:
         monkeypatch.setattr(derand, "_mc_profile", fail if share == "child" else stall)
         if share == "parent":
@@ -1602,9 +1641,12 @@ def test_a_failed_fork_runs_both_shares_here(m10_states, monkeypatch):
     seed = cfg.mc_seed + 7919
 
     def both():
-        return derand._value_profile(state, cfg), mc_cross_check(dataclasses.replace(state), cfg, seed)
+        return (
+            derand.expected_composition(state, cfg).values,
+            mc_cross_check(dataclasses.replace(state), cfg, seed),
+        )
 
-    monkeypatch.setattr(derand, "_can_fork", lambda: False)
+    monkeypatch.setattr(_fork, "_can_fork", lambda: False)
     want = both()
     forks = count_forks(monkeypatch, True)
     refused = []
@@ -1629,29 +1671,12 @@ def test_run_pool_is_bitwise_serial(name, monkeypatch):
     f = CorpusSpec(name, M10_CORPORA[name], 8).build()
     got = {}
     for can_fork in (True, False):
-        pools = []
-        inner = _fork._fork_call
-
-        def counted(child, parent):
-            pools.append(1)
-            return inner(child, parent)
-
-        monkeypatch.setattr(_fork, "_can_fork", lambda: can_fork)
-        monkeypatch.setattr(_fork, "_fork_call", counted)
+        pools = count_forks(monkeypatch, can_fork)
         res = run(f, 6)
         assert len(pools) == (1 if can_fork else 0)
         got[can_fork] = homeo_to_json(res.homeo), res.records, res.manifest
     assert got[True] == got[False]
     assert len(got[True][2]["mc_reports"]) == 6
-
-
-def test_a_child_that_leaves_no_result_raises_here_and_is_reaped():
-    # os._exit(3) skips the pickled reply: the pipe reads empty and the
-    # error names the child's wait status, 3 << 8
-    with pytest.raises(RuntimeError, match=r"no result \(wait status 768\)"):
-        derand._fork_call(lambda: os._exit(3), lambda: None)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -1666,6 +1691,7 @@ def test_a_child_that_leaves_no_result_raises_here_and_is_reaped():
 def test_homeomorphism_ignores_the_diagnostics(name, digest, monkeypatch):
     # the halving choice reads neither the quadrature profile nor the guard:
     # a profile of zeros and no guard leave the default run's homeomorphism
-    monkeypatch.setattr(derand, "_value_profile", lambda state, cfg, fork=True: np.zeros(1 << state.f.m))
+    # each profile job returns its slice; here the later slice is all of it
+    monkeypatch.setattr(derand, "_value_profile", lambda state, cfg, half: np.zeros(half << state.f.m))
     res = run(CorpusSpec(name, M10_CORPORA[name], 10).build(), 7, DerandConfig(mc_check=False))
     assert hashlib.sha256(homeo_to_json(res.homeo).encode()).hexdigest() == digest

@@ -1,5 +1,6 @@
 """The job pool of the _fork module: _fork_map runs independent jobs on this
-process and one forked child and returns their results in job order."""
+process and one forked child, the child running job 0 first, and returns
+their results in job order."""
 
 import functools
 import os
@@ -65,6 +66,13 @@ def test_results_come_back_in_job_order(two_cpus, tmp_path):
     no_child_left()
 
 
+def test_the_child_runs_job_0(two_cpus):
+    got = _fork._fork_map([os.getpid] * 3)
+    assert got[0] != os.getpid()
+    assert len(two_cpus) == 1
+    no_child_left()
+
+
 def test_a_long_job_list_runs_as_consecutive_queues(two_cpus, monkeypatch):
     monkeypatch.setattr(_fork, "_QUEUE", 3)
     assert _fork._fork_map([functools.partial(int, i) for i in range(8)]) == list(range(8))
@@ -100,6 +108,19 @@ def test_a_failed_job_raises_here_and_leaves_no_child(where, two_cpus, tmp_path,
     assert capfd.readouterr() == ("", "")
 
 
+def test_with_one_cpu_every_job_runs_here_in_order(monkeypatch):
+    me = os.getpid()
+    ran = []
+
+    def job(i):
+        ran.append(i)
+        return i, os.getpid()
+
+    monkeypatch.setattr(_fork, "_can_fork", lambda: False)
+    assert _fork._fork_map([functools.partial(job, i) for i in range(5)]) == [(i, me) for i in range(5)]
+    assert ran == list(range(5))
+
+
 def test_a_failed_fork_runs_every_job_here(two_cpus, monkeypatch):
     # a fork refused for want of processes or memory leaves every job to
     # this process, in list order, and closes the pipes the pool made
@@ -121,3 +142,10 @@ def test_a_failed_fork_runs_every_job_here(two_cpus, monkeypatch):
     assert len(two_cpus) == 1
     assert len(os.listdir("/proc/self/fd")) == fds
 
+
+def test_a_child_that_leaves_no_result_raises_here_and_is_reaped():
+    # os._exit(3) skips the pickled reply: the pipe reads empty and the
+    # error names the child's wait status, 3 << 8
+    with pytest.raises(RuntimeError, match=r"no result \(wait status 768\)"):
+        _fork._fork_call(lambda: os._exit(3), lambda: None)
+    no_child_left()

@@ -21,6 +21,7 @@ from circlewarp import (
     rademacher,
     sup_partial_sums,
 )
+from circlewarp import _fork
 from circlewarp.fourier import (
     circ_dist,
     coeffs_naive,
@@ -186,14 +187,14 @@ def m16_functions():
 
 def count_sweep_forks(monkeypatch, can_fork):
     calls = []
-    inner = fourier._fork_call
+    inner = _fork._fork_call
 
     def counted(child, parent):
         calls.append(1)
         return inner(child, parent)
 
-    monkeypatch.setattr(fourier, "_can_fork", lambda: can_fork)
-    monkeypatch.setattr(fourier, "_fork_call", counted)
+    monkeypatch.setattr(_fork, "_can_fork", lambda: can_fork)
+    monkeypatch.setattr(_fork, "_fork_call", counted)
     return calls
 
 
