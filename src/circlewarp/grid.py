@@ -40,7 +40,10 @@ def _readonly(a, dtype=float):
 def _whole(value, low: int | None, message: str) -> int:
     """value as an int if it is a whole number, at least low unless low is
     None, and no bool; else ValueError(message). 3.0 reads as 3, where int()
-    alone would also read 2.5 as 2 and True as 1 without a word."""
+    alone would also read 2.5 as 2 and True as 1 without a word. A plain
+    int at least low is returned at once."""
+    if type(value) is int and (low is None or value >= low):
+        return value
     if (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
@@ -156,7 +159,7 @@ class PLHomeo:
             raise ValueError("breakpoints must be two equal-length 1-d arrays")
         if not (x[0] == 0.0 and y[0] == 0.0 and x[-1] == 1.0 and y[-1] == 1.0):
             raise ValueError("breakpoints must start at (0,0) and end at (1,1)")
-        if not (np.all(np.diff(x) > 0.0) and np.all(np.diff(y) > 0.0)):
+        if not ((x[1:] > x[:-1]).all() and (y[1:] > y[:-1]).all()):
             raise ValueError("breakpoints must be strictly increasing in both coordinates")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)

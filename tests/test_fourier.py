@@ -240,6 +240,32 @@ def test_sweep_fork_floor(m16_functions, monkeypatch):
     assert len(forks) == 1
 
 
+# lengths 1, 3, 4, 5 and 9 fill whole four-row blocks and leave remainders
+# of one to three rows; degree 0 keeps only the mean, and a repeated or
+# unsorted degree is swept once, in ascending order
+BLOCK_DEGREES = [[0], [9, 0, 2], [3, 3, 1, 0, 2], [0, 5, 1, 7, 2], [31, 0, 8, 8, 1, 30, 2, 17, 4, 5]]
+
+
+@pytest.mark.parametrize("can_fork", [True, False], ids=["forked", "serial"])
+@pytest.mark.parametrize("degrees", BLOCK_DEGREES, ids=lambda d: f"{len(set(d))}deg")
+@pytest.mark.parametrize("m", [12, 16])
+def test_sweep_blocks_are_bitwise_partial_sums(m16_functions, m, degrees, can_fork, monkeypatch):
+    # each sup is bitwise the sup of a partial sum made on its own, whatever
+    # block, row and process computed it; the floor is lowered so that
+    # every sweep of two or more degrees forks where it may
+    if m == 16:
+        g = m16_functions["perturbed_square"]
+    else:
+        g = CorpusSpec("perturbed_square", M16_CORPORA["perturbed_square"], 12).build()
+    scale = 1 if m == 12 else 16
+    degs = [d * scale for d in degrees]
+    want = [(r, float(np.max(np.abs(partial_sum(g, r).values)))) for r in sorted(set(degs))]
+    forks = count_sweep_forks(monkeypatch, can_fork)
+    monkeypatch.setattr(fourier, "_SWEEP_FORK_MIN", 1)
+    assert sup_partial_sums(g, degs) == want
+    assert len(forks) == int(can_fork and len(want) > 1)
+
+
 def test_abrupt_cutoff_overshoots_its_sup():
     f = oscillation(64, 0.5, m=14)
     table = sup_partial_sums(f, list(range(16, 513, 16)))

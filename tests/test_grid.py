@@ -16,6 +16,7 @@ from circlewarp import (
     identity_homeo,
     sample_psi_q,
 )
+from circlewarp.grid import _whole
 
 BENT = PLHomeo(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 1.0]))
 
@@ -76,6 +77,78 @@ def test_breakpoints_must_increase():
         PLHomeo(np.array([0.0, 0.5, 0.5, 1.0]), np.array([0.0, 0.2, 0.8, 1.0]))
     with pytest.raises(ValueError):
         PLHomeo(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0, 1.0]))
+
+
+# (value, low, the int it reads as, or None where it is refused); a plain
+# int is tried at its low and one below it
+WHOLE_ROWS = [
+    *[(v, low, v if low is None or v >= low else None) for low in (0, 1, 2) for v in (low, low - 1)],
+    (0, None, 0),
+    (-1, None, -1),
+    (True, None, None),
+    (True, 0, None),
+    (np.int64(3), 0, 3),
+    (np.int64(3), 4, None),
+    (3.0, None, 3),
+    (3.0, 4, None),
+    (2.5, None, None),
+]
+
+
+@pytest.mark.parametrize("value, low, want", WHOLE_ROWS, ids=repr)
+def test_whole_reads_whole_numbers_only(value, low, want):
+    if want is None:
+        with pytest.raises(ValueError, match="whole"):
+            _whole(value, low, "whole")
+    else:
+        out = _whole(value, low, "whole")
+        assert type(out) is int and out == want
+
+
+def diff_rule(x, y):
+    """PLHomeo's strictness rule before it compared neighbours directly."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool(np.all(np.diff(x) > 0.0) and np.all(np.diff(y) > 0.0))
+
+
+TINY = 5e-324  # the least subnormal
+
+
+@pytest.mark.parametrize(
+    "interior",
+    [
+        [float("nan")],
+        [0.5, float("nan")],
+        [float("inf")],
+        [-float("inf")],
+        [0.5, float("inf")],
+        [0.5, 0.5],
+        [0.0],
+        [-0.0],
+        [1.0],
+        [TINY],
+        [TINY, 2 * TINY],
+        [2 * TINY, TINY],
+        [-TINY],
+        [0.5, np.nextafter(0.5, 1.0)],
+        [np.nextafter(1.0, 0.0)],
+        [np.nextafter(1.0, 2.0)],
+        [0.25, 0.75],
+    ],
+    ids=repr,
+)
+def test_strictness_matches_the_diff_rule(interior):
+    # the neighbour comparison accepts and refuses exactly what the sign of
+    # np.diff did, in either coordinate
+    pts = np.array([0.0, *interior, 1.0])
+    even = np.linspace(0.0, 1.0, pts.size)
+    for x, y in ((pts, even), (even, pts)):
+        if diff_rule(x, y):
+            h = PLHomeo(x, y)
+            assert np.array_equal(h.x, x) and np.array_equal(h.y, y)
+        else:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                PLHomeo(x, y)
 
 
 def test_breakpoints_must_fix_endpoints():

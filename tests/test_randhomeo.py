@@ -203,6 +203,91 @@ def test_certificate_no_exponents_for_budget_map():
     assert rep.holder_exponents is None
 
 
+def rank_loop_certificate(h, params, tol=1e-12):
+    """(passed, checks, worst_slack, worst_point, worst_ratio) of the
+    certificate, checked one rank at a time: the oracle of the one-pass
+    verify_mass_ratios. A rank's worst point replaces the one found so far
+    only if its slack is strictly less."""
+    g = h.inverse() if params.orientation == "inverse" else h
+    depth = params.depth
+    size = 1 << depth
+    y = g.eval(np.arange(size + 1) / size)
+    worst_slack, worst, checks = math.inf, (0.0, 1, 1), 0
+    for n in range(1, depth + 1):
+        step = 1 << (depth - n)
+        mids = np.arange(step, size, 2 * step)
+        lo = y[mids - step]
+        hi = y[mids + step]
+        ratio = (y[mids] - lo) / (hi - lo)
+        q = params.rank_budgets(n)
+        slack = np.minimum(ratio - 0.5 * (1.0 - q), 0.5 * (1.0 + q) - ratio)
+        checks += mids.size
+        i = int(np.argmin(slack))
+        if slack[i] < worst_slack:
+            worst_slack = float(slack[i])
+            worst = (float(ratio[i]), 2 * i + 1, n)
+    return worst_slack >= -tol, checks, worst_slack, DyadicPoint(worst[1], worst[2]), worst[0]
+
+
+# ratio 1/4 at the rank-2 point 1/4 and 3/4 at the rank-3 point 1/8, 1/2
+# elsewhere: at q = 3/4 both slacks are exactly 1/8 (a pass), at q = 1/4
+# both are -1/8 (a failure), and the rank-2 point, though right of the
+# rank-3 one, is the worst
+TIE = PLHomeo(
+    np.arange(9) / 8, np.array([0.0, 0.09375, 0.125, 0.3125, 0.5, 0.625, 0.75, 0.875, 1.0])
+)
+BUDGET = confinement_map(tapered_oscillation(4, m=10), depth=6).with_floor()
+
+
+CERTIFICATE_CASES = {
+    **{f"q0.3-seed{s}": (sample_psi_q(DFParams(8, q=0.3), s), DFParams(8, q=0.3)) for s in range(3)},
+    "q0.9-checked-at-q0.2": (sample_psi_q(DFParams(8, q=0.9), 4), DFParams(8, q=0.2)),
+    "map-inverse": (sample_psi_q(DFParams(6, q=BUDGET), 1), DFParams(6, q=BUDGET)),
+    "map-direct": (
+        sample_psi_q(DFParams(6, q=BUDGET), 2),
+        DFParams(6, q=BUDGET, orientation="direct"),
+    ),
+    "q0.5-inverse": (
+        sample_psi_q(DFParams(7, q=0.5, orientation="inverse"), 5),
+        DFParams(7, q=0.5, orientation="inverse"),
+    ),
+    **{
+        f"tie-q{q}-{o}": (TIE, DFParams(3, q=q, orientation=o))
+        for q in (0.75, 0.25)
+        for o in ("direct", "inverse")
+    },
+}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_one_pass_certificate_matches_the_rank_loop(case):
+    h, params = CERTIFICATE_CASES[case]
+    rep = verify_mass_ratios(h, params)
+    got = (rep.passed, rep.checks, rep.worst_slack, rep.worst_point, rep.worst_ratio)
+    assert got == rank_loop_certificate(h, params)
+
+
+def test_tie_reports_the_lower_rank():
+    rep = verify_mass_ratios(TIE, DFParams(3, q=0.25))
+    assert (rep.passed, rep.worst_slack, rep.worst_point, rep.worst_ratio) == (
+        False,
+        -0.125,
+        DyadicPoint(1, 2),
+        0.25,
+    )
+
+
+def test_certificate_fails_a_flat_image_interval():
+    # the grid images of 1/4 and 1/2 round to the same float, so the ratio
+    # at 3/8 is 0/0: no bound holds there, even at q = 1
+    u = np.nextafter(0.5, 1.0)
+    h = PLHomeo(np.array([0.0, 0.2, 0.8, 1.0]), np.array([0.0, 0.5, u, 1.0]))
+    with np.errstate(invalid="ignore"):
+        rep = verify_mass_ratios(h, DFParams(3))
+    assert not rep.passed
+    assert rep.worst_point == DyadicPoint(3, 3)
+
+
 def test_certificate_json_round_trip():
     params = DFParams(4, q=0.5)
     rep = verify_mass_ratios(sample_psi_q(params, 0), params)
