@@ -107,12 +107,11 @@ def sample_psi_q(params: DFParams, seed: int) -> PLHomeo:
     y[size] = 1.0
     for n in range(1, depth + 1):
         step = 1 << (depth - n)
-        mids = np.arange(step, size, 2 * step)
-        lo = y[mids - step]
-        hi = y[mids + step]
+        # the rank-n points and their left and right parents, as views of y
+        lo, hi = y[: size : 2 * step], y[2 * step :: 2 * step]
         u = rank_uniforms(seed, n)
         q = params.rank_budgets(n)
-        y[mids] = lo + (hi - lo) * (0.5 * (1.0 - q) + q * u)
+        y[step :: 2 * step] = lo + (hi - lo) * (0.5 * (1.0 - q) + q * u)
     h = PLHomeo(np.arange(size + 1) / size, y)
     return h.inverse() if params.orientation == "inverse" else h
 
