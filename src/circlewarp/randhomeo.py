@@ -16,7 +16,6 @@ per refinement level, a numerical screen for absolute continuity.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -141,21 +140,6 @@ class MassRatioReport:
         return json.dumps(payload, sort_keys=True)
 
 
-@functools.cache
-def _rank_order(depth: int) -> np.ndarray:
-    """Rows (left neighbour, point, right neighbour) of grid indices on the
-    2**depth grid, one column per dyadic point of rank 1 to depth, rank by
-    rank and left to right within a rank; the neighbours sit at the point's
-    own spacing. The cache keeps 24 * 2**depth bytes per depth asked for."""
-    size = 1 << depth
-    ranks = range(1, depth + 1)
-    mids = np.concatenate([np.arange(size >> n, size, size >> (n - 1)) for n in ranks])
-    steps = np.concatenate([np.full(1 << (n - 1), size >> n) for n in ranks])
-    table = np.stack([mids - steps, mids, mids + steps])
-    table.setflags(write=False)
-    return table
-
-
 def verify_mass_ratios(h: PLHomeo, params: DFParams, tol: float = 1e-12) -> MassRatioReport:
     """Certify every parent/child image ratio against the budget bounds.
 
@@ -172,7 +156,12 @@ def verify_mass_ratios(h: PLHomeo, params: DFParams, tol: float = 1e-12) -> Mass
     depth = params.depth
     size = 1 << depth
     y = g.eval(np.arange(size + 1) / size)
-    lo, mid, hi = y[_rank_order(depth)]
+    # rank by rank, left to right: each rank-n point and its left and right
+    # neighbours at its own spacing, joined from strided views of y
+    steps = [size >> n for n in range(1, depth + 1)]
+    lo = np.concatenate([y[: size : 2 * s] for s in steps])
+    mid = np.concatenate([y[s :: 2 * s] for s in steps])
+    hi = np.concatenate([y[2 * s :: 2 * s] for s in steps])
     ratio = (mid - lo) / (hi - lo)
     if params.is_constant:
         q = float(params.q)
@@ -180,7 +169,7 @@ def verify_mass_ratios(h: PLHomeo, params: DFParams, tol: float = 1e-12) -> Mass
         q = np.concatenate([params.rank_budgets(n) for n in range(1, depth + 1)])
     slack = np.minimum(ratio - 0.5 * (1.0 - q), 0.5 * (1.0 + q) - ratio)
     at = int(np.argmin(slack))
-    # column at is point i of rank n, whose points start at column 2**(n-1) - 1
+    # entry at is point i of rank n, whose points start at entry 2**(n-1) - 1
     n = (at + 1).bit_length()
     worst_slack = float(slack[at])
     holder = None
