@@ -31,16 +31,18 @@ Two expectation engines back this up and are deliberately kept separate.
   Monte-Carlo sampler with exact grid marginals guards it; disagreement
   raises NumericalAlarm.
 
-run constructs, then certifies. The construction is the halving loop's
-assembly and solve alone (_choose), rank by rank, keeping every state; it
-reads no diagnostic. The certification is a list of independent jobs, each
-rank's Monte-Carlo sampler on its opening state and then the two profile
-jobs of each of its states, in rank order, which puts the biggest jobs
-first. _fork_map runs them on this process and one forked child (see the
-_fork module); the public steps hand it the two profile jobs of one state,
-behind the guard's sampler in mc_cross_check. Each job runs serially inside
-one process, so the results are bitwise the serial ones, and the records
-and guard reports are built from them in rank order.
+Every entry point constructs, then certifies, through the same two phases.
+The construction (_halvings) is one rank's halving loop, assembly and solve
+alone (_choose), keeping every state; it reads no diagnostic. The
+certification (_certify) is one list of independent jobs: per rank, the
+Monte-Carlo sampler on its opening state, then the two profile jobs of each
+state that a record or a guard report reads and that does not yet remember
+its profile, in rank order, which puts the biggest jobs first. _fork_map
+runs them on this process and one forked child (see the _fork module).
+Each job runs serially inside one process, so the results are bitwise the
+serial ones, and the records and guard reports are built from them in rank
+order. run certifies all its ranks in one list; advance certifies its rank,
+choose_halves its one halving and mc_cross_check its one state.
 
 A profile's two jobs are the earlier and the later half of its live half
 cells in grid order (_value_profile's half), each returning the slice of
@@ -250,11 +252,11 @@ class DerandState:
     per cell, nested inside the cell image. phase flips to "final" once
     every tracked rank is pinned, after which homeo() is available.
 
-    Each state remembers its quadrature profile ("profile"), a pure
-    function of the state, so the Monte-Carlo guard and the halving step
-    that follow each other read it here rather than recomputing it. The
-    memo is no constructor argument, and dataclasses.replace starts it
-    empty."""
+    Each state that _certify profiles remembers its quadrature profile
+    ("profile"), a pure function of the state, so the public steps that
+    follow each other (the guard, then a halving) read it here rather than
+    recomputing it. The memo is no constructor argument, and
+    dataclasses.replace starts it empty."""
 
     f: SampledFunction
     q: ConfinementMap
@@ -680,7 +682,8 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
 
     Cells flagged by _constant_cells have f flat on their image, so every
     window gives the same profile: their column is exactly zero, they add
-    nothing to the residual, and no window profile or fold is computed."""
+    nothing to the residual, and no window profile or fold is computed;
+    the mask is returned with the matrix and the residual."""
     f = state.f
     m = f.m
     n = state.n_active
@@ -721,15 +724,20 @@ def _assemble(state: DerandState, degrees, cfg: DerandConfig):
         )
     # max |v| of a row, with no |vals| temporary
     keep = np.maximum(vals.max(axis=1), -vals.min(axis=1)) >= cfg.row_tol
-    return (vals if keep.all() else vals[keep]), ident
+    return (vals if keep.all() else vals[keep]), ident, constant
+
+
+def _config(state: DerandState, config: DerandConfig | None) -> DerandConfig:
+    """The config a public call on an active state runs with."""
+    if state.phase != "active":
+        raise ValueError("a final state has no live windows")
+    return config if config is not None else DerandConfig()
 
 
 def _step_args(state: DerandState, config: DerandConfig | None, degrees):
     """The config and the degrees a public step on an active state runs
     with (see assemble_v_matrix for the default degrees)."""
-    cfg = config if config is not None else DerandConfig()
-    if state.phase != "active":
-        raise ValueError("a final state has no live windows")
+    cfg = _config(state, config)
     return cfg, _resolve_degrees(degrees if degrees is not None else cfg.degrees, state.f.m, state.n_active)
 
 
@@ -863,8 +871,8 @@ def _descend(E, table, qtab, tail, rows, seg, nodes):
 
 
 def _value_profile(state: DerandState, cfg: DerandConfig, half: int | None = None) -> np.ndarray:
-    """Quadrature profile of the state, computed afresh (_profile reads it
-    from the state's memo). half 0 or 1 takes only the earlier or the later
+    """Quadrature profile of the state, computed afresh (_certify keeps it
+    in the state's memo). half 0 or 1 takes only the earlier or the later
     half of the live half cells in grid order and returns only the slice of
     the profile below, or from, the later half's first grid point; the two
     slices joined are the whole profile bit for bit (see _profile_jobs)."""
@@ -907,26 +915,12 @@ def _profile_jobs(state: DerandState, cfg: DerandConfig) -> list:
     return [functools.partial(_value_profile, state, cfg, half) for half in (0, 1)]
 
 
-def _profile(state: DerandState, cfg: DerandConfig) -> np.ndarray:
-    """The state's quadrature profile, computed on first use and kept in
-    the state's memo, which holds nothing else. The value plan is a set of
-    class constants, so the profile depends on the state alone. The memo
-    is valid only for that plan: a caller who varies it (on DerandConfig
-    or a subclass) must pass a dataclasses.replace copy, which starts with
-    an empty memo."""
-    memo = state._memo
-    if "profile" not in memo:
-        memo["profile"] = _readonly(np.concatenate(_fork_map(_profile_jobs(state, cfg))))
-    return memo["profile"]
-
-
 def expected_composition(state: DerandState, config: DerandConfig | None = None) -> SampledFunction:
     """Pointwise conditional expectation of f(warp(t)) on the sample grid of
     f, from the quadrature engine. A final state has no live windows and
-    raises ValueError; compose(state.f, state.homeo(), m) samples it."""
-    cfg = config if config is not None else DerandConfig()
-    if state.phase != "active":
-        raise ValueError("a final state has no live windows")
+    raises ValueError; compose(state.f, state.homeo(), m) samples it.
+    It neither reads nor fills the state's memo."""
+    cfg = _config(state, config)
     return SampledFunction(state.f.m, np.concatenate(_fork_map(_profile_jobs(state, cfg))))
 
 
@@ -1063,21 +1057,11 @@ def mc_cross_check(
     shifted by one grid point at ranks 1-3 (1-4 on kk_example), a 10 %
     budget error at 13 of 14 ranks, and misplaced quadrature nodes.
 
-    The quadrature side is the state's remembered profile (see _profile):
+    The quadrature side is the state's remembered profile (see _certify):
     after varying the value plan, pass a dataclasses.replace copy."""
-    cfg = config if config is not None else DerandConfig()
-    if state.phase != "active":
-        raise ValueError("a final state has no live windows")
+    cfg = _config(state, config)
     seed = cfg.mc_seed if seed is None else seed
-    memo = state._memo
-    # the sampler first, so that a forked child runs it (see _fork_map)
-    jobs = [functools.partial(_mc_profile, state, cfg.mc_samples, seed)]
-    if "profile" not in memo:
-        jobs += _profile_jobs(state, cfg)
-    (mean, se), *halves = _fork_map(jobs)
-    if halves:
-        memo["profile"] = _readonly(np.concatenate(halves))
-    return _mc_report(state, cfg, memo["profile"], mean, se)
+    return _certify([[state]], cfg, None, [seed])[1][0]
 
 
 def _mc_report(state: DerandState, cfg: DerandConfig, profile, mean, se) -> dict:
@@ -1112,8 +1096,7 @@ def _choose(state: DerandState, cfg: DerandConfig, degrees):
     """One halving's construction, assembly and solve: the halved state, the
     averaging-identity residual, and the step's silent-cell counts (constant
     cells, and null columns over the other cells)."""
-    constant = _constant_cells(state)
-    kept, ident = _assemble(state, degrees, cfg)
+    kept, ident, constant = _assemble(state, degrees, cfg)
     cells = kept.shape[1]
     if kept.shape[0]:
         null_cols = constant | (np.max(np.abs(kept), axis=0) < cfg.null_tol)
@@ -1153,12 +1136,59 @@ def _records(state: DerandState, before, after, degrees) -> list[DeviationRecord
     ]
 
 
-def _halve(state: DerandState, cfg: DerandConfig, degrees):
-    """choose_halves on checked arguments: _choose, and the step's records
-    from the profiles the states remember (see _profile)."""
-    new_state, ident, _ = _choose(state, cfg, degrees)
-    records = _records(state, _profile(state, cfg), _profile(new_state, cfg), degrees)
-    return new_state, records, ident
+def _halvings(state: DerandState, cfg: DerandConfig, degrees):
+    """One rank's construction: _choose until ell_max or until every window
+    is negligibly short. Returns the rank's states in halving order, the
+    largest averaging-identity residual, and the summed silent-cell counts."""
+    states = [state]
+    ident_max = 0.0
+    silent = np.zeros(2, dtype=np.int64)
+    while state.ell < cfg.ell_max and not _windows_converged(state, cfg):
+        state, ident, counts = _choose(state, cfg, degrees)
+        states.append(state)
+        ident_max = max(ident_max, ident)
+        silent += counts
+    return states, ident_max, silent
+
+
+def _certify(ranks, cfg: DerandConfig, degrees, seeds=None):
+    """The deviation records and Monte-Carlo reports of a construction, in
+    rank order. ranks holds each rank's states in halving order, and seeds,
+    unless None, each rank's guard seed; the guard checks the rank's
+    opening state.
+
+    One _fork_map call runs every job: per rank, its sampler, then the two
+    profile jobs of each state that a record or the report reads and that
+    does not yet remember its profile. Rank order puts the biggest jobs
+    first. Each profile's halves are joined into its state's memo, which
+    holds nothing else. The value plan is a set of class constants, so the
+    profile depends on the state alone; a caller who varies the plan must
+    pass dataclasses.replace copies, which start with an empty memo. A
+    failing guard raises NumericalAlarm (see _mc_report)."""
+    if seeds is None:
+        seeds = [None] * len(ranks)
+    jobs = []
+    fresh = []  # per rank, the states whose profile jobs are listed
+    for states, seed in zip(ranks, seeds):
+        if seed is not None:
+            jobs.append(functools.partial(_mc_profile, states[0], cfg.mc_samples, seed))
+        # the records read every state of a halved rank, the report its first
+        read = states if len(states) > 1 else states[: seed is not None]
+        fresh.append([s for s in read if "profile" not in s._memo])
+        for s in fresh[-1]:
+            jobs += _profile_jobs(s, cfg)
+    results = iter(_fork_map(jobs))
+    records: list[DeviationRecord] = []
+    reports = []
+    for states, seed, todo in zip(ranks, seeds, fresh):
+        sampled = None if seed is None else next(results)
+        for s in todo:
+            s._memo["profile"] = _readonly(np.concatenate((next(results), next(results))))
+        if sampled is not None:
+            reports.append(_mc_report(states[0], cfg, states[0]._memo["profile"], *sampled))
+        for s, new in zip(states, states[1:]):
+            records.extend(_records(s, s._memo["profile"], new._memo["profile"], degrees))
+    return records, reports
 
 
 def choose_halves(
@@ -1168,7 +1198,8 @@ def choose_halves(
     functional matrix. Returns the new state, one deviation record per
     tracked degree, and the averaging-identity residual of the step."""
     cfg, degrees = _step_args(state, config, degrees)
-    return _halve(state, cfg, degrees)
+    new_state, ident, _ = _choose(state, cfg, degrees)
+    return new_state, _certify([[state, new_state]], cfg, degrees)[0], ident
 
 
 def _windows_converged(state: DerandState, cfg: DerandConfig) -> bool:
@@ -1207,13 +1238,17 @@ def advance(
     Returns the new state, the deviation records of every halving, and the
     largest averaging-identity residual among them."""
     cfg, degrees = _step_args(state, config, degrees)
-    records: list[DeviationRecord] = []
-    ident_max = 0.0
-    while state.ell < cfg.ell_max and not _windows_converged(state, cfg):
-        state, recs, ident = _halve(state, cfg, degrees)
-        records.extend(recs)
-        ident_max = max(ident_max, ident)
-    return _fix_and_promote(state), records, ident_max
+    states, ident_max, _ = _halvings(state, cfg, degrees)
+    return _fix_and_promote(states[-1]), _certify([states], cfg, degrees)[0], ident_max
+
+
+def _check_n_max(n_max, m: int) -> int:
+    """n_max as an int, if run can pin ranks 1 .. n_max on a 2**m grid;
+    else ValueError (ResolutionError when the grid is too coarse)."""
+    n_max = _whole(n_max, 1, "n_max must be a positive integer")
+    if n_max > m - 2:
+        raise ResolutionError(f"n_max={n_max} too deep for a 2**{m} grid")
+    return n_max
 
 
 @dataclass(frozen=True)
@@ -1238,22 +1273,21 @@ def run(
     n_max stay affine, which is exactly what dropping their concentric
     windows leaves behind.
 
-    run constructs, then certifies. The halving loop assembles and solves
-    only; an averaging-identity alarm raises there, at its rank. The
-    two halves of every state's quadrature profile and the Monte-Carlo
-    sampler of every rank's opening state then run as independent jobs on
-    this process and one forked child (_fork_map), and the deviation
-    records and guard reports are built from them in rank order. So a
-    Monte-Carlo alarm at rank r raises after the whole construction, not
-    before rank r's halvings, with the same exception and context as
-    mc_cross_check's. The first rank's sampler is job 0, which a forked
-    child runs, so its draws stay out of this process's memory. The outputs
-    are bitwise those of the public steps (mc_cross_check, choose_halves,
-    advance) driven rank by rank."""
+    run constructs, then certifies. The halving loop (_halvings) assembles
+    and solves only; an averaging-identity alarm raises there, at its rank.
+    One _certify call then runs the Monte-Carlo sampler of every rank's
+    opening state and the two halves of every profile that a record or a
+    report reads as independent jobs on this process and one forked child
+    (_fork_map), and builds the deviation records and guard reports from
+    them in rank order. So a Monte-Carlo alarm at rank r raises after the
+    whole construction, not before rank r's halvings, with the same
+    exception and context as mc_cross_check's. The first rank's sampler is
+    job 0, which a forked child runs, so its draws stay out of this
+    process's memory. The public steps (mc_cross_check, choose_halves,
+    advance) run the same two phases, so driven rank by rank they give
+    bitwise run's outputs."""
     cfg = config if config is not None else DerandConfig()
-    n_max = _whole(n_max, 1, "n_max must be a positive integer")
-    if n_max > f.m - 2:
-        raise ResolutionError(f"n_max={n_max} too deep for a 2**{f.m} grid")
+    n_max = _check_n_max(n_max, f.m)
     f_use = normalize_sup(f) if f.sup_norm() > 1.0 + 1e-12 else f
     q = confinement_map(f_use, depth=f_use.m).with_floor(cfg.q_floor_exponent)
     degrees = _resolve_degrees(cfg.degrees, f.m, n_max)
@@ -1262,35 +1296,14 @@ def run(
     ident_max = 0.0
     silent_cells = []
     for rank in range(1, n_max + 1):
-        states = [state]
-        silent = np.zeros(2, dtype=np.int64)
-        while state.ell < cfg.ell_max and not _windows_converged(state, cfg):
-            state, ident, counts = _choose(state, cfg, degrees)
-            states.append(state)
-            ident_max = max(ident_max, ident)
-            silent += counts
+        states, ident, silent = _halvings(state, cfg, degrees)
         ranks.append(states)
+        ident_max = max(ident_max, ident)
         constant, null = (int(c) for c in silent)
         silent_cells.append({"n": rank, "constant": constant, "null_not_constant": null})
-        state = _fix_and_promote(state)
-    # each rank's sampler, then the two profile jobs of each of its states:
-    # rank order puts the biggest jobs first
-    jobs = []
-    for rank, states in enumerate(ranks, 1):
-        if cfg.mc_check:
-            jobs.append(functools.partial(_mc_profile, states[0], cfg.mc_samples, cfg.mc_seed + 7919 * rank))
-        for s in states:
-            jobs += _profile_jobs(s, cfg)
-    results = iter(_fork_map(jobs))
-    records: list[DeviationRecord] = []
-    mc_reports = []
-    for states in ranks:
-        sampled = next(results) if cfg.mc_check else None
-        profiles = [np.concatenate((next(results), next(results))) for _ in states]
-        if sampled is not None:
-            mc_reports.append(_mc_report(states[0], cfg, profiles[0], *sampled))
-        for s, before, after in zip(states, profiles, profiles[1:]):
-            records.extend(_records(s, before, after, degrees))
+        state = _fix_and_promote(states[-1])
+    seeds = [cfg.mc_seed + 7919 * rank for rank in range(1, n_max + 1)] if cfg.mc_check else None
+    records, mc_reports = _certify(ranks, cfg, degrees, seeds)
     final = dataclasses.replace(state, phase="final", j_lo=np.empty(0), j_hi=np.empty(0))
     h = final.homeo()
     manifest = {

@@ -24,9 +24,16 @@ import numpy as np
 
 from ._fork import _usable_cpus
 from .corpus import CorpusSpec, oscillation, tapered_oscillation
-from .derand import DerandConfig, record_shape_check, run as derand_run
-from .fourier import a_norm, circ_dist, kernel_block_matrix, sup_partial_sums
-from .grid import _whole, compose, homeo_to_json, identity_homeo
+from .derand import DerandConfig, _check_n_max, record_shape_check, run as derand_run
+from .fourier import (
+    _check_degree,
+    _whole_degrees,
+    a_norm,
+    circ_dist,
+    kernel_block_matrix,
+    sup_partial_sums,
+)
+from .grid import _exponent, _whole, compose, homeo_to_json, identity_homeo
 from .haar import confinement_map
 from .plotting import _atomic_open, _atomic_write, emit_plot
 from .randhomeo import (
@@ -135,6 +142,14 @@ class ExperimentConfig:
             self.params["blocks"] = sizes
         _check_lam(lam)
         _whole(seed, None, "solver seed must be an integer")
+        # the checks the experiment's counts meet when it runs, so that a
+        # count it cannot take is a config error before any work is done
+        check = EXPERIMENTS[self.experiment].check
+        if check is not None:
+            try:
+                check(self, _params(self))
+            except ValueError as exc:
+                raise ValueError(f"params of {self.experiment}: {exc}") from None
 
     def to_json(self) -> str:
         payload = {
@@ -417,10 +432,19 @@ def _exp_anorm_growth(cfg):
     return checks, files, "anorm_growth.csv", "line", ()
 
 
+def _derand_corpus(cfg):
+    """derand-full's corpus: the config's, else the m=12 perturbed square."""
+    return cfg.corpus or CorpusSpec("perturbed_square", {"rank": 5, "jitter": 0.5, "seed": 1}, 12)
+
+
+def _check_derand_full(cfg, p):
+    _check_n_max(p["n_max"], _derand_corpus(cfg).m)
+    # compose reads compose_m, and sup_partial_sums the degrees 1 .. r_max
+    _check_degree(_exponent(p["compose_m"]), max(_whole_degrees(range(1, p["r_max"] + 1), 1)))
+
+
 def _exp_derand_full(cfg):
-    spec = cfg.corpus or CorpusSpec(
-        "perturbed_square", {"rank": 5, "jitter": 0.5, "seed": 1}, 12
-    )
+    spec = _derand_corpus(cfg)
     f = spec.build()
     p = _params(cfg)
     n_max, compose_m, r_max = p["n_max"], p["compose_m"], p["r_max"]
@@ -491,13 +515,16 @@ def _exp_ac_diagnostics(cfg):
 
 
 class _Experiment(NamedTuple):
-    """An experiment's function, the config sections it reads and its
-    `params` keys with their defaults. ExperimentConfig rejects any other
-    section unless it is empty, and any other params key."""
+    """An experiment's function, the config sections it reads, its `params`
+    keys with their defaults, and the check, on the config and its params,
+    that raises ValueError for counts the experiment cannot take.
+    ExperimentConfig rejects any other section unless it is empty, any
+    other params key, and any config the check rejects."""
 
     run: Callable
     sections: tuple
     params: dict
+    check: Callable | None = None
 
 
 EXPERIMENTS = {
@@ -510,16 +537,30 @@ EXPERIMENTS = {
     "iid-vs-hierarchical": _Experiment(
         _exp_iid_vs_hierarchical, ("solver", "seeds"), {"n_list": (64, 512, 4096)}
     ),
-    "df-stats": _Experiment(_exp_df_stats, ("seeds",), {"coupling_depth": 6, "coupling_seeds": 32}),
+    "df-stats": _Experiment(
+        _exp_df_stats,
+        ("seeds",),
+        {"coupling_depth": 6, "coupling_seeds": 32},
+        lambda cfg, p: DFParams(p["coupling_depth"]),
+    ),
     "psi-q-certificates": _Experiment(
-        _exp_psi_q_certificates, ("seeds",), {"q_list": (0.25, 0.5, 0.75, 0.9), "depth": 10}
+        _exp_psi_q_certificates,
+        ("seeds",),
+        {"q_list": (0.25, 0.5, 0.75, 0.9), "depth": 10},
+        lambda cfg, p: DFParams(p["depth"]),
     ),
     "anorm-growth": _Experiment(_exp_anorm_growth, (), {"N_list": (16, 32, 64, 128, 256, 512), "m": 14}),
     "derand-full": _Experiment(
-        _exp_derand_full, ("corpus", "derand"), {"n_max": 7, "compose_m": 16, "r_max": 512}
+        _exp_derand_full,
+        ("corpus", "derand"),
+        {"n_max": 7, "compose_m": 16, "r_max": 512},
+        _check_derand_full,
     ),
     "ac-diagnostics": _Experiment(
-        _exp_ac_diagnostics, ("corpus", "seeds"), {"depth": 12, "p_list": (1.0, 2.0, 4.0)}
+        _exp_ac_diagnostics,
+        ("corpus", "seeds"),
+        {"depth": 12, "p_list": (1.0, 2.0, 4.0)},
+        lambda cfg, p: DFParams(p["depth"]),
     ),
 }
 

@@ -318,8 +318,9 @@ WHOLE_ARGUMENTS = {
         params_row("derand-full", "n_max"),
         "params n_max must be",
     ),
+    # r_max 3, because the default r_max of 512 needs a compose_m of 11
     ("ExperimentConfig", "derand-full compose_m"): (
-        params_row("derand-full", "compose_m"),
+        lambda x: ExperimentConfig("derand-full", params={"compose_m": x, "r_max": 3}),
         "params compose_m must be",
     ),
     ("ExperimentConfig", "derand-full r_max"): (

@@ -659,20 +659,28 @@ def test_engines_are_block_invariant(rank_states, rank, monkeypatch):
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
-def test_run_profiles_each_state_once(monkeypatch):
-    # run hands its profiles and samplers to the job pool, and a job may run
-    # in the forked child, where no recorder in this process sees it: the
-    # jobs are counted as they are handed over
-    cfg = DerandConfig(ell_max=2, degrees=DEGREES, mc_samples=2000)
-    handed = []
+def pool_calls(monkeypatch):
+    """Log the job list of every derand call to the job pool; returns the
+    log. A job may run in the forked child, where no recorder in this
+    process sees it, so jobs are counted as they are handed over."""
+    calls = []
     inner = derand._fork_map
 
     def recorder(jobs):
-        handed.extend(jobs)
+        calls.append(list(jobs))
         return inner(jobs)
 
     monkeypatch.setattr(derand, "_fork_map", recorder)
+    return calls
+
+
+def test_run_profiles_each_state_once(monkeypatch):
+    # run hands its profiles and samplers to the job pool
+    cfg = DerandConfig(ell_max=2, degrees=DEGREES, mc_samples=2000)
+    calls = pool_calls(monkeypatch)
     res = run(tapered_oscillation(4, m=8), 4, cfg)
+    assert len(calls) == 1
+    handed = calls[0]
     halves = [job.args for job in handed if job.func is derand._value_profile]
     sampled = [job.args[0] for job in handed if job.func is derand._mc_profile]
     assert len(halves) + len(sampled) == len(handed)
@@ -695,6 +703,16 @@ def test_run_profiles_each_state_once(monkeypatch):
         for s in openings
     ]
     assert res.manifest["mc_reports"] == expected
+
+
+def test_run_profiles_only_what_a_record_or_report_reads(monkeypatch):
+    # with no halving there is no record, and without the guard no report,
+    # so no state's profile is read and none is computed
+    calls = pool_calls(monkeypatch)
+    cfg = DerandConfig(mc_check=False, ell_max=0, degrees=DEGREES)
+    res = run(tapered_oscillation(4, m=8), 4, cfg)
+    assert res.records == () and res.manifest["mc_reports"] == []
+    assert not [job for jobs in calls for job in jobs if job.func is derand._value_profile]
 
 
 def pl_antiderivative(values):
@@ -1086,6 +1104,19 @@ def test_advance_equals_repeated_choose_halves(kk_states, rank):
     assert ident_max == ref_ident
 
 
+def test_advance_certifies_its_rank_in_one_pool_call(kk_states, monkeypatch):
+    # the rank's halvings run first; then one job list holds both halves of
+    # the opening state's profile and of every halved state's
+    cfg = DerandConfig(mc_check=False)
+    calls = pool_calls(monkeypatch)
+    _, records, _ = advance(kk_states[2], cfg, DEGREES)
+    assert len(calls) == 1
+    halves = [job.args for job in calls[0] if job.func is derand._value_profile]
+    assert len(halves) == len(calls[0]) == 2 * (1 + cfg.ell_max)
+    assert [args[2] for args in halves] == [0, 1] * (1 + cfg.ell_max)
+    assert len(records) == cfg.ell_max * len(DEGREES)
+
+
 def test_kk_null_columns_are_its_constant_cells():
     res = run(CorpusSpec("kk_example", {"k_max": 4}, 8).build(), 6, DerandConfig(mc_check=False))
     silent = res.manifest["silent_cells"]
@@ -1271,7 +1302,7 @@ def test_constant_cells_move_only_their_own_windows(monkeypatch):
             old, old_records, _ = choose_halves(dataclasses.replace(state), cfg, degrees)
         differs = (new.j_lo != old.j_lo) | (new.j_hi != old.j_hi)
         if not differs.any():
-            assert np.array_equal(derand._profile(new, cfg), derand._profile(old, cfg))
+            assert np.array_equal(new._memo["profile"], old._memo["profile"])
             assert new_records == old_records
             state = new
             continue

@@ -128,6 +128,50 @@ def test_seeds_that_are_not_whole_numbers_rejected(seed):
         ExperimentConfig("df-stats", seeds=[0, seed])
 
 
+# counts that pass the count coercion but that the experiment cannot take:
+# each raised only when the experiment met it, the derand-full degree limits
+# only after the whole derand run
+COUNTS_THE_EXPERIMENT_CANNOT_TAKE = [
+    ("derand-full", {}, {"n_max": 0}, "n_max must be a positive integer"),
+    ("derand-full", {}, {"n_max": 11}, r"n_max=11 too deep for a 2\*\*12 grid"),
+    (
+        "derand-full",
+        {"corpus": {"kind": "oscillation", "params": {"n_cycles": 2}, "m": 8}},
+        {"n_max": 7},
+        r"n_max=7 too deep for a 2\*\*8 grid",
+    ),
+    ("derand-full", {}, {"r_max": 0}, "degrees must be a nonempty tuple of positive integers"),
+    (
+        "derand-full",
+        {},
+        {"compose_m": 8},
+        r"partial sum of degree 512 needs a grid finer than 2\*\*8",
+    ),
+    ("derand-full", {}, {"compose_m": 27, "r_max": 2}, "grid exponent out of range: 27"),
+    ("psi-q-certificates", {}, {"depth": 0}, "depth must be a positive integer"),
+    ("ac-diagnostics", {}, {"depth": 0}, "depth must be a positive integer"),
+    ("df-stats", {}, {"coupling_depth": 0}, "depth must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, sections, params, message",
+    COUNTS_THE_EXPERIMENT_CANNOT_TAKE,
+    ids=[
+        "-".join([experiment, *(f"{k}{v}" for k, v in params.items())])
+        for experiment, _, params, _ in COUNTS_THE_EXPERIMENT_CANNOT_TAKE
+    ],
+)
+def test_load_config_rejects_counts_the_experiment_cannot_take(
+    tmp_path, experiment, sections, params, message
+):
+    path = _write_config(
+        tmp_path / "c.json", {"experiment": experiment, **sections, "params": params}
+    )
+    with pytest.raises(ValueError, match=f"params of {experiment}: {message}"):
+        load_config(path)
+
+
 def test_load_config_builds_corpus_and_defaults(tmp_path):
     p = _write_config(
         tmp_path / "c.json",
@@ -722,6 +766,22 @@ def test_cli_process_reports_bad_corpus_params(tmp_path):
     proc = _run_cli([sys.executable, "-m", "circlewarp.cli"], "run", cfg)
     assert proc.returncode == 2
     assert "config error: corpus params must deserialize to a mapping" in proc.stderr
+
+
+def test_cli_process_rejects_a_count_the_experiment_cannot_take(tmp_path):
+    # the derand run would finish before the compose grid met r_max
+    cfg = _write_config(
+        tmp_path / "c.json",
+        {
+            "experiment": "derand-full",
+            "params": {"compose_m": 8},
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    proc = _run_cli([sys.executable, "-m", "circlewarp.cli"], "run", cfg)
+    assert proc.returncode == 2
+    assert "config error: params of derand-full: partial sum of degree 512" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_script_installed(tmp_path):

@@ -256,6 +256,16 @@ CERTIFICATE_CASES = {
         for q in (0.75, 0.25)
         for o in ("direct", "inverse")
     },
+    # grids coarser and finer than the sample's breakpoints, where the
+    # one-pass certificate's np.interp must read what the oracle's eval does
+    **{
+        f"depth{d}-of-depth8-{o}": (
+            sample_psi_q(DFParams(8, q=0.5), 3),
+            DFParams(d, q=0.5, orientation=o),
+        )
+        for d in (4, 11)
+        for o in ("direct", "inverse")
+    },
 }
 
 
