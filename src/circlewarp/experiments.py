@@ -439,8 +439,9 @@ def _derand_corpus(cfg):
 
 def _check_derand_full(cfg, p):
     _check_n_max(p["n_max"], _derand_corpus(cfg).m)
-    # compose reads compose_m, and sup_partial_sums the degrees 1 .. r_max
-    _check_degree(_exponent(p["compose_m"]), max(_whole_degrees(range(1, p["r_max"] + 1), 1)))
+    # compose reads compose_m, and sup_partial_sums the degrees 1 .. r_max,
+    # which are there, positive and resolved if r_max is
+    _check_degree(_exponent(p["compose_m"]), *_whole_degrees((p["r_max"],), 1))
 
 
 def _exp_derand_full(cfg):
