@@ -68,7 +68,7 @@ from ._fork import _fork_map
 from .fourier import _check_degree, _whole_degrees, sup_partial_sums
 from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, _whole
 from .haar import ConfinementMap, confinement_map, normalize_sup
-from .rng import tagged_generator
+from .rng import _keyed_random, _tag_key
 from .signs import SignMatrix, solve_hierarchical
 
 __all__ = [
@@ -442,22 +442,26 @@ def _constant_cells(state: DerandState) -> np.ndarray:
 
 # Work size, in array elements, of the blocks that every stage streams
 # through: the value engine's children of one descent step and its
-# frozen-tail means, the Monte-Carlo paths with the buffer they are summed
-# in, and the sampler's draws of a rank that leaves out constant cells. Small
-# enough that a block's temporaries stay in cache, and it bounds the working
-# set: no stage holds (rows x nodes) of a whole quadrature level or (paths x
-# grid points) of a whole batch. It cannot change a result: every row is the
-# same elementwise expression whatever the block, np.add.at meets each grid
-# point's terms in the same order (see _descend), consecutive draws are the
-# rows of one draw, and the sampler's sums add the rows of a batch one by one
-# in order, whatever the block. The window engine needs no blocks: its work
-# per half window is linear in the points and in the f pieces that the
-# points' lines reach.
+# frozen-tail means, and the Monte-Carlo paths with the buffer they are
+# summed in. Small enough that a block's temporaries stay in cache, and it
+# bounds the working set: no stage holds (rows x nodes) of a whole quadrature
+# level or (paths x grid points) of a whole batch. The sampler's draws come
+# in blocks of 16 * _BLOCK (2 MB, 64 paths at m=12 rank 1): each block of
+# paths seeks its draws of each rank in the Philox stream, and at m=12 rank 1
+# 10 000 paths take 1 884 seeks of about 4 us. Against a whole batch of
+# draws this took the traced m=12 rank-1 sampler from 17.8 to 3.2 MB, at the
+# same speed within the machine's spread. It cannot change a result: every
+# row is the same elementwise expression whatever the block, np.add.at meets
+# each grid point's terms in the same order (see _descend), a draw is the
+# same at its stream position whatever call reads it, and the sampler's sums
+# add the rows of a batch one by one in order, whatever the block. The window
+# engine needs no blocks: its work per half window is linear in the points
+# and in the f pieces that the points' lines reach.
 _BLOCK = 1 << 14
 
-# Monte-Carlo paths per batch of draws. The sampler draws a whole batch in
-# stream order, so this fixes which draw feeds which path: changing it
-# changes the guard's numbers, and it is no tuning knob.
+# Monte-Carlo paths per batch. A batch's draws are laid out in stream order
+# rank by rank (see _mc_profile), so this fixes which draw feeds which path:
+# changing it changes the guard's numbers, and it is no tuning knob.
 _MC_BATCH = 512
 
 
@@ -937,14 +941,18 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
     does, because the interpolant's slope there is 0.0 (or du is 0 at the
     right edge), so those columns take that value in every row, and each
     constant cell's sums are made once for all its points. The draws are
-    those of the whole grid, in stream order."""
+    laid out as if each batch drew the whole grid in stream order: first
+    the live rank's draw of every path, then each deeper rank's draws of
+    every path. A block of paths reads its draws of each rank from their
+    positions in the stream (rng._keyed_random), so no batch's draws are
+    held whole."""
     f = state.f
     m = f.m
     size = 1 << m
     n = state.n_active
     table = _PLTable(f)
     qtab = _q_table(state.q, m)
-    gen = tagged_generator(seed, 0xEC, n)
+    key = _tag_key(seed, 0xEC, n)  # the stream of tagged_generator(seed, 0xEC, n)
     cells = state.j_lo.size
     W = size // cells  # grid points per cell, W + 1 with the right edge
     constant = _constant_cells(state)
@@ -952,18 +960,30 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
     k = live.size
     # a basic slice when every cell is live, so no draw is copied
     take = slice(None) if k == cells else live
+
+    def live_cells(u):
+        # the live cells (axis 1) of a block of draws: the draws themselves
+        # when every cell is live, else a C-ordered copy (u[:, live] would
+        # be strided, and each later reshape would copy it again)
+        return u if k == cells else u.take(live, axis=1)
+
     a = state.fixed_y[:-1][take]
     b = state.fixed_y[1:][take]
-    j_lo = state.j_lo[take]
-    j_span = (state.j_hi - state.j_lo)[take]
-    # per deeper rank: midpoints step::2*step of a cell, between neighbours
-    # 2*step apart, placed at lo + (hi - lo) * (0.5 * (1 - q) + q * u)
-    deeper = []
+    # per rank, the live one first: its draws per cell and the affine map
+    # u -> scale * u + base that places its points, the live point in its
+    # window and a deeper rank's midpoints step::2*step of a cell between
+    # neighbours 2*step apart, at lo + (hi - lo) * (0.5 * (1 - q) + q * u)
+    plan = [(1, (state.j_hi - state.j_lo)[take, None], state.j_lo[take, None])]
+    steps = []
     for rank in range(n + 1, m + 1):
         step = 1 << (m - rank)
         qv = qtab[step : size : 2 * step].reshape(cells, W // (2 * step))[take]
-        deeper.append((step, qv, 0.5 * (1.0 - qv)))
+        plan.append((W // (2 * step), qv, 0.5 * (1.0 - qv)))
+        steps.append(step)
     rows = max(1, _BLOCK // max(k * W, 1))  # paths per block
+    # stream positions per path, constant cells included
+    per_path = cells * sum(per for per, _, _ in plan)
+    span = max(1, (_BLOCK << 4) // per_path)  # paths per draw block
     # f at each constant cell's left edge: its value at every point
     flat = table.f_at(state.fixed_y[:-1][constant])
     # rows 1.. of buf hold one block of paths' values on the live cells;
@@ -977,52 +997,45 @@ def _mc_profile(state: DerandState, n_samples: int, seed: int):
     done = 0
     while done < n_samples:
         bsz = min(_MC_BATCH, n_samples - done)
-        # the whole batch's draws in stream order, then the live cells' paths
-        # built and evaluated a block at a time. Consecutive draws of a few
-        # rows are bitwise the rows of one draw, so the draws of a rank that
-        # leaves out constant cells are made a few rows at a time too
-        u_live = gen.random((bsz, cells))[:, take]
-        u_live *= j_span
-        u_live += j_lo
-        u_deep = []
-        for step, qv, base in deeper:
-            per = W // (2 * step)
-            if k == cells:
-                u = gen.random((bsz, cells, per))
-            else:
-                u = np.empty((bsz, k, per))
-                chunk = max(1, _BLOCK // (cells * per))
-                for c0 in range(0, bsz, chunk):
-                    c1 = min(c0 + chunk, bsz)
-                    u[c0:c1] = gen.random((c1 - c0, cells, per))[:, take]
-            u *= qv
-            u += base
-            u_deep.append(u.reshape(bsz * k, per))  # contiguous: a view
         # a reduction over the rows of a C-ordered array adds them one by one
         # in row order, from +0.0, so summing (running sum, block) continues
         # the sum of the batch's rows exactly as one sum over all would
         total = np.zeros(k * W)
         total2 = np.zeros(k * W)
-        for r0 in range(0, bsz, rows):
-            r1 = min(r0 + rows, bsz)
-            Y = np.empty((r1 - r0, k, W + 1))
-            Y[:, :, 0] = a
-            Y[:, :, W] = b
-            Y[:, :, W // 2] = u_live[r0:r1]
-            paths = Y.reshape(-1, W + 1)  # one row per (path, cell)
-            for (step, _, _), u in zip(deeper, u_deep):
-                lo = paths[:, 0:W:2 * step]
-                mid = paths[:, 2 * step : W + 1 : 2 * step] - lo
-                mid *= u[r0 * k : r1 * k]
-                mid += lo
-                paths[:, step : W : 2 * step] = mid
-            block = buf[: r1 - r0 + 1]
-            block[1:] = table.f_at(paths[:, :W]).reshape(r1 - r0, k * W)
-            block[0] = total
-            total = block.sum(axis=0)
-            block[1:] *= block[1:]
-            block[0] = total2
-            total2 = block.sum(axis=0)
+        # each block of paths reads its draws of each rank from their
+        # positions; no constant cell's draw is used, so a state without a
+        # live cell draws nothing
+        for d0 in range(0, bsz if k else 0, span):
+            d1 = min(d0 + span, bsz)
+            at = done * per_path
+            draws = []
+            for per, scale, base in plan:
+                u = _keyed_random(key, (d1 - d0) * cells * per, at + d0 * cells * per)
+                u = live_cells(u.reshape(d1 - d0, cells, per))
+                u *= scale
+                u += base
+                draws.append(u.reshape(-1, per))  # one row per (path, live cell)
+                at += bsz * cells * per
+            for r0 in range(0, d1 - d0, rows):
+                r1 = min(r0 + rows, d1 - d0)
+                Y = np.empty((r1 - r0, k, W + 1))
+                Y[:, :, 0] = a
+                Y[:, :, W] = b
+                paths = Y.reshape(-1, W + 1)  # one row per (path, cell)
+                paths[:, W // 2] = draws[0][r0 * k : r1 * k, 0]
+                for step, u in zip(steps, draws[1:]):
+                    lo = paths[:, 0:W:2 * step]
+                    mid = paths[:, 2 * step : W + 1 : 2 * step] - lo
+                    mid *= u[r0 * k : r1 * k]
+                    mid += lo
+                    paths[:, step : W : 2 * step] = mid
+                block = buf[: r1 - r0 + 1]
+                block[1:] = table.f_at(paths[:, :W]).reshape(r1 - r0, k * W)
+                block[0] = total
+                total = block.sum(axis=0)
+                block[1:] *= block[1:]
+                block[0] = total2
+                total2 = block.sum(axis=0)
         sums[take] += total.reshape(k, W)
         sums2[take] += total2.reshape(k, W)
         if flat.size:

@@ -24,7 +24,13 @@ import numpy as np
 
 from ._fork import _usable_cpus
 from .corpus import CorpusSpec, oscillation, tapered_oscillation
-from .derand import DerandConfig, _check_n_max, record_shape_check, run as derand_run
+from .derand import (
+    DerandConfig,
+    _check_n_max,
+    _resolve_degrees,
+    record_shape_check,
+    run as derand_run,
+)
 from .fourier import (
     _check_degree,
     _whole_degrees,
@@ -33,7 +39,7 @@ from .fourier import (
     kernel_block_matrix,
     sup_partial_sums,
 )
-from .grid import _exponent, _whole, compose, homeo_to_json, identity_homeo
+from .grid import ResolutionError, _exponent, _whole, compose, homeo_to_json, identity_homeo
 from .haar import confinement_map
 from .plotting import _atomic_open, _atomic_write, emit_plot
 from .randhomeo import (
@@ -437,8 +443,20 @@ def _derand_corpus(cfg):
     return cfg.corpus or CorpusSpec("perturbed_square", {"rank": 5, "jitter": 0.5, "seed": 1}, 12)
 
 
+def _check_anorm_growth(cfg, p):
+    # the count convention puts N sign changes on [0, 1/2], which the 2**m
+    # grid resolves with at least two points per half cycle: 4 N <= 2**m
+    m = _exponent(p["m"])
+    top = max(p["N_list"])
+    if 4 * top > 1 << m:
+        raise ResolutionError(f"N={top} needs a grid finer than 2**{m} (N <= 2**(m-2))")
+
+
 def _check_derand_full(cfg, p):
-    _check_n_max(p["n_max"], _derand_corpus(cfg).m)
+    m = _derand_corpus(cfg).m
+    n_max = _check_n_max(p["n_max"], m)
+    # run's degrees: the derand section's, else the default ladder
+    _resolve_degrees((cfg.derand or DerandConfig()).degrees, m, n_max)
     # compose reads compose_m, and sup_partial_sums the degrees 1 .. r_max,
     # which are there, positive and resolved if r_max is
     _check_degree(_exponent(p["compose_m"]), *_whole_degrees((p["r_max"],), 1))
@@ -550,7 +568,12 @@ EXPERIMENTS = {
         {"q_list": (0.25, 0.5, 0.75, 0.9), "depth": 10},
         lambda cfg, p: DFParams(p["depth"]),
     ),
-    "anorm-growth": _Experiment(_exp_anorm_growth, (), {"N_list": (16, 32, 64, 128, 256, 512), "m": 14}),
+    "anorm-growth": _Experiment(
+        _exp_anorm_growth,
+        (),
+        {"N_list": (16, 32, 64, 128, 256, 512), "m": 14},
+        _check_anorm_growth,
+    ),
     "derand-full": _Experiment(
         _exp_derand_full,
         ("corpus", "derand"),

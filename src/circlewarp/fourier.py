@@ -200,18 +200,29 @@ def sup_partial_sums(f: SampledFunction, degrees) -> list[tuple[int, float]]:
     hands the earlier and the later half of its degrees to _fork_map as two
     jobs (see the _fork module); a sup does not depend on the block or the
     process it is computed in, so the list is bitwise the serial one and
-    each sup is bitwise max |partial_sum(f, n)|."""
+    each sup is bitwise max |partial_sum(f, n)|. Of the spectrum only the
+    band up to the top degree is kept, and each row's |x| is written over
+    its own imaginary part, so a sweep holds no full spectrum and no |x|
+    row beside its block."""
     degs = sorted(set(_whole_degrees(degrees, 0)))
     for n in degs:
         _check_degree(f.m, n)
+    top = degs[-1]
     spec = np.fft.fft(f.values)
+    # only the band |k| <= top is read: frequencies 0 .. top, then -top .. -1,
+    # which _synthesis reads at the same offsets from either end
+    spec = np.concatenate([spec[: top + 1], spec[spec.size - top :]])
 
     def sups(share):
         block = np.empty((_BLOCK_ROWS, f.size), dtype=complex)
         out = []
         for at in range(0, len(share), _BLOCK_ROWS):
-            rows = _synthesis(spec, share[at : at + _BLOCK_ROWS], block)
-            out.extend(float(np.max(np.abs(row.real))) for row in rows)
+            for row in _synthesis(spec, share[at : at + _BLOCK_ROWS], block):
+                # |x| over the imaginary parts, which no sup reads: the
+                # largest of a row's doubles is then max |x|, taken in one
+                # contiguous pass (abs turns a -0.0 into 0.0)
+                np.abs(row.real, out=row.imag)
+                out.append(abs(float(row.view(float).max())))
         return out
 
     cut = len(degs) // 2

@@ -155,8 +155,11 @@ def verify_mass_ratios(h: PLHomeo, params: DFParams, tol: float = 1e-12) -> Mass
     g = h.inverse() if params.orientation == "inverse" else h
     depth = params.depth
     size = 1 << depth
-    # the grid lies in [0, 1], where eval's reduction mod 1 changes nothing
-    y = np.interp(np.arange(size + 1) / size, g.x, g.y)
+    # the grid lies in [0, 1], where eval's reduction mod 1 changes nothing;
+    # when g's breakpoints are the grid, as for every direct sample_psi_q
+    # draw, g.y is what np.interp would return there, bit for bit
+    t = np.arange(size + 1) / size
+    y = g.y if np.array_equal(g.x, t) else np.interp(t, g.x, g.y)
     # rank by rank, left to right: each rank-n point and its left and right
     # neighbours at its own spacing, joined from strided views of y
     steps = [size >> n for n in range(1, depth + 1)]

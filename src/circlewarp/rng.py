@@ -39,29 +39,43 @@ def _mix(*parts: int) -> int:
 _local = threading.local()
 
 
-def _keyed_random(key: int, size: int) -> np.ndarray:
-    """Generator(Philox(key=key)).random(size), bit for bit, from this
-    thread's generator set to (key, counter 0, empty buffer): constructing
-    a Philox first draws a SeedSequence from OS entropy that a key makes
-    unused, which costs several times the draw of a small rank."""
+def _keyed_random(key: int, size: int, start: int = 0) -> np.ndarray:
+    """The doubles at positions start .. start + size - 1 of the stream of
+    Generator(Philox(key=key)).random, bit for bit, from this thread's
+    generator: constructing a Philox first draws a SeedSequence from OS
+    entropy that a key makes unused, which costs several times the draw of
+    a small rank. Generator.random takes one 64-bit Philox output per double
+    and Philox makes four outputs per counter step, so position p is reached
+    by setting the counter to p // 4 with an empty buffer (the next step
+    fills the buffer with outputs 4 (p // 4) .. 4 (p // 4) + 3) and
+    discarding p % 4 draws."""
     gen = getattr(_local, "gen", None)
     if gen is None:
         gen = _local.gen = np.random.Generator(np.random.Philox(key=0))
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key, 0], np.uint64)},
+        "state": {
+            "counter": np.array([start >> 2, 0, 0, 0], np.uint64),
+            "key": np.array([key, 0], np.uint64),
+        },
         "buffer": np.zeros(4, np.uint64),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    if start & 3:
+        gen.random(start & 3)
     return gen.random(size)
+
+
+def _tag_key(seed: int, *tags: int) -> int:
+    """The Philox key of tagged_generator(seed, *tags)."""
+    return _mix(_TAG_SALT, _whole(seed, None, "seed must be an integer"), *tags)
 
 
 def tagged_generator(seed: int, *tags: int) -> np.random.Generator:
     """Deterministic generator for an auxiliary purpose (Monte Carlo etc.)."""
-    key = _mix(_TAG_SALT, _whole(seed, None, "seed must be an integer"), *tags)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_tag_key(seed, *tags)))
 
 
 def rank_uniforms(seed: int, n: int) -> np.ndarray:

@@ -301,7 +301,11 @@ WHOLE_ARGUMENTS = {
         params_row("psi-q-certificates", "depth"),
         "params depth must be",
     ),
-    ("ExperimentConfig", "anorm-growth m"): (params_row("anorm-growth", "m"), "params m must be"),
+    # N_list [2] is resolved from m = 3 on (4 N <= 2**m)
+    ("ExperimentConfig", "anorm-growth m"): (
+        lambda x: ExperimentConfig("anorm-growth", params={"m": x, "N_list": [2]}),
+        "params m must be",
+    ),
     ("ExperimentConfig", "anorm-growth N_list"): (
         lambda x: ExperimentConfig("anorm-growth", params={"N_list": [16, x]}),
         "params N_list must be",

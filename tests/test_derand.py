@@ -1586,15 +1586,17 @@ def test_mc_profile_is_pinned(m10_states, m12_open_state, key):
 
 @pytest.mark.parametrize(
     "key, bound",
-    [(("kk_example", 10, 4), 3e6), (("perturbed_square", 12, 1), 24e6)],
+    [(("kk_example", 10, 4), 3e6), (("perturbed_square", 12, 1), 4e6)],
     ids=["kk_example-m10-4", "perturbed_square-m12-1"],
 )
 def test_mc_profile_working_set_is_bounded(m10_states, m12_open_state, key, bound):
     # a batch's (512 x 2**m) values, with their squares, and the whole draw
     # of each deeper rank before its live cells were taken, peaked at 9.2 MB
-    # and 50.8 MB here; one block of live paths in a small buffer, and the
-    # draws of a rank with constant cells a few rows at a time, leave 1.3 MB
-    # and 17.8 MB, most of it the live cells' draws of one batch
+    # and 50.8 MB here; one block of live paths in a small buffer left 1.3 MB
+    # and 17.8 MB, most of it the live cells' draws of one batch. Seeking
+    # each block of paths' draws in the stream, a draw block of 2 MB (its
+    # full rows before the live cells are taken, at m=10 rank 4) leaves
+    # 1.7 MB and 3.2 MB; the m=12 bound keeps a 0.8 MB margin over that
     state = sampler_state(key, m10_states, m12_open_state)
     _, peak = traced_peak(lambda: derand._mc_profile(state, 1100, DerandConfig().mc_seed))
     assert peak <= bound

@@ -148,6 +148,10 @@ COUNTS_THE_EXPERIMENT_CANNOT_TAKE = [
         r"partial sum of degree 512 needs a grid finer than 2\*\*8",
     ),
     ("derand-full", {}, {"compose_m": 27, "r_max": 2}, "grid exponent out of range: 27"),
+    ("anorm-growth", {}, {"m": 0}, r"N=512 needs a grid finer than 2\*\*0"),
+    ("anorm-growth", {}, {"m": 1}, r"N=512 needs a grid finer than 2\*\*1"),
+    ("anorm-growth", {}, {"m": 2, "N_list": [16, 32]}, r"N=32 needs a grid finer than 2\*\*2"),
+    ("anorm-growth", {}, {"m": 10}, r"N=512 needs a grid finer than 2\*\*10 \(N <= 2\*\*\(m-2\)\)"),
     ("psi-q-certificates", {}, {"depth": 0}, "depth must be a positive integer"),
     ("ac-diagnostics", {}, {"depth": 0}, "depth must be a positive integer"),
     ("df-stats", {}, {"coupling_depth": 0}, "depth must be a positive integer"),
@@ -781,6 +785,26 @@ def test_cli_process_rejects_a_count_the_experiment_cannot_take(tmp_path):
     proc = _run_cli([sys.executable, "-m", "circlewarp.cli"], "run", cfg)
     assert proc.returncode == 2
     assert "config error: params of derand-full: partial sum of degree 512" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_process_rejects_derand_degrees_the_corpus_grid_cannot_resolve(tmp_path):
+    # run would resolve the degrees only once it started
+    cfg = _write_config(
+        tmp_path / "c.json",
+        {
+            "experiment": "derand-full",
+            "derand": {"degrees": [5000]},
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    proc = _run_cli([sys.executable, "-m", "circlewarp.cli"], "run", cfg)
+    assert proc.returncode == 2
+    assert (
+        "config error: params of derand-full: partial sum of degree 5000 "
+        "needs a grid finer than 2**12"
+    ) in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,7 @@
 """Kernel, coefficients, partial sums, A-norm, block integrals."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,24 @@ def test_sweep_blocks_are_bitwise_partial_sums(m16_functions, m, degrees, can_fo
     monkeypatch.setattr(fourier, "_SWEEP_FORK_MIN", 1)
     assert sup_partial_sums(g, degs) == want
     assert len(forks) == int(can_fork and len(want) > 1)
+
+
+def test_sweep_working_set_is_bounded(m16_functions, monkeypatch):
+    # a serial r <= 512 sweep at m=16 holds its block of four complex rows,
+    # 4.19 MB. Beside it the full 2**16-point spectrum and an |x| row per
+    # sup peaked at 5.8 MB; the band |k| <= 512 and |x| written over each
+    # row's imaginary part leave 4.25 MB
+    g = m16_functions["perturbed_square"]
+    count_sweep_forks(monkeypatch, False)
+    sup_partial_sums(g, range(1, 9))  # warm the FFT plan caches
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sup_partial_sums(g, range(1, 513))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 4.6e6
 
 
 def test_abrupt_cutoff_overshoots_its_sup():

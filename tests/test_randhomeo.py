@@ -266,6 +266,17 @@ CERTIFICATE_CASES = {
         for d in (4, 11)
         for o in ("direct", "inverse")
     },
+    # the sample's own grid, whose values the certificate reads as g.y
+    # without np.interp
+    **{
+        f"own-grid-depth{d}-q{q}-{o}": (
+            sample_psi_q(DFParams(d, q=q, orientation=o), 6),
+            DFParams(d, q=q, orientation=o),
+        )
+        for d in (6, 10, 14)
+        for q in (1.0, 0.5)
+        for o in ("direct", "inverse")
+    },
 }
 
 

@@ -18,6 +18,20 @@ def test_keyed_draws_are_a_fresh_philox(key):
         assert np.array_equal(rng._keyed_random(key, size), reference(key, size))
 
 
+def test_seeks_are_slices_of_one_long_draw():
+    # Generator.random takes one 64-bit Philox output per double, and Philox
+    # makes four outputs per counter step: a seek sets the counter to
+    # start // 4 and discards start % 4 draws, so a change to either count
+    # in NumPy shows here
+    key = rng._mix(7, 11)
+    starts = (0, 1, 3, 4, 5, 4097, 990_000)
+    whole = reference(key, max(starts) + 4096)
+    for start in starts:
+        for size in range(1, 4097):
+            got = rng._keyed_random(key, size, start)
+            assert np.array_equal(got, whole[start : start + size]), (start, size)
+
+
 def test_interleaved_streams_are_independent():
     seeds = (3, 2**40 + 7)
     for n in range(1, 12):
