@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .grid import ResolutionError, SampledFunction, _exponent, _whole
-from .haar import perturbed_square_wave, rademacher
+from .haar import _SUP_TOL, perturbed_square_wave, rademacher
 
 _CONVENTIONS = ("count", "literal")
 
@@ -194,7 +194,7 @@ class CorpusSpec:
         except TypeError as exc:
             raise ValueError(f"bad parameters for corpus kind {self.kind!r}: {exc}") from None
         sup = f.sup_norm()
-        if sup > 1.0 + 1e-12:
+        if sup > 1.0 + _SUP_TOL:
             raise ValueError(f"corpus output exceeds unit sup norm: {sup!r}")
         return f
 

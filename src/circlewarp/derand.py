@@ -67,7 +67,7 @@ import numpy as np
 from ._fork import _fork_map
 from .fourier import _check_degree, _whole_degrees, sup_partial_sums
 from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, _whole
-from .haar import ConfinementMap, confinement_map, normalize_sup
+from .haar import _FLOOR_EXPONENT, _SUP_TOL, ConfinementMap, confinement_map, normalize_sup
 from .rng import _keyed_random, _tag_key
 from .signs import SignMatrix, solve_hierarchical
 
@@ -108,6 +108,10 @@ class DeviationRecord:
     sup_dev: float
 
 
+# record_shape_check passes when at least this share of bin pairs is nonincreasing
+_SHAPE_BAR = 0.9
+
+
 def record_shape_check(records) -> dict:
     """Decay-of-influence diagnostic over a run's deviation records.
 
@@ -137,7 +141,7 @@ def record_shape_check(records) -> dict:
             if g[b] <= g[a] * (1.0 + 1e-12):
                 good += 1
     frac = good / pairs if pairs else 1.0
-    return {"pairs": pairs, "nonincreasing": good, "fraction": frac, "passed": frac >= 0.9}
+    return {"pairs": pairs, "nonincreasing": good, "fraction": frac, "passed": frac >= _SHAPE_BAR}
 
 
 def default_degrees(n_max: int, m: int) -> tuple[int, ...]:
@@ -209,7 +213,7 @@ class DerandConfig:
     solver_retries: ClassVar[int] = 64
     solver_seed: ClassVar[int] = 0
     solver_lam: ClassVar[float] = 0.5
-    q_floor_exponent: ClassVar[float] = 0.25
+    q_floor_exponent: ClassVar[float] = _FLOOR_EXPONENT
     mc_seed: ClassVar[int] = 2718
     mc_floor: ClassVar[float] = 1e-4
     mc_exceed_frac: ClassVar[float] = 0.10
@@ -1301,7 +1305,7 @@ def run(
     bitwise run's outputs."""
     cfg = config if config is not None else DerandConfig()
     n_max = _check_n_max(n_max, f.m)
-    f_use = normalize_sup(f) if f.sup_norm() > 1.0 + 1e-12 else f
+    f_use = normalize_sup(f) if f.sup_norm() > 1.0 + _SUP_TOL else f
     q = confinement_map(f_use, depth=f_use.m).with_floor(cfg.q_floor_exponent)
     degrees = _resolve_degrees(cfg.degrees, f.m, n_max)
     state = DerandState.initial(f_use, q)

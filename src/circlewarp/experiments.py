@@ -25,6 +25,7 @@ import numpy as np
 from ._fork import _usable_cpus
 from .corpus import CorpusSpec, oscillation, tapered_oscillation
 from .derand import (
+    _SHAPE_BAR,
     DerandConfig,
     _check_n_max,
     _resolve_degrees,
@@ -43,7 +44,10 @@ from .grid import ResolutionError, _exponent, _whole, compose, homeo_to_json, id
 from .haar import confinement_map
 from .plotting import _atomic_open, _atomic_write, emit_plot
 from .randhomeo import (
+    _GROWTH_TOL,
+    _SLACK_TOL,
     DFParams,
+    _check_p_list,
     ac_diagnostics,
     ks_uniform_statistic,
     sample_df,
@@ -132,20 +136,17 @@ class ExperimentConfig:
         for key, value in self.params.items():
             if not isinstance(known[key], tuple):  # a count, not a tuple of values
                 self.params[key] = _whole(value, 0, f"params {key} must be a nonnegative integer")
-            elif key in _SIZE_LISTS:
-                message = f"params {key} must be a nonempty list of positive integers"
-                if not (isinstance(value, (list, tuple)) and value):
-                    raise ValueError(message)
+                continue
+            message = f"params {key} must be a nonempty list of {_LISTS[key]}"
+            if not (isinstance(value, (list, tuple)) and value):
+                raise ValueError(message)
+            if key in ("n_list", "N_list"):  # matrix or frequency sizes
                 self.params[key] = [_whole(size, 1, message) for size in value]
         # the block sizes, retries and weight solve_hierarchical would reject
-        blocks = self.params.get("blocks", (8,))
-        if not (isinstance(blocks, (list, tuple)) and blocks):
-            raise ValueError("params blocks must be a nonempty list of block sizes")
         block, retries, seed, lam = _solver_args(self)
         _check_search(block, retries)
-        sizes = [_check_search(size, retries)[0] for size in blocks]
         if "blocks" in self.params:
-            self.params["blocks"] = sizes
+            self.params["blocks"] = [_check_search(K, retries)[0] for K in self.params["blocks"]]
         _check_lam(lam)
         _whole(seed, None, "solver seed must be an integer")
         # the checks the experiment's counts meet when it runs, so that a
@@ -259,6 +260,16 @@ def _solver_args(cfg: ExperimentConfig) -> tuple:
     return s["block"], s["retries"], s["seed"], s["lam"]
 
 
+# a report check is (name, value, bound, passed), its verdict read off the
+# bound it reports
+def _at_most(name: str, value, bound) -> tuple:
+    return name, value, bound, value <= bound
+
+
+def _at_least(name: str, value, bound) -> tuple:
+    return name, value, bound, value >= bound
+
+
 # --- the experiments -------------------------------------------------------------
 #
 # Each experiment returns (checks, files, plot_src, plot_kind, notes). `files`
@@ -286,8 +297,8 @@ def _exp_kernel_decay(cfg):
         files[f"kernel_decay_n{n}.csv"] = (header, _entry_rows(mat, weighted))
     files["kernel_decay_summary.csv"] = (("n", "decay_constant", "row_sum_gap"), summary)
     checks = (
-        ("decay_constant_max", worst_c, 4.0, worst_c <= 4.0),
-        ("row_sum_gap_max", worst_gap, 1e-8, worst_gap <= 1e-8),
+        _at_most("decay_constant_max", worst_c, 4.0),
+        _at_most("row_sum_gap_max", worst_gap, 1e-8),
     )
     return checks, files, "kernel_decay_summary.csv", "line", ()
 
@@ -327,8 +338,8 @@ def _exp_signs_trend(cfg):
     ratio = best[(hi, k_ref)] / best[(lo, k_ref)]
     ratio_all = max(best[(n, k_ref)] for n in n_list) / best[(lo, k_ref)]
     checks = (
-        ("largest_vs_smallest_ratio", ratio, 1.5, ratio <= 1.5),
-        ("all_sizes_ratio", ratio_all, 1.5, ratio_all <= 1.5),
+        _at_most("largest_vs_smallest_ratio", ratio, 1.5),
+        _at_most("all_sizes_ratio", ratio_all, 1.5),
     )
     files = {"signs_trend.csv": (("n", "solver", "K", "seed", "discrepancy"), rows)}
     notes = tuple(
@@ -355,9 +366,10 @@ def _exp_iid_vs_hierarchical(cfg):
         dh = row_discrepancy(V, solve_hierarchical(V, block, retries, hseed, lam))
         rows.append((int(n), "hierarchical", int(block), int(hseed), dh))
     increasing = all(a < b for a, b in zip(medians, medians[1:]))
+    span = medians[-1] - medians[0]
     checks = (
-        ("iid_median_strictly_increasing", float(increasing), 1.0, increasing),
-        ("iid_median_span", medians[-1] - medians[0], 0.0, medians[-1] > medians[0]),
+        _at_least("iid_median_strictly_increasing", float(increasing), 1.0),
+        ("iid_median_span", span, 0.0, span > 0.0),  # strictly: a flat trend fails
     )
     files = {"iid_vs_hierarchical.csv": (("n", "solver", "K", "seed", "discrepancy"), rows)}
     return checks, files, "iid_vs_hierarchical.csv", "line", ()
@@ -378,9 +390,9 @@ def _exp_df_stats(cfg):
         b = sample_df(depth, s)
         couple_gap = max(couple_gap, float(np.max(np.abs(a.y - b.y))))
     checks = (
-        ("ks_uniform", ks, 0.02, ks <= 0.02),
-        ("mean_gap", mean_gap, 0.01, mean_gap <= 0.01),
-        ("coupling_gap", couple_gap, 0.0, couple_gap == 0.0),
+        _at_most("ks_uniform", ks, 0.02),
+        _at_most("mean_gap", mean_gap, 0.01),
+        _at_most("coupling_gap", couple_gap, 0.0),
     )
     files = {
         "df_stats.csv": (
@@ -406,10 +418,10 @@ def _exp_psi_q_certificates(cfg):
             all_ok = all_ok and rep.passed
             slack_min = min(slack_min, rep.worst_slack)
             rows.append((float(q), int(s), rep.worst_slack, int(rep.passed)))
-    # a certificate passes down to verify_mass_ratios' default tolerance
+    # a certificate passes down to verify_mass_ratios' tolerance
     checks = (
-        ("all_certified", float(all_ok), 1.0, all_ok),
-        ("worst_slack_min", slack_min, -1e-12, slack_min >= -1e-12),
+        _at_least("all_certified", float(all_ok), 1.0),
+        _at_least("worst_slack_min", slack_min, -_SLACK_TOL),
     )
     files = {"psi_q_certificates.csv": (("q", "seed", "worst_slack", "passed"), rows)}
     return checks, files, "psi_q_certificates.csv", "line", ()
@@ -431,8 +443,8 @@ def _exp_anorm_growth(cfg):
     increasing = all(x < y for x, y in zip(abrupt, abrupt[1:]))
     t_ratio = max(tapered) / tapered[0]
     checks = (
-        ("abrupt_strictly_increasing", float(increasing), 1.0, increasing),
-        ("tapered_max_over_first", t_ratio, 2.0, t_ratio <= 2.0),
+        _at_least("abrupt_strictly_increasing", float(increasing), 1.0),
+        _at_most("tapered_max_over_first", t_ratio, 2.0),
     )
     files = {"anorm_growth.csv": (("N", "abrupt_anorm", "tapered_anorm"), rows)}
     return checks, files, "anorm_growth.csv", "line", ()
@@ -450,6 +462,13 @@ def _check_anorm_growth(cfg, p):
     top = max(p["N_list"])
     if 4 * top > 1 << m:
         raise ResolutionError(f"N={top} needs a grid finer than 2**{m} (N <= 2**(m-2))")
+
+
+def _check_ac_diagnostics(cfg, p):
+    # a growth ratio needs two levels, and a sample has depth of them
+    if DFParams(p["depth"]).depth < 2:
+        raise ValueError("depth must be at least 2, for two levels")
+    _check_p_list(p["p_list"])
 
 
 def _check_derand_full(cfg, p):
@@ -492,16 +511,13 @@ def _exp_derand_full(cfg):
         ),
     }
     checks = [
-        ("identity_max", res.identity_max, dcfg.identity_tol,
-         res.identity_max <= dcfg.identity_tol),
-        ("shape_fraction", shape["fraction"], 0.9, shape["passed"]),
-        ("certificate", float(cert.passed), 1.0, cert.passed),
-        ("sup_vs_3norm", sup_warp, 3.0 * sup_f, sup_warp <= 3.0 * sup_f),
+        _at_most("identity_max", res.identity_max, dcfg.identity_tol),
+        _at_least("shape_fraction", shape["fraction"], _SHAPE_BAR),
+        _at_least("certificate", float(cert.passed), 1.0),
+        _at_most("sup_vs_3norm", sup_warp, 3.0 * sup_f),
     ]
     if spec.kind == "kk_example":
-        checks.append(
-            ("sup_vs_baseline", sup_warp, sup_base, sup_warp <= sup_base)
-        )
+        checks.append(_at_most("sup_vs_baseline", sup_warp, sup_base))
     return tuple(checks), files, "deviations.csv", "heatmap", ()
 
 
@@ -510,7 +526,6 @@ def _exp_ac_diagnostics(cfg):
     f = spec.build()
     p = _params(cfg)
     depth = p["depth"]
-    p_list = tuple(p["p_list"])
     seeds = cfg.seeds or tuple(range(8))
     q = confinement_map(f, depth=depth).with_floor()
     params = DFParams(depth, q)
@@ -519,15 +534,15 @@ def _exp_ac_diagnostics(cfg):
     worst = 0.0
     for s in seeds:
         h = sample_psi_q(params, s)
-        rep = ac_diagnostics(h, p_list)
+        rep = ac_diagnostics(h, p["p_list"])
         all_ok = all_ok and rep.consistent
         worst = max(worst, rep.worst_ratio)
         for i, pv in enumerate(rep.p_values):
             for j, lev in enumerate(rep.levels):
                 rows.append((int(s), float(pv), int(lev), rep.norms[i][j]))
     checks = (
-        ("all_consistent", float(all_ok), 1.0, all_ok),
-        ("worst_growth_ratio", worst, 1.1, worst <= 1.1),
+        _at_least("all_consistent", float(all_ok), 1.0),
+        _at_most("worst_growth_ratio", worst, 1.0 + _GROWTH_TOL),
     )
     files = {"ac_diagnostics.csv": (("seed", "p", "level", "norm"), rows)}
     return checks, files, None, None, ()
@@ -566,7 +581,7 @@ EXPERIMENTS = {
         _exp_psi_q_certificates,
         ("seeds",),
         {"q_list": (0.25, 0.5, 0.75, 0.9), "depth": 10},
-        lambda cfg, p: DFParams(p["depth"]),
+        lambda cfg, p: [DFParams(p["depth"], q) for q in p["q_list"]],
     ),
     "anorm-growth": _Experiment(
         _exp_anorm_growth,
@@ -584,13 +599,19 @@ EXPERIMENTS = {
         _exp_ac_diagnostics,
         ("corpus", "seeds"),
         {"depth": 12, "p_list": (1.0, 2.0, 4.0)},
-        lambda cfg, p: DFParams(p["depth"]),
+        _check_ac_diagnostics,
     ),
 }
 
 
-# params holding lists of matrix or frequency sizes, each a positive count
-_SIZE_LISTS = ("n_list", "N_list")
+# what each list-valued params key holds; every such list must be nonempty
+_LISTS = {
+    "n_list": "positive integers",
+    "N_list": "positive integers",
+    "blocks": "block sizes",
+    "q_list": "budgets in (0, 1]",
+    "p_list": "finite reals >= 1",
+}
 
 
 def _params(cfg: ExperimentConfig) -> dict:

@@ -10,6 +10,7 @@ onto itself fixing both endpoints, so they extend to circle maps fixing 0.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -52,6 +53,12 @@ def _whole(value, low: int | None, message: str) -> int:
     ):
         return int(value)
     raise ValueError(message)
+
+
+def _finite_real(value) -> bool:
+    """True for a finite real number that is no bool: a boolean weight or
+    exponent is a slip, and a NaN fails every comparison without a word."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _exponent(m) -> int:

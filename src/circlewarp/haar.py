@@ -38,6 +38,11 @@ __all__ = [
     "perturbed_square_wave",
 ]
 
+# |f| may exceed 1 by this much and still count as sup-normalized
+_SUP_TOL = 1e-12
+# the default floor 2**(-n * _FLOOR_EXPONENT) of a rank-n budget
+_FLOOR_EXPONENT = 0.25
+
 
 @dataclass(frozen=True, eq=False)
 class HaarCoeffs:
@@ -147,7 +152,7 @@ class ConfinementMap:
             raise ValueError("k must be odd")
         return float(self.rank_values(n)[(k - 1) // 2])
 
-    def with_floor(self, floor_exponent: float = 0.25) -> "ConfinementMap":
+    def with_floor(self, floor_exponent: float = _FLOOR_EXPONENT) -> "ConfinementMap":
         return ConfinementMap(self.levels, floor_exponent)
 
 
@@ -158,7 +163,7 @@ def confinement_map(f: SampledFunction, depth: int | None = None) -> Confinement
     first. Values are the plain energy formula without any floor; apply
     .with_floor() before feeding samplers that need strictly positive budgets.
     """
-    if f.sup_norm() > 1.0 + 1e-12:
+    if f.sup_norm() > 1.0 + _SUP_TOL:
         raise ValueError("confinement_map needs |f| <= 1; apply normalize_sup first")
     depth = f.m if depth is None else _whole(depth, 1, "depth must be >= 1")
 

@@ -21,6 +21,7 @@ __all__ = ["emit_plot"]
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 24, 28, 46
+_PW, _PH = _W - _ML - _MR, _H - _MT - _MB  # the plot area inside the margins
 _PALETTE = ("#1f5fa8", "#c24f33", "#3a8a43", "#7b4fa0", "#b08a1e", "#3e8ba0")
 
 
@@ -71,49 +72,67 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
+def _frame() -> str:
+    """The outline of the plot area."""
+    return (
+        f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" '
+        'fill="none" stroke="#888" stroke-width="1"/>'
+    )
+
+
+def _axis_labels(x_label: str, y_label: str) -> list:
+    """The x label under the plot area and the y label, rotated, left of it."""
+    return [
+        f'<text x="{_ML + _PW / 2:.2f}" y="{_H - 8}" font-size="12" '
+        f'text-anchor="middle" fill="#222">{_esc(x_label)}</text>',
+        f'<text x="14" y="{_MT + _PH / 2:.2f}" font-size="12" text-anchor="middle" '
+        f'fill="#222" transform="rotate(-90 14 {_MT + _PH / 2:.2f})">{_esc(y_label)}</text>',
+    ]
+
+
+def _x_tick_label(x, value) -> str:
+    """A tick label under the plot area at x."""
+    return (
+        f'<text x="{x:.2f}" y="{_MT + _PH + 16}" font-size="10" '
+        f'text-anchor="middle" fill="#444">{_fmt(value)}</text>'
+    )
+
+
+def _y_tick_label(y, value) -> str:
+    """A tick label left of the plot area at y."""
+    return (
+        f'<text x="{_ML - 6}" y="{y + 3:.2f}" font-size="10" '
+        f'text-anchor="end" fill="#444">{_fmt(value)}</text>'
+    )
+
+
 def _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label):
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def sx(v):
-        return _ML + (v - x_lo) / (x_hi - x_lo) * pw
+        return _ML + (v - x_lo) / (x_hi - x_lo) * _PW
 
     def sy(v):
-        return _MT + ph - (v - y_lo) / (y_hi - y_lo) * ph
+        return _MT + _PH - (v - y_lo) / (y_hi - y_lo) * _PH
 
-    parts = [
-        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
-        'fill="none" stroke="#888" stroke-width="1"/>'
-    ]
+    parts = [_frame()]
     for t in _ticks(x_lo, x_hi):
         x = sx(t)
         parts.append(
-            f'<line x1="{x:.2f}" y1="{_MT + ph}" x2="{x:.2f}" y2="{_MT + ph + 4}" stroke="#888"/>'
+            f'<line x1="{x:.2f}" y1="{_MT + _PH}" x2="{x:.2f}" y2="{_MT + _PH + 4}" '
+            'stroke="#888"/>'
         )
-        parts.append(
-            f'<text x="{x:.2f}" y="{_MT + ph + 16}" font-size="10" '
-            f'text-anchor="middle" fill="#444">{_fmt(t)}</text>'
-        )
+        parts.append(_x_tick_label(x, t))
     for t in _ticks(y_lo, y_hi):
         y = sy(t)
         parts.append(
             f'<line x1="{_ML - 4}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="#888"/>'
         )
-        parts.append(
-            f'<text x="{_ML - 6}" y="{y + 3:.2f}" font-size="10" '
-            f'text-anchor="end" fill="#444">{_fmt(t)}</text>'
-        )
-    parts.append(
-        f'<text x="{_ML + pw / 2:.2f}" y="{_H - 8}" font-size="12" '
-        f'text-anchor="middle" fill="#222">{_esc(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{_MT + ph / 2:.2f}" font-size="12" text-anchor="middle" '
-        f'fill="#222" transform="rotate(-90 14 {_MT + ph / 2:.2f})">{_esc(y_label)}</text>'
-    )
+        parts.append(_y_tick_label(y, t))
+    parts += _axis_labels(x_label, y_label)
     return parts, sx, sy
 
 
@@ -206,40 +225,21 @@ def _heatmap_svg(header, data, numeric):
     v_lo = min(cells.values())
     v_hi = max(cells.values())
     span = (v_hi - v_lo) or 1.0
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
-    cw, ch = pw / len(xs), ph / len(ys)
+    cw, ch = _PW / len(xs), _PH / len(ys)
     col = {x: i for i, x in enumerate(xs)}
     row = {y: i for i, y in enumerate(ys)}
     parts = []
     for (x, y), v in sorted(cells.items()):
         px = _ML + col[x] * cw
-        py = _MT + ph - (row[y] + 1) * ch
+        py = _MT + _PH - (row[y] + 1) * ch
         parts.append(
             f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw:.2f}" height="{ch:.2f}" '
             f'fill="{_heat_color((v - v_lo) / span)}"/>'
         )
-    for i, x in enumerate(xs):
-        parts.append(
-            f'<text x="{_ML + (i + 0.5) * cw:.2f}" y="{_MT + ph + 16}" font-size="10" '
-            f'text-anchor="middle" fill="#444">{_fmt(x)}</text>'
-        )
-    for j, y in enumerate(ys):
-        parts.append(
-            f'<text x="{_ML - 6}" y="{_MT + ph - (j + 0.5) * ch + 3:.2f}" font-size="10" '
-            f'text-anchor="end" fill="#444">{_fmt(y)}</text>'
-        )
-    parts.append(
-        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
-        'fill="none" stroke="#888" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{_ML + pw / 2:.2f}" y="{_H - 8}" font-size="12" '
-        f'text-anchor="middle" fill="#222">{_esc(header[xi])}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{_MT + ph / 2:.2f}" font-size="12" text-anchor="middle" '
-        f'fill="#222" transform="rotate(-90 14 {_MT + ph / 2:.2f})">{_esc(header[yi])}</text>'
-    )
+    parts += [_x_tick_label(_ML + (i + 0.5) * cw, x) for i, x in enumerate(xs)]
+    parts += [_y_tick_label(_MT + _PH - (j + 0.5) * ch, y) for j, y in enumerate(ys)]
+    parts.append(_frame())
+    parts += _axis_labels(header[xi], header[yi])
     parts.append(
         f'<text x="{_ML}" y="{_MT - 10}" font-size="11" fill="#333">'
         f"{_esc(header[vi])}: {_fmt(v_lo)} (light) to {_fmt(v_hi)} (dark)</text>"
@@ -252,9 +252,7 @@ def emit_plot(table_path, kind: str) -> str:
     if kind not in ("line", "heatmap"):
         raise ValueError("kind must be 'line' or 'heatmap'")
     header, data, numeric = _read_table(table_path)
-    parts = _line_svg(header, data, numeric) if kind == "line" else _heatmap_svg(
-        header, data, numeric
-    )
+    parts = (_line_svg if kind == "line" else _heatmap_svg)(header, data, numeric)
     body = "\n".join(parts)
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .grid import DyadicPoint, PLHomeo, ResolutionError, _whole
+from .grid import DyadicPoint, PLHomeo, ResolutionError, _finite_real, _whole
 from .haar import ConfinementMap
 from .rng import rank_uniforms
 
@@ -39,6 +39,17 @@ __all__ = [
 ]
 
 _MAX_DEPTH = 24  # 2**24 + 1 breakpoints is already 128 MiB of float64
+# a mass-ratio certificate passes while its worst slack is at least -_SLACK_TOL
+_SLACK_TOL = 1e-12
+# ac_diagnostics calls h consistent when no norm grows by more than the
+# factor 1 + _GROWTH_TOL per level across the last _GROWTH_WINDOW levels.
+# 0.1 sits between the noise band of certified absolutely-continuous samples
+# (floored budgets from smooth inputs stay below ~1.07 per level at depth
+# 12, the L^4 norm being max-dominated and noisy) and genuinely singular
+# recursion samples, whose per-level growth settles near (1 + q^2/3)^(1/2),
+# about 1.15 at q = 0.99, and is sustained rather than isolated.
+_GROWTH_TOL = 0.1
+_GROWTH_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -63,8 +74,8 @@ class DFParams:
                 raise ValueError(
                     "budget maps must carry a floor (use .with_floor()) so every value is positive"
                 )
-        elif not 0.0 < float(self.q) <= 1.0:
-            raise ValueError("constant budget must lie in (0, 1]")
+        elif not (_finite_real(self.q) and 0.0 < self.q <= 1.0):
+            raise ValueError("constant budget must be a real number in (0, 1]")
         orientation = self.orientation
         if orientation is None:
             orientation = "direct" if self.is_constant else "inverse"
@@ -140,14 +151,15 @@ class MassRatioReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def verify_mass_ratios(h: PLHomeo, params: DFParams, tol: float = 1e-12) -> MassRatioReport:
+def verify_mass_ratios(h: PLHomeo, params: DFParams) -> MassRatioReport:
     """Certify every parent/child image ratio against the budget bounds.
 
     For each dyadic point d of rank n <= params.depth with surrounding
     interval I, the ratio |h(left half of I)| / |h(I)| must lie inside
     [(1-q(d))/2, (1+q(d))/2]. The check is exhaustive and deterministic;
-    it holds for every confined sample by construction, so a failure
-    indicates the homeomorphism was not produced at these parameters.
+    it holds for every confined sample by construction, so a failure (a
+    slack below -_SLACK_TOL) indicates the homeomorphism was not produced at
+    these parameters.
     Under inverse orientation the certificate applies to the inverse map.
     All ranks are checked in one pass; the worst point is the first
     minimum of the slack, in rank order and left to right within a rank.
@@ -181,7 +193,7 @@ def verify_mass_ratios(h: PLHomeo, params: DFParams, tol: float = 1e-12) -> Mass
         q = float(params.q)
         holder = (math.log2(2.0 / (1.0 + q)), math.log2(2.0 / (1.0 - q)))
     return MassRatioReport(
-        passed=bool(worst_slack >= -tol),
+        passed=bool(worst_slack >= -_SLACK_TOL),
         depth=depth,
         checks=size - 1,
         worst_slack=worst_slack,
@@ -209,49 +221,42 @@ class ACReport:
     levels: tuple
     p_values: tuple
     norms: tuple  # norms[i][j] = |h'_level|_p for levels[j], p_values[i]
-    tol: float
     worst_ratio: float
     consistent: bool
 
 
-def ac_diagnostics(
-    h: PLHomeo,
-    p_list: Sequence[float] = (1.0, 2.0, 4.0),
-    level_max: int | None = None,
-    tol: float = 0.1,
-    window: int = 3,
-) -> ACReport:
+def _check_p_list(p_list) -> tuple:
+    """The exponents of p_list as floats. Anything but a nonempty list of
+    finite reals >= 1 raises ValueError: an empty list computes no norm and
+    would pass, and an exponent below 1 is no norm."""
+    p_values = tuple(p_list) if isinstance(p_list, Iterable) else ()
+    if not p_values or not all(_finite_real(p) and p >= 1.0 for p in p_values):
+        raise ValueError("p_list must be a nonempty list of finite reals >= 1")
+    return tuple(float(p) for p in p_values)
+
+
+def ac_diagnostics(h: PLHomeo, p_list: Sequence[float] = (1.0, 2.0, 4.0)) -> ACReport:
     """L^p norms of the level-wise difference quotients of h.
 
     Level ell replaces h by its piecewise-linear interpolant on the rank-ell
     grid and takes the step-function derivative h'_ell; its L^p norm is
-    (2^-ell * sum slopes^p)^(1/p). If h has an L^p derivative these norms
-    converge, so the verdict is "consistent" when each norm grows by at most
-    the factor 1 + tol per level across the last `window` levels. A verdict,
-    not a proof: singular maps reveal themselves by sustained growth.
-
-    The default tolerance 0.1 sits between the noise band of certified
-    absolutely-continuous samples (floored budgets from smooth inputs stay
-    below ~1.07 per level at depth 12, the L^4 norm being max-dominated and
-    noisy) and genuinely singular recursion samples, whose per-level growth
-    settles near (1 + q^2/3)^(1/2), about 1.15 at q = 0.99, and is sustained
-    rather than isolated.
+    (2^-ell * sum slopes^p)^(1/p). The levels run from 1 to log2 of h's
+    interval count. If h has an L^p derivative these norms converge, so the
+    verdict is "consistent" when each norm grows by at most the factor
+    1 + _GROWTH_TOL per level across the last _GROWTH_WINDOW levels. A
+    verdict, not a proof: singular maps reveal themselves by sustained growth.
     """
-    if any(p < 1.0 for p in p_list):
-        raise ValueError("p values must be >= 1")
-    window = _whole(window, 2, "window must cover at least two levels")
-    if level_max is None:
-        level_max = max(1, round(math.log2(max(len(h.x) - 1, 2))))
-    level_max = _whole(level_max, 2, "need at least two levels to form a ratio")
-    norms = []
-    for p in p_list:
-        norms.append([])
+    p_values = _check_p_list(p_list)
+    level_max = _whole(
+        round(math.log2(max(len(h.x) - 1, 2))), 2, "need at least two levels to form a ratio"
+    )
+    norms = [[] for _ in p_values]
     for ell in range(1, level_max + 1):
         grid = np.arange((1 << ell) + 1) / (1 << ell)
         slopes = np.diff(h.eval(grid)) * (1 << ell)
-        for i, p in enumerate(p_list):
-            norms[i].append(float(np.mean(slopes ** p) ** (1.0 / p)))
-    lo = max(0, level_max - window)
+        for row, p in zip(norms, p_values):
+            row.append(float(np.mean(slopes ** p) ** (1.0 / p)))
+    lo = max(0, level_max - _GROWTH_WINDOW)
     worst = 0.0
     for row in norms:
         tail = row[lo:]
@@ -259,9 +264,8 @@ def ac_diagnostics(
             worst = max(worst, b / a)
     return ACReport(
         levels=tuple(range(1, level_max + 1)),
-        p_values=tuple(float(p) for p in p_list),
+        p_values=p_values,
         norms=tuple(tuple(row) for row in norms),
-        tol=tol,
         worst_ratio=worst,
-        consistent=bool(worst <= 1.0 + tol),
+        consistent=bool(worst <= 1.0 + _GROWTH_TOL),
     )

@@ -13,13 +13,11 @@ merge level at a time.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _whole
+from .grid import _finite_real, _whole
 from .rng import tagged_generator
 
 __all__ = [
@@ -350,7 +348,7 @@ def _check_lam(lam) -> None:
     """Reject a potential weight that is not a finite real (booleans
     included): with a NaN weight every score is NaN, and the argmin would
     keep the first candidate, all +1, without a word."""
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam):
+    if not _finite_real(lam):
         raise ValueError("lam must be a finite real")
 
 

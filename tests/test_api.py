@@ -20,7 +20,6 @@ from circlewarp import (
     DyadicPoint,
     ExperimentConfig,
     SampledFunction,
-    ac_diagnostics,
     build_synthetic_matrix,
     confinement_map,
     compose,
@@ -191,7 +190,6 @@ def test_whole_number_checks_live_in_one_helper():
 
 F6 = SampledFunction.from_callable(6, lambda t: np.sin(2 * np.pi * t) * np.cos(6 * np.pi * t))
 V16 = build_synthetic_matrix(16, "random_signs_decay", seed=2)
-H5 = sample_df(5, 1)
 
 
 def rank_state(n_active, ell=0):
@@ -244,14 +242,6 @@ WHOLE_ARGUMENTS = {
     ("DFParams", "depth"): (DFParams, "depth must be a positive integer"),
     ("sample_df", "depth"): (lambda x: sample_df(x, 1), "depth must be a positive integer"),
     ("sample_df", "seed"): (lambda x: sample_df(3, x), "seed must be an integer"),
-    ("ac_diagnostics", "level_max"): (
-        lambda x: ac_diagnostics(H5, level_max=x),
-        "need at least two levels",
-    ),
-    ("ac_diagnostics", "window"): (
-        lambda x: ac_diagnostics(H5, window=x),
-        "window must cover at least two levels",
-    ),
     ("dirichlet_kernel", "n"): (lambda x: dirichlet_kernel(x, 0.1), "degree must be >= 0"),
     ("kernel_block_matrix", "n"): (kernel_block_matrix, "need n >= 1"),
     ("kernel_block_integral", "n"): (lambda x: kernel_block_integral(x, 0, 1), "need n >= 1"),

@@ -109,6 +109,23 @@ def test_solver_block_and_retries_rejected_up_front(solver, params, message):
         ExperimentConfig("signs-trend", solver=solver, params=params)
 
 
+LIST_PARAMS = [
+    (name, key)
+    for name, exp in EXPERIMENTS.items()
+    for key, default in exp.params.items()
+    if isinstance(default, tuple)
+]
+
+
+@pytest.mark.parametrize("experiment, key", LIST_PARAMS, ids=["-".join(r) for r in LIST_PARAMS])
+@pytest.mark.parametrize("value", [[], 2.0], ids=["empty", "scalar"])
+def test_every_list_param_must_be_a_nonempty_list(experiment, key, value):
+    # an empty p_list passed with no norm computed and an empty q_list
+    # crashed in the plot; every list-valued key now meets one rule
+    with pytest.raises(ValueError, match=f"params {key} must be a nonempty list of "):
+        ExperimentConfig(experiment, params={key: value})
+
+
 def test_unknown_params_rejected_with_valid_names():
     with pytest.raises(ValueError, match="unknown params for kernel-decay: nlist; valid: n_list"):
         ExperimentConfig("kernel-decay", params={"nlist": [4]})
@@ -667,6 +684,30 @@ def test_cli_run_unread_section_exit_two(tmp_path, capsys):
     assert "config error: sections derand-full does not read: solver" in (
         capsys.readouterr().err
     )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, params, message",
+    [
+        ("ac-diagnostics", {"p_list": []}, "p_list must be a nonempty list of finite reals"),
+        ("ac-diagnostics", {"p_list": [0.5]}, "p_list must be a nonempty list of finite reals"),
+        ("ac-diagnostics", {"depth": 1}, "depth must be at least 2"),
+        ("psi-q-certificates", {"q_list": []}, "q_list must be a nonempty list of budgets"),
+        ("psi-q-certificates", {"q_list": [1.5]}, "constant budget must be a real number in"),
+    ],
+    ids=["empty p_list", "p below 1", "one level", "empty q_list", "q above 1"],
+)
+def test_cli_run_bad_value_lists_exit_two(tmp_path, capsys, experiment, params, message):
+    # an empty p_list passed with no norm computed, an empty q_list crashed
+    # in the plot, and the other values failed only once the work had begun
+    cfg = _write_config(
+        tmp_path / "bad.json",
+        {"experiment": experiment, "output_dir": str(tmp_path / "out"), "params": params},
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
 
 

@@ -49,10 +49,10 @@ def test_whole_float_depth_is_stored_as_int():
 
 
 def test_params_rejects_bad_budget():
-    with pytest.raises(ValueError):
-        DFParams(4, q=0.0)
-    with pytest.raises(ValueError):
-        DFParams(4, q=1.5)
+    # float() read "0.5" as 0.5 and True as 1.0 without a word
+    for q in (0.0, 1.5, "0.5", True, float("nan")):
+        with pytest.raises(ValueError, match="constant budget must be a real number in"):
+            DFParams(4, q=q)
 
 
 def test_params_requires_floored_budget_map():
@@ -363,9 +363,17 @@ def test_ac_accepts_adaptive_budget_sample():
 
 
 def test_ac_rejects_bad_arguments():
+    # an empty list computed no norm and passed; inf, NaN, a boolean and a
+    # string are no exponents
     grid = np.arange(17) / 16
     ident = PLHomeo(grid, grid.copy())
-    with pytest.raises(ValueError):
-        ac_diagnostics(ident, p_list=(0.5,))
-    with pytest.raises(ValueError):
-        ac_diagnostics(ident, window=1)
+    for p_list in [(0.5,), (), (float("inf"),), (float("nan"),), (2.0, True), ("2",), 2.0]:
+        with pytest.raises(ValueError, match="p_list must be a nonempty list of finite reals >= 1"):
+            ac_diagnostics(ident, p_list=p_list)
+
+
+def test_ac_needs_two_levels():
+    # the levels come from the breakpoints: 2 intervals make one level
+    grid = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="need at least two levels"):
+        ac_diagnostics(PLHomeo(grid, grid.copy()))
