@@ -65,6 +65,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._fork import _fork_map
+from ._pltable import _PLTable
 from .fourier import _check_degree, _whole_degrees, sup_partial_sums
 from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, _whole
 from .haar import _FLOOR_EXPONENT, _SUP_TOL, ConfinementMap, confinement_map, normalize_sup
@@ -198,7 +199,9 @@ class DerandConfig:
     * The value-engine plan (see value_plan): Gauss-Legendre node counts
       for the live window (panels x nodes) and for each untouched rank
       below the active one, shallow up to rank shallow_rank_max and deep
-      past it; ranks past the tuple are frozen at conditional centers."""
+      past it; ranks past the tuple are frozen at conditional centers. The
+      window's rule and the levels' 2-point panels are the rules that
+      _GL_RULES holds."""
 
     ell_max: int = 6
     j_tol: float = 2.0**-20
@@ -324,84 +327,29 @@ class DerandState:
 # --- shared lookup tables ----------------------------------------------------
 
 
-class _PLTable:
-    """Piecewise-linear interpolant of the samples plus its antiderivative.
+class _Workspace:
+    """Named flat buffers that the blocks of one value-profile job reuse,
+    so that its frozen tail and its level means allocate nothing per block:
+    view(name, shape) is the start of buffer `name` as that shape. A buffer
+    holds _BLOCK elements and grows only for a larger block. The views are
+    kept, since most blocks of a job share their shape."""
 
-    Piece p covers [p, p+1] / 2**m; F is the exact integral of the
-    interpolant from 0, so window means of f are quotients of F values.
-    half_slopes and inv_size are exact rescalings (powers of two), so the
-    lookups below round exactly as the textbook expressions in their
-    docstrings do."""
+    __slots__ = ("_bufs", "_views")
 
-    __slots__ = ("m", "size", "inv_size", "values", "slopes", "half_slopes", "cum")
+    def __init__(self):
+        self._bufs = {}
+        self._views = {}
 
-    def __init__(self, f: SampledFunction):
-        self.m = f.m
-        self.size = 1 << f.m
-        self.inv_size = 2.0**-f.m
-        v = np.asarray(f.values, dtype=float)
-        nxt = np.roll(v, -1)
-        self.values = v
-        self.slopes = (nxt - v) * self.size
-        self.half_slopes = 0.5 * self.slopes
-        self.cum = np.concatenate([[0.0], np.cumsum((v + nxt) * (0.5 / self.size))])
-
-    def piece(self, u):
-        p = (np.asarray(u) * self.size).astype(np.int64)
-        return np.clip(p, 0, self.size - 1, out=p)
-
-    def _offset(self, u, p):
-        du = p * self.inv_size
-        return np.subtract(u, du, out=du)
-
-    def f_at(self, u):
-        """values[p] + slopes[p] * (u - p / size), p = piece(u)."""
-        p = self.piece(u)
-        du = self._offset(u, p)
-        du *= self.slopes.take(p)
-        du += self.values.take(p)
-        return du
-
-    def F_at(self, u):
-        """cum[p] + (values[p] + 0.5 * slopes[p] * du) * du, du = u - p / size,
-        p = piece(u)."""
-        p = self.piece(u)
-        du = self._offset(u, p)
-        out = self.half_slopes.take(p)
-        out *= du
-        out += self.values.take(p)
-        out *= du
-        out += self.cum.take(p)
+    def view(self, name, shape, dtype=float):
+        out = self._views.get((name, shape))
+        if out is None:
+            size = math.prod(shape)
+            buf = self._bufs.get(name)
+            if buf is None or buf.size < size:
+                buf = self._bufs[name] = np.empty(max(size, _BLOCK), dtype)
+                self._views = {key: v for key, v in self._views.items() if key[0] != name}
+            out = self._views[name, shape] = buf[:size].reshape(shape)
         return out
-
-    def lookup(self, u, p):
-        """F and f at u on piece p, and half_slopes[p], from one offset and
-        one gather of each table; f is evaluated as values[p] + 2 * (half
-        slope * du), which may differ from f_at in the last bit."""
-        du = self._offset(u, p)
-        half = self.half_slopes.take(p)
-        rise = half * du
-        g = self.values.take(p)
-        g += rise
-        F = g * du
-        F += self.cum.take(p)
-        g += rise
-        return F, g, half
-
-    def mean_F(self, ulo, uhi):
-        """Mean of f over [ulo, uhi]; pointwise value when the window is
-        too short for the quotient to be trustworthy."""
-        ulo = np.asarray(ulo, dtype=float)
-        uhi = np.asarray(uhi, dtype=float)
-        w = uhi - ulo
-        tiny = w <= 1e-13
-        out = self.F_at(uhi)
-        out -= self.F_at(ulo)
-        if not tiny.any():
-            out /= w
-            return out
-        out /= np.where(tiny, 1.0, w)
-        return np.where(tiny, self.f_at(0.5 * (ulo + uhi)), out)
 
 
 def _q_table(q: ConfinementMap, m: int) -> np.ndarray:
@@ -446,21 +394,26 @@ def _constant_cells(state: DerandState) -> np.ndarray:
 
 # Work size, in array elements, of the blocks that every stage streams
 # through: the value engine's children of one descent step and its
-# frozen-tail means, and the Monte-Carlo paths with the buffer they are
-# summed in. Small enough that a block's temporaries stay in cache, and it
-# bounds the working set: no stage holds (rows x nodes) of a whole quadrature
-# level or (paths x grid points) of a whole batch. The sampler's draws come
-# in blocks of 16 * _BLOCK (2 MB, 64 paths at m=12 rank 1): each block of
-# paths seeks its draws of each rank in the Philox stream, and at m=12 rank 1
-# 10 000 paths take 1 884 seeks of about 4 us. Against a whole batch of
-# draws this took the traced m=12 rank-1 sampler from 17.8 to 3.2 MB, at the
-# same speed within the machine's spread. It cannot change a result: every
-# row is the same elementwise expression whatever the block, np.add.at meets
-# each grid point's terms in the same order (see _descend), a draw is the
-# same at its stream position whatever call reads it, and the sampler's sums
-# add the rows of a batch one by one in order, whatever the block. The window
-# engine needs no blocks: its work per half window is linear in the points
-# and in the f pieces that the points' lines reach.
+# frozen-tail means (whose temporaries are the _BLOCK-element buffers of one
+# _Workspace per profile job), and the Monte-Carlo paths with the buffer
+# they are summed in. Small enough that a block's temporaries stay in cache,
+# and it bounds the working set: no stage holds (rows x nodes) of a whole
+# quadrature level or (paths x grid points) of a whole batch. A workspace
+# reused across blocks, rather than fresh temporaries freed early, took the
+# traced m=12 rank-1 profile from 2.52 to 2.04 MB at the same speed (freeing
+# early: 1.96 MB, but +26 % CPU at m=10 through allocator churn). The
+# sampler's draws come in blocks of 16 * _BLOCK (2 MB, 64 paths at m=12
+# rank 1): each block of paths seeks its draws of each rank in the Philox
+# stream, and at m=12 rank 1 10 000 paths take 1 884 seeks of about 4 us.
+# Against a whole batch of draws this took the traced m=12 rank-1 sampler
+# from 17.8 to 3.2 MB, at the same speed within the machine's spread. It
+# cannot change a result: every row is the same elementwise expression
+# whatever the block or the buffer it is written into, np.add.at meets each
+# grid point's terms in the same order (see _descend), a draw is the same at
+# its stream position whatever call reads it, and the sampler's sums add the
+# rows of a batch one by one in order, whatever the block. The window engine
+# needs no blocks: its work per half window is linear in the points and in
+# the f pieces that the points' lines reach.
 _BLOCK = 1 << 14
 
 # Monte-Carlo paths per batch. A batch's draws are laid out in stream order
@@ -509,18 +462,23 @@ def _panels(table, F0, dS, dU, u, p):
     F, t, half = table.lookup(u, p)
     # with h the half slope, F(origin + d) - F0 = K + t d + h d**2 on the
     # panel, where t = f(u) - h dS and K = (F(u) - F0) - dS t; the integral
-    # is dU (t + h dU / 2) + K log1p(dU / dS)
-    t -= half * dS
-    out = half * dU
+    # is dU (t + h dU / 2) + K log1p(dU / dS). Each temporary is written over
+    # one that is dead, in the same ufuncs and order as fresh arrays.
+    scratch = half * dS
+    t -= scratch
+    out = np.multiply(half, dU, out=half)
     out *= 0.5
     out += t
     out *= dU
     F -= F0
-    F -= dS * t
+    F -= np.multiply(dS, t, out=scratch)
     # K vanishes at dS == 0, where the panel starts at the origin, so the log
     # term drops there
-    ratio = np.divide(dU, dS, out=np.zeros_like(dU), where=dS != 0.0)
-    out += F * np.log1p(ratio)
+    t.fill(0.0)
+    ratio = np.divide(dU, dS, out=t, where=dS != 0.0)
+    ratio = np.log1p(ratio, out=ratio)
+    ratio *= F  # F * log1p(ratio), bit for bit
+    out += ratio
     return out
 
 
@@ -581,21 +539,10 @@ def _side_integrals(table, origin, F0, c, z1, z2):
     first -= errA
     last = dB.take(cross) - ends.take(jBc)
     last += errB.take(cross)
-    # one lookup for the whole segments, each line's first panel (its only
-    # one if it crosses no node) and each crossing line's last panel
-    L = dA.size
-    panels = _panels(
-        table,
-        F0,
-        np.concatenate([ends[:nn], dA, ends.take(jBc)]),
-        np.concatenate([np.diff(ends[: nn + 1]), first, last]),
-        np.concatenate([starts_u[:nn], origin + dA, starts_u.take(jBc)]),
-        np.concatenate([piece[:nn], piece.take(jA), piece.take(jBc)]),
-    )
     # the whole segments summed outward, and the rounding error of each
     # addition (Knuth's two-sum) summed alongside: the prefix sums grow with
     # the distance from the origin, a line's integral only with its span
-    whole = panels[:nn]
+    whole = _panels(table, F0, ends[:nn], np.diff(ends[: nn + 1]), starts_u[:nn], piece[:nn])
     prefix = np.cumsum(whole)
     before = np.concatenate([[0.0], prefix])[:nn]
     added = prefix - before
@@ -603,8 +550,11 @@ def _side_integrals(table, origin, F0, c, z1, z2):
     a = jA.take(cross)
     b = jBc - 1
     between = (prefix.take(b) - prefix.take(a)) + (lost.take(b) - lost.take(a))
-    J = panels[nn : nn + L]
-    J[cross] += panels[nn + L :] + between
+    # each line's first panel (its only one if it crosses no node), then
+    # each crossing line's last panel: one lookup per kind of panel, so that
+    # no temporary spans all three
+    J = _panels(table, F0, dA, first, origin + dA, piece.take(jA))
+    J[cross] += _panels(table, F0, ends.take(jBc), last, starts_u.take(jBc), piece.take(jBc)) + between
     return J
 
 
@@ -766,9 +716,27 @@ def assemble_v_matrix(state: DerandState, degrees=None, config: DerandConfig | N
 
 # --- quadrature value engine ---------------------------------------------------
 
+# The two Gauss-Legendre rules the value plan reads, as the exact doubles of
+# numpy.polynomial.legendre.leggauss(k): 4 nodes on the live window and the
+# 2-point level panels. Written out, they keep numpy.polynomial (about 1 MB
+# of resident memory) out of the process; the closed forms would differ from
+# leggauss by 1-5 ulp at k = 4, and so move every profile.
+_GL_RULES = {
+    2: (("-0x1.279a74590331cp-1", "0x1.279a74590331cp-1"), ("0x1p+0", "0x1p+0")),
+    4: (
+        ("-0x1.b8e6dbcf63985p-1", "-0x1.5c23fd9dd3dfcp-2", "0x1.5c23fd9dd3dfcp-2", "0x1.b8e6dbcf63985p-1"),
+        ("0x1.64340f7e7b666p-2", "0x1.4de5f840c24cdp-1", "0x1.4de5f840c24cdp-1", "0x1.64340f7e7b666p-2"),
+    ),
+}
+
+
 @functools.cache
 def _gl_nodes(k: int):
-    return np.polynomial.legendre.leggauss(k)
+    """Nodes and weights of the k-point Gauss-Legendre rule on [-1, 1], for
+    the node counts that _GL_RULES holds."""
+    if k not in _GL_RULES:
+        raise ValueError(f"no {k}-point Gauss-Legendre rule: the value plan reads only {sorted(_GL_RULES)}")
+    return tuple(np.array([float.fromhex(v) for v in half]) for half in _GL_RULES[k])
 
 
 def _composite_gl(y1, y2, panels, k):
@@ -809,28 +777,29 @@ def _children(lo, hi, w, xl, mid_x, centers, hw, k, rows):
                 yield lo[sl].repeat(k), u, cw, xl[sl].repeat(k)
 
 
-def _cell_expectation(E, table, qtab, tail, state, i, sides, plan):
+def _cell_expectation(E, table, qtab, tail, state, i, sides, plan, ws):
     """Add to E the quadrature of the grid points strictly inside cell i's
     half cells that sides names: 0 the left one, 1 the right one, in
     ascending order. Every row stays inside the half cell it starts in, so
-    each half cell writes only its own range of E."""
+    each half cell writes only its own range of E. ws is the job's
+    _Workspace."""
     y_panels, y_nodes, level_nodes = plan
     m = table.m
     n = state.n_active
     seg = 1 << (m - n)  # segment width in grid units
     if seg < 2:
         return  # a half cell holds no grid point
-    ys, ws = _composite_gl(float(state.j_lo[i]), float(state.j_hi[i]), y_panels, y_nodes)
+    ys, y_wts = _composite_gl(float(state.j_lo[i]), float(state.j_hi[i]), y_panels, y_nodes)
     a = float(state.fixed_y[i])
     b = float(state.fixed_y[i + 1])
     lo = np.concatenate([ys if s else np.full(ys.size, a) for s in sides])
     hi = np.concatenate([np.full(ys.size, b) if s else ys for s in sides])
-    w = np.tile(ws, len(sides))
+    w = np.tile(y_wts, len(sides))
     xl = np.repeat((2 * i + np.asarray(sides, dtype=np.int64)) * seg, ys.size)
-    _descend(E, table, qtab, tail, (lo, hi, w, xl), seg, level_nodes[: m - n])
+    _descend(E, table, qtab, tail, (lo, hi, w, xl), seg, level_nodes[: m - n], ws)
 
 
-def _descend(E, table, qtab, tail, rows, seg, nodes):
+def _descend(E, table, qtab, tail, rows, seg, nodes, ws):
     """Add to E the window means of rows (lo, hi, w, xl), whose segments
     are seg grid units wide, at their midpoints, then those of their
     descendants: under nodes[0] for the next level, and so on, the children
@@ -842,21 +811,29 @@ def _descend(E, table, qtab, tail, rows, seg, nodes):
     frozen-tail segment), and all its terms come from the lower children, or
     all from the upper children, of parents that share one segment; the
     descent meets those parents in level order, as the levels built whole
-    did, so np.add.at adds the same terms in the same order."""
+    did, so np.add.at adds the same terms in the same order.
+
+    Every temporary of the window means, the levels' and the frozen tail's,
+    is a buffer of the workspace ws, written with the same ufuncs in the
+    same order as fresh arrays would be: no level holds its means while its
+    children descend, and a frozen-tail block allocates nothing that is as
+    large as the block."""
     lo, hi, w, xl = rows
     half = seg >> 1
     mid_x = xl + half
     centers = 0.5 * (lo + hi)
     hw = 0.5 * qtab[mid_x] * (hi - lo)
-    means = table.mean_F(centers - hw, centers + hw)
-    np.add.at(E, mid_x, w * means)
+    ulo = np.subtract(centers, hw, out=ws.view("lower", hw.shape))
+    means = table.mean_F(ulo, np.add(centers, hw, out=ws.view("pos", hw.shape)), ws)
+    means *= w  # w * means, bit for bit
+    np.add.at(E, mid_x, means)
     if half <= 1:
         return  # nothing deeper than the emitted midpoints
     k = nodes[0]
     if len(nodes) > 1:
         # about _BLOCK children per block
         for child in _children(lo, hi, w, xl, mid_x, centers, hw, k, max(1, _BLOCK // k)):
-            _descend(E, table, qtab, tail, child, half, nodes[1:])
+            _descend(E, table, qtab, tail, child, half, nodes[1:], ws)
         return
     # ranks past the quadrature tuple: ancestors frozen at conditional
     # centers, each point still integrated exactly over its own window;
@@ -865,15 +842,18 @@ def _descend(E, table, qtab, tail, rows, seg, nodes):
     frac = deltas / half
     parents = max(1, _BLOCK // (k * half))
     for b_lo, b_hi, b_w, b_xl in _children(lo, hi, w, xl, mid_x, centers, hw, k, parents):
+        shape = (b_lo.size, deltas.size)
         span = (b_hi - b_lo)[:, None]
-        g = b_xl[:, None] + deltas
-        pos = span * frac
+        g = np.add(b_xl[:, None], deltas, out=ws.view("index", shape, np.int64))
+        pos = np.multiply(span, frac, out=ws.view("pos", shape))
         pos += b_lo[:, None]
-        b_hw = tail.take(g)
+        # the half widths are dead once the window ends are formed, and
+        # mean_F writes the window widths over them
+        b_hw = tail.take(g, out=ws.view("width", shape), mode="clip")
         b_hw *= span
-        ulo = pos - b_hw
+        ulo = np.subtract(pos, b_hw, out=ws.view("lower", shape))
         pos += b_hw
-        vals = table.mean_F(ulo, pos)
+        vals = table.mean_F(ulo, pos, ws)
         vals *= b_w[:, None]
         np.add.at(E, g.ravel(), vals.ravel())
 
@@ -909,9 +889,10 @@ def _value_profile(state: DerandState, cfg: DerandConfig, half: int | None = Non
     if half is not None:
         units = units[cut:] if half else units[:cut]
     if units.size:
+        ws = _Workspace()
         # one call per cell, on those of its half cells that units holds
         for cell in np.split(units, np.flatnonzero(np.diff(units >> 1)) + 1):
-            _cell_expectation(E, table, qtab, tail, state, int(cell[0]) >> 1, cell & 1, plan)
+            _cell_expectation(E, table, qtab, tail, state, int(cell[0]) >> 1, cell & 1, plan, ws)
     if half is None:
         return E
     return E[start:] if half else E[:start]

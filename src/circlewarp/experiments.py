@@ -141,7 +141,10 @@ class ExperimentConfig:
             if not (isinstance(value, (list, tuple)) and value):
                 raise ValueError(message)
             if key in ("n_list", "N_list"):  # matrix or frequency sizes
-                self.params[key] = [_whole(size, 1, message) for size in value]
+                sizes = [_whole(size, 1, message) for size in value]
+                if (self.experiment, key) in _TRENDS and len(set(sizes)) < 2:
+                    raise ValueError(f"params {key} must be a list of at least two distinct {_LISTS[key]}")
+                self.params[key] = sizes
         # the block sizes, retries and weight solve_hierarchical would reject
         block, retries, seed, lam = _solver_args(self)
         _check_search(block, retries)
@@ -612,6 +615,10 @@ _LISTS = {
     "q_list": "budgets in (0, 1]",
     "p_list": "finite reals >= 1",
 }
+
+# the size lists whose experiments check a trend across the sizes, which
+# one size cannot show: their checks would pass without one, or fail late
+_TRENDS = {("signs-trend", "n_list"), ("iid-vs-hierarchical", "n_list"), ("anorm-growth", "N_list")}
 
 
 def _params(cfg: ExperimentConfig) -> dict:

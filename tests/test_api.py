@@ -291,9 +291,9 @@ WHOLE_ARGUMENTS = {
         params_row("psi-q-certificates", "depth"),
         "params depth must be",
     ),
-    # N_list [2] is resolved from m = 3 on (4 N <= 2**m)
+    # N_list [1, 2] is resolved from m = 3 on (4 N <= 2**m)
     ("ExperimentConfig", "anorm-growth m"): (
-        lambda x: ExperimentConfig("anorm-growth", params={"m": x, "N_list": [2]}),
+        lambda x: ExperimentConfig("anorm-growth", params={"m": x, "N_list": [1, 2]}),
         "params m must be",
     ),
     ("ExperimentConfig", "anorm-growth N_list"): (

@@ -4,9 +4,12 @@ import dataclasses
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1516,6 +1519,38 @@ def test_value_profile_is_pinned(m10_states, key):
     assert hashlib.sha256(profile.tobytes()).hexdigest() == M10_PROFILE_PINS[key]
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_gauss_rules_are_leggauss_bitwise(k):
+    # the plan's two rules are written out as leggauss's doubles; closed
+    # forms differ from them by 1-5 ulp at k = 4, which would move every pin
+    want = np.polynomial.legendre.leggauss(k)
+    got = derand._gl_nodes(k)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_gauss_rules_hold_only_the_plans_node_counts():
+    with pytest.raises(ValueError, match="no 3-point Gauss-Legendre rule"):
+        derand._gl_nodes(3)
+
+
+def test_run_leaves_numpy_polynomial_unimported():
+    # numpy.polynomial costs about 1 MB of resident memory, and a pass of
+    # the pipeline reads nothing from it
+    code = (
+        "import sys\n"
+        "from circlewarp import CorpusSpec, run\n"
+        "run(CorpusSpec('kk_example', {'k_max': 4}, 8).build(), 3)\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    package_root = str(Path(derand.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + os.pathsep + inherited if inherited else package_root)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+
+
 def traced_peak(fn):
     """fn's result and the peak of the memory it allocates, traced."""
     tracemalloc.start()
@@ -1528,16 +1563,36 @@ def traced_peak(fn):
     return out, peak - start
 
 
-@pytest.mark.parametrize("name", list(M10_CORPORA))
-def test_value_profile_working_set_is_bounded(m10_states, name):
+@pytest.mark.parametrize(
+    "key",
+    [("kk_example", 10), ("perturbed_square", 10), ("perturbed_square", 12)],
+    ids=["kk_example", "perturbed_square", "perturbed_square-m12"],
+)
+def test_value_profile_working_set_is_bounded(m10_states, m12_open_state, key):
     # a rank-1 profile walks 2**18 last-level rows per cell; built whole they
     # and their concatenation copies peaked at 14.0-14.7 MB whatever m is.
     # With only the last level streamed, the levels above it peaked at
-    # 5.3 MB at m=10; the descent streams every level: 2.4 MB
-    state = m10_states[name, 1]
+    # 5.3 MB at m=10; the descent streams every level: 2.36 MB at m=10 and
+    # 2.52 MB at m=12. With one reused workspace per job for the window
+    # means and the frozen tail: 1.90 MB and 2.04 MB; the bound keeps a
+    # 0.26 MB margin over the m=12 peak
+    name, m = key
+    state = m12_open_state if m == 12 else m10_states[name, 1]
     derand._value_profile(state, DerandConfig())  # warm the caches
     _, peak = traced_peak(lambda: derand._value_profile(state, DerandConfig()))
-    assert peak <= 4e6
+    assert peak <= 2.3e6
+
+
+def test_assemble_working_set_is_bounded(m12_open_state):
+    # the window engine's functional matrix of the m=12 rank-1 opening
+    # state, at the degrees run(f, 7) tracks: 2.13 MB when one panel lookup
+    # spanned every kind of panel of a side, 1.66 MB with one lookup per
+    # kind and _panels writing its temporaries over dead ones; the bound
+    # keeps a 0.24 MB margin
+    degrees = default_degrees(7, 12)
+    derand._assemble(m12_open_state, degrees, DerandConfig())  # warm the caches
+    _, peak = traced_peak(lambda: derand._assemble(m12_open_state, degrees, DerandConfig()))
+    assert peak <= 1.9e6
 
 
 @pytest.fixture(scope="module")
@@ -1642,12 +1697,12 @@ def test_a_failed_share_raises_here_and_leaves_no_child(site, share, monkeypatch
     if site == "profile":
         inner = derand._cell_expectation
 
-        def cell(E, table, qtab, tail, state, i, sides, plan):
+        def cell(E, table, qtab, tail, state, i, sides, *rest):
             if list(sides) == ([0] if share == "child" else [1]):
                 fail()
             if share == "parent":
                 stall()
-            return inner(E, table, qtab, tail, state, i, sides, plan)
+            return inner(E, table, qtab, tail, state, i, sides, *rest)
 
         monkeypatch.setattr(derand, "_cell_expectation", cell)
         call = lambda: derand.expected_composition(taper_state())

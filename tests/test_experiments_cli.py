@@ -695,12 +695,26 @@ def test_cli_run_unread_section_exit_two(tmp_path, capsys):
         ("ac-diagnostics", {"depth": 1}, "depth must be at least 2"),
         ("psi-q-certificates", {"q_list": []}, "q_list must be a nonempty list of budgets"),
         ("psi-q-certificates", {"q_list": [1.5]}, "constant budget must be a real number in"),
+        ("anorm-growth", {"N_list": [64]}, "N_list must be a list of at least two distinct"),
+        ("signs-trend", {"n_list": [64, 64]}, "n_list must be a list of at least two distinct"),
+        ("iid-vs-hierarchical", {"n_list": [512]}, "n_list must be a list of at least two distinct"),
     ],
-    ids=["empty p_list", "p below 1", "one level", "empty q_list", "q above 1"],
+    ids=[
+        "empty p_list",
+        "p below 1",
+        "one level",
+        "empty q_list",
+        "q above 1",
+        "one anorm size",
+        "one signs-trend size twice",
+        "one iid size",
+    ],
 )
 def test_cli_run_bad_value_lists_exit_two(tmp_path, capsys, experiment, params, message):
     # an empty p_list passed with no norm computed, an empty q_list crashed
-    # in the plot, and the other values failed only once the work had begun
+    # in the plot, and the other values failed only once the work had begun;
+    # one size passed anorm-growth's and signs-trend's trend checks without
+    # a trend to show, and failed iid-vs-hierarchical's only after its solves
     cfg = _write_config(
         tmp_path / "bad.json",
         {"experiment": experiment, "output_dir": str(tmp_path / "out"), "params": params},
