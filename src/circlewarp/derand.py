@@ -44,12 +44,13 @@ serial ones, and the records and guard reports are built from them in rank
 order. run certifies all its ranks in one list; advance certifies its rank,
 choose_halves its one halving and mc_cross_check its one state.
 
-A profile's two jobs are the earlier and the later half of its live half
-cells in grid order (_value_profile's half), each returning the slice of
-the profile below or from the first grid point of the later half; the two
-slices joined are the whole profile bit for bit. Every quadrature row
-stays inside the half cell it starts in, so a half cell writes only its own
-range of the profile. The rows of a subset of half cells keep their order
+A profile's two jobs are the earlier and the later half of the half cells
+that it integrates, in grid order (_value_profile's half); a half cell on
+which f is flat is filled with its constant instead. Each job returns the
+slice of the profile below or from the first grid point of the later half;
+the two slices joined are the whole profile bit for bit. Every quadrature
+row stays inside the half cell it starts in, so a half cell writes only its
+own range of the profile. The rows of a subset of half cells keep their order
 in every np.add.at, so each grid index receives the same additions in the
 same order. The sampler and the profile are pure functions of the state.
 """
@@ -183,10 +184,12 @@ class DerandConfig:
       cell. degrees=None tracks the default ladder.
     * Rows of the functional matrix whose largest entry is below row_tol are
       dropped before the sign search. Columns over constant cells (f flat on
-      the cell's pinned image) are exact zeros and always shrink to their
-      concentric middle half; null_tol applies to the other columns, which
-      carry no signal and shrink the same way when their largest kept entry
-      is below it. identity_tol bounds the averaging-identity residual.
+      the cell's pinned image, that is on the image ranges of both its half
+      cells; see _flat_half_cells) are exact zeros and always shrink to
+      their concentric middle half, and the value engine fills every flat
+      half cell with its constant; null_tol applies to the other columns,
+      which carry no signal and shrink the same way when their largest kept
+      entry is below it. identity_tol bounds the averaging-identity residual.
     * mc_check turns the Monte-Carlo guard on, with mc_samples paths per
       rank (at least 2, for a standard error).
 
@@ -379,17 +382,28 @@ def _cell_grid(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return edges, edges[:-1] + (1 << (m - n))
 
 
-def _constant_cells(state: DerandState) -> np.ndarray:
-    """Per live cell, whether the samples of f at indices floor(a 2**m) ..
-    ceil(b 2**m) (index 2**m wrapping to 0) are all equal, [a, b] being the
-    cell's pinned image: then the interpolant is constant on [a, b], and so
-    is f(warp(t)) for every t in the cell whatever the warp does there."""
+def _flat_half_cells(state: DerandState) -> np.ndarray:
+    """Per live cell (rows) and half cell (columns: 0 left, 1 right),
+    whether the samples of f at indices floor(lo 2**m) .. ceil(hi 2**m)
+    (index 2**m wrapping to 0) are all equal, [lo, hi] being the range that
+    the half cell's images can reach: [a, j_hi] for the left half and
+    [j_lo, b] for the right, [a, b] the cell's pinned image. Then the
+    interpolant is constant on [lo, hi], and so is f(warp(t)) for every t
+    in the half cell whatever the warp does there. One cumulative count of
+    the sample changes answers every range."""
     v = np.asarray(state.f.values, dtype=float)
     size = v.size
     steps = np.concatenate([[0], np.cumsum(v != np.roll(v, -1))])
-    lo = np.floor(state.fixed_y[:-1] * size).astype(np.int64)
-    hi = np.ceil(state.fixed_y[1:] * size).astype(np.int64)
-    return steps[hi] == steps[lo]
+    lo = np.stack([state.fixed_y[:-1], state.j_lo], axis=1)
+    hi = np.stack([state.j_hi, state.fixed_y[1:]], axis=1)
+    return steps[np.ceil(hi * size).astype(np.int64)] == steps[np.floor(lo * size).astype(np.int64)]
+
+
+def _constant_cells(state: DerandState) -> np.ndarray:
+    """Per live cell, whether f is flat on its whole pinned image [a, b]:
+    both its half cells are flat (_flat_half_cells), since their ranges
+    [a, j_hi] and [j_lo, b] overlap on the window and cover [a, b]."""
+    return _flat_half_cells(state).all(axis=1)
 
 
 # Work size, in array elements, of the blocks that every stage streams
@@ -860,35 +874,48 @@ def _descend(E, table, qtab, tail, rows, seg, nodes, ws):
 
 def _value_profile(state: DerandState, cfg: DerandConfig, half: int | None = None) -> np.ndarray:
     """Quadrature profile of the state, computed afresh (_certify keeps it
-    in the state's memo). half 0 or 1 takes only the earlier or the later
-    half of the live half cells in grid order and returns only the slice of
-    the profile below, or from, the later half's first grid point; the two
-    slices joined are the whole profile bit for bit (see _profile_jobs)."""
+    in the state's memo).
+
+    A half cell that _flat_half_cells marks flat takes f at the left end of
+    its range, a, or j_lo, at every grid point inside it: the interpolant's
+    slope there is 0.0, so that value is the exact constant, and no
+    quadrature runs on it. Its cell's live midpoint keeps its window mean,
+    unless the whole cell is constant, both halves flat, where the midpoint
+    takes f at a too. half 0 or 1 takes only the earlier or the later half
+    of the half cells that still need quadrature, in grid order, and returns
+    only the slice of the profile below, or from, the later half's first
+    grid point; the two slices joined are the whole profile bit for bit
+    (see _profile_jobs). A job that integrates no half cell builds no
+    budget table and no workspace."""
     f = state.f
     m = f.m
     n = state.n_active
+    seg = 1 << (m - n)  # half-cell width in grid units
     table = _PLTable(f)
-    qtab = _q_table(state.q, m)
     E = np.zeros(1 << m)
     edges, mids = _cell_grid(m, n)
     E[edges[:-1]] = table.f_at(state.fixed_y[:-1])
-    plan = cfg.value_plan(n)
-    # _cell_expectation's segments are this wide once its quadrature levels end
-    tail = _tail_table(qtab, (1 << (m - n)) >> min(len(plan[2]), m - n))
-    constant = _constant_cells(state)
-    for i in np.flatnonzero(constant):
-        # f is flat on the cell's image: its left edge value is exact
-        E[edges[i] + 1 : edges[i + 1]] = E[edges[i]]
+    flat = _flat_half_cells(state)
+    constant = flat.all(axis=1)
     live = np.flatnonzero(~constant)
     E[mids[live]] = table.mean_F(state.j_lo[live], state.j_hi[live])
-    # half cell u of the grid spans [u, u + 1] * 2**(m - n); cell i holds
-    # 2 i and 2 i + 1
-    units = (2 * live[:, None] + np.arange(2)).ravel()
-    cut = live.size
-    start = int(units[cut]) << (m - n) if cut else 0
+    E[mids[constant]] = E[edges[:-1][constant]]
+    # half cell u of the grid spans [u, u + 1] * seg: cell i holds 2 i and
+    # 2 i + 1, and row u of `inside` is its grid points past the first
+    inside = E.reshape(-1, seg)[:, 1:]
+    fill = np.flatnonzero(flat)
+    ends = np.stack([state.fixed_y[:-1], state.j_lo], axis=1).ravel()
+    inside[fill] = table.f_at(ends[fill])[:, None]
+    units = np.flatnonzero(~flat)
+    cut = units.size // 2
+    start = int(units[cut]) * seg if units.size else 0
     if half is not None:
         units = units[cut:] if half else units[:cut]
     if units.size:
+        plan = cfg.value_plan(n)
+        qtab = _q_table(state.q, m)
+        # _cell_expectation's segments are this wide once its quadrature levels end
+        tail = _tail_table(qtab, seg >> min(len(plan[2]), m - n))
         ws = _Workspace()
         # one call per cell, on those of its half cells that units holds
         for cell in np.split(units, np.flatnonzero(np.diff(units >> 1)) + 1):
@@ -900,7 +927,9 @@ def _value_profile(state: DerandState, cfg: DerandConfig, half: int | None = Non
 
 def _profile_jobs(state: DerandState, cfg: DerandConfig) -> list:
     """The two jobs of the state's profile for _fork_map: its earlier and
-    its later half, whose results np.concatenate joins."""
+    its later half, whose results np.concatenate joins. The jobs split the
+    half cells that still need quadrature, not the flat ones that are only
+    filled, so a job may have nothing to integrate."""
     return [functools.partial(_value_profile, state, cfg, half) for half in (0, 1)]
 
 

@@ -169,7 +169,10 @@ def solve_iid(v: SignMatrix, seed: int = 0) -> SignVector:
 # screen's argmin, and scores those exactly. Each dropped candidate scores
 # strictly above the minimum, so the first exact argmin is the one an exact
 # score of all candidates picks: the choice depends on the exact scores
-# alone.
+# alone. The search runs on the block's signal columns only (see
+# _best_candidate): an exact-zero column would double the candidates and
+# leave every pair that differs there tied, so the screen could drop
+# neither.
 #
 # No (candidates x rows) product is held: the max term reads the rows in
 # blocks, cols[rows] @ cands.T, and the exact scores take the candidates in
@@ -312,12 +315,26 @@ def _best_candidate(
     """cols: (n_rows, b) signed column vectors; base: row sums already
     committed by earlier choices. Returns the +-1 vector minimizing the
     potential of base + cols @ eps. work is the solve's workspace, the dict
-    of scratch arrays that _scratch fills."""
+    of scratch arrays that _scratch fills.
+
+    An exhaustive search enumerates its signal columns alone and gives each
+    exact-zero column +1. Such a column adds an exact zero to every row
+    sum, so candidates that differ only there tie exactly, the first of
+    them, +1 there, wins, and the exact scores add the same nonzero terms
+    in the same order. Random candidates (b > 12) are drawn over every
+    column, so the generator stays in step."""
     b = cols.shape[1]
-    if b <= _EXHAUSTIVE_LIMIT and not cols.any():
-        # every candidate scores the same, so the argmin is the first one,
-        # all +1; random candidates would still draw from gen
-        return np.ones(b, dtype=np.int8)
+    if b > _EXHAUSTIVE_LIMIT or (signal := cols.any(axis=0)).all():
+        return _search(cols, base, sigma, lam, retries, gen, work)
+    eps = np.ones(b, dtype=np.int8)
+    if signal.any():
+        eps[signal] = _search(cols[:, signal], base, sigma, lam, retries, gen, work)
+    return eps
+
+
+def _search(cols, base, sigma, lam, retries, gen, work) -> np.ndarray:
+    """_best_candidate's search over every column of cols."""
+    b = cols.shape[1]
     cands = _block_candidates(b, retries, gen)
     cf = cands.astype(float)
     every = np.arange(cands.shape[0])
@@ -373,11 +390,13 @@ def solve_hierarchical(
     bit the same and the first of them, whose first flip is +1, wins.
     Deterministic given (seed, matrix, knobs); with the default block size
     every search is exhaustive and the seed is inert. An exhaustive search
-    over columns that are all exactly zero is skipped: every candidate ties,
-    so it keeps the first, all +1. A matrix with no rows, or no nonzero
-    entry, gets all +1. block must be a whole number of at least 2, retries
-    one of at least 1 and lam a finite real (ValueError otherwise, booleans
-    included).
+    enumerates only its signal columns and gives each exact-zero column +1:
+    candidates that differ only there tie exactly, and the first, +1 there,
+    is kept, so the signs are those of a search over every column. A block
+    with no signal column is no search at all. A matrix with no rows, or no
+    nonzero entry, gets all +1. block must be a whole number of at least 2,
+    retries one of at least 1 and lam a finite real (ValueError otherwise,
+    booleans included).
     """
     block, retries = _check_search(block, retries)
     _check_lam(lam)

@@ -1026,14 +1026,123 @@ def kk_states(kk_openings):
     return {rank: dataclasses.replace(s) for rank, s in kk_openings.items()}
 
 
+def no_flat_half_cells(mp):
+    """Have every engine see no flat half cell, hence no constant cell:
+    _constant_cells reads the half-cell mask."""
+    mp.setattr(derand, "_flat_half_cells", lambda s: np.zeros((s.j_lo.size, 2), dtype=bool))
+
+
+def flat_fills(state):
+    """Per flat half cell u, the slice of its grid points past the first,
+    and the sample of f at the left end of its image range: the constant
+    that f takes on the range."""
+    seg = 1 << (state.f.m - state.n_active)
+    ends = np.stack([state.fixed_y[:-1], state.j_lo], axis=1).ravel()
+    return [
+        (slice(u * seg + 1, (u + 1) * seg), state.f.values[int(np.floor(ends[u] * state.f.values.size))])
+        for u in np.flatnonzero(derand._flat_half_cells(state))
+    ]
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_constant_cells_leave_the_value_profile_bitwise(kk_states, rank, monkeypatch):
     state = kk_states[rank]
     constant = derand._constant_cells(state)
     assert constant.any() and not constant.all()
     prof = derand._value_profile(state, DerandConfig())
-    monkeypatch.setattr(derand, "_constant_cells", lambda s: np.zeros(s.j_lo.size, dtype=bool))
+    no_flat_half_cells(monkeypatch)
     assert np.array_equal(derand._value_profile(state, DerandConfig()), prof)
+
+
+def run_openings(name, m, ranks):
+    """Opening states of ranks 1 .. ranks of an m=m acceptance corpus, as
+    run(f, 7) reaches them: construction only, nothing certified."""
+    f = CorpusSpec(name, M10_CORPORA[name], m).build()
+    cfg = DerandConfig(mc_check=False)
+    degrees = default_degrees(7, m)
+    states = [DerandState.initial(f, confinement_map(f, depth=m).with_floor(cfg.q_floor_exponent))]
+    while len(states) < ranks:
+        halved, _, _ = derand._halvings(states[-1], cfg, degrees)
+        states.append(derand._fix_and_promote(halved[-1]))
+    return states
+
+
+@pytest.fixture(scope="module")
+def kk_m10_openings():
+    return run_openings("kk_example", 10, 3)
+
+
+@pytest.mark.parametrize("m, rank", [(8, 1), (8, 2), (8, 3), (10, 1), (10, 2), (10, 3)])
+def test_flat_half_cells_leave_the_kk_profile_bitwise(kk_openings, kk_m10_openings, m, rank, monkeypatch):
+    # after one halving the live cell's right half maps into a flat stretch
+    # of kk_example, where the quadrature already returns the exact
+    # constant, so filling it moves no bit
+    opening = kk_openings[rank] if m == 8 else kk_m10_openings[rank - 1]
+    state = derand._choose(opening, DerandConfig(), DEGREES)[0]
+    flat = derand._flat_half_cells(state)
+    assert (flat.any(axis=1) & ~flat.all(axis=1)).any()
+    prof = derand._value_profile(state, DerandConfig())
+    for inside, c in flat_fills(state):
+        assert np.all(prof[inside] == c)
+    no_flat_half_cells(monkeypatch)
+    assert np.array_equal(derand._value_profile(state, DerandConfig()), prof)
+
+
+@pytest.fixture(scope="module")
+def square_m10_rank3():
+    """The m=10 perturbed_square acceptance corpus at rank 3, ell 0 and 1,
+    as run() reaches them: each has a flat half cell in a live cell."""
+    state = run_openings("perturbed_square", 10, 3)[-1]
+    return [state, derand._choose(state, DerandConfig(), default_degrees(7, 10))[0]]
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_flat_half_cell_fill_is_within_an_ulp_of_the_quadrature(square_m10_rank3, ell, monkeypatch):
+    # on values +-1 the quadrature's window means round to within an ulp of
+    # the constant; the fill is the constant itself, and every other point
+    # keeps its bits
+    state = square_m10_rank3[ell]
+    flat = derand._flat_half_cells(state)
+    assert flat.any() and not flat.all(axis=1).any()
+    prof = derand._value_profile(state, DerandConfig())
+    fills = flat_fills(state)
+    no_flat_half_cells(monkeypatch)
+    full = derand._value_profile(state, DerandConfig())
+    other = np.ones(prof.size, dtype=bool)
+    for inside, c in fills:
+        assert np.all(prof[inside] == c)
+        assert np.max(np.abs(full[inside] - c)) <= 2.2e-16 * abs(c)
+        other[inside] = False
+    assert np.array_equal(full[other], prof[other])
+
+
+def test_a_job_with_only_flat_half_cells_only_fills(kk_openings, monkeypatch):
+    # kk_example's rank-2 state after one halving keeps one half cell to
+    # integrate, the live cell's left one, so the earlier job owns none: it
+    # fills, and builds no budget table, tail table or workspace
+    cfg = DerandConfig()
+    state = derand._choose(kk_openings[2], cfg, DEGREES)[0]
+    flat = derand._flat_half_cells(state)
+    assert np.flatnonzero(~flat.ravel()).tolist() == [0]
+    serial = derand._value_profile(state, cfg)
+    calls = {}
+    for name in ("_cell_expectation", "_q_table", "_tail_table", "_Workspace"):
+        inner = getattr(derand, name)
+        calls[name] = 0
+
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(derand, name, counted)
+    first, second = derand._profile_jobs(state, cfg)
+    earlier = first()
+    assert set(calls.values()) == {0}
+    later = second()
+    assert calls == {"_cell_expectation": 1, "_q_table": 1, "_tail_table": 1, "_Workspace": 1}
+    # the cut is the first grid point of that half cell, grid point 0
+    assert earlier.size == 0
+    assert np.array_equal(np.concatenate([earlier, later]), serial)
 
 
 def flat_state(values, fixed_y):
@@ -1057,7 +1166,7 @@ def test_constant_cell_profile_is_exactly_the_constant(monkeypatch):
     cell = slice(1, size // 2)  # grid points gl+1 .. gr-1 of cell 0
     prof = derand._value_profile(state, DerandConfig())
     assert np.all(prof[cell] == c)
-    monkeypatch.setattr(derand, "_constant_cells", lambda s: np.zeros(s.j_lo.size, dtype=bool))
+    no_flat_half_cells(monkeypatch)
     full = derand._value_profile(state, DerandConfig())
     assert np.max(np.abs(full[cell] - c)) <= 1e-12
     assert np.array_equal(full[size // 2 :], prof[size // 2 :])
@@ -1066,21 +1175,35 @@ def test_constant_cell_profile_is_exactly_the_constant(monkeypatch):
 @pytest.mark.parametrize(
     "odd, expected",
     [
-        (None, [True, True]),
-        (20, [False, False]),  # at ceil(b 2**m) of cell 0; inside cell 1
-        (21, [True, False]),
-        (19, [False, False]),  # at floor(a 2**m) of cell 1; inside cell 0
-        (0, [False, False]),  # index 2**m of cell 1 wraps to 0
-        (63, [True, False]),
+        (None, [[True, True], [True, True]]),
+        (20, [[True, False], [False, True]]),  # at ceil(b 2**m) of cell 0; inside cell 1
+        (21, [[True, True], [False, True]]),
+        (19, [[True, False], [False, True]]),  # at floor(a 2**m) of cell 1; inside cell 0
+        (0, [[False, True], [True, False]]),  # index 2**m of cell 1 wraps to 0
+        (63, [[True, True], [True, False]]),
+        (16, [[False, False], [True, True]]),  # at j_hi 2**m of cell 0
+        (17, [[True, False], [True, True]]),
+        (4, [[False, False], [True, True]]),  # at j_lo 2**m of cell 0
+        (3, [[False, True], [True, True]]),
+        (32, [[True, True], [False, False]]),  # at j_lo 2**m of cell 1
+        (31, [[True, True], [False, True]]),
+        (52, [[True, True], [False, False]]),  # at j_hi 2**m of cell 1
+        (53, [[True, True], [True, False]]),
     ],
 )
 def test_constant_cell_mask_edges(odd, expected):
-    # m=6: cell 0 is [0, 0.3] -> samples 0 .. 20, cell 1 is [0.3, 1] -> 19 .. 64
+    # m=6: cell 0 is [0, 0.3] -> samples 0 .. 20, cell 1 is [0.3, 1] -> 19
+    # .. 64. The windows end on piece boundaries: [4, 16] / 64 and [32, 52]
+    # / 64, so the half cells' ranges are [a, j_hi] -> samples 0 .. 16 and
+    # 19 .. 52, and [j_lo, b] -> 4 .. 20 and 32 .. 64, index 64 wrapping to 0
     values = np.full(64, 0.25)
     if odd is not None:
         values[odd] = -0.25
     state = flat_state(values, [0.0, 0.3, 1.0])
-    assert derand._constant_cells(state).tolist() == expected
+    state = dataclasses.replace(state, j_lo=np.array([4.0, 32.0]) / 64, j_hi=np.array([16.0, 52.0]) / 64)
+    # expected is the half-cell mask; a cell is constant when both its halves are flat
+    assert derand._flat_half_cells(state).tolist() == expected
+    assert derand._constant_cells(state).tolist() == [all(h) for h in expected]
 
 
 @pytest.mark.parametrize("rank", [2, 3])

@@ -470,6 +470,42 @@ def test_zero_blocks_skip_the_search_bitwise(block, seed, monkeypatch):
         assert len(calls) == 13 + 1
 
 
+@pytest.mark.parametrize("block", range(2, 13))
+def test_signal_only_searches_keep_the_reference_signs(block, monkeypatch):
+    # random decay with about a third of its columns exactly zero, and the
+    # first block wholly zero, so that merges hold zero columns too; the
+    # reference scores all 2^b candidates of every search
+    rng = np.random.default_rng(100 + block)
+    n = block * block + 3  # a merge level above the level-0 blocks
+    v = build_synthetic_matrix(n, "random_signs_decay", seed=block).values.copy()
+    zero = rng.random(n) < 0.35
+    zero[:block] = True
+    v[:, zero] = 0.0
+    v = SignMatrix(v)
+    widths = []
+    search = signs._best_candidate
+    monkeypatch.setattr(signs, "_best_candidate", lambda *a: widths.append(a[0].any(axis=0)) or search(*a))
+    got = solve_hierarchical(v, block=block).eps
+    assert any(w.any() and not w.all() for w in widths)  # mixed searches ran
+    monkeypatch.setattr(signs, "_best_candidate", best_candidate_reference)
+    assert np.array_equal(got, solve_hierarchical(v, block=block).eps)
+
+
+def test_a_mixed_block_is_screened_on_its_signal_columns(monkeypatch):
+    widths = []
+    screen = signs._screen
+    monkeypatch.setattr(signs, "_screen", lambda cols, *a: widths.append(cols.shape[1]) or screen(cols, *a))
+    rng = np.random.default_rng(7)
+    cols = rng.standard_normal((40, 8))
+    cols[:, [1, 4, 5]] = 0.0
+    base = rng.standard_normal(40)
+    sigma = float(np.max(np.abs(cols)))
+    got = signs._best_candidate(cols, base, sigma, 0.5, 64, None, {})
+    assert widths == [5]
+    assert got[[1, 4, 5]].tolist() == [1, 1, 1]
+    assert np.array_equal(got, best_candidate_reference(cols, base, sigma, 0.5, 64, None))
+
+
 # sha256 of the int8 sign vectors of solve_hierarchical with its defaults,
 # recorded before the block search was screened; the n=64 exact_decay
 # circular vector was recorded again once the top merge scored against an
