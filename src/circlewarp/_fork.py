@@ -5,12 +5,11 @@ child and returns their results in job order: the child runs job 0 first,
 then each process takes the next job from one shared queue. It is the only
 way the package forks. Callers split work whose result does not depend on
 which process computes which share, so the forked path is bitwise the serial
-one. Two modules use it. derand certifies through one job list (_certify),
-for run and for its public steps alike: each rank's Monte-Carlo sampler
-and each half of every quadrature profile that a record or a guard report
-reads is one job; expected_composition hands over the two halves of one
-profile. fourier hands over the two halves of a long partial-sum sweep.
-_fork_call is its engine.
+one. derand builds its job list in _certify, for run and its public steps
+alike: each rank's sampler (_sampler._mc_profile) and the two halves, from
+_quadrature._profile_jobs, of each profile that a record or a guard report
+reads; expected_composition hands over one profile's two halves. fourier
+hands over the two halves of a long sweep. _fork_call is its engine.
 
 The work runs serially when os.fork is missing, when fewer than two CPUs are
 in os.sched_getaffinity(0) (_can_fork), and when the fork fails (_fork_call

@@ -1,14 +1,14 @@
-"""The piecewise-linear table of a sampled function that the derand engines
-read: values, slopes and the exact antiderivative per grid piece, with the
-lookups of f, of F and of window means of f that the window engine, the
-value engine and the Monte-Carlo sampler share.
-
-Its own module, so that compiling derand, the package's largest module,
-holds less at once: without cached bytecode every process compiles the
-package at import, and derand's compile sets the import's peak memory.
+"""What the derand engines (_window, _quadrature, _sampler) share, as they
+read nothing of each other or of derand: the piecewise-linear table of a
+sampled function with its lookups of f, of F and of window means of f, the
+budget and frozen-tail tables, the cell grid, the flatness masks, the work
+block _BLOCK and the buffers one value-profile job reuses (_Workspace). A
+state here is anything with the fields of a derand.DerandState.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -106,6 +106,100 @@ class _PLTable:
 
 
 def _scratch(ws, name, shape, dtype=float):
-    """Buffer `name` of the workspace ws (a derand._Workspace) as shape, or
-    a fresh array without one."""
+    """Buffer `name` of the workspace ws (a _Workspace) as shape, or a fresh
+    array without one."""
     return np.empty(shape, dtype) if ws is None else ws.view(name, shape, dtype)
+
+
+# Work size, in array elements, of the blocks that every stage streams
+# through: the value engine's children of one descent step and its
+# frozen-tail means (in the _BLOCK-element buffers of one _Workspace per
+# profile job), and the Monte-Carlo paths with the buffer they are summed
+# in; the sampler's draws come in blocks of 16 * _BLOCK, each block of paths
+# seeking its draws of each rank in the Philox stream. Small enough that a
+# block's temporaries stay in cache, and it bounds the working set: no stage
+# holds (rows x nodes) of a whole quadrature level or (paths x grid points)
+# of a whole batch. It cannot change a result: every row is the same elementwise expression
+# whatever the block or the buffer it is written into, np.add.at meets each
+# grid point's terms in the same order (see _descend), a draw is the same at
+# its stream position whatever call reads it, and the sampler's sums add the
+# rows of a batch one by one in order, whatever the block. The window engine
+# needs no blocks: its work per half window is linear in the points and in
+# the f pieces that the points' lines reach.
+_BLOCK = 1 << 14
+
+
+class _Workspace:
+    """Named flat buffers that the blocks of one value-profile job reuse,
+    so that its frozen tail and its level means allocate nothing per block:
+    view(name, shape) is the start of buffer `name` as that shape. A buffer
+    holds _BLOCK elements and grows only for a larger block. The views are
+    kept, since most blocks of a job share their shape."""
+
+    __slots__ = ("_bufs", "_views")
+
+    def __init__(self):
+        self._bufs = {}
+        self._views = {}
+
+    def view(self, name, shape, dtype=float):
+        out = self._views.get((name, shape))
+        if out is None:
+            size = math.prod(shape)
+            buf = self._bufs.get(name)
+            if buf is None or buf.size < size:
+                buf = self._bufs[name] = np.empty(max(size, _BLOCK), dtype)
+                self._views = {key: v for key, v in self._views.items() if key[0] != name}
+            out = self._views[name, shape] = buf[:size].reshape(shape)
+        return out
+
+
+def _q_table(q, m: int) -> np.ndarray:
+    """Budget at every grid index 1 .. 2**m - 1, indexed by position."""
+    out = np.zeros((1 << m) + 1)
+    for rank in range(1, m + 1):
+        step = 1 << (m - rank)
+        out[step :: 2 * step] = q.rank_values(rank)
+    return out
+
+
+def _tail_table(qtab: np.ndarray, seg: int) -> np.ndarray:
+    """qtab[g] * lowbit(g mod seg) / seg at every grid index g: the half
+    width, per unit of its segment's span, of a point inside a seg-wide
+    segment whose deeper ranks are frozen at conditional centers. The value
+    engine's frozen tail and the window engine's half cells both read it.
+    The factor is a power of two, so tail[g] * span rounds exactly as
+    qtab[g] * span * factor does."""
+    d = np.arange(qtab.size) % seg
+    return qtab * ((d & -d) / seg)
+
+
+def _cell_grid(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices, on the 2**m grid at active rank n, of the 2**(n-1) + 1
+    pinned cell edges and of the 2**(n-1) live midpoints between them."""
+    edges = np.arange((1 << (n - 1)) + 1) << (m - n + 1)
+    return edges, edges[:-1] + (1 << (m - n))
+
+
+def _flat_half_cells(state) -> np.ndarray:
+    """Per live cell (rows) and half cell (columns: 0 left, 1 right),
+    whether the samples of f at indices floor(lo 2**m) .. ceil(hi 2**m)
+    (index 2**m wrapping to 0) are all equal, [lo, hi] being the range that
+    the half cell's images can reach: [a, j_hi] for the left half and
+    [j_lo, b] for the right, [a, b] the cell's pinned image. Then the
+    interpolant is constant on [lo, hi], and so is f(warp(t)) for every t
+    in the half cell whatever the warp does there. One cumulative count of
+    the sample changes answers every range."""
+    v = np.asarray(state.f.values, dtype=float)
+    size = v.size
+    steps = np.concatenate([[0], np.cumsum(v != np.roll(v, -1))])
+    lo = np.stack([state.fixed_y[:-1], state.j_lo], axis=1)
+    hi = np.stack([state.j_hi, state.fixed_y[1:]], axis=1)
+    return steps[np.ceil(hi * size).astype(np.int64)] == steps[np.floor(lo * size).astype(np.int64)]
+
+
+def _constant_cells(state) -> np.ndarray:
+    """Per live cell, whether f is flat on its whole pinned image [a, b]:
+    both its half cells are flat (_flat_half_cells), since their ranges
+    [a, j_hi] and [j_lo, b] overlap on the window and cover [a, b]."""
+    return _flat_half_cells(state).all(axis=1)

@@ -64,7 +64,7 @@ def derand_outputs(tmp_path_factory):
     """The two full pipeline runs shared by AC-3 and AC-4 (about 2 minutes):
     each corpus's `derand-full` report, its manifest.json, and the sha256 of
     its homeomorphism (homeo.json without the final newline, the digest of
-    `homeo_to_json`) and of deviations.csv."""
+    `homeo_to_json`), of deviations.csv and of manifest.json."""
     out = {}
     for key, spec in (
         (
@@ -78,6 +78,7 @@ def derand_outputs(tmp_path_factory):
         digests = {
             "homeo": _sha256((d / "homeo.json").read_text().removesuffix("\n").encode()),
             "deviations": _sha256((d / "deviations.csv").read_bytes()),
+            "manifest": _sha256((d / "manifest.json").read_bytes()),
         }
         out[key] = (report, json.loads((d / "manifest.json").read_text()), digests)
     return out
@@ -167,14 +168,17 @@ def test_ac3c_warped_partial_sums_bounded(derand_outputs):
     assert b_psq == pytest.approx(1.7979887146916371, rel=1e-6)
     assert w_kk == pytest.approx(1.0447336975689463, rel=1e-6)
     assert b_kk == pytest.approx(1.0607454994018302, rel=1e-6)
-    # the warped sups pin the outputs to 1e-6; these digests pin them bitwise
+    # the warped sups pin the outputs to 1e-6; these digests pin them
+    # bitwise, the manifest's Monte-Carlo reports and silent-cell counts too
     assert derand_outputs["perturbed_square"][2] == {
         "homeo": "29fd7fb5255ffb90c567d5c7cbd5a2d50834c2ce9ee667d80ec3cd37ea9c20b3",
         "deviations": "5ec9a5c2c942d526f6f296b908ae130f20b391480a4ca0350baddd29a056dcaf",
+        "manifest": "c997d6e4292d5a70e7cec1b5c7ce1c4df586825ff04b9369d86cb16e861ac802",
     }
     assert derand_outputs["kk_example"][2] == {
         "homeo": "c8e4ceaa1a8004bb1e0c79498d3505536941449fb06839c6301e5e6c9abdcb0a",
         "deviations": "0ce22bced52d923713f42aedbd54e372a3b961574b49984b22f04a52a611d416",
+        "manifest": "99dfb2e95ce52f20a34a940e3f8495526e05c8c9928990e2f9a193f6e982b753",
     }
 
     # the resonant member must not get worse

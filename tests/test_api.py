@@ -188,6 +188,51 @@ def test_whole_number_checks_live_in_one_helper():
     assert inside, "grid._whole holds no whole-number check"
 
 
+ENGINES = ("_window", "_quadrature", "_sampler")
+DERAND_ALL = [
+    "NumericalAlarm",
+    "DeviationRecord",
+    "DerandConfig",
+    "DerandState",
+    "RunResult",
+    "default_degrees",
+    "assemble_v_matrix",
+    "expected_composition",
+    "mc_cross_check",
+    "choose_halves",
+    "advance",
+    "run",
+    "record_shape_check",
+]
+
+
+def test_derand_is_a_pipeline_over_three_engines():
+    """The engine modules import neither each other nor derand, and none of
+    them raises NumericalAlarm or reads a tolerance: derand alone gates.
+    derand's public names are the pipeline's 13."""
+    src = Path(circlewarp.__file__).resolve().parent
+    for engine in ENGINES:
+        tree = ast.parse((src / f"{engine}.py").read_text())
+        imported, names = set(), set()
+        for node in ast.walk(tree):
+            # every part of a dotted module path, and every name imported
+            # from one, so `from . import derand` counts as well
+            if isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(part for a in node.names for part in a.name.split("."))
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        forbidden = {"derand", *ENGINES} - {engine}
+        assert not imported & forbidden, f"{engine} imports {sorted(imported & forbidden)}"
+        gates = {"NumericalAlarm", "identity_tol", "row_tol", "null_tol"}
+        assert not names & gates, f"{engine} reads {sorted(names & gates)}"
+    assert importlib.import_module("circlewarp.derand").__all__ == DERAND_ALL
+
+
 F6 = SampledFunction.from_callable(6, lambda t: np.sin(2 * np.pi * t) * np.cos(6 * np.pi * t))
 V16 = build_synthetic_matrix(16, "random_signs_decay", seed=2)
 

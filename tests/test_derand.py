@@ -36,7 +36,7 @@ from circlewarp import (
     solve_bruteforce,
     verify_mass_ratios,
 )
-from circlewarp import _fork, derand
+from circlewarp import _fork, _pltable, _quadrature, _sampler, _window, derand
 from circlewarp.corpus import CorpusSpec, tapered_oscillation
 from circlewarp.experiments import _write_csv
 from circlewarp.rng import tagged_generator
@@ -285,7 +285,7 @@ def test_averaging_identity_alarm_carries_context():
 def test_averaging_identity_alarm_catches_one_nan(call, monkeypatch):
     # max(0.0, nan) is 0.0 and nan > tol is False: a gate built on them
     # passes a NaN in one window profile as a residual of 0.0
-    inner = derand._window_profile
+    inner = _window._window_profile
     calls = []
 
     def poisoned(*args):
@@ -295,14 +295,14 @@ def test_averaging_identity_alarm_catches_one_nan(call, monkeypatch):
         calls.append(1)
         return out
 
-    monkeypatch.setattr(derand, "_window_profile", poisoned)
+    monkeypatch.setattr(_window, "_window_profile", poisoned)
     with pytest.raises(NumericalAlarm, match="averaging identity") as exc:
         assemble_v_matrix(taper_state(), DEGREES, DerandConfig(mc_check=False))
     assert np.isnan(exc.value.context["residual"])
 
 
 def test_mc_guard_alarm_catches_one_nan(monkeypatch):
-    inner = derand._value_profile
+    inner = _quadrature._value_profile
 
     def poisoned(state, cfg, half=None):
         out = inner(state, cfg, half)
@@ -310,7 +310,7 @@ def test_mc_guard_alarm_catches_one_nan(monkeypatch):
             out[7] = np.nan
         return out
 
-    monkeypatch.setattr(derand, "_value_profile", poisoned)
+    monkeypatch.setattr(_quadrature, "_value_profile", poisoned)
     with pytest.raises(NumericalAlarm, match="Monte-Carlo") as exc:
         mc_cross_check(taper_state(), DerandConfig(mc_samples=200))
     assert np.isnan(exc.value.context["mean_abs_diff"])
@@ -556,7 +556,7 @@ def window_lines(state):
     half window share the float origin and bounds z1, z2; c_hi and c_lo
     hold one slope per point."""
     m, n = state.f.m, state.n_active
-    qtab = derand._q_table(state.q, m)
+    qtab = _pltable._q_table(state.q, m)
     ranktab = rank_table(m)
     for i in range(state.j_lo.size):
         gl = i << (m - n + 1)
@@ -579,13 +579,13 @@ def test_tail_table_is_the_half_cell_width(m):
     # the window engine reads a point's half width per unit span from the
     # frozen-tail table: qtab[g] * 2**(n - rank(g)) inside a half cell
     f = CorpusSpec("perturbed_square", {"rank": 4, "jitter": 0.5, "seed": 1}, m).build()
-    qtab = derand._q_table(confinement_map(f, depth=m).with_floor(), m)
+    qtab = _pltable._q_table(confinement_map(f, depth=m).with_floor(), m)
     rank = rank_table(m)
     for n in range(1, m):
         half = 1 << (m - n)
         g = np.arange(1 << m)
         g = g[g % half != 0]  # strictly inside a half cell
-        tail = derand._tail_table(qtab, half)
+        tail = _pltable._tail_table(qtab, half)
         assert np.array_equal(tail[g], qtab[g] * 2.0 ** (n - rank[g])), (m, n)
 
 
@@ -598,7 +598,7 @@ def mc_profile_reference(state, n_samples, seed, batch=512):
     n = state.n_active
     v = np.asarray(f.values, dtype=float)
     slopes = (np.roll(v, -1) - v) * size
-    qtab = derand._q_table(state.q, m)
+    qtab = _pltable._q_table(state.q, m)
     gen = tagged_generator(seed, 0xEC, n)
     coarse = np.arange(state.fixed_y.size) << (m - n + 1)
     d_idx = coarse[:-1] + (1 << (m - n))
@@ -634,9 +634,9 @@ def mc_profile_reference(state, n_samples, seed, batch=512):
 def assert_point_slices_are_bitwise(table, origin, c_hi, c_lo, z1, z2):
     """The window engine on a slice of a half window's points is bit for bit
     the same slice of the engine on all of them."""
-    whole = derand._half_window_integrals(table, origin, c_hi, c_lo, z1, z2)
+    whole = _window._half_window_integrals(table, origin, c_hi, c_lo, z1, z2)
     for sl in (slice(None, None, 3), slice(c_hi.size // 2, None), slice(0, 1)):
-        part = derand._half_window_integrals(table, origin, c_hi[sl], c_lo[sl], z1, z2)
+        part = _window._half_window_integrals(table, origin, c_hi[sl], c_lo[sl], z1, z2)
         assert np.array_equal(part, whole[sl])
     return whole
 
@@ -645,19 +645,37 @@ def assert_point_slices_are_bitwise(table, origin, c_hi, c_lo, z1, z2):
 def test_engines_are_block_invariant(rank_states, rank, monkeypatch):
     state = rank_states[rank]
     cfg = DerandConfig()
-    table = derand._PLTable(state.f)
+    table = _pltable._PLTable(state.f)
     sides = set()
     for side, *lines in window_lines(state):
         sides.add(side)
         assert_point_slices_are_bitwise(table, *lines)
     assert sides == {"left", "right"}
 
-    prof = derand._value_profile(state, cfg)
-    mc = derand._mc_profile(state, 1100, 5)
+    def engines():
+        """The value profile and the sampler, with the value engine's
+        descent steps and the sampler's stream reads counted."""
+        counts = {}
+        with monkeypatch.context() as mp:
+            for module, name in ((_quadrature, "_descend"), (_sampler, "_keyed_random")):
+                counts[name] = 0
+
+                def counted(*args, name=name, inner=getattr(module, name)):
+                    counts[name] += 1
+                    return inner(*args)
+
+                mp.setattr(module, name, counted)
+            return _quadrature._value_profile(state, cfg), _sampler._mc_profile(state, 1100, 5), counts
+
+    prof, mc, counts = engines()
     ref = mc_profile_reference(state, 1100, 5)
-    monkeypatch.setattr(derand, "_BLOCK", 64)
-    assert np.array_equal(derand._value_profile(state, cfg), prof)
-    mc_small = derand._mc_profile(state, 1100, 5)
+    # each engine reads _BLOCK in its own module, and the workspace in _pltable
+    for module in (_pltable, _quadrature, _sampler):
+        monkeypatch.setattr(module, "_BLOCK", 64)
+    prof_small, mc_small, counts_small = engines()
+    # the small block was used: more, smaller descent steps and draw blocks
+    assert all(counts_small[name] > counts[name] for name in counts)
+    assert np.array_equal(prof_small, prof)
     for got in (mc, mc_small):
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
@@ -684,8 +702,8 @@ def test_run_profiles_each_state_once(monkeypatch):
     res = run(tapered_oscillation(4, m=8), 4, cfg)
     assert len(calls) == 1
     handed = calls[0]
-    halves = [job.args for job in handed if job.func is derand._value_profile]
-    sampled = [job.args[0] for job in handed if job.func is derand._mc_profile]
+    halves = [job.args for job in handed if job.func is _quadrature._value_profile]
+    sampled = [job.args[0] for job in handed if job.func is _sampler._mc_profile]
     assert len(halves) + len(sampled) == len(handed)
     # two jobs per state, its earlier and its later half, one after the other
     assert [args[2] for args in halves] == [0, 1] * (len(halves) // 2)
@@ -715,7 +733,7 @@ def test_run_profiles_only_what_a_record_or_report_reads(monkeypatch):
     cfg = DerandConfig(mc_check=False, ell_max=0, degrees=DEGREES)
     res = run(tapered_oscillation(4, m=8), 4, cfg)
     assert res.records == () and res.manifest["mc_reports"] == []
-    assert not [job for jobs in calls for job in jobs if job.func is derand._value_profile]
+    assert not [job for jobs in calls for job in jobs if job.func is _quadrature._value_profile]
 
 
 def pl_antiderivative(values):
@@ -777,14 +795,14 @@ def test_window_engine_matches_adaptive_quadrature(rank_states, late_states, ran
     least 16 of their widths from their origin."""
     quad = pytest.importorskip("scipy.integrate").quad
     for state, far_at_least in ((rank_states[rank], 0.0), (late_states[rank], 16.0)):
-        table = derand._PLTable(state.f)
+        table = _pltable._PLTable(state.f)
         F = pl_antiderivative(np.asarray(state.f.values, dtype=float))
         size = table.size
         checked = {"halved": 0, "edge": 0}
         flat = at_origin = 0
         far = 0.0
         for kind, side, O, c_hi, c_lo, a, b in quadrature_cases(state):
-            got = derand._half_window_integrals(table, O, c_hi, c_lo, a, b)
+            got = _window._half_window_integrals(table, O, c_hi, c_lo, a, b)
             at_origin += a == 0.0
             far = max(far, a / (b - a))
             # every 4th point, and the last one (the flat line of its window)
@@ -910,7 +928,7 @@ LEXSORT_RTOL = 2e-13
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_window_kernel_matches_the_lexsort_form(rank_states, rank, edge):
     state = edge_window_state(rank_states[rank]) if edge else rank_states[rank]
-    table = derand._PLTable(state.f)
+    table = _pltable._PLTable(state.f)
     sides = set()
     at_origin = 0
     for side, *lines in window_lines(state):
@@ -930,7 +948,7 @@ def test_product_error_is_exact():
     c = rng.uniform(-1.0, 1.0, 2000)
     c[:3] = (0.0, 1.0, -2.0**-40)
     for z in (0.7599328720569611, 1.0 / 3.0, 2.0**-30, 0.0):
-        err = derand._product_error(c, z)
+        err = _window._product_error(c, z)
         for ci, ei in zip(c, err):
             assert Fraction(ci) * Fraction(z) == Fraction(ci * z) + Fraction(ei)
 
@@ -951,23 +969,23 @@ def test_window_profile_cost_ignores_node_crossings(rank_states, rank, monkeypat
     state = rank_states[rank]
     m, n = state.f.m, state.n_active
     size = 1 << m
-    table = derand._PLTable(state.f)
-    tail = derand._tail_table(derand._q_table(state.q, m), 1 << (m - n))
-    edges, mids = derand._cell_grid(m, n)
+    table = _pltable._PLTable(state.f)
+    tail = _pltable._tail_table(_pltable._q_table(state.q, m), 1 << (m - n))
+    edges, mids = _pltable._cell_grid(m, n)
     looked_up = []
-    inner = derand._PLTable.lookup
+    inner = _pltable._PLTable.lookup
 
     def recorder(self, u, p):
         looked_up.append(np.size(u))
         return inner(self, u, p)
 
-    monkeypatch.setattr(derand._PLTable, "lookup", recorder)
+    monkeypatch.setattr(_pltable._PLTable, "lookup", recorder)
     lines = list(window_lines(state))
     swept = []
     for i in range(mids.size):
         a, b = float(state.fixed_y[i]), float(state.fixed_y[i + 1])
         looked_up.clear()
-        derand._window_profile(
+        _window._window_profile(
             table, tail, edges[i], mids[i], edges[i + 1], a, b,
             float(state.j_lo[i]), float(state.j_hi[i]),
         )
@@ -987,7 +1005,7 @@ def test_window_profile_cost_ignores_node_crossings(rank_states, rank, monkeypat
 @pytest.mark.filterwarnings("error")
 def test_mean_F_is_bitwise_the_textbook_quotient():
     f = tapered_oscillation(4, m=8)
-    table = derand._PLTable(f)
+    table = _pltable._PLTable(f)
     rng = np.random.default_rng(11)
     ulo = rng.random(4000)
     uhi = ulo + rng.random(4000) * 0.01
@@ -1027,9 +1045,19 @@ def kk_states(kk_openings):
 
 
 def no_flat_half_cells(mp):
-    """Have every engine see no flat half cell, hence no constant cell:
-    _constant_cells reads the half-cell mask."""
-    mp.setattr(derand, "_flat_half_cells", lambda s: np.zeros((s.j_lo.size, 2), dtype=bool))
+    """Have every engine see no flat half cell, hence no constant cell: the
+    value engine reads the half-cell mask, and _constant_cells, which the
+    window engine and the sampler read, reads it in _pltable. Returns the
+    log of the value engine's reads, so a test can see that the patch took."""
+    reads = []
+
+    def none_flat(s):
+        reads.append(1)
+        return np.zeros((s.j_lo.size, 2), dtype=bool)
+
+    mp.setattr(_pltable, "_flat_half_cells", lambda s: np.zeros((s.j_lo.size, 2), dtype=bool))
+    mp.setattr(_quadrature, "_flat_half_cells", none_flat)
+    return reads
 
 
 def flat_fills(state):
@@ -1040,18 +1068,19 @@ def flat_fills(state):
     ends = np.stack([state.fixed_y[:-1], state.j_lo], axis=1).ravel()
     return [
         (slice(u * seg + 1, (u + 1) * seg), state.f.values[int(np.floor(ends[u] * state.f.values.size))])
-        for u in np.flatnonzero(derand._flat_half_cells(state))
+        for u in np.flatnonzero(_pltable._flat_half_cells(state))
     ]
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_constant_cells_leave_the_value_profile_bitwise(kk_states, rank, monkeypatch):
     state = kk_states[rank]
-    constant = derand._constant_cells(state)
+    constant = _pltable._constant_cells(state)
     assert constant.any() and not constant.all()
-    prof = derand._value_profile(state, DerandConfig())
-    no_flat_half_cells(monkeypatch)
-    assert np.array_equal(derand._value_profile(state, DerandConfig()), prof)
+    prof = _quadrature._value_profile(state, DerandConfig())
+    reads = no_flat_half_cells(monkeypatch)
+    assert np.array_equal(_quadrature._value_profile(state, DerandConfig()), prof)
+    assert reads
 
 
 def run_openings(name, m, ranks):
@@ -1079,13 +1108,14 @@ def test_flat_half_cells_leave_the_kk_profile_bitwise(kk_openings, kk_m10_openin
     # constant, so filling it moves no bit
     opening = kk_openings[rank] if m == 8 else kk_m10_openings[rank - 1]
     state = derand._choose(opening, DerandConfig(), DEGREES)[0]
-    flat = derand._flat_half_cells(state)
+    flat = _pltable._flat_half_cells(state)
     assert (flat.any(axis=1) & ~flat.all(axis=1)).any()
-    prof = derand._value_profile(state, DerandConfig())
+    prof = _quadrature._value_profile(state, DerandConfig())
     for inside, c in flat_fills(state):
         assert np.all(prof[inside] == c)
-    no_flat_half_cells(monkeypatch)
-    assert np.array_equal(derand._value_profile(state, DerandConfig()), prof)
+    reads = no_flat_half_cells(monkeypatch)
+    assert np.array_equal(_quadrature._value_profile(state, DerandConfig()), prof)
+    assert reads
 
 
 @pytest.fixture(scope="module")
@@ -1102,12 +1132,13 @@ def test_flat_half_cell_fill_is_within_an_ulp_of_the_quadrature(square_m10_rank3
     # the constant; the fill is the constant itself, and every other point
     # keeps its bits
     state = square_m10_rank3[ell]
-    flat = derand._flat_half_cells(state)
+    flat = _pltable._flat_half_cells(state)
     assert flat.any() and not flat.all(axis=1).any()
-    prof = derand._value_profile(state, DerandConfig())
+    prof = _quadrature._value_profile(state, DerandConfig())
     fills = flat_fills(state)
-    no_flat_half_cells(monkeypatch)
-    full = derand._value_profile(state, DerandConfig())
+    reads = no_flat_half_cells(monkeypatch)
+    full = _quadrature._value_profile(state, DerandConfig())
+    assert reads
     other = np.ones(prof.size, dtype=bool)
     for inside, c in fills:
         assert np.all(prof[inside] == c)
@@ -1122,20 +1153,20 @@ def test_a_job_with_only_flat_half_cells_only_fills(kk_openings, monkeypatch):
     # fills, and builds no budget table, tail table or workspace
     cfg = DerandConfig()
     state = derand._choose(kk_openings[2], cfg, DEGREES)[0]
-    flat = derand._flat_half_cells(state)
+    flat = _pltable._flat_half_cells(state)
     assert np.flatnonzero(~flat.ravel()).tolist() == [0]
-    serial = derand._value_profile(state, cfg)
+    serial = _quadrature._value_profile(state, cfg)
     calls = {}
     for name in ("_cell_expectation", "_q_table", "_tail_table", "_Workspace"):
-        inner = getattr(derand, name)
+        inner = getattr(_quadrature, name)
         calls[name] = 0
 
         def counted(*args, name=name, inner=inner):
             calls[name] += 1
             return inner(*args)
 
-        monkeypatch.setattr(derand, name, counted)
-    first, second = derand._profile_jobs(state, cfg)
+        monkeypatch.setattr(_quadrature, name, counted)
+    first, second = _quadrature._profile_jobs(state, cfg)
     earlier = first()
     assert set(calls.values()) == {0}
     later = second()
@@ -1162,12 +1193,13 @@ def test_constant_cell_profile_is_exactly_the_constant(monkeypatch):
     x = np.arange(size) / size
     values = np.where(x <= 0.5, c, np.sin(6.0 * np.pi * x) * 0.4 + c)
     state = flat_state(values, [0.0, 0.5, 1.0])
-    assert derand._constant_cells(state).tolist() == [True, False]
+    assert _pltable._constant_cells(state).tolist() == [True, False]
     cell = slice(1, size // 2)  # grid points gl+1 .. gr-1 of cell 0
-    prof = derand._value_profile(state, DerandConfig())
+    prof = _quadrature._value_profile(state, DerandConfig())
     assert np.all(prof[cell] == c)
-    no_flat_half_cells(monkeypatch)
-    full = derand._value_profile(state, DerandConfig())
+    reads = no_flat_half_cells(monkeypatch)
+    full = _quadrature._value_profile(state, DerandConfig())
+    assert reads
     assert np.max(np.abs(full[cell] - c)) <= 1e-12
     assert np.array_equal(full[size // 2 :], prof[size // 2 :])
 
@@ -1202,8 +1234,8 @@ def test_constant_cell_mask_edges(odd, expected):
     state = flat_state(values, [0.0, 0.3, 1.0])
     state = dataclasses.replace(state, j_lo=np.array([4.0, 32.0]) / 64, j_hi=np.array([16.0, 52.0]) / 64)
     # expected is the half-cell mask; a cell is constant when both its halves are flat
-    assert derand._flat_half_cells(state).tolist() == expected
-    assert derand._constant_cells(state).tolist() == [all(h) for h in expected]
+    assert _pltable._flat_half_cells(state).tolist() == expected
+    assert _pltable._constant_cells(state).tolist() == [all(h) for h in expected]
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -1237,7 +1269,7 @@ def test_advance_certifies_its_rank_in_one_pool_call(kk_states, monkeypatch):
     calls = pool_calls(monkeypatch)
     _, records, _ = advance(kk_states[2], cfg, DEGREES)
     assert len(calls) == 1
-    halves = [job.args for job in calls[0] if job.func is derand._value_profile]
+    halves = [job.args for job in calls[0] if job.func is _quadrature._value_profile]
     assert len(halves) == len(calls[0]) == 2 * (1 + cfg.ell_max)
     assert [args[2] for args in halves] == [0, 1] * (1 + cfg.ell_max)
     assert len(records) == cfg.ell_max * len(DEGREES)
@@ -1257,13 +1289,13 @@ def count_window_profiles(monkeypatch):
     """Patch the window engine to log the pinned image (a, b) of every cell
     it profiles; returns the log."""
     calls = []
-    inner = derand._window_profile
+    inner = _window._window_profile
 
     def recorder(table, tail, gl, gd, gr, a, b, y1, y2):
         calls.append((a, b))
         return inner(table, tail, gl, gd, gr, a, b, y1, y2)
 
-    monkeypatch.setattr(derand, "_window_profile", recorder)
+    monkeypatch.setattr(_window, "_window_profile", recorder)
     return calls
 
 
@@ -1287,17 +1319,17 @@ def mc_state(name, kk_states):
     return kk_states[int(name[-1])]
 
 
-@pytest.mark.parametrize("block", [derand._BLOCK, 64])
+@pytest.mark.parametrize("block", [_pltable._BLOCK, 64])
 @pytest.mark.parametrize("name", ["kk-r2", "kk-r3", "kk-r4", "constant", "wrap"])
 def test_mc_guard_on_constant_cells_is_bitwise_the_reference(name, block, kk_states, monkeypatch):
     state = mc_state(name, kk_states)
-    constant = derand._constant_cells(state)
+    constant = _pltable._constant_cells(state)
     assert constant.any()
     assert constant.all() == (name == "constant")
     if name == "wrap":
         assert constant.tolist() == [False, True, False, True]
-    monkeypatch.setattr(derand, "_BLOCK", block)
-    got = derand._mc_profile(state, 1100, 5)
+    monkeypatch.setattr(_sampler, "_BLOCK", block)
+    got = _sampler._mc_profile(state, 1100, 5)
     ref = mc_profile_reference(state, 1100, 5)
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
@@ -1316,14 +1348,14 @@ def test_profile_jobs_join_to_the_serial_profile(name, kk_states, monkeypatch):
     # eight live cells split at the fifth
     state = top_rank_state() if name == "top-rank" else mc_state(name, kk_states)
     cfg = DerandConfig()
-    live = np.flatnonzero(~derand._constant_cells(state))
+    live = np.flatnonzero(~_pltable._constant_cells(state))
     if name.startswith("kk"):
         assert live.size == 1
-        cut = derand._cell_grid(state.f.m, state.n_active)[1][live[0]]
+        cut = _pltable._cell_grid(state.f.m, state.n_active)[1][live[0]]
     else:
         cut = {"constant": 0, "wrap": 32, "top-rank": 8}[name]
-    serial = derand._value_profile(state, cfg)
-    halves = [job() for job in derand._profile_jobs(state, cfg)]
+    serial = _quadrature._value_profile(state, cfg)
+    halves = [job() for job in _quadrature._profile_jobs(state, cfg)]
     assert [h.size for h in halves] == [cut, (1 << state.f.m) - cut]
     assert np.array_equal(np.concatenate(halves), serial)
     forks = count_forks(monkeypatch, True)
@@ -1335,17 +1367,17 @@ def test_profile_jobs_join_to_the_serial_profile(name, kk_states, monkeypatch):
 def test_mc_guard_builds_no_path_inside_constant_cells(name, kk_states, monkeypatch):
     state = mc_state(name, kk_states)
     points = []
-    inner = derand._PLTable.f_at
+    inner = _pltable._PLTable.f_at
 
     def recorder(self, u):
         points.append(np.array(u, dtype=float).ravel())
         return inner(self, u)
 
-    monkeypatch.setattr(derand._PLTable, "f_at", recorder)
-    derand._mc_profile(state, 600, 5)
+    monkeypatch.setattr(_pltable._PLTable, "f_at", recorder)
+    _sampler._mc_profile(state, 600, 5)
     u = np.concatenate(points)
     y = state.fixed_y
-    constant = derand._constant_cells(state)
+    constant = _pltable._constant_cells(state)
     for i in range(constant.size):
         inside = np.count_nonzero((u > y[i]) & (u < y[i + 1]))
         if constant[i]:
@@ -1358,7 +1390,7 @@ def test_mc_guard_builds_no_path_inside_constant_cells(name, kk_states, monkeypa
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_window_engine_skips_constant_cells(kk_states, rank, monkeypatch):
     state = kk_states[rank]
-    constant = derand._constant_cells(state)
+    constant = _pltable._constant_cells(state)
     calls = count_window_profiles(monkeypatch)
     assemble_v_matrix(state, DEGREES, DerandConfig())
     images = list(zip(state.fixed_y[:-1], state.fixed_y[1:]))
@@ -1370,7 +1402,7 @@ def test_window_engine_skips_constant_cells(kk_states, rank, monkeypatch):
 
 def test_constant_cell_columns_are_exact_zeros(kk_states):
     state = kk_states[3]
-    constant = derand._constant_cells(state)
+    constant = _pltable._constant_cells(state)
     assert constant.any() and not constant.all()
     v = assemble_v_matrix(state, DEGREES, DerandConfig(row_tol=0.0))
     assert v.n_rows == len(DEGREES) << state.n_active
@@ -1382,7 +1414,7 @@ def test_constant_cells_shrink_concentrically_at_zero_null_tol(kk_states):
     # null_tol = 0 signs every column with any signal, yet cannot sign an
     # exact zero column over a constant cell
     state = kk_states[3]
-    constant = derand._constant_cells(state)
+    constant = _pltable._constant_cells(state)
     s1, _, _ = choose_halves(state, DerandConfig(mc_check=False, null_tol=0.0), DEGREES)
     mid = 0.5 * (state.j_lo + state.j_hi)
     quarter = 0.25 * (state.j_hi - state.j_lo)
@@ -1416,7 +1448,7 @@ def test_constant_cells_move_only_their_own_windows(monkeypatch):
     cfg = DerandConfig(mc_check=False)
     degrees = default_degrees(6, 8)
     state = DerandState.initial(f, confinement_map(f, depth=8).with_floor(cfg.q_floor_exponent))
-    mask = derand._constant_cells
+    mask = _pltable._constant_cells
     while True:
         if state.ell == cfg.ell_max or derand._windows_converged(state, cfg):
             assert state.n_active < 6, "no divergence through rank 6"
@@ -1424,7 +1456,7 @@ def test_constant_cells_move_only_their_own_windows(monkeypatch):
             continue
         new, new_records, _ = choose_halves(state, cfg, degrees)
         with monkeypatch.context() as mp:
-            mp.setattr(derand, "_constant_cells", lambda s: np.zeros(s.j_lo.size, dtype=bool))
+            mp.setattr(_window, "_constant_cells", lambda s: np.zeros(s.j_lo.size, dtype=bool))
             old, old_records, _ = choose_halves(dataclasses.replace(state), cfg, degrees)
         differs = (new.j_lo != old.j_lo) | (new.j_hi != old.j_hi)
         if not differs.any():
@@ -1452,7 +1484,7 @@ def square_m8():
 def count_engine_calls(mp):
     """Patch both engines to count their calls; returns the live counts."""
     counts = {"value": 0, "window": 0}
-    value, window = derand._value_profile, derand._window_profile
+    value, window = _quadrature._value_profile, _window._window_profile
 
     def value_counted(*args, **kw):
         counts["value"] += 1
@@ -1462,8 +1494,8 @@ def count_engine_calls(mp):
         counts["window"] += 1
         return window(*args)
 
-    mp.setattr(derand, "_value_profile", value_counted)
-    mp.setattr(derand, "_window_profile", window_counted)
+    mp.setattr(_quadrature, "_value_profile", value_counted)
+    mp.setattr(_window, "_window_profile", window_counted)
     return counts
 
 
@@ -1574,9 +1606,9 @@ def test_fold_plan_is_bitwise_the_per_degree_loop(m):
     degrees = default_degrees(7, m)
     for n in range(1, m):
         pts = 1 << n
-        plan = derand._fold_plan(1 << m, degrees, pts)
+        plan = _window._fold_plan(1 << m, degrees, pts)
         for profile in (rng.standard_normal(1 << m), np.repeat(rng.standard_normal(pts), 1 << (m - n))):
-            got = derand._fold_degrees(profile, plan)
+            got = _window._fold_degrees(profile, plan)
             assert np.array_equal(got, fold_degrees_reference(profile, degrees, pts)), (m, n)
 
 
@@ -1638,7 +1670,7 @@ M10_PROFILE_PINS = {
 
 @pytest.mark.parametrize("key", sorted(M10_PROFILE_PINS), ids=lambda k: f"{k[0]}-{k[1]}")
 def test_value_profile_is_pinned(m10_states, key):
-    profile = derand._value_profile(m10_states[key], DerandConfig())
+    profile = _quadrature._value_profile(m10_states[key], DerandConfig())
     assert hashlib.sha256(profile.tobytes()).hexdigest() == M10_PROFILE_PINS[key]
 
 
@@ -1647,14 +1679,14 @@ def test_gauss_rules_are_leggauss_bitwise(k):
     # the plan's two rules are written out as leggauss's doubles; closed
     # forms differ from them by 1-5 ulp at k = 4, which would move every pin
     want = np.polynomial.legendre.leggauss(k)
-    got = derand._gl_nodes(k)
+    got = _quadrature._gl_nodes(k)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_gauss_rules_hold_only_the_plans_node_counts():
     with pytest.raises(ValueError, match="no 3-point Gauss-Legendre rule"):
-        derand._gl_nodes(3)
+        _quadrature._gl_nodes(3)
 
 
 def test_run_leaves_numpy_polynomial_unimported():
@@ -1701,8 +1733,8 @@ def test_value_profile_working_set_is_bounded(m10_states, m12_open_state, key):
     # 0.26 MB margin over the m=12 peak
     name, m = key
     state = m12_open_state if m == 12 else m10_states[name, 1]
-    derand._value_profile(state, DerandConfig())  # warm the caches
-    _, peak = traced_peak(lambda: derand._value_profile(state, DerandConfig()))
+    _quadrature._value_profile(state, DerandConfig())  # warm the caches
+    _, peak = traced_peak(lambda: _quadrature._value_profile(state, DerandConfig()))
     assert peak <= 2.3e6
 
 
@@ -1713,8 +1745,8 @@ def test_assemble_working_set_is_bounded(m12_open_state):
     # kind and _panels writing its temporaries over dead ones; the bound
     # keeps a 0.24 MB margin
     degrees = default_degrees(7, 12)
-    derand._assemble(m12_open_state, degrees, DerandConfig())  # warm the caches
-    _, peak = traced_peak(lambda: derand._assemble(m12_open_state, degrees, DerandConfig()))
+    derand._matrix(m12_open_state, degrees, DerandConfig())  # warm the caches
+    _, peak = traced_peak(lambda: derand._matrix(m12_open_state, degrees, DerandConfig()))
     assert peak <= 1.9e6
 
 
@@ -1757,7 +1789,7 @@ MC_PROFILE_PINS = {
 @pytest.mark.parametrize("key", sorted(MC_PROFILE_PINS), ids=lambda k: f"{k[0]}-m{k[1]}-{k[2]}")
 def test_mc_profile_is_pinned(m10_states, m12_open_state, key):
     state = sampler_state(key, m10_states, m12_open_state)
-    mean, se = derand._mc_profile(state, 1100, DerandConfig().mc_seed)
+    mean, se = _sampler._mc_profile(state, 1100, DerandConfig().mc_seed)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (mean, se))
     assert got == MC_PROFILE_PINS[key]
 
@@ -1776,7 +1808,7 @@ def test_mc_profile_working_set_is_bounded(m10_states, m12_open_state, key, boun
     # full rows before the live cells are taken, at m=10 rank 4) leaves
     # 1.7 MB and 3.2 MB; the m=12 bound keeps a 0.8 MB margin over that
     state = sampler_state(key, m10_states, m12_open_state)
-    _, peak = traced_peak(lambda: derand._mc_profile(state, 1100, DerandConfig().mc_seed))
+    _, peak = traced_peak(lambda: _sampler._mc_profile(state, 1100, DerandConfig().mc_seed))
     assert peak <= bound
 
 
@@ -1818,7 +1850,7 @@ def test_a_failed_share_raises_here_and_leaves_no_child(site, share, monkeypatch
         time.sleep(60)
 
     if site == "profile":
-        inner = derand._cell_expectation
+        inner = _quadrature._cell_expectation
 
         def cell(E, table, qtab, tail, state, i, sides, *rest):
             if list(sides) == ([0] if share == "child" else [1]):
@@ -1827,12 +1859,12 @@ def test_a_failed_share_raises_here_and_leaves_no_child(site, share, monkeypatch
                 stall()
             return inner(E, table, qtab, tail, state, i, sides, *rest)
 
-        monkeypatch.setattr(derand, "_cell_expectation", cell)
+        monkeypatch.setattr(_quadrature, "_cell_expectation", cell)
         call = lambda: derand.expected_composition(taper_state())
     else:
         monkeypatch.setattr(derand, "_mc_profile", fail if share == "child" else stall)
         if share == "parent":
-            monkeypatch.setattr(derand, "_value_profile", fail)
+            monkeypatch.setattr(_quadrature, "_value_profile", fail)
         call = lambda: mc_cross_check(taper_state(), DerandConfig())
     start = time.monotonic()
     with pytest.raises(ShareFailed, match=share):
@@ -1903,6 +1935,8 @@ def test_homeomorphism_ignores_the_diagnostics(name, digest, monkeypatch):
     # the halving choice reads neither the quadrature profile nor the guard:
     # a profile of zeros and no guard leave the default run's homeomorphism
     # each profile job returns its slice; here the later slice is all of it
-    monkeypatch.setattr(derand, "_value_profile", lambda state, cfg, half: np.zeros(half << state.f.m))
+    monkeypatch.setattr(_quadrature, "_value_profile", lambda state, cfg, half: np.zeros(half << state.f.m))
     res = run(CorpusSpec(name, M10_CORPORA[name], 10).build(), 7, DerandConfig(mc_check=False))
     assert hashlib.sha256(homeo_to_json(res.homeo).encode()).hexdigest() == digest
+    # the records were made from the zero profiles, so the patch took
+    assert res.records and all(rec.sup_dev == 0.0 for rec in res.records)
