@@ -2,7 +2,7 @@
 at every grid point of a state (its profile), which the deviation records
 and the Monte-Carlo guard read. It integrates several untouched ranks per
 point with Gauss-Legendre nodes before freezing the rest (the value plan,
-DerandConfig.value_plan). Its working set is bounded by _BLOCK: each
+_plan); it reads no config. Its working set is bounded by _BLOCK: each
 level's midpoint means are taken in _BLOCK slices, and the last level of
 the quadrature tree is never built whole but generated a block of parents
 at a time, in level order, straight into the frozen tail.
@@ -34,6 +34,21 @@ _GL_RULES = {
         ("0x1.64340f7e7b666p-2", "0x1.4de5f840c24cdp-1", "0x1.4de5f840c24cdp-1", "0x1.64340f7e7b666p-2"),
     ),
 }
+
+_SHALLOW_RANK_MAX = 3  # the value plan, read through _plan
+_Y_PANELS_SHALLOW = 16
+_Y_PANELS_DEEP = 4
+_Y_NODES = 4
+_LEVEL_NODES_SHALLOW = (8, 4, 2, 2)
+_LEVEL_NODES_DEEP = (8, 2)
+
+
+def _plan(rank: int) -> tuple[int, int, tuple]:
+    """The value plan at an active rank: live-window panels, nodes per panel
+    and the levels' node counts (2-point panels); deeper ranks are frozen."""
+    if rank <= _SHALLOW_RANK_MAX:
+        return _Y_PANELS_SHALLOW, _Y_NODES, _LEVEL_NODES_SHALLOW
+    return _Y_PANELS_DEEP, _Y_NODES, _LEVEL_NODES_DEEP
 
 
 @functools.cache
@@ -164,7 +179,7 @@ def _descend(E, table, qtab, tail, rows, seg, nodes, ws):
         np.add.at(E, g.ravel(), vals.ravel())
 
 
-def _value_profile(state, cfg, half: int | None = None) -> np.ndarray:
+def _value_profile(state, half: int | None = None) -> np.ndarray:
     """Quadrature profile of the state, computed afresh (_certify keeps it
     in the state's memo).
 
@@ -204,7 +219,7 @@ def _value_profile(state, cfg, half: int | None = None) -> np.ndarray:
     if half is not None:
         units = units[cut:] if half else units[:cut]
     if units.size:
-        plan = cfg.value_plan(n)
+        plan = _plan(n)
         qtab = _q_table(state.q, m)
         # _cell_expectation's segments are this wide once its quadrature levels end
         tail = _tail_table(qtab, seg >> min(len(plan[2]), m - n))
@@ -217,9 +232,9 @@ def _value_profile(state, cfg, half: int | None = None) -> np.ndarray:
     return E[start:] if half else E[:start]
 
 
-def _profile_jobs(state, cfg) -> list:
+def _profile_jobs(state) -> list:
     """The two jobs of the state's profile for _fork_map: its earlier and
     its later half, whose results np.concatenate joins. The jobs split the
     half cells that still need quadrature, not the flat ones that are only
     filled, so a job may have nothing to integrate."""
-    return [functools.partial(_value_profile, state, cfg, half) for half in (0, 1)]
+    return [functools.partial(_value_profile, state, half) for half in (0, 1)]

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._pltable import _BLOCK, _PLTable, _constant_cells, _q_table
+from .randhomeo import _confined
 from .rng import _keyed_random, _tag_key
 
 # Monte-Carlo paths per batch. A batch's draws are laid out in stream order
@@ -53,20 +54,20 @@ def _mc_profile(state, n_samples: int, seed: int):
 
     a = state.fixed_y[:-1][take]
     b = state.fixed_y[1:][take]
-    # per rank, the live one first: its draws per cell and the affine map
-    # u -> scale * u + base that places its points, the live point in its
-    # window and a deeper rank's midpoints step::2*step of a cell between
-    # neighbours 2*step apart, at lo + (hi - lo) * (0.5 * (1 - q) + q * u)
-    plan = [(1, (state.j_hi - state.j_lo)[take, None], state.j_lo[take, None])]
+    # per rank, the live one first: its draws per cell and its budgets. The
+    # live point lies at j_lo + width * u in its window (budgets None), and a
+    # deeper rank's midpoints step::2*step of a cell between neighbours
+    # 2*step apart, at lo + (hi - lo) * _confined(u, q)
+    width, j_lo = (state.j_hi - state.j_lo)[take, None], state.j_lo[take, None]
+    plan = [(1, None)]
     steps = []
     for rank in range(n + 1, m + 1):
         step = 1 << (m - rank)
-        qv = qtab[step : size : 2 * step].reshape(cells, W // (2 * step))[take]
-        plan.append((W // (2 * step), qv, 0.5 * (1.0 - qv)))
+        plan.append((W // (2 * step), qtab[step : size : 2 * step].reshape(cells, W // (2 * step))[take]))
         steps.append(step)
     rows = max(1, _BLOCK // max(k * W, 1))  # paths per block
     # stream positions per path, constant cells included
-    per_path = cells * sum(per for per, _, _ in plan)
+    per_path = cells * sum(per for per, _ in plan)
     span = max(1, (_BLOCK << 4) // per_path)  # paths per draw block
     # f at each constant cell's left edge: its value at every point
     flat = table.f_at(state.fixed_y[:-1][constant])
@@ -93,11 +94,10 @@ def _mc_profile(state, n_samples: int, seed: int):
             d1 = min(d0 + span, bsz)
             at = done * per_path
             draws = []
-            for per, scale, base in plan:
+            for per, qv in plan:
                 u = _keyed_random(key, (d1 - d0) * cells * per, at + d0 * cells * per)
                 u = live_cells(u.reshape(d1 - d0, cells, per))
-                u *= scale
-                u += base
+                u = u * width + j_lo if qv is None else _confined(u, qv)
                 draws.append(u.reshape(-1, per))  # one row per (path, live cell)
                 at += bsz * cells * per
             for r0 in range(0, d1 - d0, rows):

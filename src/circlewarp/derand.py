@@ -149,7 +149,8 @@ def _resolve_degrees(degrees, m: int, n_hint: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DerandConfig:
-    """The halving loop's settings, and the construction's fixed constants.
+    """The halving loop's settings, and the fixed constants derand reads (no
+    engine reads a config: the value plan is _quadrature's).
 
     Settings (the fields; the only names a config may set):
 
@@ -159,11 +160,11 @@ class DerandConfig:
     * Rows of the functional matrix whose largest entry is below row_tol are
       dropped before the sign search. Columns over constant cells (f flat on
       the cell's pinned image, that is on the image ranges of both its half
-      cells; see _pltable._flat_half_cells) are exact zeros and always shrink to
-      their concentric middle half, and the value engine fills every flat
-      half cell with its constant; null_tol applies to the other columns,
-      which carry no signal and shrink the same way when their largest kept
-      entry is below it. identity_tol bounds the averaging-identity residual.
+      cells; see _pltable._flat_half_cells) are exact zeros and always shrink
+      to their concentric middle half; null_tol applies to the other
+      columns, which carry no signal and shrink the same way when their
+      largest kept entry is below it. identity_tol bounds the
+      averaging-identity residual.
     * mc_check turns the Monte-Carlo guard on, with mc_samples paths per
       rank (at least 2, for a standard error).
 
@@ -172,13 +173,7 @@ class DerandConfig:
     * solver_*: block size, retries, seed and lambda of solve_hierarchical.
     * q_floor_exponent: the budget map's floor 2**(-n * exponent).
     * mc_seed, mc_floor, mc_exceed_frac: the guard's base seed, its floor
-      relative to sup |f|, and the share of points allowed past 6 SE.
-    * The value-engine plan (see value_plan): Gauss-Legendre node counts
-      for the live window (panels x nodes) and for each untouched rank
-      below the active one, shallow up to rank shallow_rank_max and deep
-      past it; ranks past the tuple are frozen at conditional centers. The
-      window's rule and the levels' 2-point panels are the rules that
-      _quadrature._GL_RULES holds."""
+      relative to sup |f|, and the share of points allowed past 6 SE."""
 
     ell_max: int = 6
     j_tol: float = 2.0**-20
@@ -197,12 +192,6 @@ class DerandConfig:
     mc_seed: ClassVar[int] = 2718
     mc_floor: ClassVar[float] = 1e-4
     mc_exceed_frac: ClassVar[float] = 0.10
-    shallow_rank_max: ClassVar[int] = 3
-    y_panels_shallow: ClassVar[int] = 16
-    y_panels_deep: ClassVar[int] = 4
-    y_nodes: ClassVar[int] = 4
-    level_nodes_shallow: ClassVar[tuple] = (8, 4, 2, 2)
-    level_nodes_deep: ClassVar[tuple] = (8, 2)
 
     def __post_init__(self):
         ell_max = _whole(self.ell_max, 0, "ell_max must be a nonnegative integer")
@@ -221,11 +210,6 @@ class DerandConfig:
         if self.degrees is not None:
             object.__setattr__(self, "degrees", _whole_degrees(self.degrees, 1))
 
-    def value_plan(self, rank: int) -> tuple[int, int, tuple]:
-        if rank <= self.shallow_rank_max:
-            return self.y_panels_shallow, self.y_nodes, self.level_nodes_shallow
-        return self.y_panels_deep, self.y_nodes, self.level_nodes_deep
-
 
 @dataclass(frozen=True)
 class DerandState:
@@ -237,10 +221,10 @@ class DerandState:
     every tracked rank is pinned, after which homeo() is available.
 
     Each state that _certify profiles remembers its quadrature profile
-    ("profile"), a pure function of the state, so the public steps that
-    follow each other (the guard, then a halving) read it here rather than
-    recomputing it. The memo is no constructor argument, and
-    dataclasses.replace starts it empty."""
+    ("profile"), a pure function of the state (no config reaches the value
+    engine), so the public steps that follow each other (the guard, then a
+    halving) read it here rather than recomputing it. The memo is no
+    constructor argument, and dataclasses.replace starts it empty."""
 
     f: SampledFunction
     q: ConfinementMap
@@ -347,9 +331,10 @@ def expected_composition(state: DerandState, config: DerandConfig | None = None)
     """Pointwise conditional expectation of f(warp(t)) on the sample grid of
     f, from the quadrature engine. A final state has no live windows and
     raises ValueError; compose(state.f, state.homeo(), m) samples it.
-    It neither reads nor fills the state's memo."""
-    cfg = _config(state, config)
-    return SampledFunction(state.f.m, np.concatenate(_fork_map(_profile_jobs(state, cfg))))
+    It neither reads nor fills the state's memo. config only checks the
+    phase, as every step's does: the profile depends on the state alone."""
+    _config(state, config)
+    return SampledFunction(state.f.m, np.concatenate(_fork_map(_profile_jobs(state))))
 
 
 def mc_cross_check(
@@ -367,7 +352,7 @@ def mc_cross_check(
     budget error at 13 of 14 ranks, and misplaced quadrature nodes.
 
     The quadrature side is the state's remembered profile (see _certify):
-    after varying the value plan, pass a dataclasses.replace copy."""
+    after patching _quadrature's plan, pass a dataclasses.replace copy."""
     cfg = _config(state, config)
     seed = cfg.mc_seed if seed is None else seed
     return _certify([[state]], cfg, None, [seed])[1][0]
@@ -470,8 +455,8 @@ def _certify(ranks, cfg: DerandConfig, degrees, seeds=None):
     profile jobs of each state that a record or the report reads and that
     does not yet remember its profile. Rank order puts the biggest jobs
     first. Each profile's halves are joined into its state's memo, which
-    holds nothing else. The value plan is a set of class constants, so the
-    profile depends on the state alone; a caller who varies the plan must
+    holds nothing else. No config reaches the profile jobs, which depend
+    on the state alone; a caller who varies _quadrature's value plan must
     pass dataclasses.replace copies, which start with an empty memo. A
     failing guard raises NumericalAlarm (see _mc_report)."""
     if seeds is None:
@@ -485,7 +470,7 @@ def _certify(ranks, cfg: DerandConfig, degrees, seeds=None):
         read = states if len(states) > 1 else states[: seed is not None]
         fresh.append([s for s in read if "profile" not in s._memo])
         for s in fresh[-1]:
-            jobs += _profile_jobs(s, cfg)
+            jobs += _profile_jobs(s)
     results = iter(_fork_map(jobs))
     records: list[DeviationRecord] = []
     reports = []
@@ -582,19 +567,14 @@ def run(
     n_max stay affine, which is exactly what dropping their concentric
     windows leaves behind.
 
-    run constructs, then certifies. The halving loop (_halvings) assembles
-    and solves only; an averaging-identity alarm raises there, at its rank.
-    One _certify call then runs the Monte-Carlo sampler of every rank's
-    opening state and the two halves of every profile that a record or a
-    report reads as independent jobs on this process and one forked child
-    (_fork_map), and builds the deviation records and guard reports from
-    them in rank order. So a Monte-Carlo alarm at rank r raises after the
-    whole construction, not before rank r's halvings, with the same
-    exception and context as mc_cross_check's. The first rank's sampler is
-    job 0, which a forked child runs, so its draws stay out of this
-    process's memory. The public steps (mc_cross_check, choose_halves,
-    advance) run the same two phases, so driven rank by rank they give
-    bitwise run's outputs."""
+    run constructs every rank, then certifies them all in one _certify call
+    (see the module docstring). An averaging-identity alarm raises in the
+    construction, at its rank; a Monte-Carlo alarm at rank r raises after
+    the whole construction, with the same exception and context as
+    mc_cross_check's. The first rank's sampler is job 0, which a forked
+    child runs, so its draws stay out of this process's memory. The public
+    steps (mc_cross_check, choose_halves, advance) run the same two phases,
+    so driven rank by rank they give bitwise run's outputs."""
     cfg = config if config is not None else DerandConfig()
     n_max = _check_n_max(n_max, f.m)
     f_use = normalize_sup(f) if f.sup_norm() > 1.0 + _SUP_TOL else f

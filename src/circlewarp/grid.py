@@ -192,7 +192,7 @@ def compose(f: SampledFunction, h: PLHomeo, m_out: int | None = None) -> Sampled
     The output node at i / 2**m_out carries the piecewise-linear value of f
     at h(i / 2**m_out).
     """
-    m_out = f.m + 4 if m_out is None else _whole(m_out, 0, "m_out must be a nonnegative integer")
+    m_out = _exponent(f.m + 4 if m_out is None else _whole(m_out, 0, "m_out must be a nonnegative integer"))
     t = np.arange(1 << m_out) / (1 << m_out)
     return SampledFunction(m_out, f.eval(h.eval(t)))
 

@@ -80,10 +80,9 @@ def haar_transform(f: SampledFunction) -> HaarCoeffs:
 
 def haar_inverse(c: HaarCoeffs, m: int) -> SampledFunction:
     """Rebuild the step function; exact round trip with haar_transform."""
+    m = _exponent(m)
     if m < c.levels:
-        raise ResolutionError(
-            f"coefficients reach level {c.levels - 1}, need m >= {c.levels}"
-        )
+        raise ResolutionError(f"coefficients reach level {c.levels - 1}, need m >= {c.levels}")
     means = np.array([c.mean])
     for level in range(c.levels):
         scale = 2.0 ** (level / 2.0)

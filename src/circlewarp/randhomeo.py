@@ -94,6 +94,14 @@ class DFParams:
         return self.q.rank_values(n)
 
 
+def _confined(u: np.ndarray, q) -> np.ndarray:
+    """The confined draw (1 - q)/2 + q*u, written over the uniforms u: a
+    midpoint's place in its parent interval, for sample_psi_q and _sampler."""
+    u *= q
+    u += 0.5 * (1.0 - q)
+    return u
+
+
 def sample_df(depth: int, seed: int) -> PLHomeo:
     """Unconfined midpoint recursion down to the given rank.
 
@@ -108,8 +116,8 @@ def sample_psi_q(params: DFParams, seed: int) -> PLHomeo:
     """Confined midpoint recursion; inverts the result under inverse orientation.
 
     With the rank-n budgets q (scalar or per-point vector) the draw is
-    mid = lo + (hi - lo) * ((1 - q)/2 + q*u), which degenerates to the
-    plain uniform placement exactly when q == 1.
+    mid = lo + (hi - lo) * _confined(u, q), which degenerates to the plain
+    uniform placement exactly when q == 1.
     """
     depth = params.depth
     size = 1 << depth
@@ -119,9 +127,7 @@ def sample_psi_q(params: DFParams, seed: int) -> PLHomeo:
         step = 1 << (depth - n)
         # the rank-n points and their left and right parents, as views of y
         lo, hi = y[: size : 2 * step], y[2 * step :: 2 * step]
-        u = rank_uniforms(seed, n)
-        q = params.rank_budgets(n)
-        y[step :: 2 * step] = lo + (hi - lo) * (0.5 * (1.0 - q) + q * u)
+        y[step :: 2 * step] = lo + (hi - lo) * _confined(rank_uniforms(seed, n), params.rank_budgets(n))
     h = PLHomeo(np.arange(size + 1) / size, y)
     return h.inverse() if params.orientation == "inverse" else h
 

@@ -25,6 +25,8 @@ from circlewarp import (
     compose,
     dirichlet_kernel,
     fejer_blocks,
+    haar_inverse,
+    haar_transform,
     identity_homeo,
     kernel_block_matrix,
     oscillation,
@@ -208,10 +210,11 @@ DERAND_ALL = [
 
 def test_derand_is_a_pipeline_over_three_engines():
     """The engine modules import neither each other nor derand, and none of
-    them raises NumericalAlarm or reads a tolerance: derand alone gates.
-    derand's public names are the pipeline's 13."""
+    them raises NumericalAlarm or reads a tolerance: derand alone gates. No
+    engine, nor the tables they share, names a config: a profile depends on
+    the state alone. derand's public names are the pipeline's 13."""
     src = Path(circlewarp.__file__).resolve().parent
-    for engine in ENGINES:
+    for engine in (*ENGINES, "_pltable"):
         tree = ast.parse((src / f"{engine}.py").read_text())
         imported, names = set(), set()
         for node in ast.walk(tree):
@@ -226,15 +229,22 @@ def test_derand_is_a_pipeline_over_three_engines():
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
         forbidden = {"derand", *ENGINES} - {engine}
         assert not imported & forbidden, f"{engine} imports {sorted(imported & forbidden)}"
         gates = {"NumericalAlarm", "identity_tol", "row_tol", "null_tol"}
         assert not names & gates, f"{engine} reads {sorted(names & gates)}"
+        configs = {"DerandConfig", "value_plan", "cfg", "config"}
+        assert not (names | imported) & configs, f"{engine} names {sorted((names | imported) & configs)}"
     assert importlib.import_module("circlewarp.derand").__all__ == DERAND_ALL
 
 
 F6 = SampledFunction.from_callable(6, lambda t: np.sin(2 * np.pi * t) * np.cos(6 * np.pi * t))
 V16 = build_synthetic_matrix(16, "random_signs_decay", seed=2)
+HAAR2 = haar_transform(SampledFunction(2, np.arange(4.0)))
 
 
 def rank_state(n_active, ell=0):
@@ -302,6 +312,7 @@ WHOLE_ARGUMENTS = {
     ("DyadicPoint", "k"): (lambda x: DyadicPoint(x, 2), "need 0 < k < 2"),
     ("DyadicPoint", "n"): (lambda x: DyadicPoint(1, x), "rank must be >= 1"),
     ("compose", "m_out"): (lambda x: compose(F6, identity_homeo(), x), "m_out must be"),
+    ("haar_inverse", "m"): (lambda x: haar_inverse(HAAR2, x), "grid exponent"),
     ("confinement_map", "depth"): (lambda x: confinement_map(F6, x), "depth must be >= 1"),
     ("rademacher", "rank"): (lambda x: rademacher(x, 6), "rank must be >= 1"),
     ("perturbed_square_wave", "rank"): (

@@ -131,12 +131,6 @@ CONSTANTS = {
     "mc_seed": 2718,
     "mc_floor": 1e-4,
     "mc_exceed_frac": 0.10,
-    "shallow_rank_max": 3,
-    "y_panels_shallow": 16,
-    "y_panels_deep": 4,
-    "y_nodes": 4,
-    "level_nodes_shallow": (8, 4, 2, 2),
-    "level_nodes_deep": (8, 2),
 }
 
 
@@ -304,8 +298,8 @@ def test_averaging_identity_alarm_catches_one_nan(call, monkeypatch):
 def test_mc_guard_alarm_catches_one_nan(monkeypatch):
     inner = _quadrature._value_profile
 
-    def poisoned(state, cfg, half=None):
-        out = inner(state, cfg, half)
+    def poisoned(state, half=None):
+        out = inner(state, half)
         if not half:  # the whole profile, or its earlier slice
             out[7] = np.nan
         return out
@@ -644,7 +638,6 @@ def assert_point_slices_are_bitwise(table, origin, c_hi, c_lo, z1, z2):
 @pytest.mark.parametrize("rank", [1, 3])
 def test_engines_are_block_invariant(rank_states, rank, monkeypatch):
     state = rank_states[rank]
-    cfg = DerandConfig()
     table = _pltable._PLTable(state.f)
     sides = set()
     for side, *lines in window_lines(state):
@@ -665,7 +658,7 @@ def test_engines_are_block_invariant(rank_states, rank, monkeypatch):
                     return inner(*args)
 
                 mp.setattr(module, name, counted)
-            return _quadrature._value_profile(state, cfg), _sampler._mc_profile(state, 1100, 5), counts
+            return _quadrature._value_profile(state), _sampler._mc_profile(state, 1100, 5), counts
 
     prof, mc, counts = engines()
     ref = mc_profile_reference(state, 1100, 5)
@@ -706,7 +699,7 @@ def test_run_profiles_each_state_once(monkeypatch):
     sampled = [job.args[0] for job in handed if job.func is _sampler._mc_profile]
     assert len(halves) + len(sampled) == len(handed)
     # two jobs per state, its earlier and its later half, one after the other
-    assert [args[2] for args in halves] == [0, 1] * (len(halves) // 2)
+    assert [args[1] for args in halves] == [0, 1] * (len(halves) // 2)
     assert all(a[0] is b[0] for a, b in zip(halves[::2], halves[1::2], strict=True))
     profiled = [args[0] for args in halves[::2]]
     keys = [
@@ -1077,9 +1070,9 @@ def test_constant_cells_leave_the_value_profile_bitwise(kk_states, rank, monkeyp
     state = kk_states[rank]
     constant = _pltable._constant_cells(state)
     assert constant.any() and not constant.all()
-    prof = _quadrature._value_profile(state, DerandConfig())
+    prof = _quadrature._value_profile(state)
     reads = no_flat_half_cells(monkeypatch)
-    assert np.array_equal(_quadrature._value_profile(state, DerandConfig()), prof)
+    assert np.array_equal(_quadrature._value_profile(state), prof)
     assert reads
 
 
@@ -1110,11 +1103,11 @@ def test_flat_half_cells_leave_the_kk_profile_bitwise(kk_openings, kk_m10_openin
     state = derand._choose(opening, DerandConfig(), DEGREES)[0]
     flat = _pltable._flat_half_cells(state)
     assert (flat.any(axis=1) & ~flat.all(axis=1)).any()
-    prof = _quadrature._value_profile(state, DerandConfig())
+    prof = _quadrature._value_profile(state)
     for inside, c in flat_fills(state):
         assert np.all(prof[inside] == c)
     reads = no_flat_half_cells(monkeypatch)
-    assert np.array_equal(_quadrature._value_profile(state, DerandConfig()), prof)
+    assert np.array_equal(_quadrature._value_profile(state), prof)
     assert reads
 
 
@@ -1134,10 +1127,10 @@ def test_flat_half_cell_fill_is_within_an_ulp_of_the_quadrature(square_m10_rank3
     state = square_m10_rank3[ell]
     flat = _pltable._flat_half_cells(state)
     assert flat.any() and not flat.all(axis=1).any()
-    prof = _quadrature._value_profile(state, DerandConfig())
+    prof = _quadrature._value_profile(state)
     fills = flat_fills(state)
     reads = no_flat_half_cells(monkeypatch)
-    full = _quadrature._value_profile(state, DerandConfig())
+    full = _quadrature._value_profile(state)
     assert reads
     other = np.ones(prof.size, dtype=bool)
     for inside, c in fills:
@@ -1155,7 +1148,7 @@ def test_a_job_with_only_flat_half_cells_only_fills(kk_openings, monkeypatch):
     state = derand._choose(kk_openings[2], cfg, DEGREES)[0]
     flat = _pltable._flat_half_cells(state)
     assert np.flatnonzero(~flat.ravel()).tolist() == [0]
-    serial = _quadrature._value_profile(state, cfg)
+    serial = _quadrature._value_profile(state)
     calls = {}
     for name in ("_cell_expectation", "_q_table", "_tail_table", "_Workspace"):
         inner = getattr(_quadrature, name)
@@ -1166,7 +1159,7 @@ def test_a_job_with_only_flat_half_cells_only_fills(kk_openings, monkeypatch):
             return inner(*args)
 
         monkeypatch.setattr(_quadrature, name, counted)
-    first, second = _quadrature._profile_jobs(state, cfg)
+    first, second = _quadrature._profile_jobs(state)
     earlier = first()
     assert set(calls.values()) == {0}
     later = second()
@@ -1195,10 +1188,10 @@ def test_constant_cell_profile_is_exactly_the_constant(monkeypatch):
     state = flat_state(values, [0.0, 0.5, 1.0])
     assert _pltable._constant_cells(state).tolist() == [True, False]
     cell = slice(1, size // 2)  # grid points gl+1 .. gr-1 of cell 0
-    prof = _quadrature._value_profile(state, DerandConfig())
+    prof = _quadrature._value_profile(state)
     assert np.all(prof[cell] == c)
     reads = no_flat_half_cells(monkeypatch)
-    full = _quadrature._value_profile(state, DerandConfig())
+    full = _quadrature._value_profile(state)
     assert reads
     assert np.max(np.abs(full[cell] - c)) <= 1e-12
     assert np.array_equal(full[size // 2 :], prof[size // 2 :])
@@ -1271,7 +1264,7 @@ def test_advance_certifies_its_rank_in_one_pool_call(kk_states, monkeypatch):
     assert len(calls) == 1
     halves = [job.args for job in calls[0] if job.func is _quadrature._value_profile]
     assert len(halves) == len(calls[0]) == 2 * (1 + cfg.ell_max)
-    assert [args[2] for args in halves] == [0, 1] * (1 + cfg.ell_max)
+    assert [args[1] for args in halves] == [0, 1] * (1 + cfg.ell_max)
     assert len(records) == cfg.ell_max * len(DEGREES)
 
 
@@ -1354,8 +1347,8 @@ def test_profile_jobs_join_to_the_serial_profile(name, kk_states, monkeypatch):
         cut = _pltable._cell_grid(state.f.m, state.n_active)[1][live[0]]
     else:
         cut = {"constant": 0, "wrap": 32, "top-rank": 8}[name]
-    serial = _quadrature._value_profile(state, cfg)
-    halves = [job() for job in _quadrature._profile_jobs(state, cfg)]
+    serial = _quadrature._value_profile(state)
+    halves = [job() for job in _quadrature._profile_jobs(state)]
     assert [h.size for h in halves] == [cut, (1 << state.f.m) - cut]
     assert np.array_equal(np.concatenate(halves), serial)
     forks = count_forks(monkeypatch, True)
@@ -1670,8 +1663,37 @@ M10_PROFILE_PINS = {
 
 @pytest.mark.parametrize("key", sorted(M10_PROFILE_PINS), ids=lambda k: f"{k[0]}-{k[1]}")
 def test_value_profile_is_pinned(m10_states, key):
-    profile = _quadrature._value_profile(m10_states[key], DerandConfig())
+    profile = _quadrature._value_profile(m10_states[key])
     assert hashlib.sha256(profile.tobytes()).hexdigest() == M10_PROFILE_PINS[key]
+
+
+VALUE_PLAN = {
+    "_SHALLOW_RANK_MAX": 3,
+    "_Y_PANELS_SHALLOW": 16,
+    "_Y_PANELS_DEEP": 4,
+    "_Y_NODES": 4,
+    "_LEVEL_NODES_SHALLOW": (8, 4, 2, 2),
+    "_LEVEL_NODES_DEEP": (8, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_PLAN))
+def test_value_plan_is_pinned_in_the_value_engine(name):
+    # the plan lives beside the Gauss rules its node counts name; the
+    # config no longer carries it
+    value = getattr(_quadrature, name)
+    assert type(value) is type(VALUE_PLAN[name]) and value == VALUE_PLAN[name]
+    assert not hasattr(DerandConfig, name[1:].lower())
+
+
+def test_value_plan_names_only_stored_gauss_rules():
+    # a node count without a stored rule would raise only inside a profile
+    # job, possibly in the forked child; the levels are 2-point panels
+    assert 2 in _quadrature._GL_RULES
+    for rank in range(1, _quadrature._SHALLOW_RANK_MAX + 2):
+        panels, nodes, levels = _quadrature._plan(rank)
+        assert panels >= 1 and nodes in _quadrature._GL_RULES
+        assert levels and all(k >= 2 and k % 2 == 0 for k in levels)
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -1733,8 +1755,8 @@ def test_value_profile_working_set_is_bounded(m10_states, m12_open_state, key):
     # 0.26 MB margin over the m=12 peak
     name, m = key
     state = m12_open_state if m == 12 else m10_states[name, 1]
-    _quadrature._value_profile(state, DerandConfig())  # warm the caches
-    _, peak = traced_peak(lambda: _quadrature._value_profile(state, DerandConfig()))
+    _quadrature._value_profile(state)  # warm the caches
+    _, peak = traced_peak(lambda: _quadrature._value_profile(state))
     assert peak <= 2.3e6
 
 
@@ -1935,7 +1957,7 @@ def test_homeomorphism_ignores_the_diagnostics(name, digest, monkeypatch):
     # the halving choice reads neither the quadrature profile nor the guard:
     # a profile of zeros and no guard leave the default run's homeomorphism
     # each profile job returns its slice; here the later slice is all of it
-    monkeypatch.setattr(_quadrature, "_value_profile", lambda state, cfg, half: np.zeros(half << state.f.m))
+    monkeypatch.setattr(_quadrature, "_value_profile", lambda state, half: np.zeros(half << state.f.m))
     res = run(CorpusSpec(name, M10_CORPORA[name], 10).build(), 7, DerandConfig(mc_check=False))
     assert hashlib.sha256(homeo_to_json(res.homeo).encode()).hexdigest() == digest
     # the records were made from the zero profiles, so the patch took

@@ -1,5 +1,7 @@
 """Core types: sampled functions, dyadic points, PL homeomorphisms."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -206,6 +208,16 @@ def test_compose_tracks_warp_of_linear_ramp():
 def test_compose_default_grid_is_finer():
     f = SampledFunction(6, np.zeros(64))
     assert compose(f, BENT).m == 10
+
+
+@pytest.mark.parametrize("m_out", [40, 64, None])
+def test_compose_reads_the_output_exponent_before_sampling(m_out):
+    # 1 << m_out samples were allocated before the range check raised. The
+    # default f.m + 4 is checked too; compose reads nothing of f before the
+    # check but f.m, so a stand-in spares the samples of a fine grid
+    f = SampledFunction(6, np.zeros(64)) if m_out else SimpleNamespace(m=36)
+    with pytest.raises(ValueError, match=f"grid exponent out of range: {m_out or 40}"):
+        compose(f, BENT, m_out)
 
 
 def test_sampled_function_validates_shape_and_finiteness():

@@ -56,6 +56,15 @@ def test_single_coarse_coefficient_gives_step():
     assert np.array_equal(g.values[8:], -np.ones(8))
 
 
+@pytest.mark.parametrize("m", [40, 64])
+def test_inverse_reads_the_exponent_before_shifting(m):
+    # 1 << (m - levels) repeats were built, or crashed the interpreter at
+    # 64, before any check
+    c = haar_transform(SampledFunction(5, np.arange(32.0)))
+    with pytest.raises(ValueError, match=f"grid exponent out of range: {m}"):
+        haar_inverse(c, m)
+
+
 def test_round_trip_exact():
     gen = np.random.default_rng(6)
     f = SampledFunction(6, gen.standard_normal(64))
