@@ -116,14 +116,14 @@ def _scratch(ws, name, shape, dtype=float):
 # frozen-tail means (in the _BLOCK-element buffers of one _Workspace per
 # profile job), and the Monte-Carlo paths with the buffer they are summed
 # in; the sampler's draws come in blocks of 16 * _BLOCK, each block of paths
-# seeking its draws of each rank in the Philox stream. Small enough that a
+# seeking its draws in its live cell's Philox stream. Small enough that a
 # block's temporaries stay in cache, and it bounds the working set: no stage
 # holds (rows x nodes) of a whole quadrature level or (paths x grid points)
-# of a whole batch. It cannot change a result: every row is the same elementwise expression
+# of a whole cell. It cannot change a result: every row is the same elementwise expression
 # whatever the block or the buffer it is written into, np.add.at meets each
 # grid point's terms in the same order (see _descend), a draw is the same at
-# its stream position whatever call reads it, and the sampler's sums add the
-# rows of a batch one by one in order, whatever the block. The window engine
+# its stream position whatever call reads it, and the sampler's sums add a
+# cell's rows one by one in order, whatever the block. The window engine
 # needs no blocks: its work per half window is linear in the points and in
 # the f pieces that the points' lines reach.
 _BLOCK = 1 << 14

@@ -170,7 +170,8 @@ class DerandConfig:
 
     Constants (read-only class attributes, the same for every instance):
 
-    * solver_*: block size, retries, seed and lambda of solve_hierarchical.
+    * solver_*: the default block size, retries, seed and lambda of
+      solve_hierarchical, read off its signature.
     * q_floor_exponent: the budget map's floor 2**(-n * exponent).
     * mc_seed, mc_floor, mc_exceed_frac: the guard's base seed, its floor
       relative to sup |f|, and the share of points allowed past 6 SE."""
@@ -184,10 +185,8 @@ class DerandConfig:
     mc_check: bool = True
     mc_samples: int = 10000
 
-    solver_block: ClassVar[int] = 8
-    solver_retries: ClassVar[int] = 64
-    solver_seed: ClassVar[int] = 0
-    solver_lam: ClassVar[float] = 0.5
+    # unannotated, so no field: the defaults of solve_hierarchical's signature
+    solver_block, solver_retries, solver_seed, solver_lam = solve_hierarchical.__defaults__
     q_floor_exponent: ClassVar[float] = _FLOOR_EXPONENT
     mc_seed: ClassVar[int] = 2718
     mc_floor: ClassVar[float] = 1e-4

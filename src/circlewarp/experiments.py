@@ -13,6 +13,7 @@ readers never observe partial output.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -254,8 +255,13 @@ def _write_csv(path: str, header, rows) -> str:
     return path
 
 
-# solve_hierarchical's settings that a config's solver section may override
-_SOLVER = {"block": 8, "retries": 64, "seed": 0, "lam": 0.5}
+# solve_hierarchical's settings that a config's solver section may override,
+# with the defaults of its signature
+_SOLVER = {
+    name: p.default
+    for name, p in inspect.signature(solve_hierarchical).parameters.items()
+    if p.default is not p.empty
+}
 
 
 def _solver_args(cfg: ExperimentConfig) -> tuple:

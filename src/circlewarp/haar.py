@@ -136,9 +136,9 @@ class ConfinementMap:
         return min(1.0, 2.0 ** (-n * self.floor_exponent))
 
     def rank_values(self, n: int) -> np.ndarray:
-        """Effective budgets of the whole rank (floor applied)."""
-        if n < 1:
-            raise ValueError("rank must be >= 1")
+        """Effective budgets of the whole rank (floor applied); the rank is a
+        whole number from 1 to 26, the cap of a grid exponent."""
+        n = _exponent(_whole(n, 1, "rank must be >= 1"))
         if n > self.depth:
             if self.floor_exponent is None:
                 raise ResolutionError(f"map holds ranks <= {self.depth}, asked for {n}")

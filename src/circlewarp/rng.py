@@ -15,7 +15,7 @@ import threading
 
 import numpy as np
 
-from .grid import _whole
+from .grid import _exponent, _whole
 
 __all__ = ["rank_uniforms", "tagged_generator"]
 
@@ -83,7 +83,8 @@ def rank_uniforms(seed: int, n: int) -> np.ndarray:
     draw attached to the point k / 2**n (k odd). All values lie in the open
     interval (0, 1): the generator's grid of 2**-53 multiples of [0, 1) is
     shifted by 2**-54, which keeps exactness while forbidding the endpoints.
+    The rank is a whole number from 1 to 26, the cap of a grid exponent.
     """
-    n = _whole(n, 1, "rank must be >= 1")
+    n = _exponent(_whole(n, 1, "rank must be >= 1"))
     key = _mix(_RANK_SALT, _whole(seed, None, "seed must be an integer"), n)
     return _keyed_random(key, 1 << (n - 1)) + 2.0**-54

@@ -173,12 +173,12 @@ def test_ac3c_warped_partial_sums_bounded(derand_outputs):
     assert derand_outputs["perturbed_square"][2] == {
         "homeo": "29fd7fb5255ffb90c567d5c7cbd5a2d50834c2ce9ee667d80ec3cd37ea9c20b3",
         "deviations": "5ec9a5c2c942d526f6f296b908ae130f20b391480a4ca0350baddd29a056dcaf",
-        "manifest": "c997d6e4292d5a70e7cec1b5c7ce1c4df586825ff04b9369d86cb16e861ac802",
+        "manifest": "8e5e924c59f169d063ea02bc4581bf3bd34098ce76fb482af8cde6304af6d459",
     }
     assert derand_outputs["kk_example"][2] == {
         "homeo": "c8e4ceaa1a8004bb1e0c79498d3505536941449fb06839c6301e5e6c9abdcb0a",
         "deviations": "0ce22bced52d923713f42aedbd54e372a3b961574b49984b22f04a52a611d416",
-        "manifest": "99dfb2e95ce52f20a34a940e3f8495526e05c8c9928990e2f9a193f6e982b753",
+        "manifest": "de46e68ee436b35531d6c3d0d6fa7b025a331cd6e54cb49950ff50e94ffc43bd",
     }
 
     # the resonant member must not get worse

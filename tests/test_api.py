@@ -245,6 +245,7 @@ def test_derand_is_a_pipeline_over_three_engines():
 F6 = SampledFunction.from_callable(6, lambda t: np.sin(2 * np.pi * t) * np.cos(6 * np.pi * t))
 V16 = build_synthetic_matrix(16, "random_signs_decay", seed=2)
 HAAR2 = haar_transform(SampledFunction(2, np.arange(4.0)))
+Q6 = confinement_map(F6).with_floor()
 
 
 def rank_state(n_active, ell=0):
@@ -290,6 +291,7 @@ WHOLE_ARGUMENTS = {
     ),
     ("rank_uniforms", "seed"): (lambda x: rank_uniforms(x, 4), "seed must be an integer"),
     ("rank_uniforms", "n"): (lambda x: rank_uniforms(1, x), "rank must be >= 1"),
+    ("rank_values", "n"): (Q6.rank_values, "rank must be >= 1"),
     ("tagged_generator", "seed"): (
         lambda x: tagged_generator(x, 7).random(4),
         "seed must be an integer",
@@ -393,3 +395,13 @@ def test_every_count_takes_whole_numbers_only(row):
         with pytest.raises(ValueError, match=message):
             call(bad)
     assert pickle.dumps(call(3.0)) == pickle.dumps(call(3))
+
+
+@pytest.mark.parametrize(
+    "call", [lambda n: rank_uniforms(1, n), Q6.rank_values], ids=["rank_uniforms", "rank_values"]
+)
+def test_a_rank_is_read_before_shifting(call):
+    # the rank is checked before 1 << (n - 1) values are allocated: at 40,
+    # 4 TiB of draws, or of a floored map's budgets past its depth
+    with pytest.raises(ValueError, match="grid exponent out of range: 40"):
+        call(40)

@@ -39,7 +39,7 @@ from circlewarp import (
 from circlewarp import _fork, _pltable, _quadrature, _sampler, _window, derand
 from circlewarp.corpus import CorpusSpec, tapered_oscillation
 from circlewarp.experiments import _write_csv
-from circlewarp.rng import tagged_generator
+from circlewarp.rng import _tag_key, tagged_generator
 
 DEGREES = (1, 2, 4, 8, 16)
 
@@ -583,9 +583,10 @@ def test_tail_table_is_the_half_cell_width(m):
         assert np.array_equal(tail[g], qtab[g] * 2.0 ** (n - rank[g])), (m, n)
 
 
-def mc_profile_reference(state, n_samples, seed, batch=512):
-    """The sampler as first written: fancy-index gathers of whole batches
-    and the interpolant in its textbook form."""
+def mc_profile_reference(state, n_samples, seed):
+    """The sampler in its textbook form: each cell's paths drawn whole from
+    the cell's own stream, constant cells too, and the interpolant by
+    fancy indexing."""
     f = state.f
     m = f.m
     size = 1 << m
@@ -593,32 +594,30 @@ def mc_profile_reference(state, n_samples, seed, batch=512):
     v = np.asarray(f.values, dtype=float)
     slopes = (np.roll(v, -1) - v) * size
     qtab = _pltable._q_table(state.q, m)
-    gen = tagged_generator(seed, 0xEC, n)
-    coarse = np.arange(state.fixed_y.size) << (m - n + 1)
-    d_idx = coarse[:-1] + (1 << (m - n))
+    cells = state.j_lo.size
+    W = size // cells
     acc = np.zeros(size)
     acc2 = np.zeros(size)
-    done = 0
-    while done < n_samples:
-        bsz = min(batch, n_samples - done)
-        Y = np.empty((bsz, size + 1))
-        Y[:, coarse] = state.fixed_y[None, :]
-        u = gen.random((bsz, d_idx.size))
-        Y[:, d_idx] = state.j_lo[None, :] + (state.j_hi - state.j_lo)[None, :] * u
+    for c in range(cells):
+        u = tagged_generator(seed, 0xEC, n, c).random((n_samples, W - 1))
+        Y = np.empty((n_samples, W + 1))
+        Y[:, 0] = state.fixed_y[c]
+        Y[:, W] = state.fixed_y[c + 1]
+        Y[:, W // 2] = state.j_lo[c] + (state.j_hi[c] - state.j_lo[c]) * u[:, 0]
+        at = 1
         for rank in range(n + 1, m + 1):
             step = 1 << (m - rank)
-            mids = np.arange(step, size, 2 * step)
-            qv = qtab[mids][None, :]
+            mids = np.arange(step, W, 2 * step)
+            qv = qtab[c * W + mids][None, :]
             lo = Y[:, mids - step]
             hi = Y[:, mids + step]
-            u = gen.random((bsz, mids.size))
-            Y[:, mids] = lo + (hi - lo) * (0.5 * (1.0 - qv) + qv * u)
-        y = Y[:, :size].ravel()
+            Y[:, mids] = lo + (hi - lo) * (0.5 * (1.0 - qv) + qv * u[:, at : at + mids.size])
+            at += mids.size
+        y = Y[:, :W]
         p = np.clip((y * size).astype(np.int64), 0, size - 1)
-        vals = (v[p] + slopes[p] * (y - p / size)).reshape(bsz, size)
-        acc += vals.sum(axis=0)
-        acc2 += (vals * vals).sum(axis=0)
-        done += bsz
+        vals = v[p] + slopes[p] * (y - p / size)
+        acc[c * W : (c + 1) * W] += vals.sum(axis=0)
+        acc2[c * W : (c + 1) * W] += (vals * vals).sum(axis=0)
     mean = acc / n_samples
     var = np.maximum(acc2 / n_samples - mean * mean, 0.0)
     se = np.sqrt(var / max(n_samples - 1, 1))
@@ -1358,19 +1357,29 @@ def test_profile_jobs_join_to_the_serial_profile(name, kk_states, monkeypatch):
 
 @pytest.mark.parametrize("name", ["kk-r3", "wrap"])
 def test_mc_guard_builds_no_path_inside_constant_cells(name, kk_states, monkeypatch):
+    # nor draws for one: every stream read is a live cell's
     state = mc_state(name, kk_states)
     points = []
+    keys = set()
     inner = _pltable._PLTable.f_at
+    inner_draw = _sampler._keyed_random
 
     def recorder(self, u):
         points.append(np.array(u, dtype=float).ravel())
         return inner(self, u)
 
+    def draw_recorder(key, *args):
+        keys.add(key)
+        return inner_draw(key, *args)
+
     monkeypatch.setattr(_pltable._PLTable, "f_at", recorder)
+    monkeypatch.setattr(_sampler, "_keyed_random", draw_recorder)
     _sampler._mc_profile(state, 600, 5)
     u = np.concatenate(points)
     y = state.fixed_y
     constant = _pltable._constant_cells(state)
+    cell_keys = [_tag_key(5, 0xEC, state.n_active, c) for c in range(constant.size)]
+    assert keys == {cell_keys[c] for c in np.flatnonzero(~constant)}
     for i in range(constant.size):
         inside = np.count_nonzero((u > y[i]) & (u < y[i + 1]))
         if constant[i]:
@@ -1378,6 +1387,46 @@ def test_mc_guard_builds_no_path_inside_constant_cells(name, kk_states, monkeypa
         else:
             # every path visits each of the cell's W - 1 interior points
             assert inside == 600 * (state.f.values.size // constant.size - 1)
+
+
+def test_a_live_cell_reads_only_its_own_stream(monkeypatch):
+    # a live cell's draws depend on (seed, rank, cell, path) alone: its mean
+    # and SE columns stay bitwise when another cell's window moves or turns
+    # constant, and its first 600 paths' points are the same whether 600 or
+    # 1100 paths are drawn
+    base = wrap_state()
+    shift = np.array([0.01, 0.0, 0.0, 0.0])
+    moved = dataclasses.replace(base, j_lo=base.j_lo + shift, j_hi=base.j_hi + shift)
+    values = base.f.values.copy()
+    values[1:12] = 0.25
+    flat = flat_state(values, base.fixed_y)
+    assert _pltable._constant_cells(flat).tolist() == [True, True, False, True]
+    y0, y1 = base.fixed_y[2:4]
+    inner = _pltable._PLTable.f_at
+    points = []
+
+    def recorder(self, u):
+        flat_u = np.array(u, dtype=float).ravel()
+        points.append(flat_u[(flat_u > y0) & (flat_u < y1)])
+        return inner(self, u)
+
+    monkeypatch.setattr(_pltable._PLTable, "f_at", recorder)
+    cell = slice(32, 48)  # cell 2's grid points
+    runs = {}
+    for key, state, n_samples in (
+        ("base", base, 1100),
+        ("moved", moved, 1100),
+        ("flat", flat, 1100),
+        ("short", base, 600),
+    ):
+        points.clear()
+        mean, se = _sampler._mc_profile(state, n_samples, 5)
+        runs[key] = mean[cell], se[cell], np.concatenate(points)
+    for key in ("moved", "flat"):
+        assert all(np.array_equal(a, b) for a, b in zip(runs[key], runs["base"]))
+    short = runs["short"][2]
+    assert short.size == 600 * 15
+    assert np.array_equal(short, runs["base"][2][: short.size])
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -1785,25 +1834,25 @@ def sampler_state(key, m10_states, m12_open_state):
     return m12_open_state if m == 12 else m10_states[name, rank]
 
 
-# sha256 of the sampler's mean and standard error at 1100 samples (two full
-# batches and a partial one), recorded while each batch held its
-# (paths x grid points) values whole
+# sha256 of the sampler's mean and standard error at 1100 samples, each live
+# cell's draws read from its own stream (recorded when that layout replaced
+# the per-batch one)
 MC_PROFILE_PINS = {
     ("kk_example", 10, 1): (
-        "e8b77be18f1e3004a873234d1fa50f181f5fca45897812b03ac5cb9674877cfa",
-        "c2ce734c5b0190398988335222784b4479c1575258990989741c6b02304de7bd",
+        "923521f2af1874ec9c27fd24317dbb8f3b811e36bc946353248b183e3e2fde13",
+        "2d246c7814ac8f8bbb9007f383d589090df0680b88e218f09b71de60d24e41e6",
     ),
     ("kk_example", 10, 4): (
-        "0a4e1858c52a0e4d5f0c9e263466623e2129136c4e76ac8184351996ea1da63c",
-        "e028e583748c87a0b2e624c5b34d27d76fa726e5debda9c9129cc47569ca0bb8",
+        "f46bb38515337710c5146e2f8d0eda3c5f59a52426e454c6a9048f75ceca3ff4",
+        "4c7a76dd20a0dbdf3ef9cc8bc83b7b9b3b29cb7c2f3801f63620399b8b4da429",
     ),
     ("kk_example", 10, 7): (
-        "e2f8da84da5120723766b2d420a3cfd6b2fb6f44c1c1d5ab081d0e9ce7d65c2e",
-        "e742b6fb41278c150a0499a9492f74518f0de9606d7d0e47041105109ba5ce26",
+        "b3399e46cb87a85c046fb435ae9f97313851602fc3a976f1f106daf5e05ac403",
+        "c6ea0b752331cbeb0b6b982a23611796c0bf377e17600a99bd034e637082f4e8",
     ),
     ("perturbed_square", 12, 1): (
-        "f913483cc32a81939389c8b22d425f376e1eab1ca2e7de5a7b22d9a90f82541e",
-        "f42b9244711942e72bb375949e58d4bcf3e3c666635066ee6e7b10f68b11f614",
+        "a8679c088586302646764a991a7dd80fbd931a59a239c3e64f0dd23a13e2da52",
+        "3840ddb37bcba56c3b20e5e5346af3c5b16736ecd11d7f6c234c69bdc995327f",
     ),
 }
 
@@ -1827,8 +1876,10 @@ def test_mc_profile_working_set_is_bounded(m10_states, m12_open_state, key, boun
     # and 50.8 MB here; one block of live paths in a small buffer left 1.3 MB
     # and 17.8 MB, most of it the live cells' draws of one batch. Seeking
     # each block of paths' draws in the stream, a draw block of 2 MB (its
-    # full rows before the live cells are taken, at m=10 rank 4) leaves
-    # 1.7 MB and 3.2 MB; the m=12 bound keeps a 0.8 MB margin over that
+    # full rows before the live cells are taken, at m=10 rank 4) left 1.7 MB
+    # and 3.2 MB. One live cell's draw block at a time, freed before the
+    # next is read, leaves 1.9 MB and 3.2 MB; the m=12 bound keeps a 0.8 MB
+    # margin over that
     state = sampler_state(key, m10_states, m12_open_state)
     _, peak = traced_peak(lambda: _sampler._mc_profile(state, 1100, DerandConfig().mc_seed))
     assert peak <= bound
