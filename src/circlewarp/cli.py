@@ -8,13 +8,14 @@ return code.
 
 Exit codes: 0 when every acceptance threshold of the invoked experiment
 held, 1 when a threshold failed, 2 for configuration problems (bad config
-file, unknown experiment or kind, malformed table). The default output
+file or value, unknown experiment or kind, malformed table). The default output
 directory may be set through the CIRCLEWARP_OUT environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .derand import NumericalAlarm
@@ -73,8 +74,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.output_dir is not None:
-            import dataclasses
-
             cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

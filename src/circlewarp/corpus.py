@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import ResolutionError, SampledFunction, _exponent, _whole
+from .grid import ResolutionError, SampledFunction, _exponent, _real, _whole
 from .haar import _SUP_TOL, perturbed_square_wave, rademacher
 
 _CONVENTIONS = ("count", "literal")
@@ -42,8 +42,7 @@ def oscillation(
     """
     m = _exponent(m)
     n_cycles = _whole(n_cycles, 1, "n_cycles must be a positive integer")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie strictly inside (0, 1)")
+    gamma = _real(gamma, 0.0, 1.0, "gamma must lie strictly inside (0, 1)", "()")
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
     t = _grid(m)
@@ -90,12 +89,10 @@ def _packet_scales(k_max: int, decay) -> np.ndarray:
     if decay is None:
         scales = [math.factorial(k) ** -3.0 for k in range(1, k_max + 1)]
     else:
-        scales = [float(a) for a in decay]
+        scales = [_real(a, 0.0, 1.0, "packet scales must lie in (0, 1]", "(]") for a in decay]
         if len(scales) != k_max:
             raise ValueError(f"decay sequence must supply {k_max} scales, got {len(scales)}")
     a = np.asarray(scales, dtype=float)
-    if np.any(a <= 0.0) or a[0] > 1.0:
-        raise ValueError("packet scales must lie in (0, 1]")
     for k in range(2, k_max + 1):
         # disjointness: packet k ends strictly before packet k-1 begins
         if not k * a[k - 1] < a[k - 2]:

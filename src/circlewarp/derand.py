@@ -43,7 +43,7 @@ from ._quadrature import _profile_jobs
 from ._sampler import _mc_profile
 from ._window import _assemble
 from .fourier import _check_degree, _whole_degrees, sup_partial_sums
-from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, _whole
+from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, _real, _whole
 from .haar import _FLOOR_EXPONENT, _SUP_TOL, ConfinementMap, confinement_map, normalize_sup
 from .signs import SignMatrix, solve_hierarchical
 
@@ -195,14 +195,13 @@ class DerandConfig:
     def __post_init__(self):
         ell_max = _whole(self.ell_max, 0, "ell_max must be a nonnegative integer")
         object.__setattr__(self, "ell_max", ell_max)
-        if not (0.0 < self.j_tol < 1.0):
-            raise ValueError("j_tol must lie in (0, 1)")
+        # checked, not converted, so a config echoes as written; a NaN row_tol
+        # would keep no row, and a NaN identity_tol fail every residual
+        _real(self.j_tol, 0.0, 1.0, "j_tol must lie in (0, 1)", "()")
         for name in ("row_tol", "null_tol", "identity_tol"):
-            value = getattr(self, name)
-            # a NaN fails every comparison: as row_tol it would keep no row,
-            # as identity_tol it would fail every residual
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative")
+            _real(getattr(self, name), 0.0, None, f"{name} must be finite and nonnegative")
+        if type(self.mc_check) is not bool:  # "false" would run the guard, None skip it
+            raise ValueError("mc_check must be true or false")
         # one path has a standard error of 0, so the guard could never pass
         samples = _whole(self.mc_samples, 2, "mc_samples must be an integer of at least 2")
         object.__setattr__(self, "mc_samples", samples)

@@ -57,7 +57,6 @@ from .randhomeo import (
 )
 from .signs import (
     _EXHAUSTIVE_LIMIT,
-    _check_lam,
     _check_search,
     build_synthetic_matrix,
     row_discrepancy,
@@ -108,6 +107,10 @@ class ExperimentConfig:
         object.__setattr__(self, "params", dict(self.params))
         seeds = tuple(_whole(s, None, "seeds must be whole numbers") for s in self.seeds)
         object.__setattr__(self, "seeds", seeds)
+        if not isinstance(self.output_dir, str):
+            raise ValueError("output_dir must be a string")
+        if not isinstance(self.formats, (list, tuple)):  # not a string, read letter by letter
+            raise ValueError("formats must be a list of names: csv, json, svg-plot")
         object.__setattr__(
             self, "formats", tuple(dict.fromkeys(_canon_format(f) for f in self.formats))
         )
@@ -148,10 +151,9 @@ class ExperimentConfig:
                 self.params[key] = sizes
         # the block sizes, retries and weight solve_hierarchical would reject
         block, retries, seed, lam = _solver_args(self)
-        _check_search(block, retries)
+        _check_search(block, retries, lam)
         if "blocks" in self.params:
-            self.params["blocks"] = [_check_search(K, retries)[0] for K in self.params["blocks"]]
-        _check_lam(lam)
+            self.params["blocks"] = [_check_search(K, retries, lam)[0] for K in self.params["blocks"]]
         _whole(seed, None, "solver seed must be an integer")
         # the checks the experiment's counts meet when it runs, so that a
         # count it cannot take is a config error before any work is done
@@ -421,12 +423,12 @@ def _exp_psi_q_certificates(cfg):
     all_ok = True
     slack_min = math.inf
     for q in q_list:
-        params = DFParams(depth, float(q))
+        params = DFParams(depth, q)
         for s in seeds:
             rep = verify_mass_ratios(sample_psi_q(params, s), params)
             all_ok = all_ok and rep.passed
             slack_min = min(slack_min, rep.worst_slack)
-            rows.append((float(q), int(s), rep.worst_slack, int(rep.passed)))
+            rows.append((params.q, int(s), rep.worst_slack, int(rep.passed)))
     # a certificate passes down to verify_mass_ratios' tolerance
     checks = (
         _at_least("all_certified", float(all_ok), 1.0),
@@ -548,7 +550,7 @@ def _exp_ac_diagnostics(cfg):
         worst = max(worst, rep.worst_ratio)
         for i, pv in enumerate(rep.p_values):
             for j, lev in enumerate(rep.levels):
-                rows.append((int(s), float(pv), int(lev), rep.norms[i][j]))
+                rows.append((int(s), pv, int(lev), rep.norms[i][j]))
     checks = (
         _at_least("all_consistent", float(all_ok), 1.0),
         _at_most("worst_growth_ratio", worst, 1.0 + _GROWTH_TOL),

@@ -45,20 +45,31 @@ def _whole(value, low: int | None, message: str) -> int:
     int at least low is returned at once."""
     if type(value) is int and (low is None or value >= low):
         return value
-    if (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and (isinstance(value, numbers.Integral) or float(value).is_integer())
-        and (low is None or value >= low)
-    ):
-        return int(value)
-    raise ValueError(message)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        if not _real(value, None, None, message).is_integer():
+            raise ValueError(message)
+    if low is not None and value < low:
+        raise ValueError(message)
+    return int(value)
 
 
-def _finite_real(value) -> bool:
-    """True for a finite real number that is no bool: a boolean weight or
-    exponent is a slip, and a NaN fails every comparison without a word."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+def _real(value, low: float | None, high: float | None, message: str, ends: str = "[]") -> float:
+    """value as a float if it is a finite real, no bool, from low to high:
+    ends marks each end closed, "[" or "]", or open, "(" or ")"; a None end
+    is no bound. Else ValueError(message): True is a slip, "0.5" is text,
+    and a NaN fails every comparison. A plain float is not converted."""
+    if type(value) is not float:
+        # what is no real number, or an int past the floats, fails as a NaN
+        try:
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            value = float(value) if real else math.nan
+        except OverflowError:
+            value = math.nan
+    above = low is None or (value > low if ends[0] == "(" else value >= low)
+    below = high is None or (value < high if ends[1] == ")" else value <= high)
+    if not (math.isfinite(value) and above and below):
+        raise ValueError(message)
+    return value
 
 
 def _exponent(m) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ResolutionError, SampledFunction, _exponent, _whole
+from .grid import ResolutionError, SampledFunction, _exponent, _real, _whole
 from .rng import tagged_generator
 
 __all__ = [
@@ -119,6 +119,9 @@ class ConfinementMap:
     floor_exponent: float | None = None
 
     def __post_init__(self):
+        if self.floor_exponent is not None:  # NaN or <= 0 would lift every budget to 1
+            message = "floor_exponent must be a positive finite real or None"
+            object.__setattr__(self, "floor_exponent", _real(self.floor_exponent, 0.0, None, message, "()"))
         for i, lvl in enumerate(self.levels):
             arr = np.asarray(lvl, dtype=float)
             if arr.shape[0] != (1 << i):
@@ -216,8 +219,7 @@ def perturbed_square_wave(rank: int, jitter: float, seed: int, m: int) -> Sample
     """
     m = _exponent(m)
     rank = _whole(rank, 1, "rank must be >= 1")
-    if not (0.0 <= jitter <= 1.0):
-        raise ValueError("jitter must lie in [0, 1]")
+    jitter = _real(jitter, 0.0, 1.0, "jitter must lie in [0, 1]")
     if m < rank + 2:
         raise ResolutionError(f"need m >= {rank + 2} to sample rank {rank}")
     base = 2.0**-rank

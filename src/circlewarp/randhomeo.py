@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .grid import DyadicPoint, PLHomeo, ResolutionError, _finite_real, _whole
+from .grid import DyadicPoint, PLHomeo, ResolutionError, _real, _whole
 from .haar import ConfinementMap
 from .rng import rank_uniforms
 
@@ -74,8 +74,9 @@ class DFParams:
                 raise ValueError(
                     "budget maps must carry a floor (use .with_floor()) so every value is positive"
                 )
-        elif not (_finite_real(self.q) and 0.0 < self.q <= 1.0):
-            raise ValueError("constant budget must be a real number in (0, 1]")
+        else:
+            message = "constant budget must be a real number in (0, 1]"
+            object.__setattr__(self, "q", _real(self.q, 0.0, 1.0, message, "(]"))
         orientation = self.orientation
         if orientation is None:
             orientation = "direct" if self.is_constant else "inverse"
@@ -89,9 +90,7 @@ class DFParams:
 
     def rank_budgets(self, n: int):
         """Budget at every rank-n point, scalar for constant q."""
-        if self.is_constant:
-            return float(self.q)
-        return self.q.rank_values(n)
+        return self.q if self.is_constant else self.q.rank_values(n)
 
 
 def _confined(u: np.ndarray, q) -> np.ndarray:
@@ -180,23 +179,20 @@ def verify_mass_ratios(h: PLHomeo, params: DFParams) -> MassRatioReport:
     y = g.y if np.array_equal(g.x, t) else np.interp(t, g.x, g.y)
     # rank by rank, left to right: each rank-n point and its left and right
     # neighbours at its own spacing, joined from strided views of y
-    steps = [size >> n for n in range(1, depth + 1)]
+    ranks = range(1, depth + 1)
+    steps = [size >> n for n in ranks]
     lo = np.concatenate([y[: size : 2 * s] for s in steps])
     mid = np.concatenate([y[s :: 2 * s] for s in steps])
     hi = np.concatenate([y[2 * s :: 2 * s] for s in steps])
     ratio = (mid - lo) / (hi - lo)
-    if params.is_constant:
-        q = float(params.q)
-    else:
-        q = np.concatenate([params.rank_budgets(n) for n in range(1, depth + 1)])
+    q = params.q if params.is_constant else np.concatenate([params.rank_budgets(n) for n in ranks])
     slack = np.minimum(ratio - 0.5 * (1.0 - q), 0.5 * (1.0 + q) - ratio)
     at = int(np.argmin(slack))
     # entry at is point i of rank n, whose points start at entry 2**(n-1) - 1
     n = (at + 1).bit_length()
     worst_slack = float(slack[at])
     holder = None
-    if params.is_constant and float(params.q) < 1.0:
-        q = float(params.q)
+    if params.is_constant and q < 1.0:
         holder = (math.log2(2.0 / (1.0 + q)), math.log2(2.0 / (1.0 - q)))
     return MassRatioReport(
         passed=bool(worst_slack >= -_SLACK_TOL),
@@ -235,10 +231,11 @@ def _check_p_list(p_list) -> tuple:
     """The exponents of p_list as floats. Anything but a nonempty list of
     finite reals >= 1 raises ValueError: an empty list computes no norm and
     would pass, and an exponent below 1 is no norm."""
+    message = "p_list must be a nonempty list of finite reals >= 1"
     p_values = tuple(p_list) if isinstance(p_list, Iterable) else ()
-    if not p_values or not all(_finite_real(p) and p >= 1.0 for p in p_values):
-        raise ValueError("p_list must be a nonempty list of finite reals >= 1")
-    return tuple(float(p) for p in p_values)
+    if not p_values:
+        raise ValueError(message)
+    return tuple(_real(p, 1.0, None, message) for p in p_values)
 
 
 def ac_diagnostics(h: PLHomeo, p_list: Sequence[float] = (1.0, 2.0, 4.0)) -> ACReport:

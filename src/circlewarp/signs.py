@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _finite_real, _whole
+from .grid import _real, _whole
 from .rng import tagged_generator
 
 __all__ = [
@@ -351,22 +351,17 @@ def _search(cols, base, sigma, lam, retries, gen, work) -> np.ndarray:
     return cands[alive[int(np.argmin(_exact_scores(cols, cf, base, sigma, lam, alive)))]]
 
 
-def _check_search(block, retries) -> tuple[int, int]:
-    """block and retries as ints. A block size below 2, whose merges of one
-    group never shrink the group list, and retries below 1, which leave a
-    random search no candidate, raise."""
+def _check_search(block, retries, lam) -> tuple[int, int, float]:
+    """block and retries as ints, lam as a float. A block size below 2,
+    whose merges of one run never shrink the run list, retries below 1,
+    which leave a random search no candidate, and a potential weight that
+    is no finite real raise: with a NaN weight every score is NaN, and the
+    argmin would keep the first candidate, all +1, without a word."""
     return (
         _whole(block, 2, "block must be an integer >= 2"),
         _whole(retries, 1, "retries must be an integer >= 1"),
+        _real(lam, None, None, "lam must be a finite real"),
     )
-
-
-def _check_lam(lam) -> None:
-    """Reject a potential weight that is not a finite real (booleans
-    included): with a NaN weight every score is NaN, and the argmin would
-    keep the first candidate, all +1, without a word."""
-    if not _finite_real(lam):
-        raise ValueError("lam must be a finite real")
 
 
 def solve_hierarchical(
@@ -398,8 +393,7 @@ def solve_hierarchical(
     retries one of at least 1 and lam a finite real (ValueError otherwise,
     booleans included).
     """
-    block, retries = _check_search(block, retries)
-    _check_lam(lam)
+    block, retries, lam = _check_search(block, retries, lam)
     n = v.n_cols
     if n == 0:
         return SignVector(np.empty(0, dtype=np.int8))
@@ -413,36 +407,35 @@ def solve_hierarchical(
 
     eps = np.ones(n, dtype=np.int8)
     acc = np.zeros(a.shape[0])  # committed row sums
-    groups = []  # (column indices, aggregated row vector)
-    for lo in range(0, n, block):
-        cols_idx = np.arange(lo, min(lo + block, n))
-        sub = a[:, cols_idx]
+    # run i holds the columns bounds[i]:bounds[i + 1], and runs[i] is its
+    # aggregated row vector
+    bounds = [*range(0, n, block), n]
+    runs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        sub = a[:, lo:hi]
         choice = _best_candidate(sub, acc, sigma, lam, retries, gen, work)
-        eps[cols_idx] = choice
-        vec = sub @ choice.astype(float)
-        acc = acc + vec
-        groups.append((cols_idx, vec))
+        eps[lo:hi] = choice
+        runs.append(sub @ choice.astype(float))
+        acc = acc + runs[-1]
 
-    while len(groups) > 1:
+    while len(runs) > 1:
         merged = []
-        for lo in range(0, len(groups), block):
-            chunk = groups[lo : lo + block]
+        for lo in range(0, len(runs), block):
+            chunk = runs[lo : lo + block]
             if len(chunk) == 1:
                 merged.append(chunk[0])
                 continue
-            g = np.column_stack([vec for _, vec in chunk])
-            # the top merge holds every group, so nothing lies outside it;
+            g = np.column_stack(chunk)
+            # the top merge holds every run, so nothing lies outside it;
             # acc - g.sum(axis=1) would leave rounding residue there
-            base = np.zeros_like(acc) if len(chunk) == len(groups) else acc - g.sum(axis=1)
+            base = np.zeros_like(acc) if len(chunk) == len(runs) else acc - g.sum(axis=1)
             flips = _best_candidate(g, base, sigma, lam, retries, gen, work)
-            for (cols_idx, _), s in zip(chunk, flips):
-                if s < 0:
-                    eps[cols_idx] = -eps[cols_idx]
-            idx = np.concatenate([c for c, _ in chunk])
-            vec = g @ flips.astype(float)
-            acc = base + vec
-            merged.append((idx, vec))
-        groups = merged
+            for i in lo + np.flatnonzero(flips < 0):
+                eps[bounds[i] : bounds[i + 1]] *= -1
+            merged.append(g @ flips.astype(float))
+            acc = base + merged[-1]
+        bounds = [*bounds[:-1:block], n]
+        runs = merged
     return SignVector(eps)
 
 

@@ -1,9 +1,14 @@
 """The public surface: every exported name resolves, and so does every name
 the benchmark scripts in bench/ import from the package. Every count, rank,
-depth, degree and seed the package reads passes one whole-number check."""
+depth, degree and seed the package reads passes one whole-number check, and
+every real-valued budget, tolerance and corpus parameter one real-number
+check."""
 
 import ast
+import dataclasses
+import hashlib
 import importlib
+import json
 import pickle
 import pkgutil
 from pathlib import Path
@@ -17,6 +22,7 @@ from circlewarp import (
     DerandConfig,
     DerandState,
     DFParams,
+    ac_diagnostics,
     DyadicPoint,
     ExperimentConfig,
     SampledFunction,
@@ -36,6 +42,7 @@ from circlewarp import (
     resonant_packets,
     run,
     sample_df,
+    sample_psi_q,
     solve_hierarchical,
     solve_iid,
     sup_partial_sums,
@@ -147,10 +154,29 @@ def test_every_unused_export_is_a_test_reference():
     assert exported - used == set(UNUSED_EXPORTS)
 
 
+def checks_outside_helper(helper, checks):
+    """The nodes checks(tree) yields over src/circlewarp: how many lie inside
+    grid.<helper>, and the file:line of every other."""
+    src = Path(circlewarp.__file__).resolve().parent
+    inside, outside = 0, []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        nodes = set()
+        if path.name == "grid.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == helper:
+                    nodes = {id(n) for n in ast.walk(node)}
+        for node in checks(tree):
+            if id(node) in nodes:
+                inside += 1
+            else:
+                outside.append(f"{path.name}:{node.lineno}")
+    return inside, outside
+
+
 def test_whole_number_checks_live_in_one_helper():
     """type(x) is int, isinstance(x, int) and numbers.Integral appear in
     src/circlewarp only inside grid._whole."""
-    src = Path(circlewarp.__file__).resolve().parent
 
     def is_int(node):
         return isinstance(node, ast.Name) and node.id == "int"
@@ -173,21 +199,27 @@ def test_whole_number_checks_live_in_one_helper():
             elif isinstance(node, ast.Attribute) and node.attr == "Integral":
                 yield node
 
-    inside, outside = 0, []
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        helper = set()
-        if path.name == "grid.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "_whole":
-                    helper = {id(n) for n in ast.walk(node)}
-        for node in checks(tree):
-            if id(node) in helper:
-                inside += 1
-            else:
-                outside.append(f"{path.name}:{node.lineno}")
+    inside, outside = checks_outside_helper("_whole", checks)
     assert not outside, f"whole-number checks outside grid._whole: {outside}"
     assert inside, "grid._whole holds no whole-number check"
+
+
+def test_real_number_checks_live_in_one_helper():
+    """numbers.Real, or a Real imported by name, appears in src/circlewarp
+    only inside grid._real: every other real-valued input is read there."""
+
+    def checks(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "Real":
+                yield node
+            elif isinstance(node, ast.Name) and node.id == "Real":
+                yield node
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "Real" for a in node.names):
+                yield node
+
+    inside, outside = checks_outside_helper("_real", checks)
+    assert not outside, f"real-number checks outside grid._real: {outside}"
+    assert inside, "grid._real holds no real-number check"
 
 
 ENGINES = ("_window", "_quadrature", "_sampler")
@@ -395,6 +427,122 @@ def test_every_count_takes_whole_numbers_only(row):
         with pytest.raises(ValueError, match=message):
             call(bad)
     assert pickle.dumps(call(3.0)) == pickle.dumps(call(3))
+
+
+def derand_row(name):
+    """DerandConfig with one setting, as the JSON its config echo holds."""
+    return lambda x: json.dumps(dataclasses.asdict(DerandConfig(**{name: x})))
+
+
+H6 = sample_psi_q(DFParams(6, 0.5), 1)
+RAW6 = confinement_map(F6)
+
+# (public call, argument): the call on a value of the argument, made bytes or
+# text; the message it raises for a value that is no finite real in range;
+# one value out of range; one value in range; and the sha256 of the call on
+# it, recorded before the real-number check was one helper
+REAL_ARGUMENTS = {
+    ("DerandConfig", "j_tol"): (
+        derand_row("j_tol"),
+        "j_tol must lie in",
+        1.0,
+        0.5,
+        "578e24973c72e21be6e7b838e6c2f0a44568d46373ca965b33e7a283845c056a",
+    ),
+    ("DerandConfig", "row_tol"): (
+        derand_row("row_tol"),
+        "row_tol must be finite and nonnegative",
+        -1e-9,
+        0.5,
+        "30c4c6050d85556a56a0eb9026be79e1d63a2bb6681587763c04c463f6e1c57b",
+    ),
+    ("DerandConfig", "null_tol"): (
+        derand_row("null_tol"),
+        "null_tol must be finite and nonnegative",
+        -1e-9,
+        0.5,
+        "b4912ef3a935ef4965680fed6103fcd1da80936eabceb2f75923a9f30faea508",
+    ),
+    ("DerandConfig", "identity_tol"): (
+        derand_row("identity_tol"),
+        "identity_tol must be finite and nonnegative",
+        -1e-9,
+        0.5,
+        "e48cb390d37e16cc6c918215d7a24ae0a519a083c30f9ceab7f93d1453fdbf52",
+    ),
+    ("DFParams", "q"): (
+        lambda x: sample_psi_q(DFParams(6, x), 3).y.tobytes(),
+        "constant budget must be a real number in",
+        0.0,
+        0.5,
+        "a381ddde99603cf820168f51c6b7e9a8d5279d6a4ff3d6731f06eac37db7611b",
+    ),
+    # a weight has no range: every finite real is one
+    ("solve_hierarchical", "lam"): (
+        lambda x: solve_hierarchical(V16, lam=x).eps.tobytes(),
+        "lam must be a finite real",
+        None,
+        0.5,
+        "2c2bd7e7e3c405261a8a03d10cac49e44a94047872bbb8b427f986c6ab63ffa0",
+    ),
+    ("ExperimentConfig", "solver lam"): (
+        lambda x: ExperimentConfig("signs-trend", solver={"lam": x}).to_json(),
+        "lam must be a finite real",
+        None,
+        0.5,
+        "a338ad6284ffc2ab311a8c4f0c64a10cdd9f92d9f98a210e763fb8b1885e08b0",
+    ),
+    ("ac_diagnostics", "p_list"): (
+        lambda x: repr(ac_diagnostics(H6, (1.0, x)).norms),
+        "p_list must be a nonempty list of finite reals >= 1",
+        0.5,
+        3.0,
+        "898b0af7f1dff5d9ff4bddbca41ae76e1292df1b1cb444d5bf5c078dfc2a373b",
+    ),
+    ("oscillation", "gamma"): (
+        lambda x: oscillation(4, x, m=6).values.tobytes(),
+        "gamma must lie strictly inside",
+        1.0,
+        0.5,
+        "912ecabb661cb8f67447258124d246234517c7b58cc1be13efac1de9b1f76c24",
+    ),
+    ("perturbed_square_wave", "jitter"): (
+        lambda x: perturbed_square_wave(2, x, 1, 6).values.tobytes(),
+        "jitter must lie in",
+        1.5,
+        0.5,
+        "d8fc913003d878e92a5b664e3590e4437d241b31c20c0290b3cf8c30613d83e8",
+    ),
+    ("resonant_packets", "decay"): (
+        lambda x: resonant_packets(3, m=8, decay=(x, 0.1, 0.01)).values.tobytes(),
+        "packet scales must lie in",
+        1.5,
+        0.5,
+        "6e3068d0e41ab604d27102895edbd7201a9308c8afadf81da786009e1c8d71c2",
+    ),
+    ("ConfinementMap", "floor_exponent"): (
+        lambda x: RAW6.with_floor(x).rank_values(4).tobytes(),
+        "floor_exponent must be a positive finite real",
+        0.0,
+        0.5,
+        "d2ea885216dc17a8083447edea720c6a4b930a7aea91ab917c6fda0f5e320fa9",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", REAL_ARGUMENTS, ids=" ".join)
+def test_every_real_takes_finite_reals_only(row):
+    # True read as 1.0 and "0.5" as 0.5, or failed with a TypeError; a NaN
+    # floor exponent lifted every budget to 1. A valid value gives what it
+    # gave before, as a float and as a NumPy scalar
+    call, message, out_of_range, valid, pin = REAL_ARGUMENTS[row]
+    bad = [True, "0.5", float("nan"), float("inf"), -float("inf")]
+    for x in bad if out_of_range is None else [*bad, out_of_range]:
+        with pytest.raises(ValueError, match=message):
+            call(x)
+    for x in (valid, np.float64(valid)):
+        out = call(x)
+        assert hashlib.sha256(out if isinstance(out, bytes) else out.encode()).hexdigest() == pin
 
 
 @pytest.mark.parametrize(

@@ -725,6 +725,34 @@ def test_cli_run_bad_value_lists_exit_two(tmp_path, capsys, experiment, params, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"output_dir": 5}, "output_dir must be a string"),
+        ({"formats": "csv"}, "formats must be a list of names"),
+        ({"derand": {"mc_check": "false"}}, "mc_check must be true or false"),
+        ({"derand": {"mc_check": None}}, "mc_check must be true or false"),
+        ({"derand": {"mc_check": 0}}, "mc_check must be true or false"),
+        ({"derand": {"row_tol": "1e-6"}}, "row_tol must be finite and nonnegative"),
+        ({"derand": {"row_tol": True}}, "row_tol must be finite and nonnegative"),
+    ],
+    ids=["numeric output_dir", "formats string", "mc_check string", "mc_check null",
+         "mc_check 0", "row_tol string", "row_tol true"],
+)
+def test_cli_run_values_of_the_wrong_type_exit_two(tmp_path, capsys, keys, message):
+    # a numeric output_dir failed in os.makedirs with a TypeError and exit 1,
+    # "csv" was split into letters and reported as unknown format 'c',
+    # "false" ran the Monte-Carlo guard and null skipped it without a word
+    out = keys.get("output_dir", str(tmp_path / "out"))
+    cfg = _write_config(
+        tmp_path / "bad.json", {"experiment": "derand-full", **keys, "output_dir": out}
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_missing_config_exit_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
     assert "config error:" in capsys.readouterr().err

@@ -531,11 +531,14 @@ def test_hierarchical_sign_vectors_pinned(key):
 # sha256 of int8 sign vectors recorded while every block search still
 # made one (candidates x rows) product: the lab's n=4096 solve, and random
 # signs at block 8 (exhaustive searches) and 16 (random candidates) with a
-# seeded solve
+# seeded solve. The two n=1003 vectors, whose last run is short at every
+# level, were recorded while the solver still held index arrays per run
 BLOCKED_SIGN_PINS = {
     (4096, "exact_decay", 0, 8, 0): "2134e98b94458d808326b641b3790aafc307071f70e86189a2be4f0ef5511c37",
     (1024, "random_signs_decay", 3, 8, 5): "0f995c6baa25b1375a2c06f525af82582d844e807cd3ab1cb40962181c879907",
     (1024, "random_signs_decay", 3, 16, 5): "bf684c4d6e3160698c5d2d5f2f330b7cb78ff80a7f646050a97693724837d9c7",
+    (1003, "exact_decay", 0, 8, 0): "9666f3cbefe30613a08ad33fdc1ed06e6ecbde73fb7ba742a201a05c9ccf85d6",
+    (1003, "random_signs_decay", 3, 16, 5): "7dbb67d31b1abac707229dd52d03aab257c3e7c179a584629e6f55596ccf9b75",
 }
 
 
