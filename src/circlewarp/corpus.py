@@ -19,38 +19,26 @@ import numpy as np
 from .grid import ResolutionError, SampledFunction, _exponent, _real, _whole
 from .haar import _SUP_TOL, perturbed_square_wave, rademacher
 
-_CONVENTIONS = ("count", "literal")
-
 
 def _grid(m: int) -> np.ndarray:
     return np.arange(1 << m, dtype=float) / float(1 << m)
 
 
-def oscillation(
-    n_cycles: int,
-    gamma: float = 0.5,
-    m: int = 14,
-    convention: str = "count",
-) -> SampledFunction:
+def oscillation(n_cycles: int, gamma: float = 0.5, m: int = 14) -> SampledFunction:
     """Wave with an abrupt end: sin of a ramped phase on [0, gamma], zero after.
 
-    The ramp runs linearly from 0 at t=0 to 1 at t=gamma.  Under the default
-    "count" convention the phase is n_cycles*pi*ramp, so the wave changes
-    sign n_cycles times across its support and lands on a zero at gamma;
-    "literal" uses phase n_cycles*ramp, which generally leaves a jump at the
-    cutoff.
+    The ramp runs linearly from 0 at t=0 to 1 at t=gamma and the phase is
+    n_cycles*pi*ramp, so the wave changes sign n_cycles times across its
+    support and lands on a zero at gamma.
     """
     m = _exponent(m)
     n_cycles = _whole(n_cycles, 1, "n_cycles must be a positive integer")
     gamma = _real(gamma, 0.0, 1.0, "gamma must lie strictly inside (0, 1)", "()")
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"convention must be one of {_CONVENTIONS}")
     t = _grid(m)
     inside = t <= gamma
     ramp = t[inside] / gamma
-    scale = math.pi * n_cycles if convention == "count" else float(n_cycles)
     values = np.zeros(1 << m)
-    values[inside] = np.sin(scale * ramp)
+    values[inside] = np.sin(math.pi * n_cycles * ramp)
     return SampledFunction(m, values)
 
 
@@ -63,12 +51,7 @@ def _taper_envelope(s: np.ndarray) -> np.ndarray:
     return env
 
 
-def tapered_oscillation(
-    n_cycles: int,
-    gamma: float = 0.5,
-    m: int = 14,
-    convention: str = "count",
-) -> SampledFunction:
+def tapered_oscillation(n_cycles: int, gamma: float = 0.5, m: int = 14) -> SampledFunction:
     """Same wave as :func:`oscillation` but eased to zero at the cutoff.
 
     The envelope is 1 on [0, 2*gamma/3] and rolls off smoothly over the final
@@ -77,7 +60,7 @@ def tapered_oscillation(
     Its spectral sums stay bounded where the abrupt version's grow.
     """
     m = _exponent(m)
-    raw = oscillation(n_cycles, gamma, m, convention)
+    raw = oscillation(n_cycles, gamma, m)
     t = _grid(m)
     inside = t <= gamma
     values = raw.values.copy()

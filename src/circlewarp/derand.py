@@ -43,7 +43,7 @@ from ._quadrature import _profile_jobs
 from ._sampler import _mc_profile
 from ._window import _assemble
 from .fourier import _check_degree, _whole_degrees, sup_partial_sums
-from .grid import PLHomeo, ResolutionError, SampledFunction, _readonly, _real, _whole
+from .grid import PLHomeo, ResolutionError, SampledFunction, _array, _handed, _real, _whole
 from .haar import _FLOOR_EXPONENT, _SUP_TOL, ConfinementMap, confinement_map, normalize_sup
 from .signs import SignMatrix, solve_hierarchical
 
@@ -248,9 +248,9 @@ class DerandState:
         object.__setattr__(self, "ell", _whole(self.ell, 0, "ell must be a nonnegative integer"))
         if self.phase not in ("active", "final"):
             raise ValueError(f"unknown phase {self.phase!r}")
-        y = _readonly(self.fixed_y)
-        lo = _readonly(self.j_lo)
-        hi = _readonly(self.j_hi)
+        y = _array(self.fixed_y, 1, "pinned images must be a 1-d array of finite reals")
+        lo = _array(self.j_lo, 1, "windows must be 1-d arrays of finite reals")
+        hi = _array(self.j_hi, 1, "windows must be 1-d arrays of finite reals")
         cells = 1 << (self.n_active - 1)
         if y.shape != (cells + 1,):
             raise ValueError(f"expected {cells + 1} pinned images, got {y.shape}")
@@ -475,7 +475,7 @@ def _certify(ranks, cfg: DerandConfig, degrees, seeds=None):
     for states, seed, todo in zip(ranks, seeds, fresh):
         sampled = None if seed is None else next(results)
         for s in todo:
-            s._memo["profile"] = _readonly(np.concatenate((next(results), next(results))))
+            s._memo["profile"] = _handed(np.concatenate((next(results), next(results))))
         if sampled is not None:
             reports.append(_mc_report(states[0], cfg, states[0]._memo["profile"], *sampled))
         for s, new in zip(states, states[1:]):

@@ -130,6 +130,11 @@ class ExperimentConfig:
                 f"sections {self.experiment} does not read: {', '.join(unread)}; "
                 f"valid: {', '.join(reads) or 'none'}"
             )
+        if self.corpus is not None:  # its parameters are checked where it is built
+            try:
+                self.corpus.build()
+            except ValueError as exc:
+                raise ValueError(f"corpus {self.corpus.kind}: {exc}") from None
         known = EXPERIMENTS[self.experiment].params
         unknown = [key for key in self.params if key not in known]
         if unknown:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import _fork_map
-from .grid import ResolutionError, SampledFunction, _whole
+from .grid import ResolutionError, SampledFunction, _array, _whole
 
 __all__ = [
     "dirichlet_kernel",
@@ -47,7 +47,7 @@ def dirichlet_kernel(n: int, t):
     integer t evaluates to exactly 2n + 1.
     """
     n = _whole(n, 0, "degree must be >= 0")
-    t = np.asarray(t, dtype=float)
+    t = _array(t, None, "kernel arguments must be finite reals")
     frac = t - np.round(t)
     singular = frac == 0.0
     safe = np.where(singular, 0.25, frac)
@@ -72,10 +72,10 @@ class FourierCoeffs:
     c: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.c, dtype=complex)
-        if arr.ndim != 1 or arr.shape[0] != (1 << self.m):
-            raise ValueError("coefficient array must have length 2**m")
-        arr.setflags(write=False)
+        message = "coefficients must be a 1-d array of 2**m finite complex numbers"
+        arr = _array(self.c, 1, message, complex)
+        if arr.shape[0] != (1 << self.m):
+            raise ValueError(message)
         object.__setattr__(self, "c", arr)
 
     @property

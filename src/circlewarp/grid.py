@@ -32,12 +32,6 @@ class ResolutionError(ValueError):
     """Raised when a grid is too coarse for the requested operation."""
 
 
-def _readonly(a, dtype=float):
-    arr = np.array(a, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _whole(value, low: int | None, message: str) -> int:
     """value as an int if it is a whole number, at least low unless low is
     None, and no bool; else ValueError(message). 3.0 reads as 3, where int()
@@ -72,6 +66,37 @@ def _real(value, low: float | None, high: float | None, message: str, ends: str 
     return value
 
 
+def _array(a, ndim: int | None, message: str, dtype=float, copy: bool = True) -> np.ndarray:
+    """a as a read-only array of dtype (float, or complex where the caller
+    asks): a copy, or with copy False the array a itself, which its caller
+    has just made and hands over. Unless the dtype NumPy infers for a is
+    integer or floating (or complex, for complex), a has ndim axes (any for
+    None) and every value is finite, ValueError(message): True, "0.5" and a
+    NaN are no samples."""
+    try:
+        arr = np.asarray(a)
+    except ValueError:  # a ragged nesting of lists
+        raise ValueError(message) from None
+    kinds = "iufc" if dtype is complex else "iuf"
+    if arr.dtype.kind not in kinds or (ndim is not None and arr.ndim != ndim):
+        raise ValueError(message)
+    arr = np.array(arr, dtype=dtype) if copy else arr
+    if arr.dtype.kind in "fc":
+        flat = arr.ravel("K")  # a view of a contiguous array: no temporary
+        # sum |x|**2 is finite only if every x is; only when it is not (a
+        # NaN, an infinity or an overflow) is each x tested
+        if not (math.isfinite(np.vdot(flat, flat).real) or np.isfinite(arr).all()):
+            raise ValueError(message)
+    return _handed(arr)
+
+
+def _handed(arr: np.ndarray) -> np.ndarray:
+    """arr itself, made read-only with no check: an array its caller has
+    just made and hands over, which a later gate judges if at all."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _exponent(m) -> int:
     """m as a grid exponent: a whole number from 0 to 26, else
     ValueError. Read before any 1 << m, so that 6.0 reads as 6."""
@@ -83,13 +108,10 @@ def _exponent(m) -> int:
 
 
 def _reduce_mod1(t):
-    """Map arguments outside [0, 1] into [0, 1), keeping interior points
-    (including 1.0 itself) untouched."""
-    t = np.asarray(t, dtype=float)
-    if np.any(np.isnan(t)):
-        raise ValueError("NaN argument on the circle")
-    out = np.where((t < 0.0) | (t > 1.0), t - np.floor(t), t)
-    return out
+    """Finite real arguments, of any shape, with those outside [0, 1] mapped
+    into [0, 1) and interior points (including 1.0 itself) untouched."""
+    t = _array(t, None, "circle arguments must be finite reals")
+    return np.where((t < 0.0) | (t > 1.0), t - np.floor(t), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,13 +131,11 @@ class SampledFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _exponent(self.m))
-        vals = _readonly(self.values)
-        if vals.ndim != 1 or vals.shape[0] != (1 << self.m):
+        vals = _array(self.values, 1, "samples must be a 1-d array of finite reals")
+        if vals.shape[0] != (1 << self.m):
             raise ValueError(
                 f"expected 2**{self.m} = {1 << self.m} samples, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("samples must be finite")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -138,7 +158,7 @@ class SampledFunction:
     def from_callable(cls, m: int, fn) -> "SampledFunction":
         m = _exponent(m)
         t = np.arange(1 << m) / (1 << m)
-        return cls(m, np.asarray(fn(t), dtype=float))
+        return cls(m, fn(t))
 
 
 @dataclass(frozen=True)
@@ -171,13 +191,15 @@ class PLHomeo:
     y: np.ndarray
 
     def __post_init__(self):
-        x = _readonly(self.x)
-        y = _readonly(self.y)
-        if x.ndim != 1 or x.shape != y.shape or x.shape[0] < 2:
-            raise ValueError("breakpoints must be two equal-length 1-d arrays")
+        message = "breakpoints must be two equal-length 1-d arrays of finite reals"
+        x = _array(self.x, 1, message)
+        y = _array(self.y, 1, message)
+        if x.shape != y.shape or x.shape[0] < 2:
+            raise ValueError(message)
         if not (x[0] == 0.0 and y[0] == 0.0 and x[-1] == 1.0 and y[-1] == 1.0):
             raise ValueError("breakpoints must start at (0,0) and end at (1,1)")
-        if not ((x[1:] > x[:-1]).all() and (y[1:] > y[:-1]).all()):
+        # no NaN is left to compare false; count_nonzero costs half of all()
+        if np.count_nonzero(x[1:] <= x[:-1]) or np.count_nonzero(y[1:] <= y[:-1]):
             raise ValueError("breakpoints must be strictly increasing in both coordinates")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -220,6 +242,8 @@ def homeo_to_json(h: PLHomeo) -> str:
 
 
 def homeo_from_json(text: str) -> PLHomeo:
-    obj = json.loads(text)
-    pts = np.asarray(obj["breakpoints"], dtype=float)
+    message = "breakpoints must be a list of [x, y] pairs of finite reals"
+    pts = _array(json.loads(text)["breakpoints"], 2, message)
+    if pts.shape[1] != 2:
+        raise ValueError(message)
     return PLHomeo(pts[:, 0], pts[:, 1])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ResolutionError, SampledFunction, _exponent, _real, _whole
+from .grid import DyadicPoint, ResolutionError, SampledFunction, _array, _exponent, _handed, _real, _whole
 from .rng import tagged_generator
 
 __all__ = [
@@ -63,7 +63,7 @@ class HaarCoeffs:
 
 def haar_transform(f: SampledFunction) -> HaarCoeffs:
     """Exact pyramid on cell means of the step interpretation of f."""
-    means = f.values.astype(float)
+    means = f.values
     detail = []
     for level in range(f.m - 1, -1, -1):
         left = means[0::2]
@@ -72,10 +72,7 @@ def haar_transform(f: SampledFunction) -> HaarCoeffs:
         detail.append((left - right) / 2.0 * scale)
         means = (left + right) / 2.0
     detail.reverse()
-    coeff_tuple = tuple(np.asarray(d) for d in detail)
-    for d in coeff_tuple:
-        d.setflags(write=False)
-    return HaarCoeffs(float(means[0]), coeff_tuple)
+    return HaarCoeffs(float(means[0]), tuple(_handed(d) for d in detail))
 
 
 def haar_inverse(c: HaarCoeffs, m: int) -> SampledFunction:
@@ -109,7 +106,8 @@ def normalize_sup(f: SampledFunction) -> SampledFunction:
 class ConfinementMap:
     """Per-dyadic-point budgets q(k / 2**n) in [0, 1].
 
-    levels[n - 1] is the rank-n array indexed by (k - 1) // 2. When
+    levels[n - 1] is the rank-n array indexed by (k - 1) // 2, a read-only
+    copy of the array given, which must be 1-d, finite and in [0, 1]. When
     floor_exponent is set, lookups return max(raw, 2**(-n * floor_exponent))
     capped at 1, and ranks beyond the stored depth fall back to the floor
     alone, so the map extends to arbitrary depth.
@@ -122,12 +120,14 @@ class ConfinementMap:
         if self.floor_exponent is not None:  # NaN or <= 0 would lift every budget to 1
             message = "floor_exponent must be a positive finite real or None"
             object.__setattr__(self, "floor_exponent", _real(self.floor_exponent, 0.0, None, message, "()"))
+        levels = []
         for i, lvl in enumerate(self.levels):
-            arr = np.asarray(lvl, dtype=float)
-            if arr.shape[0] != (1 << i):
-                raise ValueError(f"rank {i + 1} must hold {1 << i} values")
-            if np.any(arr < 0.0) or np.any(arr > 1.0 + 1e-12):
-                raise ValueError("budgets must lie in [0, 1]")
+            message = f"rank {i + 1} must hold {1 << i} finite budgets in [0, 1]"
+            arr = _array(lvl, 1, message)
+            if arr.shape[0] != (1 << i) or not (arr.min() >= 0.0 and arr.max() <= 1.0 + 1e-12):
+                raise ValueError(message)
+            levels.append(arr)
+        object.__setattr__(self, "levels", tuple(levels))
 
     @property
     def depth(self) -> int:
@@ -146,13 +146,12 @@ class ConfinementMap:
             if self.floor_exponent is None:
                 raise ResolutionError(f"map holds ranks <= {self.depth}, asked for {n}")
             return np.full(1 << (n - 1), self._floor(n))
-        raw = np.asarray(self.levels[n - 1], dtype=float)
-        return np.minimum(1.0, np.maximum(raw, self._floor(n)))
+        return np.minimum(1.0, np.maximum(self.levels[n - 1], self._floor(n)))
 
     def value(self, k: int, n: int) -> float:
-        if k % 2 == 0:
-            raise ValueError("k must be odd")
-        return float(self.rank_values(n)[(k - 1) // 2])
+        """The budget at k / 2**n, a DyadicPoint: k odd, 0 < k < 2**n."""
+        p = DyadicPoint(k, n)
+        return float(self.rank_values(p.n)[(p.k - 1) // 2])
 
     def with_floor(self, floor_exponent: float = _FLOOR_EXPONENT) -> "ConfinementMap":
         return ConfinementMap(self.levels, floor_exponent)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .grid import DyadicPoint, PLHomeo, ResolutionError, _real, _whole
+from .grid import DyadicPoint, PLHomeo, ResolutionError, _array, _real, _whole
 from .haar import ConfinementMap
 from .rng import rank_uniforms
 
@@ -207,7 +207,7 @@ def verify_mass_ratios(h: PLHomeo, params: DFParams) -> MassRatioReport:
 
 def ks_uniform_statistic(samples) -> float:
     """Kolmogorov-Smirnov distance between the sample law and uniform [0, 1]."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = np.sort(_array(samples, 1, "samples must be a 1-d array of finite reals"))
     if s.size == 0:
         raise ValueError("need at least one sample")
     if s[0] < 0.0 or s[-1] > 1.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _real, _whole
+from .grid import _array, _handed, _real, _whole
 from .rng import tagged_generator
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
 
 _BRUTE_LIMIT = 22
 _EXHAUSTIVE_LIMIT = 12
+_VALUES = "values must be a 2-d array of finite reals"
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +46,7 @@ class SignMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(np.array(self.values, dtype=float)))
+        object.__setattr__(self, "values", _array(self.values, 2, _VALUES))
 
     @classmethod
     def _keep(cls, arr: np.ndarray) -> SignMatrix:
@@ -53,7 +54,7 @@ class SignMatrix:
         that its caller made and hands over: the same checks, and arr is
         made read-only."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "values", _frozen(arr))
+        object.__setattr__(out, "values", _array(arr, 2, _VALUES, copy=False))
         return out
 
     @property
@@ -65,37 +66,24 @@ class SignMatrix:
         return self.values.shape[0]
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """arr, checked to be 2-d and finite and made read-only."""
-    if arr.ndim != 2:
-        raise ValueError("values must be a 2-d array")
-    # min and max carry any NaN or infinity, with no full-size temporary
-    if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
-        raise ValueError("values must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class SignVector:
     eps: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.eps, dtype=np.int8)
-        if arr.ndim != 1 or not np.all(np.abs(arr) == 1):
-            raise ValueError("signs must be a 1-d array of +-1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "eps", arr)
+        message = "signs must be a 1-d array of +-1"
+        eps = _array(self.eps, 1, message)
+        # exactly +-1 before the cast, which would read 1.7 as 1 and 257 as 1
+        if not (np.abs(eps) == 1.0).all():
+            raise ValueError(message)
+        object.__setattr__(self, "eps", _handed(eps.astype(np.int8)))
 
 
-def build_synthetic_matrix(
-    n: int, profile: str = "exact_decay", seed: int = 0, dist: str = "circular"
-) -> SignMatrix:
-    """Square test matrices: magnitudes 1 / (dist(k, j) + 1), optionally with
-    seeded random signs ('random_signs_decay')."""
+def build_synthetic_matrix(n: int, profile: str = "exact_decay", seed: int = 0) -> SignMatrix:
+    """Square test matrices: magnitudes 1 / (dist(k, j) + 1), dist the
+    circular index distance, optionally with seeded random signs
+    ('random_signs_decay')."""
     n = _whole(n, 0, "n must be a nonnegative integer")
-    if dist not in ("circular", "linear"):
-        raise ValueError("dist must be 'circular' or 'linear'")
     if profile == "random_signs_decay":
         gen = tagged_generator(seed, 0x51, n)
     elif profile != "exact_decay":
@@ -106,7 +94,7 @@ def build_synthetic_matrix(
     # r[k:0:-1]. Each entry is the quotient the whole-matrix formula gives,
     # and no block of distances or quotients is built
     t = np.arange(n)
-    r = 1.0 / ((np.minimum(t, n - t) if dist == "circular" else t) + 1.0)
+    r = 1.0 / (np.minimum(t, n - t) + 1.0)
     vals = np.empty((n, n))
     for k in range(n):
         vals[k, :k] = r[k:0:-1]

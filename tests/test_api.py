@@ -1,8 +1,9 @@
 """The public surface: every exported name resolves, and so does every name
 the benchmark scripts in bench/ import from the package. Every count, rank,
-depth, degree and seed the package reads passes one whole-number check, and
+depth, degree and seed the package reads passes one whole-number check,
 every real-valued budget, tolerance and corpus parameter one real-number
-check."""
+check, and every array of samples, breakpoints, budgets, signs or
+coefficients one array check."""
 
 import ast
 import dataclasses
@@ -18,6 +19,7 @@ import pytest
 
 import circlewarp
 from circlewarp import (
+    ConfinementMap,
     CorpusSpec,
     DerandConfig,
     DerandState,
@@ -29,25 +31,32 @@ from circlewarp import (
     build_synthetic_matrix,
     confinement_map,
     compose,
+    coeffs,
     dirichlet_kernel,
     fejer_blocks,
     haar_inverse,
     haar_transform,
+    homeo_from_json,
+    homeo_to_json,
     identity_homeo,
     kernel_block_matrix,
+    ks_uniform_statistic,
     oscillation,
     partial_sum,
     perturbed_square_wave,
+    PLHomeo,
     rademacher,
     resonant_packets,
     run,
     sample_df,
     sample_psi_q,
+    SignMatrix,
+    SignVector,
     solve_hierarchical,
     solve_iid,
     sup_partial_sums,
 )
-from circlewarp.fourier import kernel_block_integral
+from circlewarp.fourier import FourierCoeffs, kernel_block_integral
 from circlewarp.rng import rank_uniforms, tagged_generator
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -222,6 +231,21 @@ def test_real_number_checks_live_in_one_helper():
     assert inside, "grid._real holds no real-number check"
 
 
+def test_array_checks_live_in_one_helper():
+    """setflags appears in src/circlewarp only inside grid._handed, which
+    grid._array calls for every array input it reads: every read-only
+    array is made there."""
+
+    def checks(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "setflags":
+                yield node
+
+    inside, outside = checks_outside_helper("_handed", checks)
+    assert not outside, f"read-only arrays made outside grid._handed: {outside}"
+    assert inside, "grid._handed makes no array read-only"
+
+
 ENGINES = ("_window", "_quadrature", "_sampler")
 DERAND_ALL = [
     "NumericalAlarm",
@@ -345,6 +369,8 @@ WHOLE_ARGUMENTS = {
     ),
     ("DyadicPoint", "k"): (lambda x: DyadicPoint(x, 2), "need 0 < k < 2"),
     ("DyadicPoint", "n"): (lambda x: DyadicPoint(1, x), "rank must be >= 1"),
+    ("ConfinementMap.value", "k"): (lambda x: Q6.value(x, 2), "need 0 < k < 2"),
+    ("ConfinementMap.value", "n"): (lambda x: Q6.value(1, x), "rank must be >= 1"),
     ("compose", "m_out"): (lambda x: compose(F6, identity_homeo(), x), "m_out must be"),
     ("haar_inverse", "m"): (lambda x: haar_inverse(HAAR2, x), "grid exponent"),
     ("confinement_map", "depth"): (lambda x: confinement_map(F6, x), "depth must be >= 1"),
@@ -543,6 +569,190 @@ def test_every_real_takes_finite_reals_only(row):
     for x in (valid, np.float64(valid)):
         out = call(x)
         assert hashlib.sha256(out if isinstance(out, bytes) else out.encode()).hexdigest() == pin
+
+
+X3, Y3 = np.array([0.0, 0.25, 1.0]), np.array([0.0, 0.5, 1.0])
+T4 = np.array([-0.25, 0.1, 0.6, 1.0])
+Y5 = np.linspace(0.0, 1.0, 5)
+LO5, HI5 = Y5[:-1] + 0.05, Y5[1:] - 0.05
+L3 = np.array([0.0, 0.1, 0.2, 1.0])
+
+
+def state_row(which):
+    """DerandState on the valid pinned images and windows of rank_state, but
+    for the one named, which is x; its arrays as one byte string."""
+
+    def call(x):
+        arrays = {"fixed_y": Y5, "j_lo": LO5, "j_hi": HI5, which: x}
+        s = DerandState(F6, Q6, 3, 0, **arrays)
+        return np.concatenate([s.fixed_y, s.j_lo, s.j_hi]).tobytes()
+
+    return call
+
+
+# (public call, argument): the call on an array x of the argument, made bytes
+# or text; the message it raises for an array that is no finite real array
+# of the right number of axes; a valid array; whether its number of axes is
+# fixed; bad arrays beyond the common ones; and the sha256 of the call on the
+# valid array, recorded before the array check was one helper
+ARRAY_ARGUMENTS = {
+    ("SampledFunction", "values"): (
+        lambda x: SampledFunction(3, x).values.tobytes(),
+        "samples must be a 1-d array of finite reals",
+        np.arange(8.0) / 8.0 - 0.5,
+        True,
+        [np.arange(8.0) + 1j],  # its imaginary parts were dropped with a warning
+        "1f1b263d05f4b03d7f9d458cb482e598209af5f38ef598ce052cb716ee9f4419",
+    ),
+    ("SampledFunction.eval", "t"): (
+        lambda x: F6.eval(x).tobytes(),
+        "circle arguments must be finite reals",
+        T4,
+        False,
+        [],
+        "f05111eae72b7eacf1640c41c00e03235b0d2d9e71b7c623d94387cf48893fd2",
+    ),
+    ("PLHomeo", "x"): (
+        lambda x: PLHomeo(x, Y3).eval(T4).tobytes(),
+        "breakpoints must be two equal-length 1-d arrays of finite reals",
+        X3,
+        True,
+        [],
+        "2a5bb11c836efa01332ce936345bd10d2ca1682f6d3e70531b3687374f248cff",
+    ),
+    ("PLHomeo", "y"): (
+        lambda x: PLHomeo(Y3, x).eval(T4).tobytes(),
+        "breakpoints must be two equal-length 1-d arrays of finite reals",
+        X3,
+        True,
+        [],
+        "ea28420549cb6cb5f9b8706dbb52e9a3fca6f68c56697820aca9431a858ed0d9",
+    ),
+    ("PLHomeo.eval", "t"): (
+        lambda x: H6.eval(x).tobytes(),
+        "circle arguments must be finite reals",
+        T4,
+        False,
+        [],
+        "6265e2f092eab365a9581a01ade4a1597c6f2f2e380b11cdb939abf4f63cbc4a",
+    ),
+    ("homeo_from_json", "breakpoints"): (
+        lambda x: homeo_to_json(homeo_from_json(json.dumps({"breakpoints": np.asarray(x).tolist()}))),
+        "breakpoints must be a list of \\[x, y\\] pairs of finite reals",
+        np.stack([X3, Y3], axis=1),
+        True,
+        [np.stack([X3, Y3, Y3], axis=1)],
+        "deaa85aef694b6776afa990429fa66c6e058a140efe9531d86a1abf75664c301",
+    ),
+    ("DerandState", "fixed_y"): (
+        state_row("fixed_y"),
+        "pinned images must be a 1-d array of finite reals",
+        Y5,
+        True,
+        [],
+        "b728a7ae574044aa23c2d74bc167dcede8806e401bdbd20805acec45517ba03b",
+    ),
+    ("DerandState", "j_lo"): (
+        state_row("j_lo"),
+        "windows must be 1-d arrays of finite reals",
+        LO5,
+        True,
+        [],
+        "b728a7ae574044aa23c2d74bc167dcede8806e401bdbd20805acec45517ba03b",
+    ),
+    ("DerandState", "j_hi"): (
+        state_row("j_hi"),
+        "windows must be 1-d arrays of finite reals",
+        HI5,
+        True,
+        [],
+        "b728a7ae574044aa23c2d74bc167dcede8806e401bdbd20805acec45517ba03b",
+    ),
+    ("SignMatrix", "values"): (
+        lambda x: solve_hierarchical(SignMatrix(x)).eps.tobytes(),
+        "values must be a 2-d array of finite reals",
+        np.array(V16.values[:6, :10]),
+        True,
+        [],
+        "05b3c4215f12fdb121379cd0d2cdef54010ef4643f6efe80981c5b7b555eca62",
+    ),
+    # the int8 cast read 1.7 as 1 and raised OverflowError at 257
+    ("SignVector", "eps"): (
+        lambda x: SignVector(x).eps.tobytes(),
+        "signs must be a 1-d array of \\+-1",
+        np.array([1, -1, -1, 1]),
+        True,
+        [np.array([1.7, -1.2, 1.0, 1.0]), np.array([257, -1, 1, 1])],
+        "257403a41e3c7827a76c21082cd0bb9e747bfcc07da5b12d90504283adf89a18",
+    ),
+    ("FourierCoeffs", "c"): (
+        lambda x: FourierCoeffs(2, x).c.tobytes(),
+        "coefficients must be a 1-d array of 2\\*\\*m finite complex numbers",
+        np.array(coeffs(SampledFunction(2, [0.0, 1.0, 0.5, -1.0])).c),
+        True,
+        [],
+        "9d76e21770885108719b62b2d25999924767d674a6ade1f610059886ef4803c0",
+    ),
+    # a NaN budget passed the range check and surfaced in the sampler
+    ("ConfinementMap", "levels"): (
+        lambda x: ConfinementMap(([0.75], x, L3)).with_floor().rank_values(2).tobytes(),
+        "rank 2 must hold 2 finite budgets in \\[0, 1\\]",
+        np.array([0.25, 0.5]),
+        True,
+        [np.array([0.25, 1.5]), np.array([0.25, 0.5, 0.75])],
+        "a79009788da6562af5d0a823a8d4d5b76d051e4e53baf8b1c65649a4dc454f37",
+    ),
+    ("ks_uniform_statistic", "samples"): (
+        lambda x: repr(ks_uniform_statistic(x)),
+        "samples must be a 1-d array of finite reals",
+        np.array([0.1, 0.5, 0.7]),
+        True,
+        [],
+        "06bad31060c1212ae832de4c031f7b31e3b48aed57858294478cb19450cf34ca",
+    ),
+    ("dirichlet_kernel", "t"): (
+        lambda x: dirichlet_kernel(3, x).tobytes(),
+        "kernel arguments must be finite reals",
+        np.array([0.0, 0.1, -0.75, 2.5]),
+        False,
+        [],
+        "8e945aa61f9b2f841f5907a0e19fd933cf2bf8ab4f884edb10da0cf41a0d7ab7",
+    ),
+}
+
+
+def bad_arrays(valid, fixed_ndim):
+    """The valid array as bools and as text, with a NaN or an infinity in
+    place of one entry, and with an axis more where the axes are fixed."""
+    out = [valid.astype(bool), valid.astype(str)]
+    for bad in (np.nan, np.inf, -np.inf):
+        x = valid.astype(complex if valid.dtype.kind == "c" else float)
+        x.flat[x.size // 2] = bad
+        out.append(x)
+    return out + [valid[None]] if fixed_ndim else out
+
+
+@pytest.mark.parametrize("row", ARRAY_ARGUMENTS, ids=" ".join)
+def test_every_array_takes_finite_arrays_only(row):
+    # np.array(x, dtype=float) read True as 1.0 and "0.5" as 0.5, a NaN
+    # passed or surfaced elsewhere, and an infinity on the circle became a
+    # NaN. A valid array gives what it gave before, as an array and as a list
+    call, message, valid, fixed_ndim, extra, pin = ARRAY_ARGUMENTS[row]
+    for x in bad_arrays(valid, fixed_ndim) + extra:
+        with pytest.raises(ValueError, match=message):
+            call(x)
+    for x in (valid, valid.tolist()):
+        out = call(x)
+        assert hashlib.sha256(out if isinstance(out, bytes) else out.encode()).hexdigest() == pin
+
+
+def test_a_budget_level_is_copied():
+    # the map held the caller's array, so a write after the check was read
+    level = np.array([0.25, 0.5])
+    q = ConfinementMap(([0.75], level))
+    level[0] = 7.0
+    assert q.rank_values(2).tolist() == [0.25, 0.5]
+    assert not q.levels[1].flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -37,10 +37,8 @@ def test_single_cycle_is_one_arch():
 
 
 def test_cutoff_value_is_sin_of_full_phase():
-    # count convention ends on a zero crossing, literal generally does not
+    # the phase n_cycles * pi ends on a zero crossing
     assert abs(oscillation(1, 0.5, m=10).values[512]) < 1e-12
-    f = oscillation(1, 0.5, m=10, convention="literal")
-    assert f.values[512] == pytest.approx(math.sin(1.0), abs=1e-12)
 
 
 def test_oscillation_sign_changes_match_cycle_count():
@@ -54,8 +52,6 @@ def test_oscillation_rejects_bad_arguments():
         oscillation(0, 0.5)
     with pytest.raises(ValueError):
         oscillation(2, 1.0)
-    with pytest.raises(ValueError):
-        oscillation(2, 0.5, convention="verbal")
 
 
 # --- tapered oscillation ------------------------------------------------------
@@ -71,9 +67,10 @@ def test_taper_agrees_on_first_two_thirds():
 
 
 def test_taper_envelope_vanishes_at_cutoff():
-    # literal convention leaves sin(1) at the cutoff; the envelope kills it
-    f = tapered_oscillation(1, 0.5, m=10, convention="literal")
-    assert f.values[512] == 0.0
+    # the raw wave leaves the rounding of sin(pi) at the cutoff; the
+    # envelope kills it
+    assert oscillation(1, 0.5, m=10).values[512] != 0.0
+    assert tapered_oscillation(1, 0.5, m=10).values[512] == 0.0
 
 
 def test_taper_never_exceeds_the_raw_wave():

@@ -655,6 +655,34 @@ def test_cli_run_unknown_corpus_keys_exit_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        (
+            {"kind": "oscillation", "params": {"n_cycles": 4, "gamma": "0.5"}},
+            "corpus oscillation: gamma must lie strictly inside (0, 1)",
+        ),
+        (
+            {"kind": "oscillation", "params": {"n_cycles": 4, "convention": "literal"}},
+            "corpus oscillation: bad parameters for corpus kind 'oscillation'",
+        ),
+        ({"kind": "rademacher", "params": {"rank": 9}, "m": 8}, "corpus rademacher: need m >= 11"),
+    ],
+    ids=["gamma string", "removed convention", "rank past the grid"],
+)
+def test_cli_run_bad_corpus_params_exit_two(tmp_path, capsys, corpus, message):
+    # the corpus was built, and its parameters read, only once the run had
+    # begun: a traceback and exit 1
+    cfg = _write_config(
+        tmp_path / "bad.json",
+        {"experiment": "ac-diagnostics", "output_dir": str(tmp_path / "out"), "corpus": corpus},
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_unknown_derand_keys_exit_two(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "typo.json",

@@ -109,6 +109,25 @@ def test_square_wave_budget_monotone_up_to_own_rank():
         prev = cur
 
 
+@pytest.mark.parametrize(
+    "k, n, message",
+    [
+        (-1, 2, "need 0 < k < 2\\*\\*2, got k=-1"),
+        (5, 2, "need 0 < k < 2\\*\\*2, got k=5"),
+        (2, 2, "k must be odd, got 2"),
+        (True, 1, "need 0 < k < 2\\*\\*1, got k=True"),
+        (1, 0, "rank must be >= 1, got 0"),
+    ],
+)
+def test_value_reads_a_dyadic_point(k, n, message):
+    # -1 wrapped to the last budget of the rank, 5 raised IndexError and
+    # True was read as 1
+    q = confinement_map(rademacher(1, 4)).with_floor()
+    with pytest.raises(ValueError, match=message):
+        q.value(k, n)
+    assert q.value(1.0, 2) == q.value(1, 2)
+
+
 def test_budgets_demand_normalized_input():
     with pytest.raises(ValueError):
         confinement_map(SampledFunction(4, np.full(16, 3.0)))

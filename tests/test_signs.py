@@ -38,41 +38,38 @@ def test_synthetic_matrices_certify_unit_decay():
     # |v[k, j]| * (dist(k, j) + 1) is 1 at every entry, one row at a time;
     # n = 1000 fills fifteen row blocks of 65 rows and a partial one
     cases = [(12, "exact_decay"), (12, "random_signs_decay"), (1000, "random_signs_decay")]
-    for dist in ("circular", "linear"):
-        for n, profile in cases:
-            v = build_synthetic_matrix(n, profile, seed=4, dist=dist)
-            assert v.values.shape == (n, n)
-            ks = np.arange(n)
-            for j in range(n):
-                d = np.abs(ks - j)
-                if dist == "circular":
-                    d = np.minimum(d, n - d)
-                assert np.allclose(np.abs(v.values[j]) * (d + 1), 1.0, rtol=1e-15, atol=0.0)
+    for n, profile in cases:
+        v = build_synthetic_matrix(n, profile, seed=4)
+        assert v.values.shape == (n, n)
+        ks = np.arange(n)
+        for j in range(n):
+            d = np.abs(ks - j)
+            d = np.minimum(d, n - d)
+            assert np.allclose(np.abs(v.values[j]) * (d + 1), 1.0, rtol=1e-15, atol=0.0)
 
 
-def reference_matrix(n, profile, seed, dist):
+def reference_matrix(n, profile, seed):
     """The synthetic matrix filled in one piece, and its transpose copied:
     the layout every solve of a built matrix has had."""
     ks = np.arange(n)
     d = np.abs(ks[:, None] - ks[None, :])
-    if dist == "circular":
-        d = np.minimum(d, n - d)
+    d = np.minimum(d, n - d)
     vals = 1.0 / (d + 1.0)
     if profile == "random_signs_decay":
         vals = vals * (tagged_generator(seed, 0x51, n).integers(0, 2, size=(n, n)) * 2 - 1)
     return np.array(vals.T)
 
 
-@pytest.mark.parametrize("dist", ["circular", "linear"])
-@pytest.mark.parametrize("profile", ["exact_decay", "random_signs_decay"])
+# the ids keep the distance, circular, that every built matrix has
+@pytest.mark.parametrize("profile", ["exact_decay", "random_signs_decay"], ids=lambda p: f"{p}-circular")
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
-def test_built_matrix_keeps_the_copied_layout(n, profile, dist):
+def test_built_matrix_keeps_the_copied_layout(n, profile):
     # the builder keeps the array it filled, with the values and strides
     # of a copy of its transpose, so BLAS sees the same operands. Its rows
     # are shifted slices of one row; at n = 1000 the signs come in fifteen
     # row blocks of 65 rows and a partial one
-    got = build_synthetic_matrix(n, profile, seed=6, dist=dist).values
-    want = reference_matrix(n, profile, 6, dist)
+    got = build_synthetic_matrix(n, profile, seed=6).values
+    want = reference_matrix(n, profile, 6)
     assert np.array_equal(got, want)
     assert got.strides == want.strides == (8, 8 * n)
     assert not got.flags.writeable
@@ -508,23 +505,21 @@ def test_a_mixed_block_is_screened_on_its_signal_columns(monkeypatch):
 
 # sha256 of the int8 sign vectors of solve_hierarchical with its defaults,
 # recorded before the block search was screened; the n=64 exact_decay
-# circular vector was recorded again once the top merge scored against an
-# exact zero base: it is the negation of the vector recorded before, and
-# equals the linear one
+# vector was recorded again once the top merge scored against an exact
+# zero base: it is the negation of the vector recorded before. The ids keep
+# the distance, circular, that every built matrix has
 SIGN_PINS = {
-    (64, "exact_decay", "circular"): "aefd6168b636ab121e9fdd8e449d248ccbc36a7f2d75d4bcc8a42ca74a8d4ca7",
-    (64, "exact_decay", "linear"): "aefd6168b636ab121e9fdd8e449d248ccbc36a7f2d75d4bcc8a42ca74a8d4ca7",
-    (64, "random_signs_decay", "circular"): "96054c5b66efc292570cfa9495d4a62cc36956163f20aadde1afbef49874e970",
-    (512, "exact_decay", "circular"): "6d801beebaf927e0c5a3cbb993bfd60507d29cc1cfc734c9d51ff63451fa553f",
-    (512, "exact_decay", "linear"): "6d801beebaf927e0c5a3cbb993bfd60507d29cc1cfc734c9d51ff63451fa553f",
-    (512, "random_signs_decay", "circular"): "4100a484095f64f9ba87e0fb64a41682e5d788b785d834ec781389ea506a2644",
+    (64, "exact_decay"): "aefd6168b636ab121e9fdd8e449d248ccbc36a7f2d75d4bcc8a42ca74a8d4ca7",
+    (64, "random_signs_decay"): "96054c5b66efc292570cfa9495d4a62cc36956163f20aadde1afbef49874e970",
+    (512, "exact_decay"): "6d801beebaf927e0c5a3cbb993bfd60507d29cc1cfc734c9d51ff63451fa553f",
+    (512, "random_signs_decay"): "4100a484095f64f9ba87e0fb64a41682e5d788b785d834ec781389ea506a2644",
 }
 
 
-@pytest.mark.parametrize("key", sorted(SIGN_PINS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
+@pytest.mark.parametrize("key", sorted(SIGN_PINS), ids=lambda k: f"{k[0]}-{k[1]}-circular")
 def test_hierarchical_sign_vectors_pinned(key):
-    n, profile, dist = key
-    eps = solve_hierarchical(build_synthetic_matrix(n, profile, seed=0, dist=dist)).eps
+    n, profile = key
+    eps = solve_hierarchical(build_synthetic_matrix(n, profile, seed=0)).eps
     assert hashlib.sha256(eps.tobytes()).hexdigest() == SIGN_PINS[key]
 
 
@@ -554,7 +549,7 @@ def test_top_merge_breaks_the_global_flip_tie_by_rule():
     # every row sum lies inside the top merge, so a flip vector and its
     # negation tie exactly, and the first candidate, +1 first, must win
     # rather than whichever rounding residue favours
-    v = build_synthetic_matrix(64, "exact_decay", seed=0, dist="circular")
+    v = build_synthetic_matrix(64, "exact_decay", seed=0)
     eps = solve_hierarchical(v).eps
     old = "e4ab2d30633c6bde4e1b5eddbbd378990c0ff673d095136e14a896d63ee8910a"
     assert eps[0] == 1
@@ -567,10 +562,9 @@ def test_top_merge_breaks_the_global_flip_tie_by_rule():
     st.integers(9, 64),
     st.sampled_from(["exact_decay", "random_signs_decay"]),
     st.integers(0, 10**6),
-    st.sampled_from(["circular", "linear"]),
 )
-@example(64, "exact_decay", 0, "circular")
-def test_single_merge_keeps_the_first_sign_positive(n, profile, seed, dist):
+@example(64, "exact_decay", 0)
+def test_single_merge_keeps_the_first_sign_positive(n, profile, seed):
     # 9 .. 64 columns at block 8: 2 .. 8 level-0 blocks, then the top merge
     # alone. Block 0 and the top merge both search against an exact zero
     # base, so each keeps the first of a tied candidate pair, whose first
@@ -579,7 +573,7 @@ def test_single_merge_keeps_the_first_sign_positive(n, profile, seed, dist):
     search = signs._best_candidate
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signs, "_best_candidate", lambda *a: calls.append(a[0].shape[1]) or search(*a))
-        eps = solve_hierarchical(build_synthetic_matrix(n, profile, seed=seed, dist=dist)).eps
+        eps = solve_hierarchical(build_synthetic_matrix(n, profile, seed=seed)).eps
     blocks = -(-n // 8)
     assert len(calls) == blocks + 1 and calls[-1] == blocks
     assert eps[0] == 1
