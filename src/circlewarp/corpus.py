@@ -162,7 +162,7 @@ class CorpusSpec:
     m: int = 14
 
     def __post_init__(self):
-        if self.kind not in _GENERATORS:
+        if not (isinstance(self.kind, str) and self.kind in _GENERATORS):
             valid = ", ".join(sorted(_GENERATORS))
             raise ValueError(f"unknown corpus kind {self.kind!r}; valid kinds: {valid}")
         object.__setattr__(self, "params", dict(self.params))

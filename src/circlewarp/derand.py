@@ -43,7 +43,7 @@ from ._quadrature import _profile_jobs
 from ._sampler import _mc_profile
 from ._window import _assemble
 from .fourier import _check_degree, _whole_degrees, sup_partial_sums
-from .grid import PLHomeo, ResolutionError, SampledFunction, _array, _handed, _real, _whole
+from .grid import PLHomeo, ResolutionError, SampledFunction, _array, _handed, _whole
 from .haar import _FLOOR_EXPONENT, _SUP_TOL, ConfinementMap, confinement_map, normalize_sup
 from .signs import SignMatrix, solve_hierarchical
 
@@ -149,27 +149,28 @@ def _resolve_degrees(degrees, m: int, n_hint: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DerandConfig:
-    """The halving loop's settings, and the fixed constants derand reads (no
+    """How much work a run does, and the fixed constants derand reads (no
     engine reads a config: the value plan is _quadrature's).
 
     Settings (the fields; the only names a config may set):
 
-    * ell_max and j_tol stop the halving loop: a rank is pinned after
-      ell_max halvings or once every window is below j_tol times its image
-      cell. degrees=None tracks the default ladder.
-    * Rows of the functional matrix whose largest entry is below row_tol are
-      dropped before the sign search. Columns over constant cells (f flat on
-      the cell's pinned image, that is on the image ranges of both its half
-      cells; see _pltable._flat_half_cells) are exact zeros and always shrink
-      to their concentric middle half; null_tol applies to the other
-      columns, which carry no signal and shrink the same way when their
-      largest kept entry is below it. identity_tol bounds the
-      averaging-identity residual.
+    * ell_max caps a rank's halvings. degrees=None tracks the default
+      ladder.
     * mc_check turns the Monte-Carlo guard on, with mc_samples paths per
       rank (at least 2, for a standard error).
 
     Constants (read-only class attributes, the same for every instance):
 
+    * j_tol: a rank is also pinned once every window is below j_tol times
+      its image cell.
+    * row_tol: rows of the functional matrix whose largest entry is below
+      it are dropped before the sign search. Columns over constant cells (f
+      flat on the cell's pinned image, that is on the image ranges of both
+      its half cells; see _pltable._flat_half_cells) are exact zeros and
+      always shrink to their concentric middle half; null_tol applies to the
+      other columns, which carry no signal and shrink the same way when
+      their largest kept entry is below it.
+    * identity_tol bounds the averaging-identity residual.
     * solver_*: the default block size, retries, seed and lambda of
       solve_hierarchical, read off its signature.
     * q_floor_exponent: the budget map's floor 2**(-n * exponent).
@@ -177,14 +178,14 @@ class DerandConfig:
       relative to sup |f|, and the share of points allowed past 6 SE."""
 
     ell_max: int = 6
-    j_tol: float = 2.0**-20
     degrees: tuple | None = None
-    row_tol: float = 1e-6
-    null_tol: float = 1e-12
-    identity_tol: float = 1e-6
     mc_check: bool = True
     mc_samples: int = 10000
 
+    j_tol: ClassVar[float] = 2.0**-20
+    row_tol: ClassVar[float] = 1e-6
+    null_tol: ClassVar[float] = 1e-12
+    identity_tol: ClassVar[float] = 1e-6
     # unannotated, so no field: the defaults of solve_hierarchical's signature
     solver_block, solver_retries, solver_seed, solver_lam = solve_hierarchical.__defaults__
     q_floor_exponent: ClassVar[float] = _FLOOR_EXPONENT
@@ -195,11 +196,6 @@ class DerandConfig:
     def __post_init__(self):
         ell_max = _whole(self.ell_max, 0, "ell_max must be a nonnegative integer")
         object.__setattr__(self, "ell_max", ell_max)
-        # checked, not converted, so a config echoes as written; a NaN row_tol
-        # would keep no row, and a NaN identity_tol fail every residual
-        _real(self.j_tol, 0.0, 1.0, "j_tol must lie in (0, 1)", "()")
-        for name in ("row_tol", "null_tol", "identity_tol"):
-            _real(getattr(self, name), 0.0, None, f"{name} must be finite and nonnegative")
         if type(self.mc_check) is not bool:  # "false" would run the guard, None skip it
             raise ValueError("mc_check must be true or false")
         # one path has a standard error of 0, so the guard could never pass
@@ -207,6 +203,10 @@ class DerandConfig:
         object.__setattr__(self, "mc_samples", samples)
         if self.degrees is not None:
             object.__setattr__(self, "degrees", _whole_degrees(self.degrees, 1))
+
+
+# the constants a run's manifest reports beside the settings
+_THRESHOLDS = ("j_tol", "row_tol", "null_tol", "identity_tol")
 
 
 @dataclass(frozen=True)
@@ -601,7 +601,7 @@ def run(
         "sup_before": f.sup_norm(),
         "identity_max": ident_max,
         "degrees": list(degrees),
-        "config": dataclasses.asdict(cfg),
+        "config": {**dataclasses.asdict(cfg), **{name: getattr(cfg, name) for name in _THRESHOLDS}},
         "mc_reports": mc_reports,
         "silent_cells": silent_cells,
         "breakpoints": int(h.x.size),

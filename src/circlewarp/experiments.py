@@ -98,7 +98,7 @@ class ExperimentConfig:
     params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if not (isinstance(self.experiment, str) and self.experiment in EXPERIMENTS):
             valid = ", ".join(sorted(EXPERIMENTS))
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; valid experiments: {valid}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import _fork_map
-from .grid import ResolutionError, SampledFunction, _array, _whole
+from .grid import ResolutionError, SampledFunction, _array, _exponent, _whole
 
 __all__ = [
     "dirichlet_kernel",
@@ -72,6 +72,7 @@ class FourierCoeffs:
     c: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _exponent(self.m))
         message = "coefficients must be a 1-d array of 2**m finite complex numbers"
         arr = _array(self.c, 1, message, complex)
         if arr.shape[0] != (1 << self.m):
@@ -84,8 +85,10 @@ class FourierCoeffs:
         return (1 << self.m) >> 1
 
     def coeff(self, k: int) -> complex:
+        message = f"|k| <= {self.half} required, got {k!r}"
+        k = _whole(k, None, message)
         if abs(k) > self.half:
-            raise ValueError(f"|k| <= {self.half} required, got {k}")
+            raise ValueError(message)
         if k == self.half:
             k = -self.half
         return complex(self.c[k + self.half])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicPoint, ResolutionError, SampledFunction, _array, _exponent, _handed, _real, _whole
+from .grid import DyadicPoint, ResolutionError, SampledFunction, _array, _exponent, _real, _whole
 from .rng import tagged_generator
 
 __all__ = [
@@ -46,10 +46,24 @@ _FLOOR_EXPONENT = 0.25
 
 @dataclass(frozen=True, eq=False)
 class HaarCoeffs:
-    """mean = <f, 1>; detail[l][j] = <f, X_I> for I = [j/2**l, (j+1)/2**l)."""
+    """mean = <f, 1>; detail[l][j] = <f, X_I> for I = [j/2**l, (j+1)/2**l).
+
+    mean is a finite real, and each detail[l] a read-only copy of a 1-d
+    array of 2**l finite reals; anything else raises ValueError."""
 
     mean: float
     detail: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "mean", _real(self.mean, None, None, "mean must be a finite real"))
+        detail = []
+        for level, d in enumerate(self.detail):
+            message = f"detail[{level}] must be a 1-d array of 2**{level} finite reals"
+            arr = _array(d, 1, message)
+            if arr.shape[0] != (1 << level):
+                raise ValueError(message)
+            detail.append(arr)
+        object.__setattr__(self, "detail", tuple(detail))
 
     @property
     def levels(self) -> int:
@@ -72,7 +86,7 @@ def haar_transform(f: SampledFunction) -> HaarCoeffs:
         detail.append((left - right) / 2.0 * scale)
         means = (left + right) / 2.0
     detail.reverse()
-    return HaarCoeffs(float(means[0]), tuple(_handed(d) for d in detail))
+    return HaarCoeffs(means[0], tuple(detail))
 
 
 def haar_inverse(c: HaarCoeffs, m: int) -> SampledFunction:

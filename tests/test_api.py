@@ -6,7 +6,6 @@ check, and every array of samples, breakpoints, budgets, signs or
 coefficients one array check."""
 
 import ast
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -57,6 +56,7 @@ from circlewarp import (
     sup_partial_sums,
 )
 from circlewarp.fourier import FourierCoeffs, kernel_block_integral
+from circlewarp.haar import HaarCoeffs
 from circlewarp.rng import rank_uniforms, tagged_generator
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -373,6 +373,10 @@ WHOLE_ARGUMENTS = {
     ("ConfinementMap.value", "n"): (lambda x: Q6.value(1, x), "rank must be >= 1"),
     ("compose", "m_out"): (lambda x: compose(F6, identity_homeo(), x), "m_out must be"),
     ("haar_inverse", "m"): (lambda x: haar_inverse(HAAR2, x), "grid exponent"),
+    # 1 << 2.0 raised TypeError, and True was kept as the grid exponent
+    ("FourierCoeffs", "m"): (lambda x: FourierCoeffs(x, np.zeros(8)), "grid exponent"),
+    # True read the coefficient of frequency 1, and 2.0 raised IndexError
+    ("FourierCoeffs.coeff", "k"): (lambda x: coeffs(F6).coeff(x), "required, got"),
     ("confinement_map", "depth"): (lambda x: confinement_map(F6, x), "depth must be >= 1"),
     ("rademacher", "rank"): (lambda x: rademacher(x, 6), "rank must be >= 1"),
     ("perturbed_square_wave", "rank"): (
@@ -455,11 +459,6 @@ def test_every_count_takes_whole_numbers_only(row):
     assert pickle.dumps(call(3.0)) == pickle.dumps(call(3))
 
 
-def derand_row(name):
-    """DerandConfig with one setting, as the JSON its config echo holds."""
-    return lambda x: json.dumps(dataclasses.asdict(DerandConfig(**{name: x})))
-
-
 H6 = sample_psi_q(DFParams(6, 0.5), 1)
 RAW6 = confinement_map(F6)
 
@@ -468,34 +467,6 @@ RAW6 = confinement_map(F6)
 # one value out of range; one value in range; and the sha256 of the call on
 # it, recorded before the real-number check was one helper
 REAL_ARGUMENTS = {
-    ("DerandConfig", "j_tol"): (
-        derand_row("j_tol"),
-        "j_tol must lie in",
-        1.0,
-        0.5,
-        "578e24973c72e21be6e7b838e6c2f0a44568d46373ca965b33e7a283845c056a",
-    ),
-    ("DerandConfig", "row_tol"): (
-        derand_row("row_tol"),
-        "row_tol must be finite and nonnegative",
-        -1e-9,
-        0.5,
-        "30c4c6050d85556a56a0eb9026be79e1d63a2bb6681587763c04c463f6e1c57b",
-    ),
-    ("DerandConfig", "null_tol"): (
-        derand_row("null_tol"),
-        "null_tol must be finite and nonnegative",
-        -1e-9,
-        0.5,
-        "b4912ef3a935ef4965680fed6103fcd1da80936eabceb2f75923a9f30faea508",
-    ),
-    ("DerandConfig", "identity_tol"): (
-        derand_row("identity_tol"),
-        "identity_tol must be finite and nonnegative",
-        -1e-9,
-        0.5,
-        "e48cb390d37e16cc6c918215d7a24ae0a519a083c30f9ceab7f93d1453fdbf52",
-    ),
     ("DFParams", "q"): (
         lambda x: sample_psi_q(DFParams(6, x), 3).y.tobytes(),
         "constant budget must be a real number in",
@@ -552,6 +523,14 @@ REAL_ARGUMENTS = {
         0.0,
         0.5,
         "d2ea885216dc17a8083447edea720c6a4b930a7aea91ab917c6fda0f5e320fa9",
+    ),
+    # "0.5" and a NaN surfaced as SampledFunction's sample message
+    ("HaarCoeffs", "mean"): (
+        lambda x: haar_inverse(HaarCoeffs(x, HAAR2.detail), 3).values.tobytes(),
+        "mean must be a finite real",
+        None,
+        0.5,
+        "c0e459c5f7566b36a1754e246e6b0c95b4e173bdb3c49f8abe045e48cd6489ff",
     ),
 }
 
@@ -717,6 +696,16 @@ ARRAY_ARGUMENTS = {
         False,
         [],
         "8e945aa61f9b2f841f5907a0e19fd933cf2bf8ab4f884edb10da0cf41a0d7ab7",
+    ),
+    # a list of booleans raised TypeError, and a level of the wrong length
+    # "could not broadcast"
+    ("HaarCoeffs", "detail"): (
+        lambda x: haar_inverse(HaarCoeffs(0.5, (HAAR2.detail[0], x)), 3).values.tobytes(),
+        "detail\\[1\\] must be a 1-d array of 2\\*\\*1 finite reals",
+        np.array([0.25, -0.5]),
+        True,
+        [np.array([0.25, -0.5, 0.75])],
+        "3de6ac2f71cc31bb46d5d3e28d9d852dbaad55af5e3e22a43a9cd288ba52aaf7",
     ),
 }
 

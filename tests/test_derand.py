@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -38,7 +39,7 @@ from circlewarp import (
 )
 from circlewarp import _fork, _pltable, _quadrature, _sampler, _window, derand
 from circlewarp.corpus import CorpusSpec, tapered_oscillation
-from circlewarp.experiments import _write_csv
+from circlewarp.experiments import _write_csv, load_config
 from circlewarp.rng import _tag_key, tagged_generator
 
 DEGREES = (1, 2, 4, 8, 16)
@@ -56,17 +57,19 @@ def taper_state():
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         DerandConfig(ell_max=-1)
-    with pytest.raises(ValueError):
-        DerandConfig(j_tol=1.5)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 @pytest.mark.parametrize("name", ["row_tol", "null_tol", "identity_tol"])
-def test_config_rejects_tolerances_that_are_not_finite(name, bad):
+def test_config_rejects_tolerances_that_are_not_finite(name, bad, tmp_path):
     # a NaN row_tol would keep no row and steer nothing; a NaN identity_tol
-    # would fail a residual of 1e-15
-    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
-        DerandConfig(**{name: bad})
+    # would fail a residual of 1e-15. A tolerance is a constant, so a config
+    # file that sets one, to any value, is refused
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiment": "derand-full", "derand": {name: bad}}))
+    with pytest.raises(ValueError, match=f"unknown derand keys: {name}; valid: "):
+        load_config(path)
+    assert math.isfinite(getattr(DerandConfig(), name))
 
 
 @pytest.mark.parametrize("degrees", [(1.5,), (4, 2.5), (), (2, 0)])
@@ -119,10 +122,12 @@ def test_config_rejects_a_boolean_ell_max():
         DerandConfig(ell_max=True)
 
 
-SETTINGS = [
-    "ell_max", "j_tol", "degrees", "row_tol", "null_tol", "identity_tol", "mc_check", "mc_samples",
-]
+SETTINGS = ["ell_max", "degrees", "mc_check", "mc_samples"]
 CONSTANTS = {
+    "j_tol": 2.0**-20,
+    "row_tol": 1e-6,
+    "null_tol": 1e-12,
+    "identity_tol": 1e-6,
     "solver_block": 8,
     "solver_retries": 64,
     "solver_seed": 0,
@@ -235,19 +240,21 @@ def test_mc_guard_agrees_on_corpus_function():
 # --- functional matrix ----------------------------------------------------
 
 
-def test_matrix_constant_function_is_zero():
+def test_matrix_constant_function_is_zero(monkeypatch):
+    monkeypatch.setattr(DerandConfig, "row_tol", 0.0)
     c = SampledFunction(8, np.full(256, 0.7))
     q = confinement_map(c, depth=8).with_floor()
     s = DerandState.initial(c, q)
-    m = assemble_v_matrix(s, DEGREES, DerandConfig(mc_check=False, row_tol=0.0))
+    m = assemble_v_matrix(s, DEGREES, DerandConfig(mc_check=False))
     assert m.values.shape == (len(DEGREES) * 2, 1)
     assert np.max(np.abs(m.values)) < 1e-8
 
 
-def test_matrix_entries_vanish_as_windows_shrink():
+def test_matrix_entries_vanish_as_windows_shrink(monkeypatch):
     # the first halving can sharpen the up/down contrast, but from ell = 1
     # on the entries track the window width and fall geometrically
-    cfg = DerandConfig(mc_check=False, row_tol=0.0)
+    monkeypatch.setattr(DerandConfig, "row_tol", 0.0)
+    cfg = DerandConfig(mc_check=False)
     s = taper_state()
     tops = []
     for _ in range(7):
@@ -258,8 +265,9 @@ def test_matrix_entries_vanish_as_windows_shrink():
     assert tops[-1] < 0.1 * tops[0]
 
 
-def test_matrix_keeps_every_degree_point_row_at_zero_row_tol():
-    m = assemble_v_matrix(taper_state(), DEGREES, DerandConfig(mc_check=False, row_tol=0.0))
+def test_matrix_keeps_every_degree_point_row_at_zero_row_tol(monkeypatch):
+    monkeypatch.setattr(DerandConfig, "row_tol", 0.0)
+    m = assemble_v_matrix(taper_state(), DEGREES, DerandConfig(mc_check=False))
     assert m.values.shape == (len(DEGREES) * 2, 1)
 
 
@@ -268,8 +276,9 @@ def test_averaging_identity_within_tolerance():
     assert 0.0 <= ident <= 1e-6
 
 
-def test_averaging_identity_alarm_carries_context():
-    cfg = DerandConfig(mc_check=False, identity_tol=0.0)
+def test_averaging_identity_alarm_carries_context(monkeypatch):
+    monkeypatch.setattr(DerandConfig, "identity_tol", 0.0)
+    cfg = DerandConfig(mc_check=False)
     with pytest.raises(NumericalAlarm) as exc:
         assemble_v_matrix(taper_state(), DEGREES, cfg)
     assert set(exc.value.context) == {"n", "ell", "residual", "tol"}
@@ -1442,22 +1451,24 @@ def test_window_engine_skips_constant_cells(kk_states, rank, monkeypatch):
     assert len(calls) == 3 * int((~constant).sum())
 
 
-def test_constant_cell_columns_are_exact_zeros(kk_states):
+def test_constant_cell_columns_are_exact_zeros(kk_states, monkeypatch):
+    monkeypatch.setattr(DerandConfig, "row_tol", 0.0)
     state = kk_states[3]
     constant = _pltable._constant_cells(state)
     assert constant.any() and not constant.all()
-    v = assemble_v_matrix(state, DEGREES, DerandConfig(row_tol=0.0))
+    v = assemble_v_matrix(state, DEGREES, DerandConfig())
     assert v.n_rows == len(DEGREES) << state.n_active
     assert np.all(v.values[:, constant] == 0.0)
     assert np.all(np.max(np.abs(v.values[:, ~constant]), axis=0) > 1e-6)
 
 
-def test_constant_cells_shrink_concentrically_at_zero_null_tol(kk_states):
+def test_constant_cells_shrink_concentrically_at_zero_null_tol(kk_states, monkeypatch):
     # null_tol = 0 signs every column with any signal, yet cannot sign an
     # exact zero column over a constant cell
+    monkeypatch.setattr(DerandConfig, "null_tol", 0.0)
     state = kk_states[3]
     constant = _pltable._constant_cells(state)
-    s1, _, _ = choose_halves(state, DerandConfig(mc_check=False, null_tol=0.0), DEGREES)
+    s1, _, _ = choose_halves(state, DerandConfig(mc_check=False), DEGREES)
     mid = 0.5 * (state.j_lo + state.j_hi)
     quarter = 0.25 * (state.j_hi - state.j_lo)
     assert np.array_equal(s1.j_lo[constant], (mid - quarter)[constant])

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.metadata
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +24,10 @@ from circlewarp.experiments import (
 )
 from circlewarp.fourier import circ_dist, kernel_block_matrix
 from circlewarp.plotting import emit_plot
+
+
+# the keys a config's derand section takes: DerandConfig's settings
+DERAND_KEYS = "ell_max, degrees, mc_check, mc_samples"
 
 
 def _write_config(path, payload):
@@ -240,9 +245,19 @@ def test_load_config_rejects_unknown_derand_keys(tmp_path):
     p = _write_config(
         tmp_path / "c.json", {"experiment": "derand-full", "derand": {"solver_block": 4}}
     )
-    valid = "ell_max, j_tol, degrees, row_tol, null_tol, identity_tol, mc_check, mc_samples"
-    with pytest.raises(ValueError, match=f"unknown derand keys: solver_block; valid: {valid}$"):
+    with pytest.raises(ValueError, match=f"unknown derand keys: solver_block; valid: {DERAND_KEYS}$"):
         load_config(p)
+
+
+def test_readme_configs_load(tmp_path):
+    # a documented config that names a removed key would fail a reader's run
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```json\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert any('"derand"' in block for block in blocks)
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme{i}.json"
+        path.write_text(block)
+        load_config(path)
 
 
 def test_load_config_rejects_non_object_derand(tmp_path):
@@ -761,16 +776,24 @@ def test_cli_run_bad_value_lists_exit_two(tmp_path, capsys, experiment, params, 
         ({"derand": {"mc_check": "false"}}, "mc_check must be true or false"),
         ({"derand": {"mc_check": None}}, "mc_check must be true or false"),
         ({"derand": {"mc_check": 0}}, "mc_check must be true or false"),
-        ({"derand": {"row_tol": "1e-6"}}, "row_tol must be finite and nonnegative"),
-        ({"derand": {"row_tol": True}}, "row_tol must be finite and nonnegative"),
+        ({"derand": {"ell_max": "6"}}, "ell_max must be a nonnegative integer"),
+        # a tolerance is a constant, not a setting, whatever its value
+        ({"derand": {"row_tol": "1e-6"}}, f"unknown derand keys: row_tol; valid: {DERAND_KEYS}"),
+        ({"derand": {"row_tol": True}}, f"unknown derand keys: row_tol; valid: {DERAND_KEYS}"),
+        ({"experiment": ["kernel-decay"]}, "unknown experiment ['kernel-decay']; valid experiments: "),
+        ({"corpus": {"kind": ["oscillation"]}}, "unknown corpus kind ['oscillation']; valid kinds: "),
+        ({"corpus": {"kind": {"a": 1}}}, "unknown corpus kind {'a': 1}; valid kinds: "),
     ],
     ids=["numeric output_dir", "formats string", "mc_check string", "mc_check null",
-         "mc_check 0", "row_tol string", "row_tol true"],
+         "mc_check 0", "ell_max string", "row_tol string", "row_tol true", "experiment list",
+         "corpus kind list", "corpus kind object"],
 )
 def test_cli_run_values_of_the_wrong_type_exit_two(tmp_path, capsys, keys, message):
     # a numeric output_dir failed in os.makedirs with a TypeError and exit 1,
     # "csv" was split into letters and reported as unknown format 'c',
-    # "false" ran the Monte-Carlo guard and null skipped it without a word
+    # "false" ran the Monte-Carlo guard and null skipped it without a word;
+    # a list or an object as a name failed as "unhashable type", naming no
+    # valid name
     out = keys.get("output_dir", str(tmp_path / "out"))
     cfg = _write_config(
         tmp_path / "bad.json", {"experiment": "derand-full", **keys, "output_dir": out}
@@ -786,14 +809,14 @@ def test_cli_run_missing_config_exit_two(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_cli_numerical_alarm_exit_one(tmp_path, capsys):
+def test_cli_numerical_alarm_exit_one(tmp_path, capsys, monkeypatch):
     # a zero tolerance trips the averaging-identity alarm immediately
+    monkeypatch.setattr(DerandConfig, "identity_tol", 0.0)
     cfg = _write_config(
         tmp_path / "alarm.json",
         {
             "experiment": "derand-full",
             "corpus": {"kind": "oscillation", "params": {"n_cycles": 2}, "m": 8},
-            "derand": {"identity_tol": 0.0},
             "params": {"n_max": 3, "compose_m": 9, "r_max": 32},
             "output_dir": str(tmp_path / "out"),
         },
