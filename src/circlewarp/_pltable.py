@@ -1,9 +1,11 @@
 """What the derand engines (_window, _quadrature, _sampler) share, as they
 read nothing of each other or of derand: the piecewise-linear table of a
 sampled function with its lookups of f, of F and of window means of f, the
-budget and frozen-tail tables, the cell grid, the flatness masks, the work
-block _BLOCK and the buffers one value-profile job reuses (_Workspace). A
-state here is anything with the fields of a derand.DerandState.
+budget and frozen-tail tables, the cell grid, the flatness masks and the
+work block _BLOCK. Its one scratch workspace type (_Workspace) also serves
+outside the engines: one value-profile job reuses one, and so does one sign
+solve (signs.solve_hierarchical). A state here is anything with the fields
+of a derand.DerandState.
 """
 
 from __future__ import annotations
@@ -130,11 +132,12 @@ _BLOCK = 1 << 14
 
 
 class _Workspace:
-    """Named flat buffers that the blocks of one value-profile job reuse,
-    so that its frozen tail and its level means allocate nothing per block:
-    view(name, shape) is the start of buffer `name` as that shape. A buffer
-    holds _BLOCK elements and grows only for a larger block. The views are
-    kept, since most blocks of a job share their shape."""
+    """Named flat buffers that the blocks of one value-profile job, or the
+    block searches of one sign solve, reuse, so that its frozen tail and its
+    level means, or its screens, allocate nothing per block: view(name,
+    shape) is the start of buffer `name` as that shape. A buffer holds
+    _BLOCK elements and grows only for a larger block. The views are kept,
+    since most blocks of a job share their shape."""
 
     __slots__ = ("_bufs", "_views")
 

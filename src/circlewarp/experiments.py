@@ -103,6 +103,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; valid experiments: {valid}"
             )
+        # each section's type before it is read, so that the error names
+        # what the section takes; a string of seeds would be read letter by
+        # letter
+        for name in ("solver", "params"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ValueError(f"{name} must be a JSON object")
+        if not isinstance(self.seeds, (list, tuple, range)):
+            raise ValueError("seeds must be a list of whole numbers")
         object.__setattr__(self, "solver", dict(self.solver))
         object.__setattr__(self, "params", dict(self.params))
         seeds = tuple(_whole(s, None, "seeds must be whole numbers") for s in self.seeds)
@@ -254,11 +262,13 @@ class ExperimentReport:
 
 def _write_csv(path: str, header, rows) -> str:
     """Stream header and rows into path, one line at a time, through
-    _atomic_open; returns path."""
+    _atomic_open; returns path. A float is written to 12 significant
+    digits, any other cell as str writes it, so a whole number such as a
+    seed of 10**12 is read back exactly."""
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else f"{c:.12g}" for c in row) + "\n")
+            fh.write(",".join(f"{c:.12g}" if isinstance(c, float) else str(c) for c in row) + "\n")
     return path
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pltable import _Workspace
 from .grid import _array, _handed, _real, _whole
 from .rng import tagged_generator
 
@@ -186,14 +187,15 @@ def solve_iid(v: SignMatrix, seed: int = 0) -> SignVector:
 # exceed _EXP_SAFE, where the exponentials leave a safe range.
 #
 # The screen's two halves, their product and the max term's block of rows
-# are written, with out=, into one workspace per solve: an array per use and
-# shape (_scratch), handed to every block search. Made afresh and freed by
-# each of an n=4096 solve's 585 searches, these few hundred KB arrays had
-# the allocator grow and trim the heap around every search, and the solve
-# took 298 000 minor page faults; with the workspace it takes 9 700. The
-# same ufuncs and products run into reused memory, so no bit moves. The
-# workspace lives as long as its solve, not the module, so no buffer
-# outlasts the solves of a process.
+# are written, with out=, into one _pltable._Workspace per solve, handed to
+# every block search: view(use, shape) is buffer `use` ("hi", "lo", "prod",
+# "z") as that shape, the type of workspace the value engine's jobs reuse.
+# Made afresh and freed by each of an n=4096 solve's 585 searches, these few
+# hundred KB arrays had the allocator grow and trim the heap around every
+# search, and the solve took 298 000 minor page faults; with the workspace it
+# takes 9 700. The same ufuncs and products run into reused, C-contiguous
+# memory, so no bit moves. The workspace lives as long as its solve, not the
+# module, so no buffer outlasts the solves of a process.
 
 _EXP_SAFE = 300.0
 # entries per block of the max term's rows and of the exact scores' candidates
@@ -222,19 +224,10 @@ def _exact_scores(cols, cands, base, sigma, lam, idx) -> np.ndarray:
     return out
 
 
-def _scratch(work: dict, use: str, shape: tuple) -> np.ndarray:
-    """The float array of work for one use at one shape: made on its first
-    request, and written over by every later one."""
-    arr = work.get((use, shape))
-    if arr is None:
-        arr = work[use, shape] = np.empty(shape)
-    return arr
-
-
 def _half_exp(work, use, cols, sigma) -> np.ndarray:
     """exp(_exhaustive_signs(b) @ cols.T / sigma) for the b columns of one
-    half, in work's array for use."""
-    out = _scratch(work, use, (1 << cols.shape[1], cols.shape[0]))
+    half, in work's buffer for use."""
+    out = work.view(use, (1 << cols.shape[1], cols.shape[0]))
     np.matmul(_exhaustive_signs(cols.shape[1]), cols.T, out=out)
     out /= sigma
     return np.exp(out, out=out)
@@ -243,7 +236,7 @@ def _half_exp(work, use, cols, sigma) -> np.ndarray:
 def _screen(cols, cands, base, sigma, lam, zb, reach, work):
     """Screened potential of all 2^b exhaustive candidates (cands, as
     floats), with its error bound against _score. Every array of n_rows
-    columns is one of work's."""
+    columns is a view of work's."""
     n_rows, b = cols.shape
     n_cand = cands.shape[0]
     h = b // 2
@@ -251,7 +244,7 @@ def _screen(cols, cands, base, sigma, lam, zb, reach, work):
     lo = _half_exp(work, "lo", cols[:, h:], sigma)
     eb = np.exp(base / sigma)
     # negating a candidate reverses its index within each half
-    prod = np.multiply(hi, eb, out=_scratch(work, "prod", hi.shape))
+    prod = np.multiply(hi, eb, out=work.view("prod", hi.shape))
     cosh_sum = prod @ lo.T
     cosh_sum += np.divide(hi[::-1], eb, out=prod) @ lo[::-1].T
     cosh_sum = 0.5 * cosh_sum.ravel()
@@ -260,7 +253,7 @@ def _screen(cols, cands, base, sigma, lam, zb, reach, work):
         cols, base = cols[rows], base[rows]
     mx = np.full(n_cand, -np.inf)
     step = max(1, _SCORE_BLOCK // n_cand)
-    zs = _scratch(work, "z", (min(step, n_rows), n_cand))
+    zs = work.view("z", (min(step, n_rows), n_cand))
     for s in range(0, cols.shape[0], step):
         part = cols[s : s + step]
         z = np.matmul(part, cands.T, out=zs[: part.shape[0]])
@@ -298,12 +291,11 @@ def _block_candidates(b: int, retries: int, gen) -> np.ndarray:
 
 
 def _best_candidate(
-    cols: np.ndarray, base: np.ndarray, sigma: float, lam: float, retries: int, gen, work: dict
+    cols: np.ndarray, base: np.ndarray, sigma: float, lam: float, retries: int, gen, work: _Workspace
 ) -> np.ndarray:
     """cols: (n_rows, b) signed column vectors; base: row sums already
     committed by earlier choices. Returns the +-1 vector minimizing the
-    potential of base + cols @ eps. work is the solve's workspace, the dict
-    of scratch arrays that _scratch fills.
+    potential of base + cols @ eps. work is the solve's workspace.
 
     An exhaustive search enumerates its signal columns alone and gives each
     exact-zero column +1. Such a column adds an exact zero to every row
@@ -391,7 +383,7 @@ def solve_hierarchical(
     if sigma == 0.0:
         return SignVector(np.ones(n, dtype=np.int8))
     gen = tagged_generator(seed, 0x31E7)
-    work = {}  # the block searches' scratch arrays, reused by each
+    work = _Workspace()  # the block searches' scratch buffers, reused by each
 
     eps = np.ones(n, dtype=np.int8)
     acc = np.zeros(a.shape[0])  # committed row sums

@@ -416,6 +416,16 @@ def test_same_config_gives_byte_identical_tables(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_tables_write_whole_numbers_exactly(tmp_path):
+    # every cell that is not a float was written to 12 significant digits
+    # as well: seeds of 10**12 and more came out as 1e+12 and -1e+13
+    seeds = (10**12 + 3, -(10**13) - 7)
+    run_experiment(ExperimentConfig("df-stats", seeds=seeds, output_dir=str(tmp_path)))
+    lines = (tmp_path / "df_stats.csv").read_text().splitlines()
+    assert lines[0] == "seed,phi_half"
+    assert tuple(int(line.split(",")[0]) for line in lines[1:]) == seeds
+
+
 def test_env_var_supplies_default_output_dir(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("CIRCLEWARP_OUT", str(env_dir))
@@ -783,17 +793,24 @@ def test_cli_run_bad_value_lists_exit_two(tmp_path, capsys, experiment, params, 
         ({"experiment": ["kernel-decay"]}, "unknown experiment ['kernel-decay']; valid experiments: "),
         ({"corpus": {"kind": ["oscillation"]}}, "unknown corpus kind ['oscillation']; valid kinds: "),
         ({"corpus": {"kind": {"a": 1}}}, "unknown corpus kind {'a': 1}; valid kinds: "),
+        ({"seeds": 5}, "seeds must be a list of whole numbers"),
+        ({"seeds": "12"}, "seeds must be a list of whole numbers"),
+        ({"solver": [1]}, "solver must be a JSON object"),
+        ({"params": [1]}, "params must be a JSON object"),
     ],
     ids=["numeric output_dir", "formats string", "mc_check string", "mc_check null",
          "mc_check 0", "ell_max string", "row_tol string", "row_tol true", "experiment list",
-         "corpus kind list", "corpus kind object"],
+         "corpus kind list", "corpus kind object", "seeds number", "seeds string",
+         "solver list", "params list"],
 )
 def test_cli_run_values_of_the_wrong_type_exit_two(tmp_path, capsys, keys, message):
     # a numeric output_dir failed in os.makedirs with a TypeError and exit 1,
     # "csv" was split into letters and reported as unknown format 'c',
     # "false" ran the Monte-Carlo guard and null skipped it without a word;
     # a list or an object as a name failed as "unhashable type", naming no
-    # valid name
+    # valid name; a number of seeds failed as "'int' object is not iterable",
+    # a string of seeds was read letter by letter, and a list as the solver
+    # or params section failed as "cannot convert dictionary update sequence"
     out = keys.get("output_dir", str(tmp_path / "out"))
     cfg = _write_config(
         tmp_path / "bad.json", {"experiment": "derand-full", **keys, "output_dir": out}

@@ -22,6 +22,7 @@ from circlewarp import (
     solve_iid,
 )
 from circlewarp import signs
+from circlewarp._pltable import _Workspace
 from circlewarp.rng import tagged_generator
 
 V2 = SignMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -320,7 +321,7 @@ def test_screened_search_equals_scoring_every_candidate(monkeypatch):
     monkeypatch.setattr(signs, "_screen", lambda *a: screened.append(1) or screen(*a))
     for i, (cols, base, sigma, lam, seed) in enumerate(screen_cases()):
         want = best_candidate_reference(cols, base, sigma, lam, 64, np.random.default_rng(seed))
-        got = signs._best_candidate(cols, base, sigma, lam, 64, np.random.default_rng(seed), {})
+        got = signs._best_candidate(cols, base, sigma, lam, 64, np.random.default_rng(seed), _Workspace())
         assert np.array_equal(got, want), f"case {i}"
     # the screen itself ran, not only the fallback
     assert len(screened) > 500
@@ -359,24 +360,62 @@ def test_screen_bound_and_choice_at_the_lab_scale():
         zb = np.abs(base) / sigma
         reach = np.abs(cols).sum(axis=1) / sigma
         assert np.max(zb + reach) <= signs._EXP_SAFE, f"case {i}"
-        value, margin = signs._screen(cols, cands, base, sigma, lam, zb, reach, {})
+        value, margin = signs._screen(cols, cands, base, sigma, lam, zb, reach, _Workspace())
         exact = exact_scores(cols, base, sigma, lam, cands)
         assert np.all(np.abs(value - exact) <= margin), f"case {i}"
-        got = signs._best_candidate(cols, base, sigma, lam, 64, np.random.default_rng(seed), {})
+        got = signs._best_candidate(cols, base, sigma, lam, 64, np.random.default_rng(seed), _Workspace())
         assert np.array_equal(got, cands[int(np.argmin(exact))]), f"case {i}"
 
 
-def test_one_workspace_serves_every_shape():
+def recorded_views(monkeypatch):
+    """Log (workspace, name, shape) of every _Workspace.view call; returns
+    the log."""
+    views = []
+    view = _Workspace.view
+
+    def recorded(ws, name, shape, dtype=float):
+        views.append((ws, name, shape))
+        return view(ws, name, shape, dtype)
+
+    monkeypatch.setattr(_Workspace, "view", recorded)
+    return views
+
+
+def test_one_workspace_serves_every_shape(monkeypatch):
     # a solve hands one workspace to all its block searches; here it serves
     # searches whose shapes change from case to case, and a buffer reused at
     # a wrong shape or holding the previous search's values would move a
     # choice
-    work = {}
+    views = recorded_views(monkeypatch)
+    work = _Workspace()
     for i, (cols, base, sigma, lam, seed) in enumerate([*screen_cases(), *lab_scale_cases()]):
-        fresh = signs._best_candidate(cols, base, sigma, lam, 64, np.random.default_rng(seed), {})
+        fresh = signs._best_candidate(cols, base, sigma, lam, 64, np.random.default_rng(seed), _Workspace())
         shared = signs._best_candidate(cols, base, sigma, lam, 64, np.random.default_rng(seed), work)
         assert np.array_equal(shared, fresh), f"case {i}"
-    assert len({shape for _, shape in work}) > 10
+    assert len({shape for ws, _, shape in views if ws is work}) > 10
+
+
+def test_a_solve_writes_into_one_workspace(monkeypatch):
+    # the block searches of one solve write their scratch arrays into one
+    # _pltable._Workspace, the type that the value engine's jobs reuse, each
+    # under the same four names; the solver keeps no scratch container of
+    # its own
+    views = recorded_views(monkeypatch)
+    searches = []
+    screen = signs._screen
+
+    def recorded(*args):
+        start = len(views)
+        out = screen(*args)
+        searches.append({name for _, name, _ in views[start:]})
+        return out
+
+    monkeypatch.setattr(signs, "_screen", recorded)
+    solve_hierarchical(build_synthetic_matrix(512, "exact_decay"))
+    # 64 level-0 blocks, 8 merges of 8 runs and the top merge
+    assert len(searches) == 73
+    assert all(names == {"hi", "lo", "prod", "z"} for names in searches)
+    assert len({id(ws) for ws, _, _ in views}) == 1
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts as Linux reports them")
@@ -497,7 +536,7 @@ def test_a_mixed_block_is_screened_on_its_signal_columns(monkeypatch):
     cols[:, [1, 4, 5]] = 0.0
     base = rng.standard_normal(40)
     sigma = float(np.max(np.abs(cols)))
-    got = signs._best_candidate(cols, base, sigma, 0.5, 64, None, {})
+    got = signs._best_candidate(cols, base, sigma, 0.5, 64, None, _Workspace())
     assert widths == [5]
     assert got[[1, 4, 5]].tolist() == [1, 1, 1]
     assert np.array_equal(got, best_candidate_reference(cols, base, sigma, 0.5, 64, None))
